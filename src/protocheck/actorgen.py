@@ -112,9 +112,7 @@ def build_ir(a: AnnotatedMachine, cpm: Cpm) -> ActorModelIR:
             if (case, out) in seen_pairs:
                 continue
             seen_pairs.add((case, out))
-            temps = frozenset().union(
-                *[c.props for c in cpm.taus if c.matches_pair(sym, out)])
-            output_cases.setdefault(out, []).append((case, temps))
+            output_cases.setdefault(out, []).append((case, cpm.raised_temps(sym, out)))
 
     return ActorModelIR(
         machine=m,

@@ -188,9 +188,13 @@ def bisimilar(a: MealyMachine, b: MealyMachine,
 #
 # Symbols are opaque tokens, so they are escaped on emit (backslash, quote,
 # and the label separator '/') and unescaped on parse; this keeps symbols
-# like '10_01' or ones containing '/' stable across round-trips.
+# like '10_01' or ones containing '/' stable across round-trips.  One reader
+# (read_dot) turns a document into nodes and edges for all three formats:
+# Mealy machines here, annotated machines and transition systems elsewhere.
 
 _PLAIN_ID = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$|^[0-9]+$")
+_ESCAPED = re.compile(r"\\(.)", re.S)
+_LABEL_SPLIT = re.compile(r"((?:\\.|[^\\/])*)/(.*)", re.S)
 
 
 def _escape(symbol: str) -> str:
@@ -198,17 +202,7 @@ def _escape(symbol: str) -> str:
 
 
 def _unescape(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            out.append(text[i + 1])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _ESCAPED.sub(r"\1", text) if "\\" in text else text
 
 
 def _quote(symbol: str) -> str:
@@ -220,26 +214,21 @@ def _quote(symbol: str) -> str:
 
 def _split_label(label: str, lineno: int) -> tuple[str, str]:
     """Split an edge label 'input / output' on the first unescaped '/'."""
-    depth_escape = False
-    for i, ch in enumerate(label):
-        if depth_escape:
-            depth_escape = False
-            continue
-        if ch == "\\":
-            depth_escape = True
-            continue
-        if ch == "/":
-            return _unescape(label[:i].strip()), _unescape(label[i + 1:].strip())
-    raise MachineError(f"line {lineno}: edge label {label!r} lacks 'input / output' separator")
+    m = _LABEL_SPLIT.match(label)
+    if m is None:
+        raise MachineError(f"line {lineno}: edge label {label!r} lacks 'input / output' separator")
+    return _unescape(m.group(1).strip()), _unescape(m.group(2).strip())
 
 
 _TOKEN = r'(?:"(?:\\.|[^"\\])*"|[A-Za-z0-9_.+-]+)'
 _EDGE_RE = re.compile(rf"^({_TOKEN})\s*->\s*({_TOKEN})\s*(?:\[(.*)\])?\s*;?$")
 _NODE_RE = re.compile(rf"^({_TOKEN})\s*(?:\[(.*)\])?\s*;?$")
 _ATTR_RE = re.compile(rf'(\w+)\s*=\s*({_TOKEN})')
+# A statement runs up to ';', a newline or a brace outside quoted strings.
+_STATEMENT_RE = re.compile(r'(?:[^"\n;{}]+|"[^"\\]*(?:\\.[^"\\]*)*"?)+', re.S)
 
 # statement prefixes that carry no machine content
-_SKIP_PREFIXES = ("digraph", "graph", "strict", "rankdir", "node ", "node[",
+_SKIP_PREFIXES = ("#", "//", "digraph", "graph", "strict", "rankdir", "node ", "node[",
                   "edge ", "edge[", "subgraph")
 
 
@@ -260,62 +249,82 @@ def _parse_attrs(attr_text: str | None) -> dict[str, str]:
     return out
 
 
-def dot_statements(text: str):
-    """Split a DOT document into (line number, statement) pairs.
+@dataclass
+class DotGraph:
+    """Nodes and edges of a DOT document, each with its line number.
 
-    Statements are separated by ';', newlines and braces outside quoted
-    strings, so single-line documents and multi-statement lines both work.
-    Comment lines ('#', '//') and structural headers are dropped.
+    ``nodes`` holds the node statements as (name, raw label, line) and
+    ``edges`` the edges as (source, target, raw label or None, line), both in
+    document order.  ``initials`` holds every initial-state marker as
+    (name, line): an edge from ``__start`` or an ``initial=true`` attribute.
+    ``mentioned`` lists every node name in order of first mention.
     """
-    buf: list[str] = []
-    line = 1
-    start_line = 1
-    in_quote = False
-    escape = False
 
-    def flush():
-        statement = "".join(buf).strip()
-        buf.clear()
-        if not statement or statement.startswith(("#", "//")):
-            return None
-        lowered = statement.lower()
-        if any(lowered.startswith(p) for p in _SKIP_PREFIXES):
-            return None
-        return statement
+    nodes: list[tuple[str, str, int]] = field(default_factory=list)
+    edges: list[tuple[str, str, str | None, int]] = field(default_factory=list)
+    initials: list[tuple[str, int]] = field(default_factory=list)
+    mentioned: dict[str, None] = field(default_factory=dict)
 
-    out = []
-    for ch in text:
-        if in_quote:
-            buf.append(ch)
-            if escape:
-                escape = False
-            elif ch == "\\":
-                escape = True
-            elif ch == '"':
-                in_quote = False
-            if ch == "\n":
-                line += 1
+
+def read_dot(text: str) -> DotGraph:
+    """Split a DOT document into statements and sort them into nodes, edges
+    and initial markers.  Comments ('#', '//') and structural headers are
+    dropped; any other statement that is neither a node nor an edge is an
+    error carrying its line number."""
+    graph = DotGraph()
+    line, pos = 1, 0
+    for match in _STATEMENT_RE.finditer(text):
+        statement = match.group().strip()
+        if not statement or statement.lower().startswith(_SKIP_PREFIXES):
             continue
-        if ch == '"':
-            in_quote = True
-            buf.append(ch)
+        line += text.count("\n", pos, match.start())
+        pos = match.start()
+        m = _EDGE_RE.match(statement)
+        if m:
+            src, dst = _strip_token(m.group(1)), _strip_token(m.group(2))
+            if src == START_NODE:
+                graph.initials.append((dst, line))
+            else:
+                graph.mentioned[src] = None
+                graph.edges.append((src, dst, _parse_attrs(m.group(3)).get("label"), line))
+            graph.mentioned[dst] = None
             continue
-        if ch in (";", "\n", "{", "}"):
-            statement = flush()
-            if statement is not None:
-                out.append((start_line, statement))
-            if ch == "\n":
-                line += 1
-            start_line = line
+        m = _NODE_RE.match(statement)
+        if m is None:
+            raise MachineError(f"line {line}: cannot parse statement {statement!r}")
+        name = _strip_token(m.group(1))
+        if name == START_NODE:
             continue
-        if not buf and ch.isspace():
-            start_line = line
-            continue
-        buf.append(ch)
-    statement = flush()
-    if statement is not None:
-        out.append((start_line, statement))
-    return out
+        attrs = _parse_attrs(m.group(2))
+        graph.mentioned[name] = None
+        graph.nodes.append((name, attrs.get("label", ""), line))
+        if attrs.get("initial", "").lower() == "true":
+            graph.initials.append((name, line))
+    return graph
+
+
+def dot_document(name: str, initial: str, body: list[str]) -> str:
+    """The frame of every emitted document: header, the ``__start`` marker
+    pointing at ``initial`` (an already quoted node id), body, closing brace."""
+    return "\n".join([f"digraph {name} {{", f'  {START_NODE} [shape=none, label=""];',
+                      f"  {START_NODE} -> {initial};", *body, "}"]) + "\n"
+
+
+def dot_edge(src: str, dst: str, label: str) -> str:
+    return f'  {_quote(src)} -> {_quote(dst)} [label="{label}"];'
+
+
+def io_label(symbol: str, output: str) -> str:
+    return f"{_escape(symbol)} / {_escape(output)}"
+
+
+def transition_edges(m: MealyMachine) -> list[str]:
+    """One edge per transition: states in order, each state's inputs in
+    alphabet order, then the empty input that leaves an internal state."""
+    return [dot_edge(q, dst, io_label(sym, out))
+            for q in m.states for sym in m.inputs + (EPSILON,)
+            if (q, sym) in m.transitions
+            for dst, out in [m.transitions[(q, sym)]]]
 
 
 def parse_dot(text: str, complete_missing: bool = False,
@@ -326,71 +335,29 @@ def parse_dot(text: str, complete_missing: bool = False,
     either by an edge from the pseudo-node ``__start`` or by a node attribute
     ``initial=true``.  Alphabets are inferred from the symbols seen.
     """
-    edges: list[tuple[str, str, str, str, int]] = []
+    graph = read_dot(text)
     initial: str | None = None
-    node_order: list[str] = []
-    seen_nodes: set[str] = set()
-
-    def note_node(name: str):
-        if name not in seen_nodes:
-            seen_nodes.add(name)
-            node_order.append(name)
-
-    for lineno, line in dot_statements(text):
-        m = _EDGE_RE.match(line)
-        if m:
-            src, dst = _strip_token(m.group(1)), _strip_token(m.group(2))
-            attrs = _parse_attrs(m.group(3))
-            if src == START_NODE:
-                if initial is not None and initial != dst:
-                    raise MachineError(f"line {lineno}: multiple initial states ({initial!r}, {dst!r})")
-                initial = dst
-                note_node(dst)
-                continue
-            label = attrs.get("label")
-            if label is None:
-                raise MachineError(f"line {lineno}: edge {src!r} -> {dst!r} has no label")
-            sym, out = _split_label(label, lineno)
-            note_node(src)
-            note_node(dst)
-            edges.append((src, dst, sym, out, lineno))
-            continue
-        m = _NODE_RE.match(line)
-        if m:
-            name = _strip_token(m.group(1))
-            attrs = _parse_attrs(m.group(2))
-            if name == START_NODE:
-                continue
-            note_node(name)
-            if attrs.get("initial", "").lower() == "true":
-                if initial is not None and initial != name:
-                    raise MachineError(f"line {lineno}: multiple initial states ({initial!r}, {name!r})")
-                initial = name
-            continue
-        raise MachineError(f"line {lineno}: cannot parse statement {line!r}")
-
-    if initial is None:
-        raise MachineError("no initial state: add a '__start -> q' edge or an initial=true attribute")
-    if not node_order:
-        raise MachineError("document contains no states")
-
+    for name, lineno in graph.initials:
+        if initial is not None and initial != name:
+            raise MachineError(f"line {lineno}: multiple initial states ({initial!r}, {name!r})")
+        initial = name
     transitions: dict[tuple[str, str], tuple[str, str]] = {}
-    inputs: list[str] = []
-    outputs: list[str] = []
-    for src, dst, sym, out, lineno in edges:
-        key = (src, sym)
-        if key in transitions and transitions[key] != (dst, out):
+    for src, dst, label, lineno in graph.edges:
+        if label is None:
+            raise MachineError(f"line {lineno}: edge {src!r} -> {dst!r} has no label")
+        sym, out = _split_label(label, lineno)
+        if transitions.setdefault((src, sym), (dst, out)) != (dst, out):
             raise MachineError(
                 f"line {lineno}: nondeterminism at state {src!r} on input {sym!r}"
             )
-        transitions[key] = (dst, out)
-        if sym not in inputs:
-            inputs.append(sym)
-        if out not in outputs:
-            outputs.append(out)
+    if initial is None:
+        raise MachineError("no initial state: add a '__start -> q' edge or an initial=true attribute")
+    if not graph.mentioned:
+        raise MachineError("document contains no states")
 
-    machine = MealyMachine(tuple(node_order), tuple(inputs), tuple(outputs),
-                           initial, transitions,
+    inputs = tuple(dict.fromkeys(sym for _, sym in transitions))
+    outputs = tuple(dict.fromkeys(out for _, out in transitions.values()))
+    machine = MealyMachine(tuple(graph.mentioned), inputs, outputs, initial, transitions,
                            require_complete=not complete_missing)
     if complete_missing:
         machine = complete(machine, no_response)
@@ -399,21 +366,8 @@ def parse_dot(text: str, complete_missing: bool = False,
 
 def emit_dot(m: MealyMachine, name: str = "mealy") -> str:
     """Canonical DOT text for ``m``; ``parse_dot`` round-trips it exactly."""
-    lines = [f"digraph {name} {{"]
-    lines.append(f'  {START_NODE} [shape=none, label=""];')
-    lines.append(f"  {START_NODE} -> {_quote(m.initial)};")
-    for q in m.states:
-        lines.append(f"  {_quote(q)};")
-    for q in m.states:
-        for sym in m.inputs:
-            entry = m.transitions.get((q, sym))
-            if entry is None:
-                continue
-            dst, out = entry
-            label = f"{_escape(sym)} / {_escape(out)}"
-            lines.append(f'  {_quote(q)} -> {_quote(dst)} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    body = [f"  {_quote(q)};" for q in m.states]
+    return dot_document(name, _quote(m.initial), body + transition_edges(m))
 
 
 def isomorphic(a: MealyMachine, b: MealyMachine) -> bool:

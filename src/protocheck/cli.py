@@ -1,5 +1,9 @@
 """Pipeline command line: every stage is a subcommand with file handoffs.
 
+Each subcommand reads its input files, runs the stage helpers below and
+writes its outputs; ``pipeline`` runs the same helpers in memory and writes
+every intermediate artifact along the way.
+
 Exit codes: 0 success, 1 round-trip failure, 2 property violations found,
 3 replay divergence, 64 usage errors.  All outputs are deterministic given
 the same inputs and seeds; reports embed seeds for reproducibility.
@@ -11,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -18,14 +23,15 @@ from .automata import parse_dot, emit_dot
 from .cpm import (parse_cpm, annotate, expand_tau, emit_annotated_dot,
                   parse_annotated_dot)
 from .actorgen import MutationConfig, build_ir, emit_rebeca, apply_timeout_mutation
-from .statespace import (explore, collapse, verify_roundtrip, emit_lts_dot,
-                         parse_lts_dot, emit_collapsed_dot)
-from .ltl import (check, kripke_from_annotated, property_library,
-                  parse_property_file, vacuity, propositions, substitute,
-                  format_formula, HOLDS)
+from .statespace import (explore, collapse, verify_roundtrip, compare_roundtrip,
+                         emit_lts_dot, parse_lts_dot, emit_collapsed_dot)
+from .ltl import (check, kripke_from_annotated, property_library, PropertyInstance,
+                  parse_property_file, vacuity, instantiate, format_formula,
+                  emit_property_file, verdict_jsonl, HOLDS)
 from .learning import (FIXTURE_SULS, lstar_learn, exact_oracle,
                        random_walk_oracle, build_uds_sul)
-from .testkit import TestCase, concretize, replay, read_tests, write_tests
+from .testkit import (concretize, replay, read_tests, write_tests, to_record,
+                      from_record)
 
 EXIT_OK = 0
 EXIT_ROUNDTRIP = 1
@@ -68,14 +74,142 @@ def _resolve_sul(selector: str):
         if isinstance(produced, tuple):
             return produced
         return produced, None
-    _usage_error(f"unknown system-under-learning {selector!r}; use emrtd, uds, "
-                 "uds-patched or module:callable")
-    raise SystemExit(EXIT_USAGE)
+    raise ValueError(f"unknown system-under-learning {selector!r}; use emrtd, uds, "
+                     "uds-patched or module:callable")
 
 
-def _usage_error(message: str) -> bool:
-    print(f"protocheck: error: {message}", file=sys.stderr)
-    return True
+# ---------------------------------------------------------------------------
+# Stages, shared by the subcommands and the pipeline
+# ---------------------------------------------------------------------------
+
+def _json_text(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _learn(selector: str, oracle: str, min_len: int, max_len: int,
+           num_tests: int, seed: int):
+    """The learned machine and the learner's statistics."""
+    sul, hidden = _resolve_sul(selector)
+    if hidden is None:
+        raise ValueError("learning needs a fixture (or factory) exposing its input alphabet")
+    if oracle == "exact":
+        equivalence = lambda hyp: exact_oracle(hidden, hyp)  # noqa: E731
+    else:
+        equivalence = lambda hyp: random_walk_oracle(  # noqa: E731
+            sul, hyp, min_len, max_len, num_tests, seed)
+    result = lstar_learn(sul, hidden.inputs, equivalence)
+    return result.machine, {
+        "membership_queries": result.membership_queries,
+        "equivalence_queries": result.equivalence_queries,
+        "rounds": result.rounds,
+        "proven": result.proven,
+    }
+
+
+def _actor_model(annotated, cpm, timeout_probability: float | None):
+    ir = build_ir(annotated, cpm)
+    if timeout_probability is None:
+        return ir
+    return apply_timeout_mutation(ir, MutationConfig(True, timeout_probability))
+
+
+def _property_file(cpm) -> str:
+    return emit_property_file({name: inst.formula
+                               for name, inst in property_library(cpm).items()},
+                              header="generic security properties, instantiated")
+
+
+def _collapsed_dot(model) -> str:
+    if model.is_deterministic():
+        return emit_annotated_dot(model.to_annotated())
+    return emit_collapsed_dot(model)
+
+
+def _load_properties(path: str | None, cpm) -> dict[str, PropertyInstance]:
+    """Property set: the builtin library instantiated against the map, or a
+    property file (still subject to undeclared-to-false instantiation)."""
+    if path in (None, "builtin"):
+        return property_library(cpm)
+    out = {}
+    for name, formula in parse_property_file(_read(path)).items():
+        instantiated, undeclared = instantiate(formula, cpm.declared_props)
+        out[name] = PropertyInstance(name, instantiated, format_formula(formula), undeclared)
+    return out
+
+
+def _check(expanded, cpm, properties, max_nodes: int, unroll: int):
+    """Check every property on the expanded model, printing one verdict line
+    each.  Returns the report entries and the results by property name, whose
+    substitutions include those made at instantiation."""
+    kripke = kripke_from_annotated(expanded, declared=cpm.declared_props)
+    entries = []
+    results = {}
+    for name in sorted(properties):
+        inst = properties[name]
+        result = check(kripke, inst.formula, max_nodes)
+        result = replace(
+            result, substituted_false=inst.substituted_false + result.substituted_false)
+        results[name] = result
+        vac = vacuity(kripke, inst.formula)
+        entry = {
+            "name": name,
+            "formula": format_formula(inst.formula),
+            "source": inst.source,
+            "verdict": result.verdict,
+            "substituted_false": list(result.substituted_false),
+            "warnings": list(result.warnings),
+            "vacuity": None if vac is None else asdict(vac),
+            "lasso": None,
+            "test": None,
+        }
+        if result.verdict != HOLDS:
+            entry["lasso"] = asdict(result.lasso)
+            entry["test"] = to_record(
+                concretize(result.lasso, kripke, expanded, name, unroll))
+        entries.append(entry)
+        line = f"{name}: {result.verdict}"
+        if vac is not None and not vac.risk_reachable:
+            line += f"  [{vac.note}]"
+        print(line)
+    return entries, results
+
+
+def _report(expanded_path: str, cpm_path: str, entries) -> dict:
+    return {
+        "expanded_model": expanded_path,
+        "cpm": cpm_path,
+        "properties": entries,
+        "violations": sum(entry["verdict"] != HOLDS for entry in entries),
+    }
+
+
+def _emit_tests(entries, path):
+    tests = [from_record({"property": entry["name"], **entry["test"]})
+             for entry in entries if entry.get("test")]
+    write_tests(tests, path)
+    print(f"{len(tests)} test case(s) written")
+    return tests
+
+
+def _replay(sul, tests, report_path: str | None) -> int:
+    """Replay every test, printing one verdict line each; returns the number
+    of divergences."""
+    diverged = 0
+    results = []
+    for test in tests:
+        result = replay(test, sul)
+        results.append({
+            "property": test.property_name,
+            "verdict": result.verdict,
+            "observed": list(result.observed),
+            "first_divergence": result.first_divergence,
+        })
+        print(f"{test.property_name or '(unnamed)'}: {result.verdict}")
+        if not result.confirmed:
+            diverged += 1
+    if report_path:
+        _write(report_path, _json_text({"replays": results, "diverged": diverged}))
+    return diverged
 
 
 # ---------------------------------------------------------------------------
@@ -83,32 +217,14 @@ def _usage_error(message: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def cmd_learn(args) -> int:
-    sul, hidden = _resolve_sul(args.sul)
-    if hidden is None:
-        _usage_error("learning needs a fixture (or factory) exposing its input alphabet")
-        return EXIT_USAGE
-    alphabet = hidden.inputs
-    if args.oracle == "exact":
-        oracle = lambda hyp: exact_oracle(hidden, hyp)  # noqa: E731
-    else:
-        oracle = lambda hyp: random_walk_oracle(  # noqa: E731
-            sul, hyp, args.min_len, args.max_len, args.num_tests, args.seed)
-    result = lstar_learn(sul, alphabet, oracle)
-    _write(args.out, emit_dot(result.machine))
-    stats = {
-        "states": len(result.machine.states),
-        "inputs": len(result.machine.inputs),
-        "rounds": result.rounds,
-        "membership_queries": result.membership_queries,
-        "equivalence_queries": result.equivalence_queries,
-        "proven": result.proven,
-        "algorithm": args.algorithm,
-        "oracle": args.oracle,
-        "seed": args.seed,
-    }
+    machine, stats = _learn(args.sul, args.oracle, args.min_len, args.max_len,
+                            args.num_tests, args.seed)
+    _write(args.out, emit_dot(machine))
+    stats.update(states=len(machine.states), inputs=len(machine.inputs),
+                 algorithm=args.algorithm, oracle=args.oracle, seed=args.seed)
     print(json.dumps(stats, sort_keys=True))
     if args.stats:
-        _write(args.stats, json.dumps(stats, sort_keys=True, indent=2) + "\n")
+        _write(args.stats, _json_text(stats))
     return EXIT_OK
 
 
@@ -129,50 +245,28 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _mutation(args) -> MutationConfig | None:
-    if args.timeout_mutation is None:
-        return None
-    return MutationConfig(True, args.timeout_mutation)
-
-
 def cmd_gen_rebeca(args) -> int:
     annotated = parse_annotated_dot(_read(args.annotated))
     cpm = parse_cpm(_read(args.cpm))
-    ir = build_ir(annotated, cpm)
-    mutation = _mutation(args)
-    if mutation is not None:
-        ir = apply_timeout_mutation(ir, mutation)
-    _write(args.out, emit_rebeca(ir))
+    _write(args.out, emit_rebeca(_actor_model(annotated, cpm, args.timeout_mutation)))
     if args.properties_out:
-        from .ltl import emit_property_file
-
-        instantiated = {name: inst.formula
-                        for name, inst in property_library(cpm).items()}
-        _write(args.properties_out, emit_property_file(
-            instantiated, header="generic security properties, instantiated"))
+        _write(args.properties_out, _property_file(cpm))
     return EXIT_OK
 
 
 def cmd_explore(args) -> int:
     annotated = parse_annotated_dot(_read(args.annotated))
     cpm = parse_cpm(_read(args.cpm))
-    ir = build_ir(annotated, cpm)
-    mutation = _mutation(args)
-    if mutation is not None:
-        ir = apply_timeout_mutation(ir, mutation)
-    lts = explore(ir, args.max_nodes)
+    lts = explore(_actor_model(annotated, cpm, args.timeout_mutation), args.max_nodes)
     _write(args.out, emit_lts_dot(lts))
     print(f"{len(lts.nodes)} nodes, {len(lts.edges)} edges", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_collapse(args) -> int:
-    lts = parse_lts_dot(_read(args.lts))
-    model = collapse(lts)
-    if model.is_deterministic():
-        _write(args.out, emit_annotated_dot(model.to_annotated()))
-    else:
-        _write(args.out, emit_collapsed_dot(model))
+    model = collapse(parse_lts_dot(_read(args.lts)))
+    _write(args.out, _collapsed_dot(model))
+    if not model.is_deterministic():
         print("note: nondeterministic outcomes kept as parallel edges", file=sys.stderr)
     return EXIT_OK
 
@@ -185,125 +279,29 @@ def cmd_verify_roundtrip(args) -> int:
     return EXIT_OK if report.passed else EXIT_ROUNDTRIP
 
 
-def _load_properties(args, cpm):
-    """Property set: the builtin library instantiated against the map, or a
-    property file (still subject to undeclared-to-false instantiation)."""
-    if args.properties in (None, "builtin"):
-        return {
-            name: (inst.formula, inst.substituted_false, inst.source)
-            for name, inst in property_library(cpm).items()
-        }
-    declared = cpm.declared_props
-    out = {}
-    for name, formula in parse_property_file(_read(args.properties)).items():
-        undeclared = tuple(sorted(propositions(formula) - declared))
-        out[name] = (substitute(formula, {p: False for p in undeclared}),
-                     undeclared, format_formula(formula))
-    return out
-
-
 def cmd_check(args) -> int:
-    annotated = parse_annotated_dot(_read(args.expanded))
+    expanded = parse_annotated_dot(_read(args.expanded))
     cpm = parse_cpm(_read(args.cpm))
-    kripke = kripke_from_annotated(annotated, declared=cpm.declared_props)
-    properties = _load_properties(args, cpm)
-
-    entries = []
-    violations = 0
-    for name in sorted(properties):
-        formula, substituted, source = properties[name]
-        result = check(kripke, formula, args.max_nodes)
-        vac = vacuity(kripke, formula)
-        entry = {
-            "name": name,
-            "formula": format_formula(formula),
-            "source": source,
-            "verdict": result.verdict,
-            "substituted_false": list(substituted) + list(result.substituted_false),
-            "warnings": list(result.warnings),
-            "vacuity": None if vac is None else {
-                "antecedent": vac.antecedent,
-                "antecedent_reachable": vac.antecedent_reachable,
-                "risk_reachable": vac.risk_reachable,
-                "note": vac.note,
-            },
-            "lasso": None,
-            "test": None,
-        }
-        if result.verdict != HOLDS:
-            violations += 1
-            entry["lasso"] = {"stem": list(result.lasso.stem),
-                              "loop": list(result.lasso.loop)}
-            test = concretize(result.lasso, kripke, annotated, name, args.unroll)
-            entry["test"] = {
-                "property": name,
-                "inputs": list(test.inputs),
-                "expected": list(test.expected),
-                "provenance": {"stem": list(test.stem), "loop": list(test.loop),
-                               "unroll": test.unroll},
-            }
-        entries.append(entry)
-        line = f"{name}: {result.verdict}"
-        if vac is not None and not vac.risk_reachable:
-            line += f"  [{vac.note}]"
-        print(line)
-
-    report = {
-        "expanded_model": args.expanded,
-        "cpm": args.cpm,
-        "properties": entries,
-        "violations": violations,
-    }
+    entries, results = _check(expanded, cpm, _load_properties(args.properties, cpm),
+                              args.max_nodes, args.unroll)
+    report = _report(args.expanded, args.cpm, entries)
     if args.report:
-        _write(args.report, json.dumps(report, sort_keys=True, indent=2) + "\n")
-    if getattr(args, "jsonl", None):
-        lines = [json.dumps({
-            "name": e["name"], "verdict": e["verdict"],
-            "lasso": e["lasso"], "substituted_false": e["substituted_false"],
-        }, sort_keys=True) for e in entries]
-        _write(args.jsonl, "\n".join(lines) + "\n")
-    return EXIT_OK if violations == 0 else EXIT_VIOLATED
+        _write(args.report, _json_text(report))
+    if args.jsonl:
+        # an empty property set still writes one (empty) line
+        _write(args.jsonl, verdict_jsonl(results) or "\n")
+    return EXIT_OK if report["violations"] == 0 else EXIT_VIOLATED
 
 
 def cmd_emit_test(args) -> int:
     report = json.loads(_read(args.report))
-    tests = []
-    for entry in report.get("properties", []):
-        data = entry.get("test")
-        if data:
-            prov = data.get("provenance", {})
-            tests.append(TestCase(
-                inputs=tuple(data["inputs"]),
-                expected=tuple(data["expected"]),
-                property_name=data.get("property", entry["name"]),
-                stem=tuple(prov.get("stem", ())),
-                loop=tuple(prov.get("loop", ())),
-                unroll=prov.get("unroll", 1),
-            ))
-    write_tests(tests, args.out)
-    print(f"{len(tests)} test case(s) written")
+    _emit_tests(report.get("properties", []), args.out)
     return EXIT_OK
 
 
 def cmd_replay(args) -> int:
     sul, _ = _resolve_sul(args.sul)
-    tests = read_tests(args.tests)
-    diverged = 0
-    results = []
-    for test in tests:
-        result = replay(test, sul)
-        results.append({
-            "property": test.property_name,
-            "verdict": result.verdict,
-            "observed": list(result.observed),
-            "first_divergence": result.first_divergence,
-        })
-        print(f"{test.property_name or '(unnamed)'}: {result.verdict}")
-        if not result.confirmed:
-            diverged += 1
-    if args.report:
-        _write(args.report, json.dumps({"replays": results, "diverged": diverged},
-                                       sort_keys=True, indent=2) + "\n")
+    diverged = _replay(sul, read_tests(args.tests), args.report)
     return EXIT_OK if diverged == 0 else EXIT_DIVERGED
 
 
@@ -316,99 +314,73 @@ def cmd_pipeline(args) -> int:
     learner_cfg = config.get("learner", {})
     algorithm = learner_cfg.get("algorithm", "lstar")
     if algorithm != "lstar":
-        _usage_error(f"unknown learning algorithm {algorithm!r}")
-        return EXIT_USAGE
+        raise ValueError(f"unknown learning algorithm {algorithm!r}")
     mutation_cfg = config.get("mutation", {})
+    mutated = bool(mutation_cfg.get("enabled"))
     ceiling = config.get("state_ceiling", 10 ** 6)
 
-    stages = {}
+    def put(name: str, text: str):
+        (out_dir / name).write_text(text, encoding="utf-8")
 
-    # stage: model (learn or load)
+    stages = {}
     if "sul" in config:
-        sul, hidden = _resolve_sul(config["sul"])
-        kind = learner_cfg.get("oracle", "exact")
-        if kind == "exact":
-            oracle = lambda hyp: exact_oracle(hidden, hyp)  # noqa: E731
-        else:
-            oracle = lambda hyp: random_walk_oracle(  # noqa: E731
-                sul, hyp,
-                learner_cfg.get("min_len", 20), learner_cfg.get("max_len", 50),
-                learner_cfg.get("num_tests", 50), seed)
-        learned = lstar_learn(sul, hidden.inputs, oracle)
-        machine = learned.machine
-        stages["learn"] = {
-            "membership_queries": learned.membership_queries,
-            "equivalence_queries": learned.equivalence_queries,
-            "rounds": learned.rounds,
-            "proven": learned.proven,
-        }
-        (out_dir / "model.dot").write_text(emit_dot(machine), encoding="utf-8")
+        machine, stages["learn"] = _learn(
+            config["sul"], learner_cfg.get("oracle", "exact"), learner_cfg.get("min_len", 20),
+            learner_cfg.get("max_len", 50), learner_cfg.get("num_tests", 50), seed)
     else:
         machine = parse_dot(_read(config["model"]))
-        (out_dir / "model.dot").write_text(emit_dot(machine), encoding="utf-8")
         stages["learn"] = {"skipped": True}
+    put("model.dot", emit_dot(machine))
 
     cpm = parse_cpm(_read(config["cpm"]))
 
     annotated = annotate(machine, cpm)
-    (out_dir / "annotated.dot").write_text(emit_annotated_dot(annotated), encoding="utf-8")
+    put("annotated.dot", emit_annotated_dot(annotated))
     stages["annotate"] = {"diagnostics": list(annotated.diagnostics)}
 
     expanded = expand_tau(annotated, cpm)
-    (out_dir / "expanded.dot").write_text(emit_annotated_dot(expanded), encoding="utf-8")
+    put("expanded.dot", emit_annotated_dot(expanded))
     stages["expand"] = {"internal_states": len(expanded.tau_states)}
 
-    ir = build_ir(annotated, cpm)
-    if mutation_cfg.get("enabled"):
-        ir = apply_timeout_mutation(
-            ir, MutationConfig(True, mutation_cfg.get("probability", 0.1)))
-    (out_dir / "model.rebeca").write_text(emit_rebeca(ir), encoding="utf-8")
-    from .ltl import emit_property_file
-
-    (out_dir / "model.property").write_text(
-        emit_property_file({name: inst.formula
-                            for name, inst in property_library(cpm).items()},
-                           header="generic security properties, instantiated"),
-        encoding="utf-8")
-    stages["gen-rebeca"] = {"mutated": bool(mutation_cfg.get("enabled"))}
+    ir = _actor_model(annotated, cpm,
+                      mutation_cfg.get("probability", 0.1) if mutated else None)
+    put("model.rebeca", emit_rebeca(ir))
+    put("model.property", _property_file(cpm))
+    stages["gen-rebeca"] = {"mutated": mutated}
 
     lts = explore(ir, ceiling)
-    (out_dir / "lts.dot").write_text(emit_lts_dot(lts), encoding="utf-8")
+    put("lts.dot", emit_lts_dot(lts))
     collapsed = collapse(lts)
-    if collapsed.is_deterministic():
-        (out_dir / "collapsed.dot").write_text(
-            emit_annotated_dot(collapsed.to_annotated()), encoding="utf-8")
-    else:
-        (out_dir / "collapsed.dot").write_text(
-            emit_collapsed_dot(collapsed), encoding="utf-8")
+    put("collapsed.dot", _collapsed_dot(collapsed))
     stages["explore"] = {"nodes": len(lts.nodes), "edges": len(lts.edges)}
 
-    roundtrip = verify_roundtrip(annotated, cpm, ceiling)
+    # the round trip is about the unmutated model: explore it only if the
+    # state space above is the mutated one
+    if mutated:
+        roundtrip = verify_roundtrip(annotated, cpm, ceiling)
+    else:
+        roundtrip = compare_roundtrip(annotated, lts, collapsed)
     stages["verify-roundtrip"] = {"passed": roundtrip.passed, "message": roundtrip.message}
     if not roundtrip.passed:
         _write_manifest(out_dir, config_text, seed, stages)
         print("round-trip FAILED", file=sys.stderr)
         return EXIT_ROUNDTRIP
 
-    check_args = argparse.Namespace(
-        expanded=str(out_dir / "expanded.dot"), cpm=config["cpm"],
-        properties=config.get("properties"), report=str(out_dir / "report.json"),
-        max_nodes=ceiling, unroll=config.get("unroll", 1))
-    cmd_check(check_args)   # violations are a result, not a pipeline failure
-    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
-    stages["check"] = {"violations": report["violations"]}
+    # violations are a result, not a pipeline failure
+    entries, _ = _check(expanded, cpm, _load_properties(config.get("properties"), cpm),
+                        ceiling, config.get("unroll", 1))
+    report = _report(str(out_dir / "expanded.dot"), config["cpm"], entries)
+    put("report.json", _json_text(report))
+    violations = report["violations"]
+    stages["check"] = {"violations": violations}
 
-    emit_args = argparse.Namespace(report=str(out_dir / "report.json"),
-                                   out=str(out_dir / "tests.jsonl"))
-    cmd_emit_test(emit_args)
-    stages["emit-test"] = {"tests": report["violations"]}
+    tests = _emit_tests(entries, out_dir / "tests.jsonl")
+    stages["emit-test"] = {"tests": violations}
 
-    if "sul" in config and report["violations"]:
-        replay_args = argparse.Namespace(
-            sul=config["sul"], tests=str(out_dir / "tests.jsonl"),
-            report=str(out_dir / "replay.json"))
-        replay_exit = cmd_replay(replay_args)
-        stages["replay"] = {"diverged": replay_exit == EXIT_DIVERGED}
+    if "sul" in config and violations:
+        sul, _ = _resolve_sul(config["sul"])
+        diverged = _replay(sul, tests, str(out_dir / "replay.json"))
+        stages["replay"] = {"diverged": diverged > 0}
     else:
         stages["replay"] = {"skipped": True}
 
@@ -423,8 +395,7 @@ def _write_manifest(out_dir: Path, config_text: str, seed, stages):
         "seed": seed,
         "stages": stages,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -523,21 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage problems; remap to the documented code
-        code = exc.code
-        if code in (2,):
-            raise SystemExit(EXIT_USAGE) from exc
-        raise
+    # usage problems inside argparse exit through _Parser.error
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"protocheck: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"protocheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,9 +15,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .automata import (EPSILON, TAU, MachineError, MealyMachine, _escape,
-                       _quote, _strip_token, _parse_attrs, _split_label,
-                       _EDGE_RE, _NODE_RE, START_NODE, EquivalenceResult,
-                       dot_statements)
+                       _quote, _split_label, EquivalenceResult, dot_document,
+                       read_dot, transition_edges)
 
 _PROP_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -61,6 +60,11 @@ class Cpm:
     @property
     def declared_props(self) -> frozenset[str]:
         return frozenset(self.state_props) | frozenset(self.temp_props)
+
+    def raised_temps(self, symbol: str, output: str) -> frozenset[str]:
+        """Temporary propositions a transition raises: the union over every
+        matching temporary rule."""
+        return frozenset().union(*[c.props for c in self.taus if c.matches_pair(symbol, output)])
 
 
 def matches(patterns, symbol: str) -> bool:
@@ -198,7 +202,7 @@ def annotate(m: MealyMachine, cpm: Cpm) -> AnnotatedMachine:
         blocked[(q, sym)] = blocked_here
 
     # monotone fixpoint: every pass adds at least one label or stops, so the
-    # iteration count is bounded by |Q| * |P| (asserted)
+    # iteration count is bounded by |Q| * |P| (checked)
     prop_count = len({p for c in cpm.gains for p in c.props})
     max_passes = len(m.states) * prop_count + 1
     passes = 0
@@ -206,7 +210,8 @@ def annotate(m: MealyMachine, cpm: Cpm) -> AnnotatedMachine:
     while changed:
         changed = False
         passes += 1
-        assert passes <= max_passes, "annotation fixpoint failed to converge"
+        if passes > max_passes:
+            raise CpmError("annotation fixpoint failed to converge")
         for q, sym, dst, out in transitions:
             carried = labels[q] - blocked[(q, sym)]
             new = carried - labels[dst]
@@ -255,6 +260,52 @@ def annotate(m: MealyMachine, cpm: Cpm) -> AnnotatedMachine:
     )
 
 
+def split_tau(states: list[str], outcomes):
+    """Route every outcome (source, input, target, output, temporaries) that
+    raises temporaries through a fresh internal state appended to
+    ``states``; yields each outcome with its internal state, or None.
+
+    Internal states take the first free ``tauN`` names: names already in
+    ``states`` are skipped.
+    """
+    taken = set(states)
+    counter = 0
+    for q, sym, dst, out, temps in outcomes:
+        internal = None
+        if temps:
+            while f"tau{counter}" in taken:
+                counter += 1
+            internal = f"tau{counter}"
+            counter += 1
+            states.append(internal)
+        yield q, sym, dst, out, temps, internal
+
+
+def split_machine(states, inputs, outputs, initial, labels, outcomes,
+                  diagnostics=()) -> AnnotatedMachine:
+    """Annotated machine over deterministic ``outcomes``, each split by
+    :func:`split_tau` where it raises temporaries: ``input/tau`` into the
+    internal state, which keeps the source state's labels, then
+    ``epsilon/output`` out of it."""
+    states, outputs, labels = list(states), list(outputs), dict(labels)
+    transitions: dict[tuple[str, str], tuple[str, str]] = {}
+    temp_labels: dict[str, frozenset[str]] = {}
+    for q, sym, dst, out, temps, internal in split_tau(states, outcomes):
+        if internal is None:
+            transitions[(q, sym)] = (dst, out)
+            continue
+        labels[internal] = labels.get(q, frozenset())
+        temp_labels[internal] = temps
+        transitions[(q, sym)] = (internal, TAU)
+        transitions[(internal, EPSILON)] = (dst, out)
+    if temp_labels and TAU not in outputs:
+        outputs.append(TAU)
+    machine = MealyMachine(tuple(states), inputs, tuple(outputs), initial,
+                           transitions, require_complete=False)
+    return AnnotatedMachine(machine, labels, frozenset(temp_labels), temp_labels,
+                            diagnostics)
+
+
 def expand_tau(a: AnnotatedMachine, cpm: Cpm) -> AnnotatedMachine:
     """Split every transition matched by a temporary rule through a fresh
     internal state.
@@ -267,44 +318,13 @@ def expand_tau(a: AnnotatedMachine, cpm: Cpm) -> AnnotatedMachine:
     if a.tau_states:
         raise CpmError("machine already contains internal states; expand once only")
     m = a.machine
-    transitions: dict[tuple[str, str], tuple[str, str]] = {}
-    states = list(m.states)
-    labels = dict(a.labels)
-    tau_states: set[str] = set()
-    temp_labels: dict[str, frozenset[str]] = {}
-    counter = 0
-    outputs = list(m.outputs)
-
-    for q in m.states:
-        for sym in m.inputs:
-            entry = m.transitions.get((q, sym))
-            if entry is None:
-                continue
-            dst, out = entry
-            temps = frozenset().union(
-                *[c.props for c in cpm.taus if c.matches_pair(sym, out)]
-            )
-            if temps:
-                name = f"tau{counter}"
-                counter += 1
-                while name in m.states:
-                    name = f"tau{counter}"
-                    counter += 1
-                states.append(name)
-                tau_states.add(name)
-                labels[name] = a.label(q)
-                temp_labels[name] = temps
-                transitions[(q, sym)] = (name, TAU)
-                transitions[(name, EPSILON)] = (dst, out)
-            else:
-                transitions[(q, sym)] = (dst, out)
-
-    if tau_states and TAU not in outputs:
-        outputs.append(TAU)
-    machine = MealyMachine(tuple(states), m.inputs, tuple(outputs), m.initial,
-                           transitions, require_complete=False)
-    return AnnotatedMachine(machine, labels, frozenset(tau_states), temp_labels,
-                            a.diagnostics)
+    outcomes = (
+        (q, sym, dst, out, cpm.raised_temps(sym, out))
+        for q in m.states for sym in m.inputs if (q, sym) in m.transitions
+        for dst, out in [m.transitions[(q, sym)]]
+    )
+    return split_machine(m.states, m.inputs, m.outputs, m.initial, a.labels,
+                         outcomes, a.diagnostics)
 
 
 def strip_tau(a: AnnotatedMachine) -> AnnotatedMachine:
@@ -376,81 +396,42 @@ def _node_label(a: AnnotatedMachine, q: str) -> str:
 
 def emit_annotated_dot(a: AnnotatedMachine, name: str = "annotated") -> str:
     m = a.machine
-    lines = [f"digraph {name} {{"]
-    lines.append(f'  {START_NODE} [shape=none, label=""];')
-    lines.append(f"  {START_NODE} -> {_quote(m.initial)};")
+    body = []
     for q in m.states:
         shape = "diamond" if q in a.tau_states else "circle"
-        lines.append(f'  {_quote(q)} [shape={shape}, label="{_escape(_node_label(a, q))}"];')
-    for q in m.states:
-        symbols = m.inputs if q not in a.tau_states else (EPSILON,)
-        for sym in symbols:
-            entry = m.transitions.get((q, sym))
-            if entry is None:
-                continue
-            dst, out = entry
-            label = f"{_escape(sym)} / {_escape(out)}"
-            lines.append(f'  {_quote(q)} -> {_quote(dst)} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        body.append(f'  {_quote(q)} [shape={shape}, label="{_escape(_node_label(a, q))}"];')
+    return dot_document(name, _quote(m.initial), body + transition_edges(m))
 
 
 _NODE_LABEL_RE = re.compile(r"^(?P<id>.*?)\s*\{(?P<props>[^|{}]*)(?:\|(?P<temps>[^{}]*))?\}$")
 
 
+def _names(cell: str) -> frozenset[str]:
+    return frozenset(p.strip() for p in cell.split(",") if p.strip())
+
+
 def parse_annotated_dot(text: str) -> AnnotatedMachine:
-    initial: str | None = None
+    graph = read_dot(text)
     labels: dict[str, frozenset[str]] = {}
     temp_labels: dict[str, frozenset[str]] = {}
-    tau_states: set[str] = set()
-    node_order: list[str] = []
-    edges = []
-
-    for lineno, line in dot_statements(text):
-        m = _EDGE_RE.match(line)
-        if m:
-            src, dst = _strip_token(m.group(1)), _strip_token(m.group(2))
-            attrs = _parse_attrs(m.group(3))
-            if src == START_NODE:
-                initial = dst
-                continue
-            label = attrs.get("label")
-            if label is None:
-                raise MachineError(f"line {lineno}: unlabeled edge")
-            sym, out = _split_label(label, lineno)
-            edges.append((src, dst, sym, out, lineno))
-            continue
-        m = _NODE_RE.match(line)
-        if m:
-            name = _strip_token(m.group(1))
-            if name == START_NODE:
-                continue
-            attrs = _parse_attrs(m.group(2))
-            node_order.append(name)
-            lm = _NODE_LABEL_RE.match(attrs.get("label", ""))
-            if lm:
-                props = frozenset(p.strip() for p in lm.group("props").split(",") if p.strip())
-                labels[name] = props
-                if lm.group("temps") is not None:
-                    tau_states.add(name)
-                    temp_labels[name] = frozenset(
-                        t.strip() for t in lm.group("temps").split(",") if t.strip()
-                    )
-            continue
-        raise MachineError(f"line {lineno}: cannot parse statement {line!r}")
-
-    if initial is None:
-        raise MachineError("no initial state marker")
-    transitions = {}
-    inputs, outputs = [], []
-    for src, dst, sym, out, lineno in edges:
+    for name, label, _ in graph.nodes:
+        lm = _NODE_LABEL_RE.match(label)
+        if lm:
+            labels[name] = _names(lm.group("props"))
+            if lm.group("temps") is not None:
+                temp_labels[name] = _names(lm.group("temps"))
+    transitions: dict[tuple[str, str], tuple[str, str]] = {}
+    for src, dst, label, lineno in graph.edges:
+        if label is None:
+            raise MachineError(f"line {lineno}: unlabeled edge")
+        sym, out = _split_label(label, lineno)
         if (src, sym) in transitions:
             raise MachineError(f"line {lineno}: nondeterminism at {src!r} on {sym!r}")
         transitions[(src, sym)] = (dst, out)
-        if sym not in inputs and sym != EPSILON:
-            inputs.append(sym)
-        if out not in outputs:
-            outputs.append(out)
-    machine = MealyMachine(tuple(node_order), tuple(inputs), tuple(outputs),
-                           initial, transitions, require_complete=False)
-    return AnnotatedMachine(machine, labels, frozenset(tau_states), temp_labels)
+    if not graph.initials:
+        raise MachineError("no initial state marker")
+    inputs = tuple(dict.fromkeys(sym for _, sym in transitions if sym != EPSILON))
+    outputs = tuple(dict.fromkeys(out for _, out in transitions.values()))
+    machine = MealyMachine(tuple(name for name, _, _ in graph.nodes), inputs, outputs,
+                           graph.initials[-1][0], transitions, require_complete=False)
+    return AnnotatedMachine(machine, labels, frozenset(temp_labels), temp_labels)

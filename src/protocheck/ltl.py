@@ -276,6 +276,15 @@ def substitute(f: Formula, assignment: dict[str, bool]) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def instantiate(f: Formula, declared: frozenset[str]) -> tuple[Formula, tuple[str, ...]]:
+    """Resolve every proposition outside ``declared`` to constant false;
+    returns the resolved formula and the sorted names it replaced."""
+    undeclared = tuple(sorted(propositions(f) - declared))
+    if not undeclared:
+        return f, ()
+    return substitute(f, dict.fromkeys(undeclared, False)), undeclared
+
+
 def propositions(f: Formula) -> frozenset[str]:
     if isinstance(f, Prop):
         return frozenset([f.name])
@@ -530,18 +539,27 @@ def kripke_from_annotated(a: AnnotatedMachine,
     temporary ones on internal states.  Deadlocked states get a self-loop to
     keep the relation left-total."""
     m = a.machine
-    successors: dict[str, list[str]] = {q: [] for q in m.states}
-    for (q, _sym), (dst, _out) in m.transitions.items():
+    steps = [(q, dst) for (q, _sym), (dst, _out) in m.transitions.items()]
+    labels = {q: a.label(q) | a.temps(q) for q in m.states}
+    return kripke_view(m.states, m.initial, steps, labels, declared)
+
+
+def kripke_view(states, initial: str, steps, labels: dict[str, frozenset[str]],
+                declared: frozenset[str] | None = None) -> KripkeStructure:
+    """Kripke structure whose relation holds each (source, target) step
+    once, in order of first occurrence; deadlocked states get a self-loop.
+    The atomic propositions default to the ones the labels use."""
+    successors: dict[str, list[str]] = {q: [] for q in states}
+    for q, dst in steps:
         if dst not in successors[q]:
             successors[q].append(dst)
-    for q in m.states:
+    for q in states:
         if not successors[q]:
             successors[q].append(q)
-    labels = {q: a.label(q) | a.temps(q) for q in m.states}
     used = frozenset().union(*labels.values()) if labels else frozenset()
     return KripkeStructure(
-        states=m.states,
-        initial=(m.initial,),
+        states=tuple(states),
+        initial=(initial,),
         successors={q: tuple(v) for q, v in successors.items()},
         labels=labels,
         atomic_props=declared if declared is not None else used,
@@ -664,12 +682,9 @@ class CheckResult:
 
 
 def _resolve_undeclared(f: Formula, declared: frozenset[str]):
-    undeclared = sorted(propositions(f) - declared)
-    if not undeclared:
-        return f, (), ()
-    resolved = substitute(f, {name: False for name in undeclared})
-    return resolved, tuple(undeclared), (
-        "undeclared propositions resolved to false: " + ", ".join(undeclared),)
+    resolved, undeclared = instantiate(f, declared)
+    warnings = ("undeclared propositions resolved to false: " + ", ".join(undeclared),)
+    return resolved, undeclared, warnings if undeclared else ()
 
 
 def check(k: KripkeStructure, f: Formula,
@@ -876,12 +891,9 @@ class PropertyInstance:
 def property_library(cpm: Cpm) -> dict[str, PropertyInstance]:
     """Instantiate every generic property against a proposition map: any
     proposition not declared anywhere in the map becomes constant false."""
-    declared = cpm.declared_props
     out = {}
     for name, text in PROPERTY_TEMPLATES.items():
-        f = parse_ltl(text)
-        undeclared = tuple(sorted(propositions(f) - declared))
-        instantiated = substitute(f, {p: False for p in undeclared})
+        instantiated, undeclared = instantiate(parse_ltl(text), cpm.declared_props)
         out[name] = PropertyInstance(name, instantiated, text, undeclared)
     return out
 

@@ -11,14 +11,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import (EPSILON, TAU, START_NODE, MachineError, MealyMachine,
-                       _escape, _quote, _strip_token, _parse_attrs,
-                       _EDGE_RE, _NODE_RE, bisimilar, EquivalenceResult,
-                       dot_statements, _unescape)
-from .cpm import AnnotatedMachine, Cpm, annotated_equal
-from .actorgen import (ActorModelIR, MutationConfig, TIMEOUT_PROP, build_ir,
-                       apply_timeout_mutation)
-from .ltl import KripkeStructure
+from .automata import (MachineError, _escape, _quote, _unescape, bisimilar,
+                       EquivalenceResult, dot_document, dot_edge, io_label, read_dot)
+from .cpm import (AnnotatedMachine, Cpm, annotated_equal, split_machine, split_tau,
+                  strip_tau)
+from .actorgen import ActorModelIR, TIMEOUT_PROP, build_ir
+from .ltl import KripkeStructure, kripke_view
 
 REQ_LABEL = "req"
 TIMEOUT_LABEL = "timeout"
@@ -43,11 +41,6 @@ class Lts:
     nodes: tuple[LtsNode, ...]
     edges: tuple[tuple[int, str, int], ...]
     initial: int
-
-    def successors(self, index: int):
-        for src, label, dst in self.edges:
-            if src == index:
-                yield label, dst
 
 
 def explore(ir: ActorModelIR, max_nodes: int = 10 ** 6) -> Lts:
@@ -130,7 +123,8 @@ def explore(ir: ActorModelIR, max_nodes: int = 10 ** 6) -> Lts:
 
     n_temps = len(ir.temp_props)
     bound = (len(m.inputs) + 2) * len(m.states) * (2 ** n_temps)
-    assert len(nodes) <= bound, f"node count {len(nodes)} exceeds bound {bound}"
+    if len(nodes) > bound:
+        raise StateSpaceError(f"node count {len(nodes)} exceeds bound {bound}")
     return Lts(tuple(nodes), tuple(edges), initial)
 
 
@@ -162,46 +156,24 @@ class CollapsedModel:
         rendered as internal split states (source-label inheritance)."""
         if not self.is_deterministic():
             raise StateSpaceError("model is nondeterministic; no single machine view")
-        transitions: dict[tuple[str, str], tuple[str, str]] = {}
-        states = list(self.states)
-        labels = {q: self.labels.get(q, frozenset()) for q in self.states}
-        tau_states: set[str] = set()
-        temp_labels: dict[str, frozenset[str]] = {}
-        outputs: list[str] = []
-        counter = 0
+        outcomes = []
         for q in self.states:
             for sym in self.inputs:
                 if (q, sym) not in self.transitions:
                     raise StateSpaceError(
                         f"collapsed model is partial: no outcome for ({q!r}, {sym!r})")
                 (target, out, temps), = self.transitions[(q, sym)]
-                if out not in outputs:
-                    outputs.append(out)
-                if temps:
-                    name = f"tau{counter}"
-                    counter += 1
-                    states.append(name)
-                    tau_states.add(name)
-                    labels[name] = self.labels.get(q, frozenset())
-                    temp_labels[name] = temps
-                    transitions[(q, sym)] = (name, TAU)
-                    transitions[(name, EPSILON)] = (target, out)
-                else:
-                    transitions[(q, sym)] = (target, out)
-        if tau_states:
-            outputs.append(TAU)
-        machine = MealyMachine(tuple(states), self.inputs, tuple(outputs),
-                               self.initial, transitions, require_complete=False)
-        return AnnotatedMachine(machine, labels, frozenset(tau_states), temp_labels)
+                outcomes.append((q, sym, target, out, temps))
+        outputs = tuple(dict.fromkeys(out for _, _, _, out, _ in outcomes))
+        labels = {q: self.labels.get(q, frozenset()) for q in self.states}
+        return split_machine(self.states, self.inputs, outputs, self.initial, labels,
+                             outcomes)
 
 
-def _infer_phases(lts: Lts) -> dict[int, str]:
+def _infer_phases(lts: Lts, out_edges) -> dict[int, str]:
     """Classify nodes by walking the request/input/output message shape from
     the initial node; raises on anything that does not fit the template."""
     phases: dict[int, str] = {}
-    out_edges: dict[int, list[tuple[str, int]]] = {n.index: [] for n in lts.nodes}
-    for src, label, dst in lts.edges:
-        out_edges[src].append((label, dst))
 
     def assign(idx: int, phase: str):
         if phases.get(idx, phase) != phase:
@@ -248,10 +220,10 @@ def collapse(lts: Lts) -> CollapsedModel:
     """Cut the transition system at request boundaries: nodes observed right
     after a completed reset become machine states and every request ->
     input -> output micro path becomes one (input/output) transition."""
-    phases = _infer_phases(lts)
     out_edges: dict[int, list[tuple[str, int]]] = {n.index: [] for n in lts.nodes}
     for src, label, dst in lts.edges:
         out_edges[src].append((label, dst))
+    phases = _infer_phases(lts, out_edges)
     by_index = {n.index: n for n in lts.nodes}
 
     ready_nodes = [idx for idx in sorted(phases) if phases[idx] == "ready"]
@@ -308,32 +280,18 @@ def kripke_from_collapsed(cm: CollapsedModel,
     expanded-machine view.
     """
     states = list(cm.states)
-    successors: dict[str, list[str]] = {q: [] for q in cm.states}
     labels: dict[str, frozenset[str]] = {q: cm.labels.get(q, frozenset()) for q in cm.states}
-    counter = 0
-    for (q, sym), outcomes in sorted(cm.transitions.items()):
-        for target, out, temps in outcomes:
-            if temps:
-                name = f"tau{counter}"
-                counter += 1
-                states.append(name)
-                successors[name] = [target]
-                labels[name] = labels[q] | temps
-                successors[q].append(name)
-            else:
-                if target not in successors[q]:
-                    successors[q].append(target)
-    for q in states:
-        if not successors[q]:
-            successors[q].append(q)
-    used = frozenset().union(*labels.values()) if labels else frozenset()
-    return KripkeStructure(
-        states=tuple(states),
-        initial=(cm.initial,),
-        successors={q: tuple(v) for q, v in successors.items()},
-        labels=labels,
-        atomic_props=declared if declared is not None else used,
-    )
+    outcomes = ((q, sym, *outcome)
+                for (q, sym), choices in sorted(cm.transitions.items())
+                for outcome in choices)
+    steps = []
+    for q, _, target, _, temps, internal in split_tau(states, outcomes):
+        if internal is None:
+            steps.append((q, target))
+        else:
+            labels[internal] = labels[q] | temps
+            steps += [(q, internal), (internal, target)]
+    return kripke_view(states, cm.initial, steps, labels, declared)
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +311,14 @@ def verify_roundtrip(a: AnnotatedMachine, cpm: Cpm,
                      max_nodes: int = 10 ** 6) -> RoundtripReport:
     """Build the actor model, explore it, collapse the state space back and
     compare with the original: trace equivalence plus identical labels."""
-    from .cpm import strip_tau
+    lts = explore(build_ir(a, cpm), max_nodes)
+    return compare_roundtrip(a, lts, collapse(lts))
 
-    ir = build_ir(a, cpm)
-    lts = explore(ir, max_nodes)
-    collapsed = collapse(lts)
+
+def compare_roundtrip(a: AnnotatedMachine, lts: Lts,
+                      collapsed: CollapsedModel) -> RoundtripReport:
+    """Round-trip verdict for ``collapsed``, the collapse of ``lts``, which
+    is the state space of the unmutated actor model of ``a``."""
     if not collapsed.is_deterministic():
         return RoundtripReport(False, "collapsed model is nondeterministic",
                                len(lts.nodes))
@@ -377,36 +338,20 @@ def verify_roundtrip(a: AnnotatedMachine, cpm: Cpm,
     return RoundtripReport(True, "PASS", len(lts.nodes), bisim, labels)
 
 
-def roundtrip_pipeline(m: MealyMachine, cpm: Cpm,
-                       mutation: MutationConfig | None = None):
-    """Convenience: annotate, build, optionally mutate, explore, collapse."""
-    from .cpm import annotate
-
-    a = annotate(m, cpm)
-    ir = build_ir(a, cpm)
-    if mutation is not None:
-        ir = apply_timeout_mutation(ir, mutation)
-    lts = explore(ir)
-    return a, ir, lts, collapse(lts)
-
-
 def emit_collapsed_dot(cm: CollapsedModel, name: str = "collapsed") -> str:
     """DOT text for a collapsed model, tolerating nondeterministic outcomes
     (one edge per outcome; temporaries appended to the edge label)."""
-    lines = [f"digraph {name} {{"]
-    lines.append(f'  {START_NODE} [shape=none, label=""];')
-    lines.append(f"  {START_NODE} -> {_quote(cm.initial)};")
+    body = []
     for q in cm.states:
         props = ",".join(sorted(cm.labels.get(q, frozenset())))
-        lines.append(f'  {_quote(q)} [label="{_escape(q)} {{{props}}}"];')
+        body.append(f'  {_quote(q)} [label="{_escape(q)} {{{props}}}"];')
     for (q, sym), outcomes in sorted(cm.transitions.items()):
         for target, out, temps in outcomes:
-            label = f"{_escape(sym)} / {_escape(out)}"
+            label = io_label(sym, out)
             if temps:
                 label += " [" + ",".join(sorted(temps)) + "]"
-            lines.append(f'  {_quote(q)} -> {_quote(target)} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            body.append(dot_edge(q, target, label))
+    return dot_document(name, _quote(cm.initial), body)
 
 
 # ---------------------------------------------------------------------------
@@ -414,70 +359,45 @@ def emit_collapsed_dot(cm: CollapsedModel, name: str = "collapsed") -> str:
 # ---------------------------------------------------------------------------
 
 def emit_lts_dot(lts: Lts, name: str = "statespace") -> str:
-    lines = [f"digraph {name} {{"]
-    lines.append(f'  {START_NODE} [shape=none, label=""];')
-    lines.append(f"  {START_NODE} -> n{lts.initial};")
+    body = []
     for node in lts.nodes:
         label = (f"q={_escape(node.q)}; props={','.join(sorted(node.props))}; "
                  f"temps={','.join(sorted(node.temps))}")
-        lines.append(f'  n{node.index} [label="{label}"];')
+        body.append(f'  n{node.index} [label="{label}"];')
     for src, label, dst in lts.edges:
-        lines.append(f'  n{src} -> n{dst} [label="{_escape(label)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        body.append(f'  n{src} -> n{dst} [label="{_escape(label)}"];')
+    return dot_document(name, f"n{lts.initial}", body)
 
 
 def parse_lts_dot(text: str) -> Lts:
     """Parse a transition system exported by :func:`emit_lts_dot` or by an
     external tool using the same conventions; phases are re-derived from the
     message shape when the result is collapsed."""
-    initial_name: str | None = None
+    graph = read_dot(text)
     raw_nodes: dict[str, tuple[str, frozenset[str], frozenset[str]]] = {}
-    order: list[str] = []
+    for name, label, _ in graph.nodes:
+        fields = dict(
+            part.strip().split("=", 1)
+            for part in label.split(";") if "=" in part
+        )
+        q = _unescape(fields.get("q", name))
+        props = frozenset(p for p in fields.get("props", "").split(",") if p)
+        temps = frozenset(t for t in fields.get("temps", "").split(",") if t)
+        raw_nodes[name] = (q, props, temps)
     raw_edges: list[tuple[str, str, str]] = []
-    for lineno, line in dot_statements(text):
-        m = _EDGE_RE.match(line)
-        if m:
-            src, dst = _strip_token(m.group(1)), _strip_token(m.group(2))
-            attrs = _parse_attrs(m.group(3))
-            if src == START_NODE:
-                initial_name = dst
-                continue
-            label = attrs.get("label")
-            if label is None:
-                raise MachineError(f"line {lineno}: unlabeled edge")
-            raw_edges.append((src, _unescape(label), dst))
-            continue
-        m = _NODE_RE.match(line)
-        if m:
-            name = _strip_token(m.group(1))
-            if name == START_NODE:
-                continue
-            attrs = _parse_attrs(m.group(2))
-            label = attrs.get("label", "")
-            fields = dict(
-                part.strip().split("=", 1)
-                for part in label.split(";") if "=" in part
-            )
-            q = _unescape(fields.get("q", name))
-            props = frozenset(p for p in fields.get("props", "").split(",") if p)
-            temps = frozenset(t for t in fields.get("temps", "").split(",") if t)
-            if name not in raw_nodes:
-                order.append(name)
-            raw_nodes[name] = (q, props, temps)
-            continue
-        raise MachineError(f"line {lineno}: cannot parse statement {line!r}")
-    if initial_name is None:
+    for src, dst, label, lineno in graph.edges:
+        if label is None:
+            raise MachineError(f"line {lineno}: unlabeled edge")
+        raw_edges.append((src, _unescape(label), dst))
+    if not graph.initials:
         raise MachineError("no initial node marker")
     for src, _, dst in raw_edges:
         for name in (src, dst):
-            if name not in raw_nodes:
-                order.append(name)
-                raw_nodes[name] = (name, frozenset(), frozenset())
-    indices = {name: i for i, name in enumerate(order)}
+            raw_nodes.setdefault(name, (name, frozenset(), frozenset()))
+    indices = {name: i for i, name in enumerate(raw_nodes)}
     nodes = tuple(
-        LtsNode(indices[name], *raw_nodes[name], phase="", pending=None)
-        for name in order
+        LtsNode(i, *raw_nodes[name], phase="", pending=None)
+        for name, i in indices.items()
     )
     edges = tuple((indices[s], label, indices[d]) for s, label, d in raw_edges)
-    return Lts(nodes, edges, indices[initial_name])
+    return Lts(nodes, edges, indices[graph.initials[-1][0]])

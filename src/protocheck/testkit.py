@@ -142,8 +142,10 @@ def feedback(result: ReplayResult, test: TestCase) -> Word:
 # Test-case files (JSON lines)
 # ---------------------------------------------------------------------------
 
-def test_to_json(test: TestCase) -> str:
-    return json.dumps({
+def to_record(test: TestCase) -> dict:
+    """The JSON object of one test case, as written to test-case files and
+    embedded in check reports."""
+    return {
         "property": test.property_name,
         "inputs": list(test.inputs),
         "expected": list(test.expected),
@@ -152,11 +154,10 @@ def test_to_json(test: TestCase) -> str:
             "loop": list(test.loop),
             "unroll": test.unroll,
         },
-    }, sort_keys=True)
+    }
 
 
-def test_from_json(line: str) -> TestCase:
-    data = json.loads(line)
+def from_record(data: dict) -> TestCase:
     prov = data.get("provenance", {})
     return TestCase(
         inputs=tuple(data["inputs"]),
@@ -171,7 +172,7 @@ def test_from_json(line: str) -> TestCase:
 def write_tests(tests, path):
     with open(path, "w", encoding="utf-8") as handle:
         for test in tests:
-            handle.write(test_to_json(test) + "\n")
+            handle.write(json.dumps(to_record(test), sort_keys=True) + "\n")
 
 
 def read_tests(path) -> list[TestCase]:
@@ -179,5 +180,5 @@ def read_tests(path) -> list[TestCase]:
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             if line.strip():
-                out.append(test_from_json(line))
+                out.append(from_record(json.loads(line)))
     return out

@@ -220,3 +220,49 @@ def test_collapse_rejects_misshapen_lts():
     """
     with pytest.raises(StateSpaceError, match="ill-formed"):
         collapse(parse_lts_dot(text))
+
+
+# ---------------------------------------------------------------------------
+# internal-state naming
+# ---------------------------------------------------------------------------
+
+# a state already named tau0 plus a temporary rule: every internal state
+# must take a free name
+TAU_CLASH_DOT = """digraph clash {
+  __start -> tau0;
+  tau0 -> s1 [label="a / x"];
+  tau0 -> tau0 [label="b / y"];
+  s1 -> tau0 [label="a / x"];
+  s1 -> s1 [label="b / y"];
+}
+"""
+TAU_CLASH_CPM = "[GAINS]\nP | a | x\n[LOSES]\n[TAUS]\nT | b | *\n"
+
+
+def test_internal_states_skip_names_in_use():
+    from protocheck import expand_tau, kripke_from_annotated, parse_cpm, parse_dot
+
+    cpm = parse_cpm(TAU_CLASH_CPM)
+    a = annotate(parse_dot(TAU_CLASH_DOT), cpm)
+    report = verify_roundtrip(a, cpm)
+    assert report.passed, report.message
+    collapsed = collapse(explore(build_ir(a, cpm)))
+    assert set(collapsed.to_annotated().tau_states) == {"tau1", "tau2"}
+    from_collapsed = kripke_from_collapsed(collapsed)
+    from_expanded = kripke_from_annotated(expand_tau(a, cpm))
+    assert len(set(from_collapsed.states)) == len(from_collapsed.states)
+    assert len(set(from_collapsed.states)) == len(set(from_expanded.states)) == 4
+
+
+def test_cli_round_trip_and_collapse_with_state_named_tau0(tmp_path, monkeypatch):
+    from protocheck.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.dot").write_text(TAU_CLASH_DOT)
+    (tmp_path / "map.cpm").write_text(TAU_CLASH_CPM)
+    assert main(["verify-roundtrip", "--model", "model.dot", "--cpm", "map.cpm"]) == 0
+    assert main(["annotate", "--model", "model.dot", "--cpm", "map.cpm",
+                 "--out", "annotated.dot"]) == 0
+    assert main(["explore", "--annotated", "annotated.dot", "--cpm", "map.cpm",
+                 "--out", "lts.dot"]) == 0
+    assert main(["collapse", "--lts", "lts.dot", "--out", "collapsed.dot"]) == 0
