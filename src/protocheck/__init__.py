@@ -11,7 +11,7 @@ from .automata import (MealyMachine, MachineError, EquivalenceResult,
                        bisimilar, reachable, complete, parse_dot, emit_dot,
                        isomorphic, EPSILON, TAU)
 from .cpm import (Condition, Cpm, CpmError, AnnotatedMachine, parse_cpm,
-                  emit_cpm, matches, annotate, expand_tau, strip_tau,
+                  matches, annotate, expand_tau, strip_tau,
                   annotated_equal, emit_annotated_dot, parse_annotated_dot)
 from .actorgen import (ActorModelIR, MutationConfig, ActorGenError,
                        build_ir, emit_rebeca, apply_timeout_mutation,

@@ -221,8 +221,9 @@ def _split_label(label: str, lineno: int) -> tuple[str, str]:
 
 
 _TOKEN = r'(?:"(?:\\.|[^"\\])*"|[A-Za-z0-9_.+-]+)'
-_EDGE_RE = re.compile(rf"^({_TOKEN})\s*->\s*({_TOKEN})\s*(?:\[(.*)\])?\s*;?$")
-_NODE_RE = re.compile(rf"^({_TOKEN})\s*(?:\[(.*)\])?\s*;?$")
+# re.S: a quoted label may hold a newline
+_EDGE_RE = re.compile(rf"^({_TOKEN})\s*->\s*({_TOKEN})\s*(?:\[(.*)\])?\s*;?$", re.S)
+_NODE_RE = re.compile(rf"^({_TOKEN})\s*(?:\[(.*)\])?\s*;?$", re.S)
 _ATTR_RE = re.compile(rf'(\w+)\s*=\s*({_TOKEN})')
 # A statement runs up to ';', a newline or a brace outside quoted strings.
 _STATEMENT_RE = re.compile(r'(?:[^"\n;{}]+|"[^"\\]*(?:\\.[^"\\]*)*"?)+', re.S)

@@ -127,19 +127,6 @@ def parse_cpm(text: str) -> Cpm:
     return cpm
 
 
-def emit_cpm(cpm: Cpm) -> str:
-    lines = []
-    for header, conditions in (("[GAINS]", cpm.gains), ("[LOSES]", cpm.loses),
-                               ("[TAUS]", cpm.taus)):
-        lines.append(header)
-        for c in conditions:
-            lines.append(
-                f"{', '.join(sorted(c.props))} | {', '.join(c.input_patterns)}"
-                f" | {', '.join(c.output_patterns)}"
-            )
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class AnnotatedMachine:
     """Mealy machine whose states carry proposition sets.

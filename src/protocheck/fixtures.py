@@ -8,7 +8,3 @@ from importlib import resources
 def fixture_text(name: str) -> str:
     return resources.files("protocheck").joinpath("fixtures", name).read_text(encoding="utf-8")
 
-
-def fixture_names() -> list[str]:
-    base = resources.files("protocheck").joinpath("fixtures")
-    return sorted(entry.name for entry in base.iterdir() if entry.is_file())

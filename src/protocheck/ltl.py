@@ -1,9 +1,10 @@
 """Linear temporal logic: parsing, automaton translation, model checking.
 
 The checker follows the automata-theoretic recipe: negate the formula,
-translate to a Buchi automaton via the expand-node tableau, build the product
-with the Kripke structure and search for an accepting cycle with a nested
-depth-first search.  A separate bounded oracle decides formulas by direct
+translate to a generalized Buchi automaton via the expand-node tableau, build
+the product with the Kripke structure and a round-robin counter over the
+acceptance sets, and search for an accepting cycle with a nested depth-first
+search.  A separate bounded oracle decides formulas by direct
 semantics on exhaustively enumerated lasso words; it shares no code with the
 Buchi path and serves as an independent cross-check.
 """
@@ -344,17 +345,17 @@ def to_nnf(f: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Buchi translation: expand-node tableau, counter degeneralization
+# Buchi translation: expand-node tableau, generalized acceptance
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BuchiAutomaton:
-    """Degeneralized Buchi automaton over proposition valuations.
+    """Generalized Buchi automaton over proposition valuations.
 
     States read letters: a run b0 b1 ... over a valuation word v0 v1 ...
     requires b0 initial, v_i to satisfy the literal constraints of b_i, and
-    b_{i+1} to be a listed successor of b_i.  ``transitions`` re-exposes the
-    constraints edge-wise as (required, forbidden, successor) triples.
+    b_{i+1} to be a listed successor of b_i.  A run is accepting when it
+    visits every set of ``acceptance`` infinitely often.
     """
 
     states: tuple[int, ...]
@@ -362,14 +363,12 @@ class BuchiAutomaton:
     required: dict[int, frozenset[str]]
     forbidden: dict[int, frozenset[str]]
     successors: dict[int, tuple[int, ...]]
-    accepting: frozenset[int]
+    acceptance: tuple[frozenset[int], ...]
 
     @property
-    def transitions(self) -> dict[int, tuple[tuple[frozenset[str], frozenset[str], int], ...]]:
-        return {
-            b: tuple((self.required[d], self.forbidden[d], d) for d in dsts)
-            for b, dsts in self.successors.items()
-        }
+    def accepting(self) -> frozenset[int]:
+        """The first acceptance set: the only one of a single-set automaton."""
+        return self.acceptance[0]
 
     def admits(self, state: int, valuation: frozenset[str]) -> bool:
         return (self.required[state] <= valuation
@@ -377,121 +376,108 @@ class BuchiAutomaton:
 
 
 class _Node:
+    """Tableau node; ``new`` and ``next`` are insertion-ordered sets."""
+
     __slots__ = ("incoming", "new", "old", "next")
 
-    def __init__(self, incoming, new, old, next_):
-        self.incoming = incoming
-        self.new = new
-        self.old = old
-        self.next = next_
-
-
-def _expand(node: _Node, finished: list[_Node]):
-    if not node.new:
-        for other in finished:
-            if other.old == node.old and other.next == node.next:
-                other.incoming |= node.incoming
-                return
-        finished.append(node)
-        successor = _Node({id(node)}, set(node.next), set(), set())
-        _expand(successor, finished)
-        return
-    f = node.new.pop()
-    if isinstance(f, Const):
-        if not f.value:
-            return
-        node.old.add(f)
-        _expand(node, finished)
-    elif isinstance(f, (Prop, Not)):
-        negation = f.child if isinstance(f, Not) else Not(f)
-        if negation in node.old:
-            return
-        node.old.add(f)
-        _expand(node, finished)
-    elif isinstance(f, And):
-        node.old.add(f)
-        node.new |= {f.left, f.right} - node.old
-        _expand(node, finished)
-    elif isinstance(f, Next):
-        node.old.add(f)
-        node.next.add(f.child)
-        _expand(node, finished)
-    elif isinstance(f, (Or, Until, Release)):
-        node.old.add(f)
-        if isinstance(f, Or):
-            new1, next1, new2 = {f.left}, set(), {f.right}
-        elif isinstance(f, Until):
-            new1, next1, new2 = {f.left}, {f}, {f.right}
-        else:
-            new1, next1, new2 = {f.right}, {f}, {f.left, f.right}
-        left = _Node(set(node.incoming), node.new | (new1 - node.old),
-                     set(node.old), node.next | next1)
-        right = _Node(set(node.incoming), node.new | (new2 - node.old),
-                      set(node.old), set(node.next))
-        _expand(left, finished)
-        _expand(right, finished)
-    else:
-        raise TypeError(f"formula not in negation normal form: {f!r}")
+    def __init__(self, incoming: set, new: dict, old: set, next_: dict):
+        self.incoming, self.new, self.old, self.next = incoming, new, old, next_
 
 
 _INIT = "init"
 
 
-def ltl_to_buchi(f: Formula) -> BuchiAutomaton:
-    """Generalized Buchi automaton from the tableau, degeneralized with the
-    usual round-robin counter over the per-Until acceptance sets."""
-    root = _Node({_INIT}, {f}, set(), set())
+def _tableau(f: Formula) -> list[_Node]:
+    """Finished nodes of the Gerth-Peled-Vardi-Wolper tableau, in order of
+    completion; ``incoming`` holds the indices of predecessor nodes and
+    ``_INIT``.  Pending nodes form a stack and finished ones are found by
+    their (old, next) sets, so the result depends on nothing but ``f``."""
     finished: list[_Node] = []
-    _expand(root, finished)
+    index: dict[tuple[frozenset, frozenset], int] = {}
+    stack = [_Node({_INIT}, {f: None}, set(), {})]
+    while stack:
+        node = stack.pop()
+        if not _saturate(node, stack):
+            continue
+        n = index.setdefault((frozenset(node.old), frozenset(node.next)), len(finished))
+        if n < len(finished):
+            finished[n].incoming |= node.incoming
+        else:
+            finished.append(node)
+            stack.append(_Node({n}, dict(node.next), set(), {}))
+    return finished
 
-    node_ids = {id(node): i for i, node in enumerate(finished)}
+
+def _saturate(node: _Node, stack: list[_Node]) -> bool:
+    """Move formulas from ``new`` to ``old`` first-in-first-out.  True when
+    ``new`` runs empty; False when the node is contradictory or has been
+    split in two, the children pushed on ``stack``."""
+    while node.new:
+        # false can never be satisfied; taken in its turn, after the formulas
+        # queued before it, it would first split the node for nothing
+        if FALSE in node.new:
+            return False
+        g = next(iter(node.new))
+        del node.new[g]
+        if isinstance(g, Prop) and Not(g) in node.old or isinstance(g, Not) and g.child in node.old:
+            return False
+        node.old.add(g)
+        if isinstance(g, And):
+            node.new.update((h, None) for h in (g.left, g.right) if h not in node.old)
+        elif isinstance(g, Next):
+            node.next[g.child] = None
+        elif isinstance(g, (Or, Until, Release)):
+            if isinstance(g, Or):
+                new1, next1, new2 = (g.left,), (), (g.right,)
+            elif isinstance(g, Until):
+                new1, next1, new2 = (g.left,), (g,), (g.right,)
+            else:
+                new1, next1, new2 = (g.right,), (g,), (g.left, g.right)
+            # the first child, pushed last, takes over the node's own sets
+            stack.append(_Node(set(node.incoming), _extend(node.new, new2, node.old),
+                               set(node.old), dict(node.next)))
+            stack.append(_Node(node.incoming, _extend(node.new, new1, node.old),
+                               node.old, _extend(node.next, next1, ())))
+            return False
+        elif not isinstance(g, (Const, Prop, Not)):
+            raise TypeError(f"formula not in negation normal form: {g!r}")
+    return True
+
+
+def _extend(ordered: dict, formulas, old) -> dict:
+    return {**ordered, **{g: None for g in formulas if g not in old}}
+
+
+def ltl_to_buchi(f: Formula) -> BuchiAutomaton:
+    """One state per tableau node and one acceptance set per Until (a
+    single set of every state when there is none)."""
+    finished = _tableau(f)
+    states = tuple(range(len(finished)))
     untils = sorted({g for node in finished for g in node.old if isinstance(g, Until)},
                     key=str)
-    acceptance_sets = [
-        frozenset(node_ids[id(node)] for node in finished
-                  if u.right in node.old or u not in node.old)
+    acceptance = tuple(
+        frozenset(n for n in states
+                  if u.right in finished[n].old or u not in finished[n].old)
         for u in untils
-    ] or [frozenset(node_ids[id(node)] for node in finished)]
-    k = len(acceptance_sets)
-
-    required = {}
-    forbidden = {}
-    for node in finished:
-        n = node_ids[id(node)]
-        required[n] = frozenset(g.name for g in node.old if isinstance(g, Prop))
-        forbidden[n] = frozenset(g.child.name for g in node.old
-                                 if isinstance(g, Not) and isinstance(g.child, Prop))
-
-    edges: dict[int, list[int]] = {node_ids[id(node)]: [] for node in finished}
-    initial_nodes = []
-    for node in finished:
-        n = node_ids[id(node)]
+    ) or (frozenset(states),)
+    edges: dict[int, list[int]] = {n: [] for n in states}
+    initial = set()
+    for n, node in enumerate(finished):
         for src in node.incoming:
             if src == _INIT:
-                initial_nodes.append(n)
+                initial.add(n)
             else:
-                edges[node_ids[src]].append(n)
-
-    def enc(n: int, i: int) -> int:
-        return n * k + i
-
-    states = tuple(enc(n, i) for n in sorted(node_ids.values()) for i in range(k))
-    successors: dict[int, tuple[int, ...]] = {}
-    req = {}
-    forb = {}
-    for n in node_ids.values():
-        for i in range(k):
-            j = (i + 1) % k if n in acceptance_sets[i] else i
-            successors[enc(n, i)] = tuple(enc(m, j) for m in sorted(edges[n]))
-            req[enc(n, i)] = required[n]
-            forb[enc(n, i)] = forbidden[n]
+                edges[src].append(n)
     return BuchiAutomaton(
         states=states,
-        initial=frozenset(enc(n, 0) for n in initial_nodes),
-        required=req,
-        forbidden=forb,
-        successors=successors,
-        accepting=frozenset(enc(n, 0) for n in acceptance_sets[0]),
+        initial=frozenset(initial),
+        required={n: frozenset(g.name for g in node.old if isinstance(g, Prop))
+                  for n, node in enumerate(finished)},
+        forbidden={n: frozenset(g.child.name for g in node.old
+                                if isinstance(g, Not) and isinstance(g.child, Prop))
+                   for n, node in enumerate(finished)},
+        successors={n: tuple(sorted(edges[n])) for n in states},
+        acceptance=acceptance,
     )
 
 
@@ -594,9 +580,12 @@ def evaluate_on_lasso(f: Formula, stem_vals, loop_vals) -> bool:
     """
     if not loop_vals:
         raise LtlError("loop must be non-empty")
-    vals = list(stem_vals) + list(loop_vals)
+    return _truth(f, list(stem_vals) + list(loop_vals), len(stem_vals))[0]
+
+
+def _truth(f: Formula, vals, k: int) -> list[bool]:
+    """Truth of ``f`` at every position of the word vals[:k] . vals[k:]^omega."""
     n = len(vals)
-    k = len(stem_vals)
 
     def nxt(i: int) -> int:
         return i + 1 if i + 1 < n else k
@@ -653,7 +642,7 @@ def evaluate_on_lasso(f: Formula, stem_vals, loop_vals) -> bool:
         cache[g] = res
         return res
 
-    return arr(f)[0]
+    return arr(f)
 
 
 def lasso_valuations(k: KripkeStructure, lasso: Lasso):
@@ -700,7 +689,7 @@ def check(k: KripkeStructure, f: Formula,
     auto = ltl_to_buchi(to_nnf(Not(resolved)))
 
     start = [
-        (s, b)
+        (s, b, 0)
         for s in k.initial
         for b in sorted(auto.initial)
         if auto.admits(b, k.label(s))
@@ -730,19 +719,24 @@ def _validate_lasso(k: KripkeStructure, lasso: Lasso):
 
 
 def _product_successors(k: KripkeStructure, auto: BuchiAutomaton, state):
-    s, b = state
+    """Product states are (Kripke state, automaton state, counter): the
+    counter waits for acceptance set i and moves on once b is in it."""
+    s, b, i = state
+    if b in auto.acceptance[i]:
+        i = (i + 1) % len(auto.acceptance)
     for s2 in k.successors[s]:
         val = k.label(s2)
         for b2 in auto.successors[b]:
             if auto.admits(b2, val):
-                yield (s2, b2)
+                yield (s2, b2, i)
 
 
 def _ndfs(k: KripkeStructure, auto: BuchiAutomaton, start, ceiling: int) -> Lasso | None:
     """Nested depth-first search for an accepting cycle; returns the
     projected lasso.  Outer search is post-order; the inner (red) search
-    runs from each accepting state and closes a cycle when it reaches any
-    state on the current outer path."""
+    runs from each accepting state, one whose counter is 0 and whose
+    automaton state is in the first acceptance set, and closes a cycle when
+    it reaches any state on the current outer path."""
     blue: set = set()
     red: set = set()
 
@@ -769,11 +763,11 @@ def _ndfs(k: KripkeStructure, auto: BuchiAutomaton, start, ceiling: int) -> Lass
             if advanced:
                 continue
             stack.pop()
-            if state[1] in auto.accepting:
+            if state[2] == 0 and state[1] in auto.accepting:
                 loop = _red_search(k, auto, state, pos_in_path, path, red)
                 if loop is not None:
-                    stem = tuple(s for s, _ in path[:pos_in_path[state]])
-                    return Lasso(stem, tuple(s for s, _ in loop))
+                    stem = tuple(s for s, _, _ in path[:pos_in_path[state]])
+                    return Lasso(stem, tuple(s for s, _, _ in loop))
             del pos_in_path[state]
             path.pop()
     return None
@@ -992,22 +986,6 @@ def _implication_shape(f: Formula):
     return None
 
 
-def _eval_propositional(f: Formula, valuation: frozenset[str]) -> bool:
-    if isinstance(f, Prop):
-        return f.name in valuation
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Not):
-        return not _eval_propositional(f.child, valuation)
-    if isinstance(f, And):
-        return _eval_propositional(f.left, valuation) and _eval_propositional(f.right, valuation)
-    if isinstance(f, Or):
-        return _eval_propositional(f.left, valuation) or _eval_propositional(f.right, valuation)
-    if isinstance(f, Implies):
-        return (not _eval_propositional(f.left, valuation)) or _eval_propositional(f.right, valuation)
-    raise LtlError(f"not propositional: {format_formula(f)}")
-
-
 def _is_propositional(f: Formula) -> bool:
     if isinstance(f, (Prop, Const)):
         return True
@@ -1026,9 +1004,11 @@ def vacuity(k: KripkeStructure, f: Formula) -> VacuityInfo | None:
     antecedent, consequent = shape
     if not (_is_propositional(antecedent) and _is_propositional(consequent)):
         return None
-    reachable = k.reachable_states()
-    ante = [s for s in reachable if _eval_propositional(antecedent, k.label(s))]
-    risk = [s for s in ante if not _eval_propositional(consequent, k.label(s))]
+    # one position per reachable label: a propositional formula reads no other
+    labels = [k.label(s) for s in k.reachable_states()]
+    fires = _truth(antecedent, labels, 0)
+    ante = any(fires)
+    risk = any(a and not c for a, c in zip(fires, _truth(consequent, labels, 0)))
     negated = consequent.child if isinstance(consequent, Not) else Not(consequent)
     if not ante:
         note = f"vacuous: antecedent {format_formula(antecedent)} never true in any reachable state"
@@ -1037,4 +1017,4 @@ def vacuity(k: KripkeStructure, f: Formula) -> VacuityInfo | None:
                 "never co-occur in any reachable state")
     else:
         note = "antecedent and negated consequent co-occur"
-    return VacuityInfo(format_formula(antecedent), bool(ante), bool(risk), note)
+    return VacuityInfo(format_formula(antecedent), ante, risk, note)

@@ -8,6 +8,7 @@ must be trace-equivalent to ``a`` with identical state labels.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -358,10 +359,15 @@ def emit_collapsed_dot(cm: CollapsedModel, name: str = "collapsed") -> str:
 # LTS DOT serialization
 # ---------------------------------------------------------------------------
 
+# node label fields are separated by ';', which the state name escapes
+_FIELD_RE = re.compile(r"(?:\\.|[^\\;])+", re.S)
+
+
 def emit_lts_dot(lts: Lts, name: str = "statespace") -> str:
     body = []
     for node in lts.nodes:
-        label = (f"q={_escape(node.q)}; props={','.join(sorted(node.props))}; "
+        q = _escape(node.q).replace(";", "\\;")
+        label = (f"q={q}; props={','.join(sorted(node.props))}; "
                  f"temps={','.join(sorted(node.temps))}")
         body.append(f'  n{node.index} [label="{label}"];')
     for src, label, dst in lts.edges:
@@ -378,7 +384,7 @@ def parse_lts_dot(text: str) -> Lts:
     for name, label, _ in graph.nodes:
         fields = dict(
             part.strip().split("=", 1)
-            for part in label.split(";") if "=" in part
+            for part in _FIELD_RE.findall(label) if "=" in part
         )
         q = _unescape(fields.get("q", name))
         props = frozenset(p for p in fields.get("props", "").split(",") if p)
@@ -400,4 +406,7 @@ def parse_lts_dot(text: str) -> Lts:
         for name, i in indices.items()
     )
     edges = tuple((indices[s], label, indices[d]) for s, label, d in raw_edges)
-    return Lts(nodes, edges, indices[graph.initials[-1][0]])
+    initial, line = graph.initials[-1]
+    if initial not in indices:
+        raise MachineError(f"line {line}: initial node {initial!r} is not declared")
+    return Lts(nodes, edges, indices[initial])

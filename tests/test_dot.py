@@ -7,7 +7,9 @@ import pytest
 from protocheck import (MachineError, MealyMachine, annotate, build_ir,
                         emit_annotated_dot, emit_dot, emit_lts_dot, expand_tau,
                         explore, parse_annotated_dot, parse_dot, parse_lts_dot)
+from protocheck.cli import main
 from protocheck.cpm import Condition, Cpm
+from protocheck.statespace import Lts, LtsNode
 
 INPUTS = ("a/b", 'we"ird', "back\\slash", "plain")
 OUTPUTS = ("o/1", 'o"2', "o\\3", "ok")
@@ -87,3 +89,33 @@ def test_statements_split_on_separators_outside_quotes_only():
     m = parse_dot(text)
     assert m.states == ("x;{y",)
     assert m.transitions == {("x;{y", "a;{"): ("x;{y", "b}")}
+
+
+def test_lts_start_at_undeclared_node_names_it(tmp_path, capsys):
+    text = 'digraph g { __start -> n9; n0 [label="q=a; props=; temps="]; }'
+    with pytest.raises(MachineError, match="^line 1: initial node 'n9' is not declared"):
+        parse_lts_dot(text)
+    (tmp_path / "lts.dot").write_text(text)
+    code = main(["collapse", "--lts", str(tmp_path / "lts.dot"),
+                 "--out", str(tmp_path / "out.dot")])
+    assert code == 64
+    assert "'n9'" in capsys.readouterr().err
+
+
+def test_lts_state_names_keep_semicolons_and_backslashes():
+    names = ("a;b", "a\\", "a\\;b", "plain")
+    nodes = tuple(LtsNode(i, q, frozenset({"P"}), frozenset({"T"}), phase="")
+                  for i, q in enumerate(names))
+    lts = Lts(nodes, tuple((i, "x", (i + 1) % len(names)) for i in range(len(names))), 0)
+    text = emit_lts_dot(lts)
+    assert 'label="q=plain; props=P; temps=T"' in text
+    back = parse_lts_dot(text)
+    assert [(n.q, n.props, n.temps) for n in back.nodes] == \
+        [(n.q, n.props, n.temps) for n in nodes]
+
+
+def test_mealy_dot_round_trip_with_newline_in_a_symbol():
+    m = MealyMachine(("a", "b"), ("x\ny", "z"), ("o\np", "ok"), "a",
+                     {("a", "x\ny"): ("b", "o\np"), ("a", "z"): ("a", "ok"),
+                      ("b", "x\ny"): ("a", "ok"), ("b", "z"): ("b", "o\np")})
+    assert parse_dot(emit_dot(m)) == m

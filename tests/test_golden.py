@@ -8,12 +8,19 @@ directory with relative paths, because ``report.json`` and
 
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import protocheck
+from protocheck import annotate, emit_annotated_dot, expand_tau, parse_cpm
 from protocheck.cli import main
 from protocheck.fixtures import fixture_text
+from helpers import random_machine
 
 FIXTURES = ("illustrative.dot", "illustrative.cpm", "generic.properties",
             "emrtd.cpm", "uds.cpm")
@@ -295,3 +302,49 @@ def test_pipeline_artifacts_match_golden(name, workdir):
 def test_stage_artifacts_match_golden(name, workdir):
     assert [_run(argv) for argv, _ in STAGES[name]] == [code for _, code in STAGES[name]]
     assert _digests(workdir / "out") == GOLDEN[name]
+
+
+SYNTHETIC_CPM = """[GAINS]
+A | i0 | o0
+B | i1 | *
+C | i2 | o1
+D | i3 | o2
+[LOSES]
+A, B | i4 | *
+C | i5, i0 | *
+D | i1 | o0
+[TAUS]
+TE | i5 | o1
+TF | i2 | o0
+"""
+
+
+def test_check_report_does_not_depend_on_hash_seed_or_optimization(tmp_path):
+    """``check --report`` in fresh interpreters under two hash seeds and
+    under ``python -O`` writes the same bytes; the witnesses of
+    G(!a) || F(b && X c) once followed the tableau's set iteration order."""
+    rng = random.Random(5)
+    cpm = parse_cpm(SYNTHETIC_CPM)
+    machine = random_machine(rng, max_states=12, max_inputs=6)
+    expanded = expand_tau(annotate(machine, cpm), cpm)
+    (tmp_path / "expanded.dot").write_text(emit_annotated_dot(expanded))
+    (tmp_path / "map.cpm").write_text(SYNTHETIC_CPM)
+    props = ("A", "B", "C", "D", "TE", "TF")
+    (tmp_path / "props.txt").write_text("".join(
+        f"t{n:02d}: G(!{rng.choice(props)}) || F({rng.choice(props)} && X {rng.choice(props)})\n"
+        for n in range(20)))
+    src = str(Path(protocheck.__file__).resolve().parent.parent)
+    runs = []
+    for flags, hash_seed in (([], "1"), ([], "2"), (["-O"], "3")):
+        report = f"report-{hash_seed}.json"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "protocheck.cli", "check",
+             "--expanded", "expanded.dot", "--cpm", "map.cpm",
+             "--properties", "props.txt", "--report", report],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 2, proc.stderr
+        runs.append((proc.stdout, (tmp_path / report).read_bytes()))
+    assert b'"VIOLATED"' in runs[0][1]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
