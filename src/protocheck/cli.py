@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -95,8 +96,11 @@ def _learn(selector: str, oracle: str, min_len: int, max_len: int,
     if oracle == "exact":
         equivalence = lambda hyp: exact_oracle(hidden, hyp)  # noqa: E731
     else:
+        # a string seed per round: fresh words every round, and the same
+        # words under every PYTHONHASHSEED
+        rounds = itertools.count(1)
         equivalence = lambda hyp: random_walk_oracle(  # noqa: E731
-            sul, hyp, min_len, max_len, num_tests, seed)
+            sul, hyp, min_len, max_len, num_tests, f"{seed}/{next(rounds)}")
     result = lstar_learn(sul, hidden.inputs, equivalence)
     return result.machine, {
         "membership_queries": result.membership_queries,

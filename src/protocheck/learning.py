@@ -1,14 +1,15 @@
 """Active learning of Mealy machines from black-box systems.
 
-Classic observation-table learning (close, make consistent, hypothesize,
-refine on counterexamples with all their prefixes) against a system-under-
-learning interface, with an exact oracle for simulation and a random-walk
-conformance oracle for the black-box setting.  Includes the abstraction
-mapper that canonicalizes nondeterministic concrete outputs (nonces,
-counters) and two simulated systems reconstructed for the case studies: a
-travel-document chip speaking smartcard selects/reads behind a basic
-authentication step, and an automotive diagnostic unit with sessions and a
-two-step security access that wrongly accepts bad keys once unlocked.
+Observation-table learning (close, hypothesize, refine each counterexample
+by the one distinguishing suffix a binary search finds in it, after Rivest
+and Schapire) against a system-under-learning interface, with an exact
+oracle for simulation and a random-walk conformance oracle for the
+black-box setting.  Includes the abstraction mapper that canonicalizes
+nondeterministic concrete outputs (nonces, counters) and two simulated
+systems reconstructed for the case studies: a travel-document chip
+speaking smartcard selects/reads behind a basic authentication step, and
+an automotive diagnostic unit with sessions and a two-step security access
+that wrongly accepts bad keys once unlocked.
 """
 
 from __future__ import annotations
@@ -97,7 +98,11 @@ class _CachingSul(SulInterface):
 @dataclass
 class ObservationTable:
     """Prefix rows (short S plus extensions S*A) against suffix columns E;
-    a cell holds the output word the suffix provokes after the prefix."""
+    a cell holds the output word the suffix provokes after the prefix.
+
+    Rows are only added by closing and columns only by counterexample
+    processing, so the short rows stay pairwise distinct: each is the
+    access sequence of its own hypothesis state."""
 
     alphabet: tuple[str, ...]
     prefixes: list[Word] = field(default_factory=list)
@@ -140,50 +145,59 @@ class ObservationTable:
                     return s + (a,)
         return None
 
-    def find_inconsistent(self):
-        for i, s1 in enumerate(self.prefixes):
-            for s2 in self.prefixes[i + 1:]:
-                if self.row(s1) != self.row(s2):
-                    continue
-                for a in self.alphabet:
-                    r1, r2 = self.row(s1 + (a,)), self.row(s2 + (a,))
-                    if r1 != r2:
-                        for e, c1, c2 in zip(self.suffixes, r1, r2):
-                            if c1 != c2:
-                                return (a,) + e
-        return None
-
-    def add_prefix(self, prefix: Word):
-        if prefix not in self.prefixes:
-            self.prefixes.append(prefix)
-
-    def add_suffix(self, suffix: Word):
-        if suffix not in self.suffixes:
-            self.suffixes.append(suffix)
+    def close(self, sul: _CachingSul) -> MealyMachine:
+        """Fill the table, promote unclosed rows until none is left, and
+        return the hypothesis."""
+        self.fill(sul)
+        while (unclosed := self.find_unclosed()) is not None:
+            self.prefixes.append(unclosed)
+            self.fill(sul)
+        return self.hypothesis()
 
     def hypothesis(self) -> MealyMachine:
-        row_state: dict[tuple, str] = {}
-        state_order: list[str] = []
-        representative: dict[str, Word] = {}
-        for s in self.prefixes:
-            r = self.row(s)
-            if r not in row_state:
-                name = f"s{len(row_state)}"
-                row_state[r] = name
-                state_order.append(name)
-                representative[name] = s
+        """One state per short row, named ``s<i>`` after its index in
+        ``prefixes``."""
+        names = tuple(f"s{i}" for i in range(len(self.prefixes)))
+        state = dict(zip(map(self.row, self.prefixes), names))
         transitions = {}
         outputs: list[str] = []
-        for name in state_order:
-            s = representative[name]
+        for name, s in zip(names, self.prefixes):
             for a in self.alphabet:
-                target_row = self.row(s + (a,))
                 output = self.cells[(s, (a,))][0]
-                transitions[(name, a)] = (row_state[target_row], output)
+                transitions[(name, a)] = (state[self.row(s + (a,))], output)
                 if output not in outputs:
                     outputs.append(output)
-        return MealyMachine(tuple(state_order), self.alphabet, tuple(outputs),
-                            row_state[self.row(())], transitions)
+        return MealyMachine(names, self.alphabet, tuple(outputs), "s0", transitions)
+
+
+def _refine(table: ObservationTable, sul: _CachingSul,
+            hypothesis: MealyMachine, word: Word) -> MealyMachine:
+    """Rivest-Schapire counterexample processing, in the Mealy form of
+    Shahbaz and Groz.  While the hypothesis answers ``word`` wrongly, split
+    it at ``i``: feed the system the access sequence of the state the
+    hypothesis reaches after ``word[:i]``, then ``word[i:]``, and compare
+    its outputs on ``word[i:]`` with the hypothesis's.  At ``i = 0`` they
+    differ (that is ``word`` itself); at ``len(word)`` nothing is compared.
+    A binary search finds an ``i`` where they differ with ``i + 1`` where
+    they agree, and ``word[i + 1:]`` becomes one new column.  It splits the
+    access sequence of ``word[:i]`` extended by ``word[i]`` from every short
+    row, so closing the table adds a state."""
+    while sul.query(word) != (predicted := hypothesis.run(word)):
+        access = dict(zip(hypothesis.states, table.prefixes))
+        states = [hypothesis.initial]
+        for symbol in word:
+            states.append(hypothesis.step(states[-1], symbol)[0])
+        wrong, right = 0, len(word)
+        while right - wrong > 1:
+            mid = (wrong + right) // 2
+            u = access[states[mid]]
+            if sul.query(u + word[mid:])[len(u):] == predicted[mid:]:
+                right = mid
+            else:
+                wrong = mid
+        table.suffixes.append(word[right:])
+        hypothesis = table.close(sul)
+    return hypothesis
 
 
 # ---------------------------------------------------------------------------
@@ -206,48 +220,33 @@ def lstar_learn(sul: SulInterface, alphabet, equivalence,
     """Observation-table learning loop.
 
     ``equivalence`` maps a hypothesis to a counterexample word or None; a
-    None answer accepts the hypothesis.  Counterexamples are processed by
-    adding all their prefixes to the short rows; ``initial_counterexamples``
-    (e.g. diverging words fed back from test replays) are folded in the same
-    way before the first hypothesis.  Returns the final hypothesis, flagged
-    unproven when the round budget runs out.
+    None answer accepts the hypothesis.  Each counterexample adds the one
+    suffix a binary search finds in it as a new column and is reused until
+    the hypothesis answers it correctly; a counterexample the hypothesis
+    already answers correctly is an error.  ``initial_counterexamples``
+    (e.g. diverging words fed back from test replays) are processed the
+    same way against the first hypothesis, which may already answer some
+    of them correctly.  One round is one equivalence query.  Returns the
+    last hypothesis the oracle was asked about, flagged unproven when the
+    round budget runs out.
     """
     cached = _CachingSul(sul)
     table = ObservationTable(tuple(alphabet))
+    hypothesis = table.close(cached)
     for word in initial_counterexamples:
-        for i in range(1, len(word) + 1):
-            table.add_prefix(tuple(word[:i]))
-    eq_queries = 0
+        hypothesis = _refine(table, cached, hypothesis, tuple(word))
     for round_no in range(1, max_rounds + 1):
-        table.fill(cached)
-        while True:
-            unclosed = table.find_unclosed()
-            if unclosed is not None:
-                table.add_prefix(unclosed)
-                table.fill(cached)
-                continue
-            inconsistent = table.find_inconsistent()
-            if inconsistent is not None:
-                table.add_suffix(inconsistent)
-                table.fill(cached)
-                continue
-            break
-        hypothesis = table.hypothesis()
-        eq_queries += 1
         counterexample = equivalence(hypothesis)
-        if counterexample is None:
-            return LearnResult(hypothesis, round_no, cached.queries, eq_queries,
-                               True, (len(table.prefixes), len(table.suffixes)))
-        before = (len(table.prefixes), len(table.suffixes))
-        for i in range(1, len(counterexample) + 1):
-            table.add_prefix(tuple(counterexample[:i]))
-        table.fill(cached)
-        after = (len(table.prefixes), len(table.suffixes))
-        if after == before:
+        if counterexample is None or round_no == max_rounds:
+            break
+        refined = _refine(table, cached, hypothesis, tuple(counterexample))
+        if refined is hypothesis:
             raise LearnError(
                 f"counterexample {counterexample} produced no table growth")
-    return LearnResult(hypothesis, max_rounds, cached.queries, eq_queries,
-                       False, (len(table.prefixes), len(table.suffixes)))
+        hypothesis = refined
+    return LearnResult(hypothesis, round_no, cached.queries, round_no,
+                       counterexample is None,
+                       (len(table.prefixes), len(table.suffixes)))
 
 
 def exact_oracle(hidden: MealyMachine, hypothesis: MealyMachine) -> Word | None:
@@ -259,12 +258,14 @@ def exact_oracle(hidden: MealyMachine, hypothesis: MealyMachine) -> Word | None:
 
 def random_walk_oracle(sul: SulInterface, hypothesis: MealyMachine,
                        min_len: int, max_len: int, num_tests: int,
-                       seed: int) -> Word | None:
+                       seed: int | str) -> Word | None:
     """Conformance testing by seeded random walks.
 
     Draws ``num_tests`` uniform random words with lengths uniform in
     [min_len, max_len]; the first word on which the system and the
     hypothesis disagree is returned, trimmed to the first divergence.
+    The same seed draws the same words, so a caller that asks several
+    rounds passes a different seed each round.
     """
     if not (1 <= min_len <= max_len):
         raise LearnError("walk lengths must satisfy 1 <= min <= max")

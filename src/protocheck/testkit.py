@@ -57,8 +57,9 @@ def concretize(lasso: Lasso, k: KripkeStructure, a: AnnotatedMachine,
     the loop repeated ``unroll`` times."""
     if unroll < 1:
         raise TestKitError("unroll must be at least 1")
+    known = set(k.states)
     for state in lasso.states():
-        if state not in set(k.states):
+        if state not in known:
             raise TestKitError(f"witness state {state!r} is not a state of the structure")
     tau_in, tau_out = _tau_maps(a)
     path = list(lasso.stem) + list(lasso.loop) * unroll

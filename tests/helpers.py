@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from protocheck import MealyMachine, reachable
+from protocheck import MachineSul, MealyMachine, reachable
 from protocheck.cpm import Condition, Cpm
 from protocheck.ltl import (And, Eventually, Always, Implies, KripkeStructure,
                             Next, Not, Or, Prop, Until)
@@ -36,6 +36,37 @@ def random_machine(rng: random.Random, max_states=8, max_inputs=5,
                 outputs.append(out)
     machine = MealyMachine(states, inputs, tuple(outputs), states[0], transitions)
     return reachable(machine)
+
+
+def learning_target(seed: int, states=12, inputs=("a", "b", "c"),
+                    outputs=("o0", "o1")) -> MealyMachine:
+    """Seeded machine with few outputs for its states, so that the first
+    hypotheses are coarse and learning it takes several counterexamples."""
+    rng = random.Random(seed)
+    names = tuple(f"q{i}" for i in range(states))
+    transitions = {(q, a): (rng.choice(names), rng.choice(outputs))
+                   for q in names for a in inputs}
+    return reachable(MealyMachine(names, inputs, outputs, names[0], transitions))
+
+
+def combination_lock(length=4) -> MealyMachine:
+    """Answers "open" only to the length-th "a" in a row; "b" starts over.
+    The first table's rows all look alike, so the first hypothesis has one
+    state and learning needs a second round."""
+    names = tuple(f"l{i}" for i in range(length))
+    transitions = {}
+    for i, q in enumerate(names):
+        last = i == length - 1
+        transitions[(q, "a")] = (names[0] if last else names[i + 1],
+                                 "open" if last else "shut")
+        transitions[(q, "b")] = (names[0], "shut")
+    return MealyMachine(names, ("a", "b"), ("shut", "open"), names[0], transitions)
+
+
+def combination_lock_sul():
+    """``module:factory`` form of the combination lock, for the CLI."""
+    machine = combination_lock()
+    return MachineSul(machine), machine
 
 
 def random_cpm(rng: random.Random, machine: MealyMachine,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from protocheck import cli
 from protocheck.cli import main
 from protocheck.fixtures import fixture_text
 
@@ -98,6 +99,33 @@ def test_learn_writes_stats(workdir, tmp_path):
     assert data["states"] == 6
     assert data["proven"] is True
     assert data["membership_queries"] <= 20_000
+
+
+def test_random_walk_rounds_draw_fresh_words(tmp_path, monkeypatch):
+    words_per_round = []
+    walk = cli.random_walk_oracle
+
+    def recording_walk(sul, hypothesis, *args):
+        words = []
+        words_per_round.append(words)
+
+        class Recorder:
+            def query(self, word):
+                words.append(word)
+                return sul.query(word)
+
+        return walk(Recorder(), hypothesis, *args)
+
+    monkeypatch.setattr(cli, "random_walk_oracle", recording_walk)
+    stats = tmp_path / "stats.json"
+    assert run("learn", "--sul", "helpers:combination_lock_sul",
+               "--out", str(tmp_path / "m.dot"), "--oracle", "random-walk",
+               "--min-len", "10", "--max-len", "20", "--num-tests", "50",
+               "--seed", "3", "--stats", str(stats)) == 0
+    assert json.loads(stats.read_text())["rounds"] >= 2
+    first, second = words_per_round[:2]
+    shared = min(len(first), len(second))
+    assert first[:shared] != second[:shared], "round 2 replayed round 1's words"
 
 
 def test_pipeline_on_worked_example(workdir):

@@ -12,6 +12,7 @@ from protocheck import (MachineSul, MealyMachine, annotate, bisimilar,
                         MappedSul, SulNondeterminismError)
 from protocheck.learning import (EMRTD_INPUTS, UDS_INPUTS, LearnError,
                                  _CachingSul)
+from helpers import combination_lock, learning_target
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +63,41 @@ def test_counterexample_must_grow_table():
 
     with pytest.raises(LearnError, match="no table growth"):
         lstar_learn(MachineSul(m), m.inputs, stubborn_oracle)
+
+
+@pytest.mark.parametrize("oracle", ["exact", "random-walk"])
+def test_counterexamples_add_no_duplicate_short_rows(oracle):
+    # every short row is a state of the result, even after several
+    # counterexamples
+    for seed in (0, 1, 3, 4):
+        hidden = learning_target(seed)
+        sul = MachineSul(hidden)
+        if oracle == "exact":
+            equivalence = lambda h: exact_oracle(hidden, h)  # noqa: E731
+        else:
+            equivalence = lambda h: random_walk_oracle(  # noqa: E731
+                sul, h, 5, 20, 200, seed)
+        result = lstar_learn(sul, hidden.inputs, equivalence)
+        assert result.rounds >= 3, "needs at least two counterexamples"
+        assert result.proven
+        assert result.table_size[0] == len(result.machine.states)
+        assert bisimilar(hidden, result.machine).equivalent
+
+
+def test_round_budget_returns_last_hypothesis_unproven():
+    hidden = combination_lock()
+    full = lstar_learn(MachineSul(hidden), hidden.inputs,
+                       lambda h: exact_oracle(hidden, h))
+    assert full.rounds == 2 and full.proven
+
+    result = lstar_learn(MachineSul(hidden), hidden.inputs,
+                         lambda h: exact_oracle(hidden, h), max_rounds=1)
+    assert not result.proven
+    assert result.rounds == 1
+    assert result.equivalence_queries == 1
+    # the hypothesis the oracle refuted, not a refined one nobody checked
+    assert len(result.machine.states) == result.table_size[0] == 1
+    assert not bisimilar(hidden, result.machine).equivalent
 
 
 def test_flaky_sul_detected():

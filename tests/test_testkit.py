@@ -143,6 +143,18 @@ def test_closed_loop_refines_to_holding_model(uds_violation):
     assert check(k2, formula).verdict == "HOLDS"
 
 
+def test_replay_divergence_relearns_without_duplicate_rows(uds_violation):
+    _, _, _, expanded, k, result = uds_violation
+    test = concretize(result.lasso, k, expanded, "no_invalid_key")
+    patched_sul, patched_hidden = build_uds_sul(reject_wrong_key=True)
+    word = feedback(replay(test, patched_sul), test)
+    relearned = lstar_learn(patched_sul, patched_hidden.inputs,
+                            lambda h: exact_oracle(patched_hidden, h),
+                            initial_counterexamples=[word])
+    assert relearned.table_size[0] == 7 == len(relearned.machine.states)
+    assert bisimilar(patched_hidden, relearned.machine).equivalent
+
+
 def test_testcase_files_round_trip(tmp_path, uds_violation):
     _, _, _, expanded, k, result = uds_violation
     test = concretize(result.lasso, k, expanded, "no_invalid_key")
