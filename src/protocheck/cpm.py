@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .automata import (EPSILON, TAU, MachineError, MealyMachine, _escape,
                        _quote, _split_label, EquivalenceResult, dot_document,
@@ -74,10 +75,16 @@ def matches(patterns, symbol: str) -> bool:
     run; matching is case-sensitive over the full symbol.
     """
     for pattern in patterns:
-        regex = ".*".join(re.escape(part) for part in pattern.split("*"))
-        if re.fullmatch(regex, symbol):
+        if _glob_matcher(pattern)(symbol):
             return True
     return False
+
+
+@lru_cache(maxsize=4096)
+def _glob_matcher(pattern: str):
+    """The compiled whole-symbol matcher of one glob, built once."""
+    regex = ".*".join(re.escape(part) for part in pattern.split("*"))
+    return re.compile(regex, re.S).fullmatch
 
 
 _SECTIONS = {"[GAINS]": "gains", "[LOSES]": "loses", "[TAUS]": "taus"}

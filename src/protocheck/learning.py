@@ -98,16 +98,19 @@ class _CachingSul(SulInterface):
 @dataclass
 class ObservationTable:
     """Prefix rows (short S plus extensions S*A) against suffix columns E;
-    a cell holds the output word the suffix provokes after the prefix.
+    a row holds, in column order, the output word each suffix provokes
+    after its prefix.
 
     Rows are only added by closing and columns only by counterexample
     processing, so the short rows stay pairwise distinct: each is the
-    access sequence of its own hypothesis state."""
+    access sequence of its own hypothesis state.  A row only grows at its
+    end, so filling the table asks only for the cells of new rows and new
+    columns, in row-then-column order."""
 
     alphabet: tuple[str, ...]
     prefixes: list[Word] = field(default_factory=list)
     suffixes: list[Word] = field(default_factory=list)
-    cells: dict[tuple[Word, Word], Word] = field(default_factory=dict)
+    rows: dict[Word, list[Word]] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.prefixes:
@@ -116,55 +119,59 @@ class ObservationTable:
             self.suffixes = [(a,) for a in self.alphabet]
 
     def all_rows(self):
-        seen = set(self.prefixes)
-        rows = list(self.prefixes)
-        for s in self.prefixes:
-            for a in self.alphabet:
-                extended = s + (a,)
-                if extended not in seen:
-                    seen.add(extended)
-                    rows.append(extended)
-        return rows
+        short = set(self.prefixes)
+        return self.prefixes + [s + (a,) for s in self.prefixes for a in self.alphabet
+                                if s + (a,) not in short]
+
+    def _fill_row(self, prefix: Word, sul: _CachingSul):
+        """Append the cells of the columns ``prefix``'s row lacks."""
+        row = self.rows.setdefault(prefix, [])
+        for suffix in self.suffixes[len(row):]:
+            row.append(sul.query(prefix + suffix)[len(prefix):])
 
     def fill(self, sul: _CachingSul):
         for prefix in self.all_rows():
-            for suffix in self.suffixes:
-                key = (prefix, suffix)
-                if key not in self.cells:
-                    outputs = sul.query(prefix + suffix)
-                    self.cells[key] = outputs[len(prefix):]
-
-    def row(self, prefix: Word):
-        return tuple(self.cells[(prefix, e)] for e in self.suffixes)
-
-    def find_unclosed(self):
-        short_rows = {self.row(s) for s in self.prefixes}
-        for s in self.prefixes:
-            for a in self.alphabet:
-                if self.row(s + (a,)) not in short_rows:
-                    return s + (a,)
-        return None
+            self._fill_row(prefix, sul)
 
     def close(self, sul: _CachingSul) -> MealyMachine:
         """Fill the table, promote unclosed rows until none is left, and
-        return the hypothesis."""
-        self.fill(sul)
-        while (unclosed := self.find_unclosed()) is not None:
-            self.prefixes.append(unclosed)
-            self.fill(sul)
-        return self.hypothesis()
+        return the hypothesis.
 
-    def hypothesis(self) -> MealyMachine:
+        One pass over the extension rows in (short row, input) order checks
+        each against an index of the short rows' signatures.  A row found
+        unclosed becomes a short row on the spot: its signature joins the
+        index and its own extensions are filled and appended to the pass,
+        so a row is looked at once however many rows are promoted."""
+        self.fill(sul)
+        index = {tuple(self.rows[s]): i for i, s in enumerate(self.prefixes)}
+        successors = []
+        for s in self.prefixes:  # grows while it is walked
+            for a in self.alphabet:
+                extended = s + (a,)
+                signature = tuple(self.rows[extended])
+                target = index.get(signature)
+                if target is None:
+                    target = index[signature] = len(self.prefixes)
+                    self.prefixes.append(extended)
+                    for b in self.alphabet:
+                        self._fill_row(extended + (b,), sul)
+                successors.append(target)
+        return self.hypothesis(successors)
+
+    def hypothesis(self, successors: list[int]) -> MealyMachine:
         """One state per short row, named ``s<i>`` after its index in
-        ``prefixes``."""
+        ``prefixes``; ``successors`` holds the index of the short row each
+        extension row matches, in (short row, input) order."""
         names = tuple(f"s{i}" for i in range(len(self.prefixes)))
-        state = dict(zip(map(self.row, self.prefixes), names))
+        columns = [self.suffixes.index((a,)) for a in self.alphabet]
+        targets = iter(successors)
         transitions = {}
         outputs: list[str] = []
         for name, s in zip(names, self.prefixes):
-            for a in self.alphabet:
-                output = self.cells[(s, (a,))][0]
-                transitions[(name, a)] = (state[self.row(s + (a,))], output)
+            row = self.rows[s]
+            for a, column in zip(self.alphabet, columns):
+                output = row[column][0]
+                transitions[(name, a)] = (names[next(targets)], output)
                 if output not in outputs:
                     outputs.append(output)
         return MealyMachine(names, self.alphabet, tuple(outputs), "s0", transitions)
@@ -230,6 +237,8 @@ def lstar_learn(sul: SulInterface, alphabet, equivalence,
     last hypothesis the oracle was asked about, flagged unproven when the
     round budget runs out.
     """
+    if max_rounds < 1:
+        raise LearnError(f"max_rounds must be at least 1, got {max_rounds}")
     cached = _CachingSul(sul)
     table = ObservationTable(tuple(alphabet))
     hypothesis = table.close(cached)

@@ -69,6 +69,10 @@ def test_parse_errors(text, message):
     (("ef*",), "EF_DG2", False),      # case sensitive
     (("A*C",), "ABBBC", True),
     (("A*C",), "AC", True),
+    (("*",), "a\nb", True),           # the wildcard spans newlines
+    (("a*b",), "a\nb", True),
+    (("R.D",), "RxD", False),         # regex metacharacters are literal
+    (("R.D",), "R.D", True),
 ])
 def test_matches(patterns, symbol, expected):
     assert matches(patterns, symbol) is expected

@@ -1,5 +1,6 @@
 """Active learning: the table loop, oracles, mapper, and the two fixtures."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from protocheck import (MachineSul, MealyMachine, annotate, bisimilar,
                         build_emrtd_machine, build_emrtd_sul,
                         build_uds_machine, build_uds_sul,
-                        canonicalize_nonce_mapper, exact_oracle, lstar_learn,
-                        random_walk_oracle, FreshNonceSul,
-                        MappedSul, SulNondeterminismError)
+                        canonicalize_nonce_mapper, emit_dot, exact_oracle,
+                        lstar_learn, random_walk_oracle, FreshNonceSul,
+                        MappedSul, SulInterface, SulNondeterminismError)
 from protocheck.learning import (EMRTD_INPUTS, UDS_INPUTS, LearnError,
                                  _CachingSul)
 from helpers import combination_lock, learning_target
@@ -98,6 +99,86 @@ def test_round_budget_returns_last_hypothesis_unproven():
     # the hypothesis the oracle refuted, not a refined one nobody checked
     assert len(result.machine.states) == result.table_size[0] == 1
     assert not bisimilar(hidden, result.machine).equivalent
+
+
+def test_round_budget_below_one_is_rejected():
+    sul, hidden = build_uds_sul()
+    with pytest.raises(LearnError, match="max_rounds must be at least 1"):
+        lstar_learn(sul, hidden.inputs, lambda h: exact_oracle(hidden, h),
+                    max_rounds=0)
+
+
+class _RecordingSul(SulInterface):
+    """A machine behind the interface that logs every word it is sent."""
+
+    def __init__(self, machine):
+        self.machine = MachineSul(machine)
+        self.words = []
+
+    def reset(self):
+        self.machine.reset()
+        self.words.append([])
+
+    def step(self, symbol):
+        self.words[-1].append(symbol)
+        return self.machine.step(symbol)
+
+
+_LEARNING_TARGETS = {
+    "seed2": lambda: learning_target(2),
+    "seed3": lambda: learning_target(3),
+    "seed1-64": lambda: learning_target(1, states=64, inputs=("a", "b", "c", "d")),
+}
+
+# (sha256 of every word the system received, one per line, symbols
+# space-separated; sha256 of emit_dot of the learned machine)
+_QUERY_LOG_DIGESTS = {
+    ("seed1-64", "exact"): (
+        "69f17e9cd34486cc2a22cbb5cb57f96085f3ae333a618fe36fc99fe08b4f7ffe",
+        "f493571cd0b2b002cda504a38ffa9e9e2e1650af3708e0060eaccee94e0a6f0d"),
+    ("seed1-64", "random-walk"): (
+        "10a8edaa40f360f55febb05b88f1e821cb7c07094b8f44b008ff07035a33f083",
+        "128f086eab0de988bc7a7541487e5aede18cd964a737ef710e5961746e5530f4"),
+    ("seed2", "exact"): (
+        "854b1834875aa9a276ac5cf768e0eb005e2059cc6b1b2b7767caa5d969a003f9",
+        "744a7aeba058eef4ab4c3cef761760c07797c7c0c813d292b70bcf387b1be01d"),
+    ("seed2", "random-walk"): (
+        "dfd5911f93d68389467acc5b691c182e8520a772ca0314e9f71bab9f31a30cf4",
+        "0aaeb4e3fecbc5e3008e67f48088846eb1aa831edce58d5d280b18d70d0f6cf5"),
+    ("seed3", "exact"): (
+        "0a8950556778c934f5d161f9309f439972fa8022783ebb6014e0850be40c9f9f",
+        "c5150a9bf5d63fb7798a361d9b861330d8f9c5899e8a3f4ec5839e4d1a1fc325"),
+    ("seed3", "random-walk"): (
+        "5f8a12e5e3d0d836bcd82a334b934a2be4205c1899d7217417e1b8d9dd7d7e0c",
+        "7ebcf500a4d3078f8bbb3884b6c537656bd69ff6e707a0bab3aa7cf01dc7eb75"),
+}
+
+
+@pytest.mark.parametrize("oracle", ["exact", "random-walk"])
+@pytest.mark.parametrize("target", sorted(_LEARNING_TARGETS))
+def test_multi_round_learning_sends_the_same_words(target, oracle):
+    # the words the system sees, and their order, are part of the
+    # byte-identity contract: they decide the cache hits, the query counts
+    # and the random-walk oracle's draws
+    hidden = _LEARNING_TARGETS[target]()
+    sul = _RecordingSul(hidden)
+    rounds = []
+
+    def walk(hypothesis):
+        rounds.append(hypothesis)
+        return random_walk_oracle(sul, hypothesis, 5, 40, 300,
+                                  f"{target}/{len(rounds)}")
+
+    equivalence = (walk if oracle == "random-walk"
+                   else lambda h: exact_oracle(hidden, h))
+    result = lstar_learn(sul, hidden.inputs, equivalence)
+    assert result.rounds >= 3, "needs at least two counterexamples"
+    assert result.proven
+    assert bisimilar(hidden, result.machine).equivalent
+    log = "\n".join(" ".join(word) for word in sul.words)
+    digests = (hashlib.sha256(log.encode()).hexdigest(),
+               hashlib.sha256(emit_dot(result.machine).encode()).hexdigest())
+    assert digests == _QUERY_LOG_DIGESTS[(target, oracle)]
 
 
 def test_flaky_sul_detected():
