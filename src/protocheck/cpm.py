@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .automata import (EPSILON, TAU, MachineError, MealyMachine, _escape,
                        _quote, _split_label, EquivalenceResult, dot_document,
@@ -155,6 +155,20 @@ class AnnotatedMachine:
 
     def temps(self, state: str) -> frozenset[str]:
         return self.temp_labels.get(state, frozenset())
+
+    @cached_property
+    def tau_edges(self) -> tuple[dict[str, tuple[str, str]], dict[str, tuple[str, str]]]:
+        """The two halves of every split transition, by internal state:
+        (source, input) of the edge into it and (target, output) of the
+        edge out of it."""
+        tau_in: dict[str, tuple[str, str]] = {}
+        tau_out: dict[str, tuple[str, str]] = {}
+        for (q, sym), (dst, out) in self.machine.transitions.items():
+            if dst in self.tau_states and out == TAU:
+                tau_in[dst] = (q, sym)
+            if q in self.tau_states and sym == EPSILON:
+                tau_out[q] = (dst, out)
+        return tau_in, tau_out
 
 
 def annotate(m: MealyMachine, cpm: Cpm) -> AnnotatedMachine:

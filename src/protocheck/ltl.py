@@ -1,10 +1,11 @@
 """Linear temporal logic: parsing, automaton translation, model checking.
 
 The checker follows the automata-theoretic recipe: negate the formula,
-translate to a generalized Buchi automaton via the expand-node tableau, build
-the product with the Kripke structure and a round-robin counter over the
-acceptance sets, and search for an accepting cycle with a nested depth-first
-search.  A separate bounded oracle decides formulas by direct
+translate to a generalized Buchi automaton via the expand-node tableau, and
+search the product with the Kripke structure for a strongly connected
+component that meets every acceptance set (Couvreur's algorithm).  Witnesses
+are built from breadth-first shortest paths: a stem into that component and
+a loop inside it.  A separate bounded oracle decides formulas by direct
 semantics on exhaustively enumerated lasso words; it shares no code with the
 Buchi path and serves as an independent cross-check.
 """
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .cpm import AnnotatedMachine, Cpm
 
@@ -32,64 +34,98 @@ class OracleBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class Formula:
+    def __post_init__(self):
+        # children are built first and already carry their hash, so this
+        # reads one level of the tree however deep the formula is
+        self.__dict__["_hash"] = self._field_hash()
+
+    def __reduce__(self):
+        # rebuild through the constructor: a stored hash is only valid
+        # under the hash seed of the process that computed it
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
     def __str__(self):
         return format_formula(self)
 
 
+def _hash_once(cls):
+    """Keep the generated field hash as ``_field_hash`` and answer
+    ``hash()`` from the value stored when the node was built: otherwise
+    every dict or set operation re-hashes the node's whole subtree."""
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = _stored_hash
+    return cls
+
+
+def _stored_hash(self: Formula) -> int:
+    return self._hash
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Prop(Formula):
     name: str
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Const(Formula):
     value: bool
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Not(Formula):
     child: Formula
 
 
+@_hash_once
 @dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Always(Formula):
     child: Formula
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Eventually(Formula):
     child: Formula
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Next(Formula):
     child: Formula
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Until(Formula):
     left: Formula
     right: Formula
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Release(Formula):
     """Dual of Until; internal only, so negation normal form is closed."""
@@ -486,6 +522,19 @@ def ltl_to_buchi(f: Formula) -> BuchiAutomaton:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class KripkeIndex:
+    """States numbered 0..n-1 in declaration order, with successor tuples
+    and one label id per state; distinct labels are numbered in order of
+    first occurrence."""
+
+    number: dict[str, int]
+    successors: tuple[tuple[int, ...], ...]
+    label_of: tuple[int, ...]
+    labels: tuple[frozenset[str], ...]
+    initial: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class KripkeStructure:
     states: tuple[str, ...]
     initial: tuple[str, ...]
@@ -494,15 +543,34 @@ class KripkeStructure:
     atomic_props: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        known = set(self.states)
         for q in self.states:
             if not self.successors.get(q):
                 raise LtlError(f"transition relation not left-total at {q!r}")
+            for t in self.successors[q]:
+                if t not in known:
+                    raise LtlError(f"successor {t!r} of {q!r} not among states")
         for q in self.initial:
-            if q not in self.states:
+            if q not in known:
                 raise LtlError(f"initial state {q!r} not among states")
 
     def label(self, state: str) -> frozenset[str]:
         return self.labels.get(state, frozenset())
+
+    @cached_property
+    def index(self) -> KripkeIndex:
+        """The structure over integers, built once and freed with it."""
+        number = {q: i for i, q in enumerate(self.states)}
+        label_ids: dict[frozenset[str], int] = {}
+        return KripkeIndex(
+            number=number,
+            successors=tuple(tuple(number[t] for t in self.successors[q])
+                             for q in self.states),
+            label_of=tuple(label_ids.setdefault(self.label(q), len(label_ids))
+                           for q in self.states),
+            labels=tuple(label_ids),
+            initial=tuple(number[q] for q in self.initial),
+        )
 
     def reachable_states(self) -> list[str]:
         seen = list(self.initial)
@@ -682,21 +750,17 @@ def check(k: KripkeStructure, f: Formula,
 
     Propositions absent from the structure's declared set are resolved to
     constant false with a warning.  Emptiness of the product with the
-    negation automaton is decided by nested depth-first search, and every
-    witness is replayed through direct semantics before being returned.
+    negation automaton is decided by a strongly connected component
+    search, the witness is built from breadth-first shortest paths, and
+    every witness is replayed through direct semantics before being
+    returned.
     """
     resolved, substituted, warnings = _resolve_undeclared(f, k.atomic_props)
-    auto = ltl_to_buchi(to_nnf(Not(resolved)))
-
-    start = [
-        (s, b, 0)
-        for s in k.initial
-        for b in sorted(auto.initial)
-        if auto.admits(b, k.label(s))
-    ]
-    witness = _ndfs(k, auto, start, max_product_states)
-    if witness is None:
+    product = _Product(k, ltl_to_buchi(to_nnf(Not(resolved))), max_product_states)
+    component = product.accepting_component()
+    if component is None:
         return CheckResult(HOLDS, None, substituted, warnings)
+    witness = product.lasso(component)
     _validate_lasso(k, witness)
     stem_vals, loop_vals = lasso_valuations(k, witness)
     if evaluate_on_lasso(f, stem_vals, loop_vals):
@@ -718,82 +782,136 @@ def _validate_lasso(k: KripkeStructure, lasso: Lasso):
             raise LtlError(f"internal error: witness step {a!r} -> {b!r} is not a transition")
 
 
-def _product_successors(k: KripkeStructure, auto: BuchiAutomaton, state):
-    """Product states are (Kripke state, automaton state, counter): the
-    counter waits for acceptance set i and moves on once b is in it."""
-    s, b, i = state
-    if b in auto.acceptance[i]:
-        i = (i + 1) % len(auto.acceptance)
-    for s2 in k.successors[s]:
-        val = k.label(s2)
-        for b2 in auto.successors[b]:
-            if auto.admits(b2, val):
-                yield (s2, b2, i)
+class _Product:
+    """Product of a Kripke structure and a generalized Buchi automaton.
 
+    The product state (s, b) is the integer ``s * width + b`` over the
+    structure's index.  Each automaton edge is decided once per distinct
+    label: ``table[b][label id]`` holds the successors of b that admit the
+    label.  ``marks[b]`` has bit i set when b is in acceptance set i.
+    """
 
-def _ndfs(k: KripkeStructure, auto: BuchiAutomaton, start, ceiling: int) -> Lasso | None:
-    """Nested depth-first search for an accepting cycle; returns the
-    projected lasso.  Outer search is post-order; the inner (red) search
-    runs from each accepting state, one whose counter is 0 and whose
-    automaton state is in the first acceptance set, and closes a cycle when
-    it reaches any state on the current outer path."""
-    blue: set = set()
-    red: set = set()
+    def __init__(self, k: KripkeStructure, auto: BuchiAutomaton, ceiling: int):
+        index = k.index
+        self.names, self.ceiling = k.states, ceiling
+        self.width = width = len(auto.states)
+        admits = [[auto.admits(b, v) for v in index.labels] for b in auto.states]
+        table = [[tuple(b2 for b2 in auto.successors[b] if admits[b2][label])
+                  for label in range(len(index.labels))] for b in auto.states]
+        k_successors, label_of = index.successors, index.label_of
 
-    for root in start:
-        if root in blue:
-            continue
-        blue.add(root)
-        path = [root]
-        pos_in_path = {root: 0}
-        stack = [(root, iter(_product_successors(k, auto, root)))]
-        while stack:
-            if len(blue) > ceiling:
-                raise LtlError(f"product state ceiling exceeded ({ceiling})")
-            state, it = stack[-1]
-            advanced = False
-            for succ in it:
-                if succ not in blue:
-                    blue.add(succ)
-                    stack.append((succ, iter(_product_successors(k, auto, succ))))
-                    pos_in_path[succ] = len(path)
-                    path.append(succ)
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            stack.pop()
-            if state[2] == 0 and state[1] in auto.accepting:
-                loop = _red_search(k, auto, state, pos_in_path, path, red)
-                if loop is not None:
-                    stem = tuple(s for s, _, _ in path[:pos_in_path[state]])
-                    return Lasso(stem, tuple(s for s, _, _ in loop))
-            del pos_in_path[state]
-            path.pop()
-    return None
+        def successors(p: int) -> list[int]:
+            s, b = divmod(p, width)
+            row = table[b]
+            return [t * width + b2 for t in k_successors[s] for b2 in row[label_of[t]]]
 
+        self.successors = successors
+        self.start = [s * width + b for s in index.initial for b in sorted(auto.initial)
+                      if admits[b][label_of[s]]]
+        self.marks = [sum(1 << i for i, acc in enumerate(auto.acceptance) if b in acc)
+                      for b in auto.states]
+        self.full = (1 << len(auto.acceptance)) - 1
 
-def _red_search(k, auto, seed, pos_in_path, path, red):
-    """Cycle through ``seed``: returns the product-state loop or None."""
-    parents = {seed: None}
-    stack = [seed]
-    while stack:
-        u = stack.pop()
-        for v in _product_successors(k, auto, u):
-            if v in pos_in_path:
-                chain = []
-                cur = u
-                while cur is not None:
-                    chain.append(cur)
-                    cur = parents.get(cur)
-                chain.reverse()  # [seed, ..., u]
-                i, j = pos_in_path[v], pos_in_path[seed]
-                return chain + path[i:j]
-            if v not in red:
-                red.add(v)
-                parents[v] = u
-                stack.append(v)
-    return None
+    def accepting_component(self) -> list[int] | None:
+        """Couvreur's search: the states of the first strongly connected
+        set found whose marks cover every acceptance set, or None.
+
+        ``live`` holds the visited states not yet in a finished component,
+        in visiting order; ``position`` maps them to their index there and
+        finished states to -1.  Each root opens a component on ``live`` and
+        carries the OR of its states' marks; an edge back into ``live``
+        merges every root above the target into one component."""
+        successors, marks, width, full = self.successors, self.marks, self.width, self.full
+        position: dict[int, int] = {}
+        live: list[int] = []
+        roots: list[int] = []
+        root_marks: list[int] = []
+        stack: list = []
+
+        def visit(q: int):
+            if len(position) >= self.ceiling:
+                raise LtlError(f"product state ceiling exceeded ({self.ceiling})")
+            position[q] = len(live)
+            roots.append(len(live))
+            root_marks.append(marks[q % width])
+            live.append(q)
+            stack.append((q, iter(successors(q))))
+
+        for first in self.start:
+            if first not in position:
+                visit(first)
+            while stack:
+                p, edges = stack[-1]
+                for q in edges:
+                    at = position.get(q)
+                    if at is None:
+                        visit(q)
+                        break
+                    if at >= 0:
+                        merged = 0
+                        while roots[-1] > at:
+                            roots.pop()
+                            merged |= root_marks.pop()
+                        root_marks[-1] |= merged
+                        if root_marks[-1] == full:
+                            return live[roots[-1]:]
+                else:
+                    stack.pop()
+                    at = position[p]
+                    if roots[-1] == at:
+                        roots.pop()
+                        root_marks.pop()
+                        for q in live[at:]:
+                            position[q] = -1
+                        del live[at:]
+        return None
+
+    def lasso(self, component: list[int]) -> Lasso:
+        """Shortest stem into the component; from its entry, a loop that
+        goes to the nearest component state carrying a still missing
+        acceptance set until all are covered, then takes the shortest way
+        back to the entry.  The way back may leave the component found by
+        the search, which is only the part of a strongly connected component
+        explored so far: a cycle through the entry stays inside the entry's
+        whole component."""
+        inside = set(component)
+        successors, marks, width = self.successors, self.marks, self.width
+        path = self._shortest_path(self.start, inside.__contains__)
+        entry = path[-1]
+        loop = [entry]
+        covered = marks[entry % width]
+        while covered != self.full:
+            after = [q for q in successors(loop[-1]) if q in inside]
+            loop += self._shortest_path(after, lambda q: marks[q % width] & ~covered, inside)
+            covered |= marks[loop[-1] % width]
+        loop += self._shortest_path(successors(loop[-1]), lambda q: q == entry)[:-1]
+        return Lasso(tuple(self.names[p // width] for p in path[:-1]),
+                     tuple(self.names[p // width] for p in loop))
+
+    def _shortest_path(self, sources, goal, inside=None) -> list[int]:
+        """Breadth-first shortest path from one of ``sources`` to a state
+        satisfying ``goal``, staying in ``inside`` when given; the goal
+        must be reachable.  States are tested as they are discovered, which
+        is the order they would leave the queue in."""
+        parent = dict.fromkeys(sources)
+        found = next((p for p in parent if goal(p)), None)
+        queue = deque(parent)
+        while found is None:
+            p = queue.popleft()
+            for q in self.successors(p):
+                if q not in parent and (inside is None or q in inside):
+                    parent[q] = p
+                    if goal(q):
+                        found = q
+                        break
+                    queue.append(q)
+            if len(parent) > self.ceiling:
+                raise LtlError(f"product state ceiling exceeded ({self.ceiling})")
+        path = []
+        while found is not None:
+            path.append(found)
+            found = parent[found]
+        return path[::-1]
 
 
 # ---------------------------------------------------------------------------

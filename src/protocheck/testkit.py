@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .automata import EPSILON, TAU, Word
+from .automata import Word
 from .cpm import AnnotatedMachine
 from .ltl import KripkeStructure, Lasso
 from .learning import SulInterface
@@ -40,28 +40,17 @@ class TestCase:
             raise TestKitError("inputs and expected outputs must have equal length")
 
 
-def _tau_maps(a: AnnotatedMachine):
-    tau_in: dict[str, tuple[str, str]] = {}
-    tau_out: dict[str, tuple[str, str]] = {}
-    for (q, sym), (dst, out) in a.machine.transitions.items():
-        if dst in a.tau_states and out == TAU:
-            tau_in[dst] = (q, sym)
-        if q in a.tau_states and sym == EPSILON:
-            tau_out[q] = (dst, out)
-    return tau_in, tau_out
-
-
 def concretize(lasso: Lasso, k: KripkeStructure, a: AnnotatedMachine,
                property_name: str = "", unroll: int = 1) -> TestCase:
     """Input/output word driving the machine along the witness path, with
     the loop repeated ``unroll`` times."""
     if unroll < 1:
         raise TestKitError("unroll must be at least 1")
-    known = set(k.states)
+    known = k.index.number
     for state in lasso.states():
         if state not in known:
             raise TestKitError(f"witness state {state!r} is not a state of the structure")
-    tau_in, tau_out = _tau_maps(a)
+    tau_in, tau_out = a.tau_edges
     path = list(lasso.stem) + list(lasso.loop) * unroll
     inputs: list[str] = []
     expected: list[str] = []

@@ -187,11 +187,11 @@ GOLDEN = {
         "model.rebeca":
             "a9978621246d01edcf0b368236fb9fd2cd24e4885fb606ffd3032234a0145a52",
         "replay.json":
-            "53d22a529b4650b6531d11274726eae88bd8bc108cba9d061c20cce9b573700a",
+            "64bb266a8e1f21dd5cbb86433cad66c29fe09d6e628f9f5cf385c7a7d66b136a",
         "report.json":
-            "7b4cfe02ae99df742c7d6e47f068e6c2f6890a5f3e11a5da2810a946a1d0a591",
+            "15282afcd335fb9aee301db5ba3d10e32de28b71ea8211e1a968f74b7aaad3cb",
         "tests.jsonl":
-            "276f40bfc934fae1721f58e2b9180731e3538ec7e69edad93d4e5fe1d7563862",
+            "8f246aabd9a80b8524c1b3032dae3f98cd530e1c00dd5ecbf9cf32b72ed520d3",
     },
     "uds-exact-mutated": {
         "annotated.dot":
@@ -211,11 +211,11 @@ GOLDEN = {
         "model.rebeca":
             "96e4706c8dc833f58824bd46242a67f287d251f073e204e0bd239715f10ee424",
         "replay.json":
-            "53d22a529b4650b6531d11274726eae88bd8bc108cba9d061c20cce9b573700a",
+            "64bb266a8e1f21dd5cbb86433cad66c29fe09d6e628f9f5cf385c7a7d66b136a",
         "report.json":
-            "7b4cfe02ae99df742c7d6e47f068e6c2f6890a5f3e11a5da2810a946a1d0a591",
+            "15282afcd335fb9aee301db5ba3d10e32de28b71ea8211e1a968f74b7aaad3cb",
         "tests.jsonl":
-            "276f40bfc934fae1721f58e2b9180731e3538ec7e69edad93d4e5fe1d7563862",
+            "8f246aabd9a80b8524c1b3032dae3f98cd530e1c00dd5ecbf9cf32b72ed520d3",
     },
     "uds-random-walk": {
         "annotated.dot":
@@ -235,11 +235,11 @@ GOLDEN = {
         "model.rebeca":
             "a9978621246d01edcf0b368236fb9fd2cd24e4885fb606ffd3032234a0145a52",
         "replay.json":
-            "53d22a529b4650b6531d11274726eae88bd8bc108cba9d061c20cce9b573700a",
+            "64bb266a8e1f21dd5cbb86433cad66c29fe09d6e628f9f5cf385c7a7d66b136a",
         "report.json":
-            "7b4cfe02ae99df742c7d6e47f068e6c2f6890a5f3e11a5da2810a946a1d0a591",
+            "15282afcd335fb9aee301db5ba3d10e32de28b71ea8211e1a968f74b7aaad3cb",
         "tests.jsonl":
-            "276f40bfc934fae1721f58e2b9180731e3538ec7e69edad93d4e5fe1d7563862",
+            "8f246aabd9a80b8524c1b3032dae3f98cd530e1c00dd5ecbf9cf32b72ed520d3",
     },
     "uds-stages": {
         "annotated.dot":
@@ -259,13 +259,13 @@ GOLDEN = {
         "model.rebeca":
             "a9978621246d01edcf0b368236fb9fd2cd24e4885fb606ffd3032234a0145a52",
         "replay.json":
-            "9038a3fe60172435198e3ca37e09288678bed5619d46599136716122d78972ee",
+            "c5e6ac20beb4c60b2809af873158f6451a9f610355e0687b3f28ef6e01a79c4d",
         "report.json":
-            "7b4cfe02ae99df742c7d6e47f068e6c2f6890a5f3e11a5da2810a946a1d0a591",
+            "15282afcd335fb9aee301db5ba3d10e32de28b71ea8211e1a968f74b7aaad3cb",
         "report.jsonl":
-            "122b16cab9a6fed012fb1ede5e24ea53dafa2c6ef11502b404554059d426d70f",
+            "36b20f2dd26e8f39316ccca11356cb09afdd995c93c521d206ac0b8943aa9be8",
         "tests.jsonl":
-            "276f40bfc934fae1721f58e2b9180731e3538ec7e69edad93d4e5fe1d7563862",
+            "8f246aabd9a80b8524c1b3032dae3f98cd530e1c00dd5ecbf9cf32b72ed520d3",
     },
 }
 

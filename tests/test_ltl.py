@@ -50,6 +50,14 @@ def test_parse_precedence():
     assert parse_ltl("G a -> b") == Implies(Always(Prop("a")), Prop("b"))
 
 
+def test_deep_formula_hash_is_computed_when_built():
+    """Each node stores its hash when it is built, from its children's
+    stored hashes, so hashing a 2,000-deep conjunction reads one level."""
+    f = parse_ltl(" && ".join(f"p{i}" for i in range(2000)))
+    assert f in {f: None}
+    assert hash(f) == hash((f.left, f.right))
+
+
 @pytest.mark.parametrize("text", ["G (", "p &&", "(p", "p 5q", "U p", "p !q"])
 def test_parse_errors_carry_position(text):
     with pytest.raises(LtlError, match="position"):
@@ -305,6 +313,12 @@ def test_kripke_deadlock_gets_self_loop():
                      require_complete=False)
     k = kripke_from_annotated(AnnotatedMachine(m, {}))
     assert k.successors["lonely"] == ("lonely",)
+
+
+def test_kripke_rejects_successor_outside_states():
+    with pytest.raises(LtlError, match="successor 'b' of 'a' not among states"):
+        KripkeStructure(states=("a",), initial=("a",), successors={"a": ("b",)},
+                        labels={})
 
 
 # ---------------------------------------------------------------------------

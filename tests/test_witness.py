@@ -1,0 +1,92 @@
+"""Checker witnesses: the product ceiling, generalized acceptance and length.
+
+Every witness is a lasso over Kripke states that ``check`` has already
+replayed through direct semantics; these tests pin what it looks like.
+"""
+
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from protocheck import annotate, build_uds_machine, expand_tau, parse_cpm, parse_dot
+from protocheck.ltl import (HOLDS, VIOLATED, KripkeStructure, LtlError, Not, check,
+                            kripke_from_annotated, ltl_to_buchi, parse_ltl,
+                            property_library, to_nnf)
+
+GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
+
+
+def _ring(n: int, labels=None) -> KripkeStructure:
+    states = tuple(f"r{i}" for i in range(n))
+    return KripkeStructure(
+        states=states, initial=(states[0],),
+        successors={q: (states[(i + 1) % n],) for i, q in enumerate(states)},
+        labels=labels or {}, atomic_props=frozenset({"p"}))
+
+
+@pytest.mark.parametrize("text", ["G F p", "G !p"])
+def test_product_ceiling_raises(text):
+    """Ten ring states: the search needs more than five product states,
+    whether or not the property holds."""
+    k = _ring(10)
+    expected = check(k, parse_ltl(text))
+    assert expected.verdict == (VIOLATED if text == "G F p" else HOLDS)
+    with pytest.raises(LtlError, match=r"product state ceiling exceeded \(5\)"):
+        check(k, parse_ltl(text), max_product_states=5)
+
+
+def test_loop_meets_every_acceptance_set():
+    """The negation G F a && G F b has two acceptance sets.  From the
+    start, the a-only self-loop at x is reachable as well as the cycle
+    x -> y -> x; only the latter is a witness."""
+    formula = parse_ltl("!(G F a && G F b)")
+    assert len(ltl_to_buchi(to_nnf(Not(formula))).acceptance) >= 2
+    k = KripkeStructure(
+        states=("i", "x", "y"), initial=("i",),
+        successors={"i": ("x",), "x": ("x", "y"), "y": ("x",)},
+        labels={"x": frozenset({"a"}), "y": frozenset({"b"})},
+        atomic_props=frozenset({"a", "b"}))
+    result = check(k, formula)
+    assert result.verdict == VIOLATED
+    loop_labels = [k.label(s) for s in result.lasso.loop]
+    assert any("a" in v for v in loop_labels) and any("b" in v for v in loop_labels)
+    assert result.lasso.stem == ("i",)
+
+
+def _library_witnesses(machine, cpm):
+    expanded = expand_tau(annotate(machine, cpm), cpm)
+    k = kripke_from_annotated(expanded, declared=cpm.declared_props)
+    results = {name: check(k, p.formula) for name, p in property_library(cpm).items()}
+    return {name: r.lasso for name, r in results.items() if r.verdict == VIOLATED}
+
+
+def test_uds_library_witnesses_are_short(uds_cpm):
+    witnesses = _library_witnesses(build_uds_machine()[0], uds_cpm)
+    assert sorted(witnesses) == ["no_invalid_key", "plain_read_only_outside_protected"]
+    for lasso in witnesses.values():
+        assert len(lasso.stem) <= 7 and len(lasso.loop) <= 2, lasso
+
+
+def _benchmark_generators():
+    spec = importlib.util.spec_from_file_location("_bench_generators", GENERATORS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_library_witnesses_stay_short_on_a_500_state_machine():
+    """The benchmark's uniform 500-state, 10-input machine under its
+    synthetic map, where the first depth-first lasso was 195 to 462
+    states long."""
+    gen = _benchmark_generators()
+    m = gen.uniform_machine(random.Random(7), 500, 10)
+    outputs = tuple(sorted({out for _, out in m.delta.values()}))
+    witnesses = _library_witnesses(parse_dot(gen.emit_dot(m)),
+                                   parse_cpm(gen.synthetic_cpm(m, outputs)))
+    assert len(witnesses) == 4
+    for lasso in witnesses.values():
+        assert len(lasso.stem) + len(lasso.loop) <= 60, lasso
