@@ -190,11 +190,16 @@ def bisimilar(a: MealyMachine, b: MealyMachine,
 # and the label separator '/') and unescaped on parse; this keeps symbols
 # like '10_01' or ones containing '/' stable across round-trips.  One reader
 # (read_dot) turns a document into nodes and edges for all three formats:
-# Mealy machines here, annotated machines and transition systems elsewhere.
+# Mealy machines here, annotated machines and transition systems elsewhere;
+# one codec (_split_label, _split_fields) splits their labels.
 
-_PLAIN_ID = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$|^[0-9]+$")
+# DOT keywords, matched as whole tokens: a statement that starts with one is
+# a header or a default attribute list, and a state so named is quoted.
+_KEYWORD = r"(?i:digraph|graph|strict|subgraph|node|edge)(?![A-Za-z0-9_.+-])"
+_PLAIN_ID = re.compile(rf"^(?!{_KEYWORD})[A-Za-z_][A-Za-z0-9_]*$|^[0-9]+$")
 _ESCAPED = re.compile(r"\\(.)", re.S)
 _LABEL_SPLIT = re.compile(r"((?:\\.|[^\\/])*)/(.*)", re.S)
+_FIELD_RE = re.compile(r"(?:\\.|[^\\;])+", re.S)
 
 
 def _escape(symbol: str) -> str:
@@ -213,41 +218,48 @@ def _quote(symbol: str) -> str:
 
 
 def _split_label(label: str, lineno: int) -> tuple[str, str]:
-    """Split an edge label 'input / output' on the first unescaped '/'."""
-    m = _LABEL_SPLIT.match(label)
-    if m is None:
-        raise MachineError(f"line {lineno}: edge label {label!r} lacks 'input / output' separator")
-    return _unescape(m.group(1).strip()), _unescape(m.group(2).strip())
+    """Split an edge label 'input / output' on the first unescaped '/'; a
+    label without a backslash has nothing to unescape."""
+    if "\\" not in label:
+        sym, sep, out = label.partition("/")
+        if sep:
+            return sym.strip(), out.strip()
+    elif m := _LABEL_SPLIT.match(label):
+        return _unescape(m.group(1).strip()), _unescape(m.group(2).strip())
+    raise MachineError(f"line {lineno}: edge label {label!r} lacks 'input / output' separator")
 
 
-_TOKEN = r'(?:"(?:\\.|[^"\\])*"|[A-Za-z0-9_.+-]+)'
-# re.S: a quoted label may hold a newline
-_EDGE_RE = re.compile(rf"^({_TOKEN})\s*->\s*({_TOKEN})\s*(?:\[(.*)\])?\s*;?$", re.S)
-_NODE_RE = re.compile(rf"^({_TOKEN})\s*(?:\[(.*)\])?\s*;?$", re.S)
-_ATTR_RE = re.compile(rf'(\w+)\s*=\s*({_TOKEN})')
-# A statement runs up to ';', a newline or a brace outside quoted strings.
-_STATEMENT_RE = re.compile(r'(?:[^"\n;{}]+|"[^"\\]*(?:\\.[^"\\]*)*"?)+', re.S)
-
-# statement prefixes that carry no machine content
-_SKIP_PREFIXES = ("#", "//", "digraph", "graph", "strict", "rankdir", "node ", "node[",
-                  "edge ", "edge[", "subgraph")
+def _split_fields(label: str) -> list[str]:
+    """The 'k=v; ...' fields of a label, split on every unescaped ';'."""
+    return label.split(";") if "\\" not in label else _FIELD_RE.findall(label)
 
 
-def _strip_token(token: str) -> str:
-    if token.startswith('"'):
-        return _unescape(token[1:-1])
-    return token
+_INNER = r'[^"\\]*(?:\\.[^"\\]*)*'      # inside a quoted string
+_TOKEN = rf'(?:"{_INNER}"|[A-Za-z0-9_.+-]+)'
+_SP = r"[^\S\n]*"                       # blanks inside a statement
+_BODY = rf'[^"\n;{{}}]*(?:"{_INNER}"[^"\n;{{}}]*)*'
+# an attribute list; a final label="..." is read off directly, any other
+# attributes stay raw text
+_ATTRS = rf'(?:\[(?:(?:({_BODY}),)??{_SP}label{_SP}={_SP}"({_INNER})"{_SP}|({_BODY}))\])?'
+# One match is one statement and the separators after it: an edge (groups
+# 1-5), a node (6-9), or anything else (10), which is a header, a comment or
+# an error; only a match at the start may hold separators alone.  A statement
+# runs up to ';', a newline or a brace outside quoted strings.  re.S: a
+# quoted string may hold a newline.
+_DOT_RE = re.compile(
+    rf"(?:{_SP}(?!{_KEYWORD})(?:({_TOKEN}){_SP}->{_SP}({_TOKEN}){_SP}{_ATTRS}"
+    rf"|({_TOKEN}){_SP}{_ATTRS}){_SP}(?=[\n;{{}}]|\Z)"
+    rf'|((?:[^"\n;{{}}]+|"{_INNER}"?)+))?[\s;{{}}]*', re.S)
+# statements that carry no machine content
+_SKIP = re.compile(rf"\s*(?:#|//|{_KEYWORD}|(?i:rankdir)\s*=)|\s*$")
+_ATTR_RE = re.compile(rf"(\w+)\s*=\s*({_TOKEN})")
 
 
-def _parse_attrs(attr_text: str | None) -> dict[str, str]:
-    """Attribute map with values kept raw (quotes stripped, escapes intact);
-    escape resolution happens exactly once at the point of use."""
-    if not attr_text:
-        return {}
-    out = {}
-    for key, value in _ATTR_RE.findall(attr_text):
-        out[key] = value[1:-1] if value.startswith('"') else value
-    return out
+def _attr(attrs: str | None, key: str) -> str | None:
+    """The last value of ``key`` in raw attribute text, quotes stripped and
+    escapes intact: they are resolved once, where the value is used."""
+    value = dict(_ATTR_RE.findall(attrs)).get(key) if attrs else None
+    return value[1:-1] if value and value[0] == '"' else value
 
 
 @dataclass
@@ -257,8 +269,9 @@ class DotGraph:
     ``nodes`` holds the node statements as (name, raw label, line) and
     ``edges`` the edges as (source, target, raw label or None, line), both in
     document order.  ``initials`` holds every initial-state marker as
-    (name, line): an edge from ``__start`` or an ``initial=true`` attribute.
-    ``mentioned`` lists every node name in order of first mention.
+    (name, line): an edge from ``__start`` or an ``initial=true`` attribute;
+    they all name the same node.  ``mentioned`` lists every node name in
+    order of first mention.
     """
 
     nodes: list[tuple[str, str, int]] = field(default_factory=list)
@@ -268,39 +281,42 @@ class DotGraph:
 
 
 def read_dot(text: str) -> DotGraph:
-    """Split a DOT document into statements and sort them into nodes, edges
-    and initial markers.  Comments ('#', '//') and structural headers are
-    dropped; any other statement that is neither a node nor an edge is an
-    error carrying its line number."""
+    """Sort the statements of a DOT document into nodes, edges and initial
+    markers in one pass.  Comments ('#', '//') and headers are dropped; any
+    other statement that is neither a node nor an edge is an error carrying
+    its line number, and so are initial markers naming different nodes."""
     graph = DotGraph()
-    line, pos = 1, 0
-    for match in _STATEMENT_RE.finditer(text):
-        statement = match.group().strip()
-        if not statement or statement.lower().startswith(_SKIP_PREFIXES):
-            continue
-        line += text.count("\n", pos, match.start())
-        pos = match.start()
-        m = _EDGE_RE.match(statement)
-        if m:
-            src, dst = _strip_token(m.group(1)), _strip_token(m.group(2))
+    nodes, edges, initials, mentioned = graph.nodes, graph.edges, graph.initials, graph.mentioned
+    line = 1
+    for m in _DOT_RE.finditer(text):
+        src, dst, _, label, attrs, name, others, node_label, node_attrs, other = m.groups()
+        if src:
+            if src[0] == '"':
+                src = _unescape(src[1:-1])
+            if dst[0] == '"':
+                dst = _unescape(dst[1:-1])
             if src == START_NODE:
-                graph.initials.append((dst, line))
+                initials.append((dst, line))
             else:
-                graph.mentioned[src] = None
-                graph.edges.append((src, dst, _parse_attrs(m.group(3)).get("label"), line))
-            graph.mentioned[dst] = None
-            continue
-        m = _NODE_RE.match(statement)
-        if m is None:
-            raise MachineError(f"line {line}: cannot parse statement {statement!r}")
-        name = _strip_token(m.group(1))
-        if name == START_NODE:
-            continue
-        attrs = _parse_attrs(m.group(2))
-        graph.mentioned[name] = None
-        graph.nodes.append((name, attrs.get("label", ""), line))
-        if attrs.get("initial", "").lower() == "true":
-            graph.initials.append((name, line))
+                mentioned[src] = None
+                edges.append((src, dst, _attr(attrs, "label") if label is None else label, line))
+            mentioned[dst] = None
+        elif name:
+            if name[0] == '"':
+                name = _unescape(name[1:-1])
+            if name != START_NODE:
+                if node_label is None:
+                    node_label, others = _attr(node_attrs, "label") or "", node_attrs
+                mentioned[name] = None
+                nodes.append((name, node_label, line))
+                if others and (_attr(others, "initial") or "").lower() == "true":
+                    initials.append((name, line))
+        elif other and not _SKIP.match(other):
+            raise MachineError(f"line {line}: cannot parse statement {other.strip()!r}")
+        line += m.group().count("\n")
+    for name, line in initials:
+        if name != initials[0][0]:
+            raise MachineError(f"line {line}: multiple initial states ({initials[0][0]!r}, {name!r})")
     return graph
 
 
@@ -337,11 +353,6 @@ def parse_dot(text: str, complete_missing: bool = False,
     ``initial=true``.  Alphabets are inferred from the symbols seen.
     """
     graph = read_dot(text)
-    initial: str | None = None
-    for name, lineno in graph.initials:
-        if initial is not None and initial != name:
-            raise MachineError(f"line {lineno}: multiple initial states ({initial!r}, {name!r})")
-        initial = name
     transitions: dict[tuple[str, str], tuple[str, str]] = {}
     for src, dst, label, lineno in graph.edges:
         if label is None:
@@ -351,15 +362,15 @@ def parse_dot(text: str, complete_missing: bool = False,
             raise MachineError(
                 f"line {lineno}: nondeterminism at state {src!r} on input {sym!r}"
             )
-    if initial is None:
+    if not graph.initials:
         raise MachineError("no initial state: add a '__start -> q' edge or an initial=true attribute")
     if not graph.mentioned:
         raise MachineError("document contains no states")
 
     inputs = tuple(dict.fromkeys(sym for _, sym in transitions))
     outputs = tuple(dict.fromkeys(out for _, out in transitions.values()))
-    machine = MealyMachine(tuple(graph.mentioned), inputs, outputs, initial, transitions,
-                           require_complete=not complete_missing)
+    machine = MealyMachine(tuple(graph.mentioned), inputs, outputs, graph.initials[0][0],
+                           transitions, require_complete=not complete_missing)
     if complete_missing:
         machine = complete(machine, no_response)
     return machine

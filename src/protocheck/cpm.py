@@ -13,7 +13,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
+from typing import NamedTuple
 
 from .automata import (EPSILON, TAU, MachineError, MealyMachine, _escape,
                        _quote, _split_label, EquivalenceResult, dot_document,
@@ -38,11 +39,23 @@ class Condition:
         return matches(self.input_patterns, symbol) and matches(self.output_patterns, output)
 
 
+class PairRules(NamedTuple):
+    """What a map does to every transition labeled with one (input, output)
+    pair: the propositions its target gains, those it does not carry over,
+    the temporaries it raises, and the rules that match it as (kind, index)."""
+
+    gained: frozenset[str]
+    blocked: frozenset[str]
+    raised: frozenset[str]
+    fired: tuple[tuple[str, int], ...]
+
+
 @dataclass(frozen=True)
 class Cpm:
     gains: tuple[Condition, ...] = ()
     loses: tuple[Condition, ...] = ()
     taus: tuple[Condition, ...] = ()
+    _decided: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def state_props(self) -> tuple[str, ...]:
@@ -62,10 +75,23 @@ class Cpm:
     def declared_props(self) -> frozenset[str]:
         return frozenset(self.state_props) | frozenset(self.temp_props)
 
+    def rules(self, symbol: str, output: str) -> PairRules:
+        """The rules for a transition labeled ``symbol / output``, decided on
+        first use and kept: each set is the union over every matching rule."""
+        found = self._decided.get((symbol, output))
+        if found is None:
+            fired, unions = [], []
+            for kind in ("gains", "loses", "taus"):
+                matched = [(i, c.props) for i, c in enumerate(getattr(self, kind))
+                           if c.matches_pair(symbol, output)]
+                fired += [(kind, i) for i, _ in matched]
+                unions.append(frozenset().union(*[props for _, props in matched]))
+            found = self._decided[(symbol, output)] = PairRules(*unions, tuple(fired))
+        return found
+
     def raised_temps(self, symbol: str, output: str) -> frozenset[str]:
-        """Temporary propositions a transition raises: the union over every
-        matching temporary rule."""
-        return frozenset().union(*[c.props for c in self.taus if c.matches_pair(symbol, output)])
+        """Temporary propositions a transition raises."""
+        return self.rules(symbol, output).raised
 
 
 def matches(patterns, symbol: str) -> bool:
@@ -174,86 +200,56 @@ class AnnotatedMachine:
 def annotate(m: MealyMachine, cpm: Cpm) -> AnnotatedMachine:
     """Label every state of ``m`` per the proposition map.
 
-    Three phases: seed target states of transitions matched by gain rows;
-    build the per-proposition inheritance map (a transition carries p unless
-    a lose rule for p matches it); propagate to a fixpoint.  Gains win over
-    lose-blocking on the same transition: the seed is applied regardless.
+    The rules are decided once per (input, output) pair (:meth:`Cpm.rules`).
+    Two phases: seed target states of transitions matched by gain rows;
+    propagate to a fixpoint, where a transition carries p unless a lose rule
+    for p matches it.  Gains win over lose-blocking on the same transition:
+    the seed is applied regardless.
     The initial state starts unlabeled and only acquires labels through
     incoming transitions.
     """
     transitions = [
-        (q, sym, dst, out)
+        (q, dst, cpm.rules(sym, out))
         for q in m.states for sym in m.inputs
         for dst, out in [m.transitions[(q, sym)]]
     ]
 
-    fired: set[tuple[str, int]] = set()
     labels: dict[str, set[str]] = {q: set() for q in m.states}
-    grants: dict[tuple[str, str], set[str]] = {}
-    for q, sym, dst, out in transitions:
-        granted = set()
-        for i, c in enumerate(cpm.gains):
-            if c.matches_pair(sym, out):
-                granted |= c.props
-                fired.add(("gains", i))
-        labels[dst] |= granted
-        grants[(q, sym)] = granted
+    for _, dst, rules in transitions:
+        labels[dst] |= rules.gained
 
-    # carries[(q, sym)] = set of propositions blocked on that transition
-    blocked: dict[tuple[str, str], set[str]] = {}
-    for q, sym, dst, out in transitions:
-        blocked_here = set()
-        for i, c in enumerate(cpm.loses):
-            if c.matches_pair(sym, out):
-                blocked_here |= c.props
-                fired.add(("loses", i))
-        blocked[(q, sym)] = blocked_here
-
-    # monotone fixpoint: every pass adds at least one label or stops, so the
-    # iteration count is bounded by |Q| * |P| (checked)
-    prop_count = len({p for c in cpm.gains for p in c.props})
-    max_passes = len(m.states) * prop_count + 1
-    passes = 0
-    changed = True
-    while changed:
+    # monotone fixpoint: every pass but the last adds a label, so it takes
+    # at most |Q| * |P| + 1 passes (checked)
+    for _ in range(len(m.states) * len({p for c in cpm.gains for p in c.props}) + 1):
         changed = False
-        passes += 1
-        if passes > max_passes:
-            raise CpmError("annotation fixpoint failed to converge")
-        for q, sym, dst, out in transitions:
-            carried = labels[q] - blocked[(q, sym)]
-            new = carried - labels[dst]
+        for q, dst, rules in transitions:
+            new = labels[q] - rules.blocked - labels[dst]
             if new:
                 labels[dst] |= new
                 changed = True
+        if not changed:
+            break
+    else:
+        raise CpmError("annotation fixpoint failed to converge")
 
-    diagnostics = []
-    for kind, conditions in (("gains", cpm.gains), ("loses", cpm.loses),
-                             ("taus", cpm.taus)):
-        for i, c in enumerate(conditions):
-            if kind == "taus":
-                hit = any(c.matches_pair(sym, out) for _, sym, _, out in transitions)
-                if not hit:
-                    diagnostics.append(
-                        f"unused {kind} condition {sorted(c.props)}: matched no transition"
-                    )
-            elif (kind, i) not in fired:
-                diagnostics.append(
-                    f"unused {kind} condition {sorted(c.props)}: matched no transition"
-                )
+    fired = set().union(*{rules.fired for _, _, rules in transitions})
+    diagnostics = [
+        f"unused {kind} condition {sorted(c.props)}: matched no transition"
+        for kind in ("gains", "loses", "taus")
+        for i, c in enumerate(getattr(cpm, kind)) if (kind, i) not in fired
+    ]
     # union semantics: flag states whose incoming transitions disagree on a
     # proposition (some grant or carry it, others do not)
-    incoming: dict[str, list[tuple[str, str]]] = {q: [] for q in m.states}
-    for q, sym, dst, out in transitions:
-        incoming[dst].append((q, sym))
+    incoming: dict[str, list[tuple[str, PairRules]]] = {q: [] for q in m.states}
+    for q, dst, rules in transitions:
+        incoming[dst].append((q, rules))
     for dst in m.states:
         if not incoming[dst]:
             continue
         for p in sorted(labels[dst]):
             supplying = [
-                (q, sym) for q, sym in incoming[dst]
-                if p in grants[(q, sym)]
-                or p in labels[q] - blocked[(q, sym)]
+                q for q, rules in incoming[dst]
+                if p in rules.gained or p in labels[q] - rules.blocked
             ]
             if supplying and len(supplying) != len(incoming[dst]):
                 diagnostics.append(
@@ -422,12 +418,13 @@ def parse_annotated_dot(text: str) -> AnnotatedMachine:
     graph = read_dot(text)
     labels: dict[str, frozenset[str]] = {}
     temp_labels: dict[str, frozenset[str]] = {}
+    names = cache(_names)
     for name, label, _ in graph.nodes:
         lm = _NODE_LABEL_RE.match(label)
         if lm:
-            labels[name] = _names(lm.group("props"))
+            labels[name] = names(lm.group("props"))
             if lm.group("temps") is not None:
-                temp_labels[name] = _names(lm.group("temps"))
+                temp_labels[name] = names(lm.group("temps"))
     transitions: dict[tuple[str, str], tuple[str, str]] = {}
     for src, dst, label, lineno in graph.edges:
         if label is None:

@@ -8,11 +8,11 @@ must be trace-equivalent to ``a`` with identical state labels.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 
-from .automata import (MachineError, _escape, _quote, _unescape, bisimilar,
+from .automata import (MachineError, _escape, _quote, _split_fields, _unescape, bisimilar,
                        EquivalenceResult, dot_document, dot_edge, io_label, read_dot)
 from .cpm import (AnnotatedMachine, Cpm, annotated_equal, split_machine, split_tau,
                   strip_tau)
@@ -359,10 +359,6 @@ def emit_collapsed_dot(cm: CollapsedModel, name: str = "collapsed") -> str:
 # LTS DOT serialization
 # ---------------------------------------------------------------------------
 
-# node label fields are separated by ';', which the state name escapes
-_FIELD_RE = re.compile(r"(?:\\.|[^\\;])+", re.S)
-
-
 def emit_lts_dot(lts: Lts, name: str = "statespace") -> str:
     body = []
     for node in lts.nodes:
@@ -381,25 +377,21 @@ def parse_lts_dot(text: str) -> Lts:
     message shape when the result is collapsed."""
     graph = read_dot(text)
     raw_nodes: dict[str, tuple[str, frozenset[str], frozenset[str]]] = {}
+    names = cache(lambda text: frozenset(p for p in text.split(",") if p))
     for name, label, _ in graph.nodes:
-        fields = dict(
-            part.strip().split("=", 1)
-            for part in _FIELD_RE.findall(label) if "=" in part
-        )
-        q = _unescape(fields.get("q", name))
-        props = frozenset(p for p in fields.get("props", "").split(",") if p)
-        temps = frozenset(t for t in fields.get("temps", "").split(",") if t)
-        raw_nodes[name] = (q, props, temps)
+        # the fields are separated by ';', which the state name escapes
+        fields = dict([part.strip().split("=", 1) for part in _split_fields(label) if "=" in part])
+        raw_nodes[name] = (_unescape(fields.get("q", name)), names(fields.get("props", "")),
+                           names(fields.get("temps", "")))
     raw_edges: list[tuple[str, str, str]] = []
     for src, dst, label, lineno in graph.edges:
         if label is None:
             raise MachineError(f"line {lineno}: unlabeled edge")
         raw_edges.append((src, _unescape(label), dst))
-    if not graph.initials:
-        raise MachineError("no initial node marker")
-    for src, _, dst in raw_edges:
         for name in (src, dst):
             raw_nodes.setdefault(name, (name, frozenset(), frozenset()))
+    if not graph.initials:
+        raise MachineError("no initial node marker")
     indices = {name: i for i, name in enumerate(raw_nodes)}
     nodes = tuple(
         LtsNode(i, *raw_nodes[name], phase="", pending=None)

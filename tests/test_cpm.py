@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from protocheck import (EPSILON, TAU, MealyMachine, annotate, annotated_equal,
+from protocheck import (EPSILON, TAU, MealyMachine, annotate, annotated_equal, build_ir,
                         bisimilar, emit_annotated_dot, expand_tau,
                         parse_annotated_dot, parse_cpm, strip_tau, matches)
 from protocheck.cpm import Condition, Cpm, CpmError
@@ -288,3 +288,105 @@ def test_annotated_dot_round_trip(two_state_annotated, two_state_cpm):
     assert back.tau_states == expanded.tau_states
     assert back.temp_labels == expanded.temp_labels
     assert back.machine.transitions == expanded.machine.transitions
+
+
+# ---------------------------------------------------------------------------
+# rules decided per (input, output) pair, against a per-transition reference
+# ---------------------------------------------------------------------------
+
+RULE_POOL = {
+    "gains": [Condition(frozenset({"A"}), ("*",), ("o*",)),
+              Condition(frozenset({"B"}), ("i*",), ("*",)),
+              Condition(frozenset({"A", "C"}), ("i1",), ("ok",)),
+              Condition(frozenset({"D"}), ("nothing",), ("*",))],   # matches nothing
+    "loses": [Condition(frozenset({"A"}), ("i1",), ("*",)),
+              Condition(frozenset({"B", "C"}), ("x*", "i1"), ("err", "o1"))],
+    "taus": [Condition(frozenset({"T"}), ("i1",), ("*",)),
+             Condition(frozenset({"U"}), ("i*",), ("o*",)),
+             Condition(frozenset({"T", "V"}), ("*",), ("err",))],
+}
+
+
+def overlapping_cpm(rng: random.Random) -> Cpm:
+    """A random selection of overlapping rows: '*' and 'i*' globs, input i1
+    in gain, lose and tau rows, and a gain row that matches nothing."""
+    return Cpm(*(tuple(c for c in rows if rng.random() < 0.8) + (rows[-1],)
+                 for rows in RULE_POOL.values()))
+
+
+def overlapping_machine(rng: random.Random) -> MealyMachine:
+    states = tuple(f"s{i}" for i in range(rng.randint(4, 12)))
+    inputs, outputs = ("i0", "i1", "x0", "x1"), ("o0", "o1", "ok", "err")
+    transitions = {(q, a): (rng.choice(states), rng.choice(outputs))
+                   for q in states for a in inputs}
+    return MealyMachine(states, inputs, outputs, states[0], transitions,
+                        require_complete=True)
+
+
+def reference_temps(cpm, sym, out):
+    return frozenset().union(*[c.props for c in cpm.taus if c.matches_pair(sym, out)])
+
+
+def reference_annotate(m, cpm):
+    """Labels and diagnostics with every rule matched on every transition."""
+    transitions = [(q, sym, *m.transitions[(q, sym)]) for q in m.states for sym in m.inputs]
+    grants = {(q, sym): {p for c in cpm.gains if c.matches_pair(sym, out) for p in c.props}
+              for q, sym, _, out in transitions}
+    blocked = {(q, sym): {p for c in cpm.loses if c.matches_pair(sym, out) for p in c.props}
+               for q, sym, _, out in transitions}
+    labels = {q: set() for q in m.states}
+    for q, sym, dst, _ in transitions:
+        labels[dst] |= grants[(q, sym)]
+    changed = True
+    while changed:
+        changed = False
+        for q, sym, dst, _ in transitions:
+            new = labels[q] - blocked[(q, sym)] - labels[dst]
+            labels[dst] |= new
+            changed = changed or bool(new)
+    diagnostics = [
+        f"unused {kind} condition {sorted(c.props)}: matched no transition"
+        for kind, rows in (("gains", cpm.gains), ("loses", cpm.loses), ("taus", cpm.taus))
+        for c in rows
+        if not any(c.matches_pair(sym, out) for _, sym, _, out in transitions)]
+    for dst in m.states:
+        incoming = [(q, sym) for q, sym, d, _ in transitions if d == dst]
+        for p in sorted(labels[dst]):
+            supplying = [t for t in incoming
+                         if p in grants[t] or p in labels[t[0]] - blocked[t]]
+            if incoming and supplying and len(supplying) != len(incoming):
+                diagnostics.append(
+                    f"state {dst!r}: incoming transitions disagree on {p!r} "
+                    f"({len(supplying)}/{len(incoming)} supply it; union applied)")
+    return {q: frozenset(v) for q, v in labels.items()}, tuple(diagnostics)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_rules_decided_per_pair_match_the_per_transition_reference(seed):
+    rng = random.Random(7100 + seed)
+    m, cpm = overlapping_machine(rng), overlapping_cpm(rng)
+    a = annotate(m, cpm)
+    labels, diagnostics = reference_annotate(m, cpm)
+    assert a.labels == labels
+    assert a.diagnostics == diagnostics
+    assert any(d.startswith("unused gains condition ['D']") for d in a.diagnostics)
+
+    expanded = expand_tau(a, cpm)
+    tau_in, tau_out = expanded.tau_edges
+    split = {tau_in[t]: t for t in expanded.tau_states}
+    for (q, sym), (dst, out) in m.transitions.items():
+        temps = reference_temps(cpm, sym, out)
+        assert cpm.raised_temps(sym, out) == temps
+        if temps:
+            internal = split[(q, sym)]
+            assert expanded.temp_labels[internal] == temps
+            assert tau_out[internal] == (dst, out)
+        else:
+            assert expanded.machine.transitions[(q, sym)] == (dst, out)
+    assert len(split) == sum(1 for (_, sym), (_, out) in m.transitions.items()
+                             if reference_temps(cpm, sym, out))
+
+    ir = build_ir(a, cpm)
+    for out, cases in ir.output_cases.items():
+        for case, temps in cases:
+            assert temps == reference_temps(cpm, m.inputs[case], out)

@@ -1,12 +1,14 @@
 """The three DOT formats on their one reader: errors and round trips."""
 
 import random
+import re
 
 import pytest
 
 from protocheck import (MachineError, MealyMachine, annotate, build_ir,
                         emit_annotated_dot, emit_dot, emit_lts_dot, expand_tau,
                         explore, parse_annotated_dot, parse_dot, parse_lts_dot)
+from protocheck.automata import read_dot
 from protocheck.cli import main
 from protocheck.cpm import Condition, Cpm
 from protocheck.statespace import Lts, LtsNode
@@ -81,14 +83,45 @@ def test_lts_dot_errors_carry_line_numbers():
                       'n0 [label="q=a; props=; temps="];\n\nn0 -> n0;\n}')
 
 
-def test_statements_split_on_separators_outside_quotes_only():
+@pytest.mark.parametrize("text", [
     # one line holding several statements, quoted names and labels holding
     # ';' and braces, and comments between them
-    text = ('digraph g { __start -> "x;{y"; // comment\n'
-            '"x;{y" -> "x;{y" [label="a;{ / b}"]; # note\n}')
+    ('digraph g { __start -> "x;{y"; // comment\n'
+     '"x;{y" -> "x;{y" [label="a;{ / b}"]; # note\n}'),
+    # a header on its own line, and a label holding ']' and a newline
+    ('strict digraph g\n{\n"x;{y" [initial=true]\n'
+     '"x;{y" -> "x;{y" [label="a;{\n / b}"]}'),
+], ids=["one_line", "header_and_multiline_label"])
+def test_statements_split_on_separators_outside_quotes_only(text):
     m = parse_dot(text)
     assert m.states == ("x;{y",)
     assert m.transitions == {("x;{y", "a;{"): ("x;{y", "b}")}
+
+
+PINNED_DOC = (
+    '# generated by hand\n'
+    '// second comment line\n'
+    'strict digraph "g" {\n'
+    '  node [shape=circle]; edge [color=gray]\n'
+    '  rankdir=LR\n'
+    '  __start -> "s 0";\n'
+    '  "s 0" [label="s 0 {P}", initial=true]; a -> b [label="x;] / y"]; b\n'
+    '  b -> "s 0" [label="multi\nline / z"];\n'
+    '  "q\\"1" [shape=box, label="q\\"1 {}"]; // trailing\n'
+    '  "q\\"1" -> a [label="{a / b}"]\n'
+    '}\n')
+
+
+def test_read_dot_output_is_pinned():
+    graph = read_dot(PINNED_DOC)
+    assert graph.nodes == [("s 0", "s 0 {P}", 7), ("b", "", 7), ('q"1', 'q\\"1 {}', 10)]
+    assert graph.edges == [("a", "b", "x;] / y", 7), ("b", "s 0", "multi\nline / z", 8),
+                           ('q"1', "a", "{a / b}", 11)]
+    assert graph.initials == [("s 0", 6), ("s 0", 7)]
+    assert list(graph.mentioned) == ["s 0", "a", "b", 'q"1']
+    # the label's newline counts: the error sits on line 12
+    with pytest.raises(MachineError, match=r"^line 12: cannot parse statement '\?\?\?'$"):
+        read_dot(PINNED_DOC[:-2] + "  ???\n}\n")
 
 
 def test_lts_start_at_undeclared_node_names_it(tmp_path, capsys):
@@ -119,3 +152,77 @@ def test_mealy_dot_round_trip_with_newline_in_a_symbol():
                      {("a", "x\ny"): ("b", "o\np"), ("a", "z"): ("a", "ok"),
                       ("b", "x\ny"): ("a", "ok"), ("b", "z"): ("b", "o\np")})
     assert parse_dot(emit_dot(m)) == m
+
+
+KEYWORD_LIKE = ("q0", "graph1", "strict_x", "subgraph_a", "digraph2", "node_1", "edge_1",
+                "graph", "Node")
+
+
+def keyword_named_machine() -> MealyMachine:
+    """Every state is named like a DOT keyword, or is one."""
+    states = KEYWORD_LIKE
+    transitions = {(q, sym): (states[(i + j + 1) % len(states)], out)
+                   for i, q in enumerate(states)
+                   for j, (sym, out) in enumerate((("a", "x"), ("b", "y")))}
+    return MealyMachine(states, ("a", "b"), ("x", "y"), states[0], transitions)
+
+
+def test_states_named_like_dot_keywords_round_trip_in_every_format():
+    m = keyword_named_machine()
+    assert parse_dot(emit_dot(m)) == m
+
+    cpm = Cpm(gains=(Condition(frozenset({"P"}), ("a",), ("*",)),),
+              taus=(Condition(frozenset({"T"}), ("b",), ("*",)),))
+    expanded = expand_tau(annotate(m, cpm), cpm)
+    back = parse_annotated_dot(emit_annotated_dot(expanded))
+    assert back.machine.states == expanded.machine.states
+    assert back.machine.transitions == expanded.machine.transitions
+    assert (back.labels, back.temp_labels) == (expanded.labels, expanded.temp_labels)
+
+    # the transition-system format numbers its nodes; name them as well
+    small = MealyMachine(("q0", "graph1"), ("a",), ("x",), "q0",
+                         {("q0", "a"): ("graph1", "x"), ("graph1", "a"): ("q0", "x")})
+    lts = explore(build_ir(annotate(small, Cpm()), Cpm()))
+    assert len(lts.nodes) <= len(KEYWORD_LIKE)
+    text = re.sub(r"\bn(\d+)\b", lambda mm: KEYWORD_LIKE[int(mm.group(1))], emit_lts_dot(lts))
+    back = parse_lts_dot(text)
+    assert back.initial == lts.initial
+    assert back.edges == lts.edges
+    assert [(n.q, n.props, n.temps) for n in back.nodes] == \
+        [(n.q, n.props, n.temps) for n in lts.nodes]
+
+
+def test_dot_keywords_are_skipped_as_whole_tokens_only():
+    graph = read_dot('Strict DiGraph g {\n  graph [rankdir=LR]; node[shape=box]; edge [x=1]\n'
+                     '  rankdir = LR\n  subgraph s { graph1 -> edge_1 }\n  rankdir_1\n}')
+    assert graph.edges == [("graph1", "edge_1", None, 4)]
+    assert graph.nodes == [("rankdir_1", "", 5)]
+
+
+CONFLICTING_START = ('digraph g {{\n__start -> q0;\nq0 [label="{q0}"{mark0}];\n'
+                     'q1 [label="{q1}"{mark1}];\n'
+                     'q0 -> q1 [label="a / b"];\nq1 -> q0 [label="a / b"];\n}}\n')
+ANNOTATED_NODES = {"q0": "q0 {}", "q1": "q1 {}"}
+LTS_NODES = {"q0": "q=q0; props=; temps=", "q1": "q=q1; props=; temps="}
+
+
+@pytest.mark.parametrize("reader,labels,initial,argv", [
+    (parse_annotated_dot, ANNOTATED_NODES, lambda a: a.machine.initial,
+     ["expand", "--annotated", "{dot}", "--cpm", "{cpm}"]),
+    (parse_lts_dot, LTS_NODES, lambda lts: lts.nodes[lts.initial].q,
+     ["collapse", "--lts", "{dot}"]),
+])
+def test_conflicting_initial_markers_are_rejected(reader, labels, initial, argv,
+                                                  tmp_path, capsys):
+    text = CONFLICTING_START.format(**labels, mark0="", mark1=", initial=true")
+    with pytest.raises(MachineError, match=r"^line 4: multiple initial states \('q0', 'q1'\)$"):
+        reader(text)
+    (tmp_path / "in.dot").write_text(text)
+    (tmp_path / "map.cpm").write_text("")
+    paths = {"dot": str(tmp_path / "in.dot"), "cpm": str(tmp_path / "map.cpm")}
+    code = main([arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out.dot")])
+    assert code == 64
+    assert "line 4: multiple initial states ('q0', 'q1')" in capsys.readouterr().err
+    # a start edge and initial=true on the same node agree
+    agreeing = CONFLICTING_START.format(**labels, mark0=", initial=true", mark1="")
+    assert initial(reader(agreeing)) == "q0"
