@@ -15,7 +15,7 @@ from .cpm import (Condition, Cpm, CpmError, AnnotatedMachine, parse_cpm,
                   annotated_equal, emit_annotated_dot, parse_annotated_dot)
 from .actorgen import (ActorModelIR, MutationConfig, ActorGenError,
                        build_ir, emit_rebeca, apply_timeout_mutation,
-                       IrSimulator, TIMEOUT_PROP)
+                       TIMEOUT_PROP)
 from .statespace import (Lts, CollapsedModel, StateSpaceError, explore,
                          collapse, verify_roundtrip, kripke_from_collapsed,
                          emit_lts_dot, parse_lts_dot, RoundtripReport)

@@ -12,7 +12,8 @@ as a case index) and calls request again.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .automata import MealyMachine
 from .cpm import AnnotatedMachine, Cpm
@@ -28,7 +29,7 @@ class ActorGenError(ValueError):
 @dataclass(frozen=True)
 class MutationConfig:
     """Timeout fault injection: model checking treats the timeout branch as
-    pure nondeterminism; the probability only parameterizes simulation."""
+    pure nondeterminism; the probability is validated, and no stage reads it."""
 
     timeout_enabled: bool = False
     timeout_probability: float = 0.1
@@ -64,9 +65,22 @@ class ActorModelIR:
     queue_capacity: int = QUEUE_CAPACITY
     mutation: MutationConfig | None = None
 
-    @property
+    @cached_property
     def state_index(self) -> dict[str, int]:
         return {q: i for i, q in enumerate(self.machine.states)}
+
+    def step(self, state: str, props: frozenset[str],
+             symbol: str) -> tuple[SystemBranch, frozenset[str]]:
+        """The system actor's handler for ``symbol`` at ``state``, as the
+        emitted source encodes it: the guard arm taken and the propositions
+        after its updates."""
+        branch = self.handlers[symbol][self.state_index[state]]
+        if branch.prop_updates:
+            props = set(props)
+            for p, value in branch.prop_updates:
+                (props.add if value else props.discard)(p)
+            props = frozenset(props)
+        return branch, props
 
     @property
     def case_index(self) -> dict[str, int]:
@@ -316,33 +330,3 @@ def emit_rebeca(ir: ActorModelIR) -> str:
     emit("}")
     return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# IR co-simulation (used by tests and the replay tooling)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class IrSimulator:
-    """Step-level interpreter of the IR's system actor: tracks the state
-    variable and proposition booleans exactly as the generated code would."""
-
-    ir: ActorModelIR
-    state: str = field(init=False)
-    props: set[str] = field(init=False)
-
-    def __post_init__(self):
-        self.reset()
-
-    def reset(self):
-        self.state = self.ir.machine.initial
-        self.props = set(self.ir.initial_props)
-
-    def step(self, symbol: str) -> str:
-        branch = next(b for b in self.ir.handlers[symbol] if b.state == self.state)
-        self.state = branch.target
-        for p, value in branch.prop_updates:
-            if value:
-                self.props.add(p)
-            else:
-                self.props.discard(p)
-        return branch.output

@@ -242,16 +242,18 @@ _BODY = rf'[^"\n;{{}}]*(?:"{_INNER}"[^"\n;{{}}]*)*'
 # attributes stay raw text
 _ATTRS = rf'(?:\[(?:(?:({_BODY}),)??{_SP}label{_SP}={_SP}"({_INNER})"{_SP}|({_BODY}))\])?'
 # One match is one statement and the separators after it: an edge (groups
-# 1-5), a node (6-9), or anything else (10), which is a header, a comment or
-# an error; only a match at the start may hold separators alone.  A statement
-# runs up to ';', a newline or a brace outside quoted strings.  re.S: a
-# quoted string may hold a newline.
+# 1-5), a node (6-9), a comment (no group), or anything else (10), which is
+# a header or an error; only a match at the start may hold separators alone.
+# A statement runs up to ';', a newline, a brace or '//' outside quoted
+# strings; a comment starts with '//' or '#' and runs to the newline.  re.S:
+# a quoted string may hold a newline.
 _DOT_RE = re.compile(
     rf"(?:{_SP}(?!{_KEYWORD})(?:({_TOKEN}){_SP}->{_SP}({_TOKEN}){_SP}{_ATTRS}"
-    rf"|({_TOKEN}){_SP}{_ATTRS}){_SP}(?=[\n;{{}}]|\Z)"
-    rf'|((?:[^"\n;{{}}]+|"{_INNER}"?)+))?[\s;{{}}]*', re.S)
+    rf"|({_TOKEN}){_SP}{_ATTRS}){_SP}(?=[\n;{{}}]|//|\Z)"
+    rf"|{_SP}(?://|#)[^\n]*"
+    rf'|((?:[^"\n;{{}}/]+|/(?!/)|"{_INNER}"?)+))?[\s;{{}}]*', re.S)
 # statements that carry no machine content
-_SKIP = re.compile(rf"\s*(?:#|//|{_KEYWORD}|(?i:rankdir)\s*=)|\s*$")
+_SKIP = re.compile(rf"\s*(?:{_KEYWORD}|(?i:rankdir)\s*=)|\s*$")
 _ATTR_RE = re.compile(rf"(\w+)\s*=\s*({_TOKEN})")
 
 
@@ -282,9 +284,11 @@ class DotGraph:
 
 def read_dot(text: str) -> DotGraph:
     """Sort the statements of a DOT document into nodes, edges and initial
-    markers in one pass.  Comments ('#', '//') and headers are dropped; any
-    other statement that is neither a node nor an edge is an error carrying
-    its line number, and so are initial markers naming different nodes."""
+    markers in one pass.  Comments ('//' outside quoted strings, '#' at the
+    start of a statement, each to the end of its line) and headers are
+    dropped; any other statement that is neither a node nor an edge is an
+    error carrying its line number, and so are initial markers naming
+    different nodes."""
     graph = DotGraph()
     nodes, edges, initials, mentioned = graph.nodes, graph.edges, graph.initials, graph.mentioned
     line = 1

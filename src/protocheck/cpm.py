@@ -362,13 +362,13 @@ def annotated_equal(a: AnnotatedMachine, b: AnnotatedMachine) -> EquivalenceResu
     Returns INEQUIVALENT with the shortest input word leading to a pair of
     states that differ in outputs or in their proposition sets.
     """
+    alphabet = a.machine.inputs
+    if set(alphabet) != set(b.machine.inputs):
+        raise MachineError("input alphabets differ")
     if a.label(a.machine.initial) != b.label(b.machine.initial):
         return EquivalenceResult(False, ())
     seen = {(a.machine.initial, b.machine.initial)}
     frontier = deque([((a.machine.initial, b.machine.initial), ())])
-    alphabet = a.machine.inputs
-    if set(alphabet) != set(b.machine.inputs):
-        raise MachineError("input alphabets differ")
     while frontier:
         (qa, qb), prefix = frontier.popleft()
         for sym in alphabet:

@@ -1034,7 +1034,10 @@ def parse_property_file(text: str) -> dict[str, Formula]:
             raise LtlError(f"line {lineno}: invalid property name {name!r}")
         if name in out:
             raise LtlError(f"line {lineno}: duplicate property {name!r}")
-        out[name] = parse_ltl(formula_text)
+        try:
+            out[name] = parse_ltl(formula_text)
+        except LtlError as exc:
+            raise LtlError(f"line {lineno}: {exc}") from exc
     return out
 
 

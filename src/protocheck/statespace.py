@@ -8,12 +8,12 @@ must be trace-equivalent to ``a`` with identical state labels.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from functools import cache
 
-from .automata import (MachineError, _escape, _quote, _split_fields, _unescape, bisimilar,
-                       EquivalenceResult, dot_document, dot_edge, io_label, read_dot)
+from .automata import (MachineError, _escape, _quote, _split_fields, _unescape,
+                       dot_document, dot_edge, io_label, read_dot)
 from .cpm import (AnnotatedMachine, Cpm, annotated_equal, split_machine, split_tau,
                   strip_tau)
 from .actorgen import ActorModelIR, TIMEOUT_PROP, build_ir
@@ -39,6 +39,8 @@ class LtsNode:
 
 @dataclass(frozen=True)
 class Lts:
+    """A transition system over numbered nodes: ``nodes[i].index == i``."""
+
     nodes: tuple[LtsNode, ...]
     edges: tuple[tuple[int, str, int], ...]
     initial: int
@@ -63,9 +65,6 @@ def explore(ir: ActorModelIR, max_nodes: int = 10 ** 6) -> Lts:
         for out, cases in ir.output_cases.items()
         for case, temps in cases
     }
-    branch_by_state = {
-        (sym, b.state): b for sym, branches in ir.handlers.items() for b in branches
-    }
     mutated = ir.mutation is not None and ir.mutation.timeout_enabled
 
     nodes: list[LtsNode] = []
@@ -85,42 +84,25 @@ def explore(ir: ActorModelIR, max_nodes: int = 10 ** 6) -> Lts:
         return idx
 
     initial = intern(m.initial, ir.initial_props, frozenset(), "req")
-    frontier = deque([initial])
-    expanded = set()
-    while frontier:
-        idx = frontier.popleft()
-        if idx in expanded:
-            continue
-        expanded.add(idx)
-        node = nodes[idx]
-        targets = []
+    # nodes are expanded in the order they are found, which is breadth-first
+    for node in nodes:
+        idx = node.index
         if node.phase == "req":
-            dst = intern(node.q, node.props, frozenset(), "ready")
-            targets.append((REQ_LABEL, dst))
+            edges.append((idx, REQ_LABEL, intern(node.q, node.props, frozenset(), "ready")))
         elif node.phase == "ready":
             for case, sym in enumerate(m.inputs):
-                branch = branch_by_state[(sym, node.q)]
-                props = set(node.props)
-                for p, value in branch.prop_updates:
-                    (props.add if value else props.discard)(p)
-                dst = intern(branch.target, frozenset(props), frozenset(),
-                             "out", ("out", branch.output, case))
-                targets.append((sym, dst))
+                branch, props = ir.step(node.q, node.props, sym)
+                edges.append((idx, sym, intern(branch.target, props, frozenset(), "out",
+                                               ("out", branch.output, case))))
                 if mutated:
-                    t = intern(m.initial, ir.initial_props, frozenset(), "timeout")
-                    targets.append((sym, t))
+                    edges.append((idx, sym, intern(m.initial, ir.initial_props, frozenset(),
+                                                   "timeout")))
         elif node.phase == "out":
             _, out, case = node.pending
-            temps = temps_for[(case, out)]
-            dst = intern(node.q, node.props, temps, "req")
-            targets.append((out, dst))
-        elif node.phase == "timeout":
-            dst = intern(node.q, node.props, frozenset([TIMEOUT_PROP]), "req")
-            targets.append((TIMEOUT_LABEL, dst))
-        for label, dst in targets:
-            edges.append((idx, label, dst))
-            if dst not in expanded:
-                frontier.append(dst)
+            edges.append((idx, out, intern(node.q, node.props, temps_for[(case, out)], "req")))
+        else:
+            edges.append((idx, TIMEOUT_LABEL, intern(node.q, node.props,
+                                                     frozenset([TIMEOUT_PROP]), "req")))
 
     n_temps = len(ir.temp_props)
     bound = (len(m.inputs) + 2) * len(m.states) * (2 ** n_temps)
@@ -171,105 +153,74 @@ class CollapsedModel:
                              outcomes)
 
 
-def _infer_phases(lts: Lts, out_edges) -> dict[int, str]:
-    """Classify nodes by walking the request/input/output message shape from
-    the initial node; raises on anything that does not fit the template."""
+def collapse(lts: Lts) -> CollapsedModel:
+    """Cut the transition system at request boundaries in one breadth-first
+    pass over the nodes observed right after a completed reset, which become
+    machine states: every request -> input -> output micro path becomes one
+    (input/output) transition.  The message shape is checked along the way;
+    anything that does not fit the template raises."""
+    out_edges: list[list[tuple[str, int]]] = [[] for _ in lts.nodes]
+    for src, label, dst in lts.edges:
+        out_edges[src].append((label, dst))
     phases: dict[int, str] = {}
+    ready_nodes: list[int] = []
+    transitions: dict[int, dict[str, set]] = {}     # ready node -> input -> outcomes
 
     def assign(idx: int, phase: str):
-        if phases.get(idx, phase) != phase:
+        if phases.setdefault(idx, phase) != phase:
             raise StateSpaceError(
-                f"ill-formed transition system: node {idx} is both "
-                f"{phases[idx]} and {phase}")
-        phases[idx] = phase
+                f"ill-formed transition system: node {idx} is both {phases[idx]} and {phase}")
 
-    assign(lts.initial, "req")
-    frontier = deque([lts.initial])
-    seen = {lts.initial}
-    while frontier:
-        idx = frontier.popleft()
-        phase = phases[idx]
+    def reset(idx: int) -> int:
+        """The ready node that request node ``idx`` leads to."""
+        assign(idx, "req")
         succ = out_edges[idx]
-        if phase == "req":
+        if len(succ) != 1 or succ[0][0] != REQ_LABEL:
             if not succ or any(label != REQ_LABEL for label, _ in succ):
                 raise StateSpaceError(
                     f"ill-formed transition system: node {idx} should only issue requests")
-            for _, dst in succ:
-                assign(dst, "ready")
-        elif phase == "ready":
-            for label, dst in succ:
-                if label in (REQ_LABEL,):
-                    raise StateSpaceError(
-                        f"ill-formed transition system: request out of a ready node {idx}")
-                kind = "timeout" if any(l == TIMEOUT_LABEL for l, _ in out_edges[dst]) else "out"
-                assign(dst, kind)
-        elif phase in ("out", "timeout"):
+            raise StateSpaceError(
+                "ill-formed transition system: the initial request must reach exactly "
+                f"one node, reaches {len(succ)}" if idx == lts.initial else
+                "ill-formed transition system: a reset must reach exactly one node, "
+                f"node {idx} reaches {len(succ)}")
+        ready = succ[0][1]
+        if ready not in phases:
+            ready_nodes.append(ready)
+        assign(ready, "ready")
+        return ready
+
+    initial_ready = reset(lts.initial)
+    for ready in ready_nodes:
+        by_input = transitions[ready] = {}
+        for sym, pending in out_edges[ready]:
+            if sym == REQ_LABEL:
+                raise StateSpaceError(
+                    f"ill-formed transition system: request out of a ready node {ready}")
+            succ = out_edges[pending]
+            assign(pending, "timeout" if any(l == TIMEOUT_LABEL for l, _ in succ) else "out")
             if len(succ) != 1:
                 raise StateSpaceError(
-                    f"ill-formed transition system: pending node {idx} must deliver exactly "
-                    f"one message, has {len(succ)}")
-            for _, dst in succ:
-                assign(dst, "req")
-        for _, dst in succ:
-            if dst not in seen:
-                seen.add(dst)
-                frontier.append(dst)
-    return phases
+                    f"ill-formed transition system: pending node {pending} must deliver "
+                    f"exactly one message, has {len(succ)}")
+            ((out, post),) = succ
+            by_input.setdefault(sym, set()).add(
+                (reset(post), out, lts.nodes[post].temps))
 
-
-def collapse(lts: Lts) -> CollapsedModel:
-    """Cut the transition system at request boundaries: nodes observed right
-    after a completed reset become machine states and every request ->
-    input -> output micro path becomes one (input/output) transition."""
-    out_edges: dict[int, list[tuple[str, int]]] = {n.index: [] for n in lts.nodes}
-    for src, label, dst in lts.edges:
-        out_edges[src].append((label, dst))
-    phases = _infer_phases(lts, out_edges)
-    by_index = {n.index: n for n in lts.nodes}
-
-    ready_nodes = [idx for idx in sorted(phases) if phases[idx] == "ready"]
     # name macro states after the underlying machine state when unique
-    q_counts: dict[str, int] = {}
-    for idx in ready_nodes:
-        q_counts[by_index[idx].q] = q_counts.get(by_index[idx].q, 0) + 1
-    names: dict[int, str] = {}
-    for idx in ready_nodes:
-        q = by_index[idx].q
-        names[idx] = q if q_counts[q] == 1 else f"{q}__{idx}"
-
-    initial_targets = [dst for _, dst in out_edges[lts.initial]]
-    if len(initial_targets) != 1:
-        raise StateSpaceError(
-            "ill-formed transition system: the initial request must reach "
-            f"exactly one node, reaches {len(initial_targets)}")
-    (initial_ready,) = initial_targets
-
-    transitions: dict[tuple[str, str], set] = {}
-    inputs: list[str] = []
-    for ready in ready_nodes:
-        for sym, pending in out_edges[ready]:
-            if sym not in inputs:
-                inputs.append(sym)
-            ((out_label, post),) = out_edges[pending]   # arity enforced above
-            if phases[post] != "req":
-                raise StateSpaceError("ill-formed transition system: output skips the reset")
-            req_targets = out_edges[post]
-            if len(req_targets) != 1:
-                raise StateSpaceError(
-                    "ill-formed transition system: a reset must reach exactly "
-                    f"one node, node {post} reaches {len(req_targets)}")
-            ((_, next_ready),) = req_targets
-            temps = by_index[post].temps
-            transitions.setdefault((names[ready], sym), set()).add(
-                (names[next_ready], out_label, temps))
-
-    states = tuple(names[idx] for idx in ready_nodes)
-    labels = {names[idx]: by_index[idx].props for idx in ready_nodes}
+    ready_nodes.sort()
+    qs = [lts.nodes[idx].q for idx in ready_nodes]
+    q_counts = Counter(qs)
+    names = {idx: q if q_counts[q] == 1 else f"{q}__{idx}" for idx, q in zip(ready_nodes, qs)}
     ordered = {
-        key: tuple(sorted(vals, key=lambda o: (o[0], o[1], sorted(o[2]))))
-        for key, vals in transitions.items()
+        (names[ready], sym): tuple(sorted(
+            [(names[dst], out, temps) for dst, out, temps in outcomes],
+            key=lambda o: (o[0], o[1], sorted(o[2]))))
+        for ready in ready_nodes for sym, outcomes in transitions[ready].items()
     }
-    return CollapsedModel(states, tuple(inputs), names[initial_ready], ordered, labels)
+    return CollapsedModel(tuple(names.values()), tuple(dict.fromkeys(sym for _, sym in ordered)),
+                          names[initial_ready], ordered,
+                          {names[idx]: lts.nodes[idx].props for idx in ready_nodes})
 
 
 def kripke_from_collapsed(cm: CollapsedModel,
@@ -304,8 +255,6 @@ class RoundtripReport:
     passed: bool
     message: str
     node_count: int
-    bisimulation: EquivalenceResult | None = None
-    label_check: EquivalenceResult | None = None
 
 
 def verify_roundtrip(a: AnnotatedMachine, cpm: Cpm,
@@ -319,24 +268,20 @@ def verify_roundtrip(a: AnnotatedMachine, cpm: Cpm,
 def compare_roundtrip(a: AnnotatedMachine, lts: Lts,
                       collapsed: CollapsedModel) -> RoundtripReport:
     """Round-trip verdict for ``collapsed``, the collapse of ``lts``, which
-    is the state space of the unmutated actor model of ``a``."""
-    if not collapsed.is_deterministic():
-        return RoundtripReport(False, "collapsed model is nondeterministic",
-                               len(lts.nodes))
-    recovered = strip_tau(collapsed.to_annotated())
-    bisim = bisimilar(a.machine, recovered.machine)
-    if not bisim.equivalent:
-        return RoundtripReport(
-            False,
-            f"behavior differs on input word {list(bisim.witness)}",
-            len(lts.nodes), bisim)
-    labels = annotated_equal(a, recovered)
-    if not labels.equivalent:
-        return RoundtripReport(
-            False,
-            f"labels differ after input word {list(labels.witness)}",
-            len(lts.nodes), bisim, labels)
-    return RoundtripReport(True, "PASS", len(lts.nodes), bisim, labels)
+    is the state space of the actor model of ``a``, mutated or not: outcomes
+    that deliver the reserved timeout message are the mutation's and are left
+    out."""
+    nominal = replace(collapsed, transitions={
+        key: tuple([o for o in outcomes if o[1] != TIMEOUT_LABEL])
+        for key, outcomes in collapsed.transitions.items()})
+    if not nominal.is_deterministic():
+        return RoundtripReport(False, "collapsed model is nondeterministic", len(lts.nodes))
+    result = annotated_equal(a, strip_tau(nominal.to_annotated()))
+    if result.equivalent:
+        return RoundtripReport(True, "PASS", len(lts.nodes))
+    what = ("behavior differs on input word" if result.left_outputs != result.right_outputs
+            else "labels differ after input word")
+    return RoundtripReport(False, f"{what} {list(result.witness)}", len(lts.nodes))
 
 
 def emit_collapsed_dot(cm: CollapsedModel, name: str = "collapsed") -> str:
@@ -381,8 +326,9 @@ def parse_lts_dot(text: str) -> Lts:
     for name, label, _ in graph.nodes:
         # the fields are separated by ';', which the state name escapes
         fields = dict([part.strip().split("=", 1) for part in _split_fields(label) if "=" in part])
-        raw_nodes[name] = (_unescape(fields.get("q", name)), names(fields.get("props", "")),
-                           names(fields.get("temps", "")))
+        # read_dot has already unescaped the node id; the q= value is raw
+        q = _unescape(fields["q"]) if "q" in fields else name
+        raw_nodes[name] = (q, names(fields.get("props", "")), names(fields.get("temps", "")))
     raw_edges: list[tuple[str, str, str]] = []
     for src, dst, label, lineno in graph.edges:
         if label is None:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from protocheck import (IrSimulator, MutationConfig, TIMEOUT_PROP,
+from protocheck import (MutationConfig, TIMEOUT_PROP,
                         annotate, apply_timeout_mutation, build_emrtd_machine,
                         build_ir, emit_rebeca, expand_tau)
 from protocheck.actorgen import (ActorGenError, input_msgsrv_name,
@@ -172,13 +172,15 @@ def test_simulated_propositions_track_labels(seed):
     machine = random_machine(rng, max_states=6, max_inputs=4)
     cpm = random_cpm(rng, machine)
     a = annotate(machine, cpm)
-    sim = IrSimulator(build_ir(a, cpm))
-    assert sim.props == set(a.label(machine.initial))
+    ir = build_ir(a, cpm)
+    sim_state, props = machine.initial, ir.initial_props
+    assert props == a.label(machine.initial)
     state = machine.initial
     for _ in range(60):
         sym = rng.choice(machine.inputs)
-        out = sim.step(sym)
+        branch, props = ir.step(sim_state, props, sym)
+        sim_state = branch.target
         state, expected_out = machine.transitions[(state, sym)]
-        assert out == expected_out
-        assert sim.state == state
-        assert sim.props == set(a.label(state))
+        assert branch.output == expected_out
+        assert sim_state == state
+        assert props == a.label(state)

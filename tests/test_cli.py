@@ -1,6 +1,7 @@
 """Command-line stages: file handoffs, exit codes, determinism."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -148,6 +149,51 @@ def test_pipeline_on_worked_example(workdir):
     assert manifest["seed"] == 11
     assert manifest["stages"]["verify-roundtrip"]["passed"] is True
     assert "config_sha256" in manifest and "tool_version" in manifest
+
+
+def worked_example_config(workdir, **extra) -> str:
+    config = workdir / "pipeline.json"
+    config.write_text(json.dumps({
+        "model": str(workdir / "model.dot"),
+        "cpm": str(workdir / "map.cpm"),
+        "out_dir": str(workdir / "out"),
+        **extra,
+    }))
+    return str(config)
+
+
+def test_pipeline_round_trip_failure_exits_1_with_manifest(workdir, monkeypatch):
+    build_ir = cli.build_ir
+
+    def corrupted(annotated, cpm):
+        ir = build_ir(annotated, cpm)
+        first, second = ir.handlers["sigma1"]
+        return replace(ir, handlers={"sigma1": (first, replace(second, output="omega1"))})
+
+    monkeypatch.setattr(cli, "build_ir", corrupted)
+    assert run("pipeline", "--config", worked_example_config(workdir)) == 1
+    manifest = json.loads((workdir / "out" / "manifest.json").read_text())
+    assert manifest["stages"]["verify-roundtrip"] == {
+        "passed": False, "message": "behavior differs on input word ['sigma1', 'sigma1']"}
+    assert not (workdir / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("mutation", [False, True])
+def test_pipeline_explores_once(workdir, monkeypatch, mutation):
+    from protocheck import statespace
+
+    explore = statespace.explore
+    calls = []
+
+    def counting(ir, *rest):
+        calls.append(ir.mutation)
+        return explore(ir, *rest)
+
+    monkeypatch.setattr(statespace, "explore", counting)
+    monkeypatch.setattr(cli, "explore", counting)
+    config = worked_example_config(workdir, mutation={"enabled": mutation})
+    assert run("pipeline", "--config", config) == 0
+    assert len(calls) == 1 and (calls[0] is not None) == mutation
 
 
 def test_outputs_deterministic_across_runs(workdir):

@@ -91,7 +91,12 @@ def test_lts_dot_errors_carry_line_numbers():
     # a header on its own line, and a label holding ']' and a newline
     ('strict digraph g\n{\n"x;{y" [initial=true]\n'
      '"x;{y" -> "x;{y" [label="a;{\n / b}"]}'),
-], ids=["one_line", "header_and_multiline_label"])
+    # comments run to the end of their line: '//' after a statement, '#' at
+    # the start of one, each hiding a ';' and what follows it
+    ('digraph g { __start -> "x;{y"; // note; b\n'
+     '"x;{y" -> "x;{y" [label="a;{ / b}"] // trailing\n'
+     '# note; c\n}'),
+], ids=["one_line", "header_and_multiline_label", "comments_end_at_the_newline"])
 def test_statements_split_on_separators_outside_quotes_only(text):
     m = parse_dot(text)
     assert m.states == ("x;{y",)
@@ -145,6 +150,10 @@ def test_lts_state_names_keep_semicolons_and_backslashes():
     back = parse_lts_dot(text)
     assert [(n.q, n.props, n.temps) for n in back.nodes] == \
         [(n.q, n.props, n.temps) for n in nodes]
+    # without a 'q=' field the state is the node id, unescaped once
+    (node,) = parse_lts_dot('digraph g { __start -> "a\\\\b"; '
+                            '"a\\\\b" [label="props=P; temps=T"]; }').nodes
+    assert (node.q, node.props, node.temps) == ("a\\b", frozenset({"P"}), frozenset({"T"}))
 
 
 def test_mealy_dot_round_trip_with_newline_in_a_symbol():

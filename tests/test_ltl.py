@@ -370,6 +370,8 @@ def test_parse_property_file_errors():
         parse_property_file("just some text\n")
     with pytest.raises(LtlError, match="duplicate"):
         parse_property_file("a: G p\na: F p\n")
+    with pytest.raises(LtlError, match=r"^line 2: syntax error at position 8: unexpected ''$"):
+        parse_property_file("a: G p\nb: G (p &&\n")
 
 
 def test_vacuity_antecedent_never_true(uds_cpm):

@@ -11,7 +11,8 @@ from protocheck import (MealyMachine, MutationConfig, TIMEOUT_PROP, annotate,
                         collapse, emit_lts_dot, explore, parse_lts_dot,
                         strip_tau, verify_roundtrip)
 from protocheck.cpm import Cpm
-from protocheck.statespace import StateSpaceError, kripke_from_collapsed
+from protocheck.statespace import (StateSpaceError, compare_roundtrip,
+                                   kripke_from_collapsed)
 from helpers import random_machine, random_cpm
 
 
@@ -169,6 +170,72 @@ def test_roundtrip_empty_map(two_state_machine):
     assert report.passed
 
 
+def corrupted_roundtrip(a, cpm, index, **change):
+    """Round-trip verdict on the actor model of ``a`` with one branch of its
+    only handler changed."""
+    ir = build_ir(a, cpm)
+    branches = list(ir.handlers["sigma1"])
+    branches[index] = dataclasses.replace(branches[index], **change)
+    lts = explore(dataclasses.replace(ir, handlers={"sigma1": tuple(branches)}))
+    return compare_roundtrip(a, lts, collapse(lts))
+
+
+def test_roundtrip_names_a_wrong_output(two_state_annotated, two_state_cpm):
+    report = corrupted_roundtrip(two_state_annotated, two_state_cpm, 1, output="omega1")
+    assert not report.passed
+    assert report.message == "behavior differs on input word ['sigma1', 'sigma1']"
+
+
+def test_roundtrip_names_a_wrong_proposition_update(two_state_annotated, two_state_cpm):
+    report = corrupted_roundtrip(two_state_annotated, two_state_cpm, 0, prop_updates=())
+    assert not report.passed
+    assert report.message == "labels differ after input word ['sigma1']"
+
+
+def test_roundtrip_rejects_a_nondeterministic_state_space(two_state_annotated,
+                                                          two_state_cpm):
+    lts = explore(build_ir(two_state_annotated, two_state_cpm))
+    by_idx = {n.index: n for n in lts.nodes}
+    # a second sigma1 edge out of the ready node of q1, into q2's pending node
+    ready = next(n.index for n in lts.nodes if n.phase == "ready" and n.q == "q1")
+    pending = next(d for s, label, d in lts.edges
+                   if label == "sigma1" and by_idx[s].q == "q2")
+    forked = dataclasses.replace(lts, edges=lts.edges + ((ready, "sigma1", pending),))
+    report = compare_roundtrip(two_state_annotated, forked, collapse(forked))
+    assert not report.passed
+    assert report.message == "collapsed model is nondeterministic"
+
+
+def timeout_free(model):
+    return dataclasses.replace(model, transitions={
+        key: tuple(o for o in outcomes if o[1] != "timeout")
+        for key, outcomes in model.transitions.items()})
+
+
+def roundtrip_cases():
+    from protocheck import parse_cpm, parse_dot
+    from protocheck.fixtures import fixture_text
+
+    cases = [(parse_dot(fixture_text("illustrative.dot")),
+              parse_cpm(fixture_text("illustrative.cpm")))]
+    for build, name in ((build_emrtd_machine, "emrtd.cpm"), (build_uds_machine, "uds.cpm")):
+        cases.append((build()[0], parse_cpm(fixture_text(name))))
+    for seed in range(8):
+        rng = random.Random(4100 + seed)
+        machine = random_machine(rng, max_states=6, max_inputs=4)
+        cases.append((machine, random_cpm(rng, machine)))
+    return cases
+
+
+@pytest.mark.parametrize("machine,cpm", roundtrip_cases())
+def test_mutated_collapse_without_timeouts_is_the_nominal_collapse(machine, cpm):
+    ir = build_ir(annotate(machine, cpm), cpm)
+    nominal = collapse(explore(ir))
+    mutated = collapse(explore(apply_timeout_mutation(ir, MutationConfig(True, 0.1))))
+    assert not mutated.is_deterministic()
+    assert timeout_free(mutated) == nominal
+
+
 def test_corrupted_branch_detected(two_state_annotated, two_state_cpm):
     ir = build_ir(two_state_annotated, two_state_cpm)
     branches = ir.handlers["sigma1"]
@@ -220,6 +287,34 @@ def test_collapse_rejects_misshapen_lts():
     """
     with pytest.raises(StateSpaceError, match="ill-formed"):
         collapse(parse_lts_dot(text))
+
+
+# one macro cycle of a one-state machine: request n0, ready n1, output
+# pending n2; each case below breaks it in one place
+MACRO_CYCLE = ("n0 -> n1 [label=req]", "n1 -> n2 [label=a]", "n2 -> n0 [label=o]")
+
+
+@pytest.mark.parametrize("edges,message", [
+    ((), "node 0 should only issue requests"),
+    (("n0 -> n1 [label=x]",) + MACRO_CYCLE[1:], "node 0 should only issue requests"),
+    (MACRO_CYCLE + ("n0 -> n3 [label=req]",),
+     "the initial request must reach exactly one node, reaches 2"),
+    (MACRO_CYCLE[:2] + ("n2 -> n3 [label=o]", "n3 -> n1 [label=req]", "n3 -> n4 [label=req]"),
+     "a reset must reach exactly one node, node 3 reaches 2"),
+    (MACRO_CYCLE + ("n1 -> n0 [label=req]",), "request out of a ready node 1"),
+    (MACRO_CYCLE + ("n2 -> n0 [label=p]",),
+     "pending node 2 must deliver exactly one message, has 2"),
+    (MACRO_CYCLE[:2], "pending node 2 must deliver exactly one message, has 0"),
+    (MACRO_CYCLE[:2] + ("n2 -> n1 [label=o]",), "node 1 is both ready and req"),
+    (MACRO_CYCLE[:2] + ("n2 -> n2 [label=o]",), "node 2 is both out and req"),
+], ids=["req_silent", "req_issues_input", "two_initial_readies", "two_reset_readies",
+        "ready_requests", "two_outputs", "no_output", "output_skips_reset", "output_loops"])
+def test_collapse_names_the_misshapen_node(edges, message):
+    body = "".join(f"  n{i} [label=\"q=s; props=; temps=\"];\n" for i in range(5))
+    text = "digraph bad {\n  __start -> n0;\n" + body + "".join(f"  {e};\n" for e in edges) + "}\n"
+    with pytest.raises(StateSpaceError) as raised:
+        collapse(parse_lts_dot(text))
+    assert str(raised.value) == f"ill-formed transition system: {message}"
 
 
 # ---------------------------------------------------------------------------
