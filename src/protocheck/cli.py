@@ -312,6 +312,10 @@ def cmd_replay(args) -> int:
 def cmd_pipeline(args) -> int:
     config_text = _read(args.config)
     config = json.loads(config_text)
+    if "cpm" not in config:
+        raise ValueError('pipeline config lacks "cpm"')
+    if "sul" not in config and "model" not in config:
+        raise ValueError('pipeline config lacks "sul" or "model"')
     out_dir = Path(config.get("out_dir", "pipeline-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = config.get("seed", 0)
@@ -358,7 +362,7 @@ def cmd_pipeline(args) -> int:
     put("collapsed.dot", _collapsed_dot(collapsed))
     stages["explore"] = {"nodes": len(lts.nodes), "edges": len(lts.edges)}
 
-    roundtrip = compare_roundtrip(annotated, lts, collapsed)
+    roundtrip = compare_roundtrip(annotated, cpm, lts, collapsed)
     stages["verify-roundtrip"] = {"passed": roundtrip.passed, "message": roundtrip.message}
     if not roundtrip.passed:
         _write_manifest(out_dir, config_text, seed, stages)

@@ -75,67 +75,62 @@ class Const(Formula):
 
 @_hash_once
 @dataclass(frozen=True)
-class Not(Formula):
+class Unary(Formula):
     child: Formula
 
 
 @_hash_once
 @dataclass(frozen=True)
-class And(Formula):
+class Binary(Formula):
     left: Formula
     right: Formula
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+# The operators add no fields: equality (which compares classes), repr (which
+# names the class), the stored hash and pickling all come from their shape.
+
+class Not(Unary):
+    pass
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Always(Unary):
+    pass
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Always(Formula):
-    child: Formula
+class Eventually(Unary):
+    pass
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Eventually(Formula):
-    child: Formula
+class Next(Unary):
+    pass
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Next(Formula):
-    child: Formula
+class And(Binary):
+    pass
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Or(Binary):
+    pass
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Release(Formula):
+class Implies(Binary):
+    pass
+
+
+class Until(Binary):
+    pass
+
+
+class Release(Binary):
     """Dual of Until; internal only, so negation normal form is closed."""
-
-    left: Formula
-    right: Formula
 
 
 TRUE = Const(True)
 FALSE = Const(False)
+
+# how each operator is printed; the parser reads every one but R
+_SYMBOL = {Not: "!", Always: "G ", Eventually: "F ", Next: "X ", And: " && ",
+           Or: " || ", Implies: " -> ", Until: " U ", Release: " R "}
 
 
 def format_formula(f: Formula) -> str:
@@ -143,31 +138,17 @@ def format_formula(f: Formula) -> str:
         return f.name
     if isinstance(f, Const):
         return "true" if f.value else "false"
-    if isinstance(f, Not):
-        return f"!{_atomish(f.child)}"
-    if isinstance(f, And):
-        return f"{_atomish(f.left)} && {_atomish(f.right)}"
-    if isinstance(f, Or):
-        return f"{_atomish(f.left)} || {_atomish(f.right)}"
-    if isinstance(f, Implies):
-        return f"{_atomish(f.left)} -> {_atomish(f.right)}"
-    if isinstance(f, Always):
-        return f"G {_atomish(f.child)}"
-    if isinstance(f, Eventually):
-        return f"F {_atomish(f.child)}"
-    if isinstance(f, Next):
-        return f"X {_atomish(f.child)}"
-    if isinstance(f, Until):
-        return f"{_atomish(f.left)} U {_atomish(f.right)}"
-    if isinstance(f, Release):
-        return f"{_atomish(f.left)} R {_atomish(f.right)}"
+    if isinstance(f, Unary):
+        return _SYMBOL[type(f)] + _atomish(f.child)
+    if isinstance(f, Binary):
+        return _atomish(f.left) + _SYMBOL[type(f)] + _atomish(f.right)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _atomish(f: Formula) -> str:
-    if isinstance(f, (Prop, Const, Not, Always, Eventually, Next)):
-        return format_formula(f)
-    return f"({format_formula(f)})"
+    if isinstance(f, Binary):
+        return f"({format_formula(f)})"
+    return format_formula(f)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +162,12 @@ _TOKEN_RE = re.compile(
     r"(?:(?P<and>&&)|(?P<or>\|\|)|(?P<implies>->)|(?P<not>!)"
     r"|(?P<lpar>\()|(?P<rpar>\))|(?P<ident>[A-Za-z][A-Za-z0-9_]*))"
 )
+
+# token kind -> (precedence, groups to the right, operator)
+_BINARY = {"implies": (1, True, Implies), "or": (2, False, Or),
+           "and": (3, False, And), "U": (4, True, Until)}
+_PREFIX = {"not": Not, "G": Always, "F": Eventually, "X": Next}
+_CONSTANT = {"true": TRUE, "false": FALSE}
 
 
 def _tokenize(text: str):
@@ -203,93 +190,49 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def take(self, kind=None):
-        token = self.tokens[self.index]
-        if kind is not None and token[0] != kind:
-            raise LtlError(f"syntax error at position {token[2]}: expected {kind}, got {token[1]!r}")
-        self.index += 1
-        return token
-
-    def parse(self) -> Formula:
-        f = self.implication()
-        token = self.peek()
-        if token[0] != "eof":
-            raise LtlError(f"syntax error at position {token[2]}: unexpected {token[1]!r}")
-        return f
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "implies":
-            self.take()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek()[0] == "or":
-            self.take()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.until()
-        while self.peek()[0] == "and":
-            self.take()
-            f = And(f, self.until())
-        return f
-
-    def until(self) -> Formula:
-        left = self.unary()
-        if self.peek()[0] == "U":
-            self.take()
-            return Until(left, self.until())
-        return left
-
-    def unary(self) -> Formula:
-        kind = self.peek()[0]
-        if kind == "not":
-            self.take()
-            return Not(self.unary())
-        if kind == "G":
-            self.take()
-            return Always(self.unary())
-        if kind == "F":
-            self.take()
-            return Eventually(self.unary())
-        if kind == "X":
-            self.take()
-            return Next(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "lpar":
-            self.take()
-            f = self.implication()
-            self.take("rpar")
-            return f
-        if kind == "true":
-            self.take()
-            return TRUE
-        if kind == "false":
-            self.take()
-            return FALSE
-        if kind == "ident":
-            self.take()
-            return Prop(value)
-        raise LtlError(f"syntax error at position {pos}: unexpected {value!r}")
-
-
 def parse_ltl(text: str) -> Formula:
-    return _Parser(text).parse()
+    """Operator-precedence parse over explicit stacks, so no nesting depth
+    meets the interpreter's recursion limit."""
+    operands: list[Formula] = []
+    pending: list = []              # operators not applied yet; None is "("
+
+    def apply(floor: int):
+        """Apply the pending operators above the innermost "(" that bind at
+        least as tightly as ``floor``."""
+        while pending and pending[-1] is not None and pending[-1][0] >= floor:
+            op = pending.pop()[1]
+            if issubclass(op, Unary):
+                operands.append(op(operands.pop()))
+            else:
+                right = operands.pop()
+                operands.append(op(operands.pop(), right))
+
+    operand_next = True
+    for kind, value, pos in _tokenize(text):
+        if operand_next:
+            if kind in _PREFIX:
+                pending.append((5, _PREFIX[kind]))      # tighter than any binary
+            elif kind == "lpar":
+                pending.append(None)
+            elif kind == "ident" or kind in _CONSTANT:
+                operands.append(_CONSTANT[kind] if kind in _CONSTANT else Prop(value))
+                operand_next = False
+            else:
+                raise LtlError(f"syntax error at position {pos}: unexpected {value!r}")
+        elif kind in _BINARY:
+            precedence, right, op = _BINARY[kind]
+            apply(precedence + 1 if right else precedence)
+            pending.append((precedence, op))
+            operand_next = True
+        else:
+            apply(0)
+            if kind == "rpar" and pending:
+                pending.pop()
+            elif kind == "eof" and not pending:
+                return operands.pop()
+            else:
+                expected = "expected rpar, got" if pending else "unexpected"
+                raise LtlError(f"syntax error at position {pos}: {expected} {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +247,9 @@ def substitute(f: Formula, assignment: dict[str, bool]) -> Formula:
         return f
     if isinstance(f, Const):
         return f
-    if isinstance(f, Not):
-        return Not(substitute(f.child, assignment))
-    if isinstance(f, (Always, Eventually, Next)):
+    if isinstance(f, Unary):
         return type(f)(substitute(f.child, assignment))
-    if isinstance(f, (And, Or, Implies, Until, Release)):
+    if isinstance(f, Binary):
         return type(f)(substitute(f.left, assignment), substitute(f.right, assignment))
     raise TypeError(f"not a formula: {f!r}")
 
@@ -322,37 +263,28 @@ def instantiate(f: Formula, declared: frozenset[str]) -> tuple[Formula, tuple[st
     return substitute(f, dict.fromkeys(undeclared, False)), undeclared
 
 
+def _nodes(f: Formula) -> list[tuple[Formula, int]]:
+    """Every node of ``f`` with its depth below the root, without recursion."""
+    nodes = [(f, 0)]
+    for g, depth in nodes:
+        if isinstance(g, Unary):
+            nodes.append((g.child, depth + 1))
+        elif isinstance(g, Binary):
+            nodes += ((g.left, depth + 1), (g.right, depth + 1))
+    return nodes
+
+
 def propositions(f: Formula) -> frozenset[str]:
-    if isinstance(f, Prop):
-        return frozenset([f.name])
-    if isinstance(f, Const):
-        return frozenset()
-    if isinstance(f, (Not, Always, Eventually, Next)):
-        return propositions(f.child)
-    return propositions(f.left) | propositions(f.right)
+    return frozenset(g.name for g, _ in _nodes(f) if isinstance(g, Prop))
+
+
+# the operator each one turns into when a negation is pushed through it
+_DUAL = {And: Or, Or: And, Until: Release, Release: Until}
 
 
 def to_nnf(f: Formula) -> Formula:
     """Negation normal form: negations pushed onto propositions, F and ->
     eliminated (F phi = true U phi, G phi = false R phi)."""
-    if isinstance(f, (Prop, Const)):
-        return f
-    if isinstance(f, And):
-        return And(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Or):
-        return Or(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Implies):
-        return Or(to_nnf(Not(f.left)), to_nnf(f.right))
-    if isinstance(f, Next):
-        return Next(to_nnf(f.child))
-    if isinstance(f, Eventually):
-        return Until(TRUE, to_nnf(f.child))
-    if isinstance(f, Always):
-        return Release(FALSE, to_nnf(f.child))
-    if isinstance(f, Until):
-        return Until(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Release):
-        return Release(to_nnf(f.left), to_nnf(f.right))
     if isinstance(f, Not):
         g = f.child
         if isinstance(g, Prop):
@@ -361,10 +293,6 @@ def to_nnf(f: Formula) -> Formula:
             return Const(not g.value)
         if isinstance(g, Not):
             return to_nnf(g.child)
-        if isinstance(g, And):
-            return Or(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-        if isinstance(g, Or):
-            return And(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
         if isinstance(g, Implies):
             return And(to_nnf(g.left), to_nnf(Not(g.right)))
         if isinstance(g, Next):
@@ -373,10 +301,20 @@ def to_nnf(f: Formula) -> Formula:
             return Release(FALSE, to_nnf(Not(g.child)))
         if isinstance(g, Always):
             return Until(TRUE, to_nnf(Not(g.child)))
-        if isinstance(g, Until):
-            return Release(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-        if isinstance(g, Release):
-            return Until(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
+        if isinstance(g, Binary):
+            return _DUAL[type(g)](to_nnf(Not(g.left)), to_nnf(Not(g.right)))
+    elif isinstance(f, (Prop, Const)):
+        return f
+    elif isinstance(f, Implies):
+        return Or(to_nnf(Not(f.left)), to_nnf(f.right))
+    elif isinstance(f, Eventually):
+        return Until(TRUE, to_nnf(f.child))
+    elif isinstance(f, Always):
+        return Release(FALSE, to_nnf(f.child))
+    elif isinstance(f, Unary):
+        return type(f)(to_nnf(f.child))
+    elif isinstance(f, Binary):
+        return type(f)(to_nnf(f.left), to_nnf(f.right))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -1019,8 +957,14 @@ def emit_property_file(formulas: dict[str, Formula],
     return "\n".join(lines) + "\n"
 
 
+# deepest formula a property file may hold: the recursive formula passes
+# (normal form, printing, direct semantics) stay within the recursion limit
+MAX_FORMULA_DEPTH = 200
+
+
 def parse_property_file(text: str) -> dict[str, Formula]:
-    """Lines of ``name: formula``; ``#`` starts a comment."""
+    """Lines of ``name: formula``; ``#`` starts a comment.  A formula may
+    nest at most ``MAX_FORMULA_DEPTH`` operators."""
     out: dict[str, Formula] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -1036,6 +980,10 @@ def parse_property_file(text: str) -> dict[str, Formula]:
             raise LtlError(f"line {lineno}: duplicate property {name!r}")
         try:
             out[name] = parse_ltl(formula_text)
+            depth = max(d for _, d in _nodes(out[name]))
+            if depth > MAX_FORMULA_DEPTH:
+                raise LtlError(f"formula nests {depth} operators deep, "
+                               f"more than {MAX_FORMULA_DEPTH}")
         except LtlError as exc:
             raise LtlError(f"line {lineno}: {exc}") from exc
     return out
@@ -1108,13 +1056,8 @@ def _implication_shape(f: Formula):
 
 
 def _is_propositional(f: Formula) -> bool:
-    if isinstance(f, (Prop, Const)):
-        return True
-    if isinstance(f, Not):
-        return _is_propositional(f.child)
-    if isinstance(f, (And, Or, Implies)):
-        return _is_propositional(f.left) and _is_propositional(f.right)
-    return False
+    return not any(isinstance(g, (Always, Eventually, Next, Until, Release))
+                   for g, _ in _nodes(f))
 
 
 def vacuity(k: KripkeStructure, f: Formula) -> VacuityInfo | None:

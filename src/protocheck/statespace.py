@@ -260,28 +260,43 @@ class RoundtripReport:
 def verify_roundtrip(a: AnnotatedMachine, cpm: Cpm,
                      max_nodes: int = 10 ** 6) -> RoundtripReport:
     """Build the actor model, explore it, collapse the state space back and
-    compare with the original: trace equivalence plus identical labels."""
+    compare with the original: trace equivalence, identical labels and the
+    temporaries the map raises."""
     lts = explore(build_ir(a, cpm), max_nodes)
-    return compare_roundtrip(a, lts, collapse(lts))
+    return compare_roundtrip(a, cpm, lts, collapse(lts))
 
 
-def compare_roundtrip(a: AnnotatedMachine, lts: Lts,
+def compare_roundtrip(a: AnnotatedMachine, cpm: Cpm, lts: Lts,
                       collapsed: CollapsedModel) -> RoundtripReport:
     """Round-trip verdict for ``collapsed``, the collapse of ``lts``, which
-    is the state space of the actor model of ``a``, mutated or not: outcomes
-    that deliver the reserved timeout message are the mutation's and are left
-    out."""
+    is the state space of the actor model of ``a`` under ``cpm``, mutated or
+    not: outcomes that deliver the reserved timeout message are the
+    mutation's and are left out.  Every other outcome must raise the
+    temporaries the map gives its input and output."""
     nominal = replace(collapsed, transitions={
         key: tuple([o for o in outcomes if o[1] != TIMEOUT_LABEL])
         for key, outcomes in collapsed.transitions.items()})
     if not nominal.is_deterministic():
         return RoundtripReport(False, "collapsed model is nondeterministic", len(lts.nodes))
     result = annotated_equal(a, strip_tau(nominal.to_annotated()))
-    if result.equivalent:
-        return RoundtripReport(True, "PASS", len(lts.nodes))
-    what = ("behavior differs on input word" if result.left_outputs != result.right_outputs
-            else "labels differ after input word")
-    return RoundtripReport(False, f"{what} {list(result.witness)}", len(lts.nodes))
+    if not result.equivalent:
+        what = ("behavior differs on input word" if result.left_outputs != result.right_outputs
+                else "labels differ after input word")
+        return RoundtripReport(False, f"{what} {list(result.witness)}", len(lts.nodes))
+    # breadth-first, so the first mismatch is found on a shortest word
+    seen = {nominal.initial}
+    frontier = [(nominal.initial, ())]
+    for q, prefix in frontier:
+        for sym in a.machine.inputs:
+            ((target, out, temps),) = nominal.transitions[(q, sym)]
+            word = prefix + (sym,)
+            if temps != cpm.raised_temps(sym, out):
+                return RoundtripReport(False, f"temporaries differ on input word {list(word)}",
+                                       len(lts.nodes))
+            if target not in seen:
+                seen.add(target)
+                frontier.append((target, word))
+    return RoundtripReport(True, "PASS", len(lts.nodes))
 
 
 def emit_collapsed_dot(cm: CollapsedModel, name: str = "collapsed") -> str:

@@ -1,11 +1,16 @@
 """Command-line stages: file handoffs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from protocheck import cli
+import protocheck
+from protocheck import annotate, build_uds_machine, cli, emit_annotated_dot, expand_tau, parse_cpm
 from protocheck.cli import main
 from protocheck.fixtures import fixture_text
 
@@ -298,3 +303,50 @@ def test_pipeline_learns_mutates_and_replays(workdir):
     # mutated collapse keeps both outcomes
     assert "timeout" in (out_dir / "collapsed.dot").read_text()
     assert "model.property" in {p.name for p in out_dir.iterdir()}
+
+
+@pytest.mark.parametrize("config,key", [
+    ({"model": "model.dot"}, '"cpm"'),
+    ({"cpm": "map.cpm"}, '"sul" or "model"'),
+    ({"cpm": "map.cpm", "out_dir": "out", "seed": 1}, '"sul" or "model"'),
+])
+def test_pipeline_config_without_a_required_key_exits_64(workdir, capsys, config, key):
+    path = workdir / "pipeline.json"
+    path.write_text(json.dumps(config))
+    assert run("pipeline", "--config", str(path)) == 64
+    assert capsys.readouterr().err == f"protocheck: error: pipeline config lacks {key}\n"
+    assert not (workdir / "out").exists()
+
+
+def deep_check(workdir, conjuncts: int, in_process: bool):
+    """``check`` on the uds model of one property G(!INVKEYOK && ...) that
+    nests ``conjuncts`` + 1 operators: (exit code, stdout, stderr)."""
+    cpm = parse_cpm(fixture_text("uds.cpm"))
+    expanded = expand_tau(annotate(build_uds_machine()[0], cpm), cpm)
+    (workdir / "expanded.dot").write_text(emit_annotated_dot(expanded))
+    (workdir / "deep.txt").write_text(
+        "# one deep property\ndeep: G(" + " && ".join(["!INVKEYOK"] * conjuncts) + ")\n")
+    argv = ["check", "--expanded", str(workdir / "expanded.dot"),
+            "--cpm", str(workdir / "uds.cpm"), "--properties", str(workdir / "deep.txt")]
+    if in_process:
+        return run(*argv), None, None
+    src = str(Path(protocheck.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "protocheck.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_1000_conjunct_property_exits_64_with_one_line(workdir):
+    code, out, err = deep_check(workdir, 1000, in_process=False)
+    assert (code, out) == (64, "")
+    assert err == ("protocheck: error: line 2: formula nests 1001 operators deep, "
+                   "more than 200\n")
+
+
+@pytest.mark.parametrize("in_process", [True, False])
+def test_a_200_deep_property_gets_a_verdict(workdir, capsys, in_process):
+    code, out, err = deep_check(workdir, 199, in_process)
+    if in_process:
+        out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "deep: VIOLATED\n", "")

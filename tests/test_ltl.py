@@ -1,7 +1,11 @@
 """Temporal logic: parser, normal form, automata, checking, oracle, library."""
 
+import hashlib
+import importlib.util
 import random
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,7 @@ from protocheck import (annotate, expand_tau, build_uds_machine,
                         build_emrtd_machine)
 from protocheck.ltl import (And, Always, BOUNDED_HOLDS, Eventually,
                             FALSE, HOLDS, Implies, KripkeStructure,
-                            LtlError, Not, Or, Prop, Release, TRUE,
+                            LtlError, Next, Not, Or, Prop, Release, TRUE,
                             Until, VIOLATED, bounded_oracle, check,
                             evaluate_on_lasso, format_formula,
                             kripke_from_annotated, lasso_valuations,
@@ -18,6 +22,17 @@ from protocheck.ltl import (And, Always, BOUNDED_HOLDS, Eventually,
                             PROPERTY_TEMPLATES)
 from helpers import random_kripke, random_formula
 from protocheck.fixtures import fixture_text
+
+GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
+FORMULA_DIGEST = "8262514610d7de96240f27d0f3e1458981976486f23764e1f3a45d9ddb1bb076"
+
+
+def _benchmark_generators():
+    spec = importlib.util.spec_from_file_location("_bench_generators", GENERATORS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +83,132 @@ def test_format_round_trip():
     for text in PROPERTY_TEMPLATES.values():
         f = parse_ltl(text)
         assert parse_ltl(format_formula(f)) == f
+
+
+A, B, C, D, E = (Prop(name) for name in "abcde")
+
+# every pair of binary operators (precedence, tightest first: U && || ->;
+# U and -> group to the right), prefix chains and parentheses
+PARSED = {
+    "a -> b -> c": Implies(A, Implies(B, C)),
+    "a -> b || c": Implies(A, Or(B, C)),
+    "a -> b && c": Implies(A, And(B, C)),
+    "a -> b U c": Implies(A, Until(B, C)),
+    "a || b -> c": Implies(Or(A, B), C),
+    "a || b || c": Or(Or(A, B), C),
+    "a || b && c": Or(A, And(B, C)),
+    "a || b U c": Or(A, Until(B, C)),
+    "a && b -> c": Implies(And(A, B), C),
+    "a && b || c": Or(And(A, B), C),
+    "a && b && c": And(And(A, B), C),
+    "a && b U c": And(A, Until(B, C)),
+    "a U b -> c": Implies(Until(A, B), C),
+    "a U b || c": Or(Until(A, B), C),
+    "a U b && c": And(Until(A, B), C),
+    "a U b U c": Until(A, Until(B, C)),
+    "a U b && c || d -> e": Implies(Or(And(Until(A, B), C), D), E),
+    "a -> b || c && d U e": Implies(A, Or(B, And(C, Until(D, E)))),
+    "a && b -> c && d -> e": Implies(And(A, B), Implies(And(C, D), E)),
+    "!G F X a": Not(Always(Eventually(Next(A)))),
+    "!!a": Not(Not(A)),
+    "G !a U b": Until(Always(Not(A)), B),
+    "X a && F b": And(Next(A), Eventually(B)),
+    "! false || G true": Or(Not(FALSE), Always(TRUE)),
+    "F(a U b)": Eventually(Until(A, B)),
+    "(a -> b) -> c": Implies(Implies(A, B), C),
+    "(a U b) U c": Until(Until(A, B), C),
+    "a && (b || c)": And(A, Or(B, C)),
+    "((a))": A,
+    "G(!(a && b) || c)": Always(Or(Not(And(A, B)), C)),
+    "R": Prop("R"),
+    "Gx && Fy": And(Prop("Gx"), Prop("Fy")),
+}
+
+PARSE_ERRORS = {
+    "": "syntax error at position 0: unexpected ''",
+    "   ": "syntax error at position 3: unexpected ''",
+    "(": "syntax error at position 1: unexpected ''",
+    "(a": "syntax error at position 2: expected rpar, got ''",
+    "(a || b": "syntax error at position 7: expected rpar, got ''",
+    "a && (b || c": "syntax error at position 12: expected rpar, got ''",
+    "a)": "syntax error at position 1: unexpected ')'",
+    "(a))": "syntax error at position 3: unexpected ')'",
+    "()": "syntax error at position 1: unexpected ')'",
+    "G (a -> )": "syntax error at position 8: unexpected ')'",
+    "a b": "syntax error at position 2: unexpected 'b'",
+    "true false": "syntax error at position 5: unexpected 'false'",
+    "a &&": "syntax error at position 4: unexpected ''",
+    "&& a": "syntax error at position 0: unexpected '&&'",
+    "a ->  -> b": "syntax error at position 6: unexpected '->'",
+    "G": "syntax error at position 1: unexpected ''",
+    "!(": "syntax error at position 2: unexpected ''",
+    "a U": "syntax error at position 3: unexpected ''",
+    "U a": "syntax error at position 0: unexpected 'U'",
+    "a R b": "syntax error at position 2: unexpected 'R'",
+    "p !q": "syntax error at position 2: unexpected '!'",
+    "p 5q": "syntax error at position 2: unexpected '5q'",
+    "a & b": "syntax error at position 2: unexpected '& b'",
+    "a - > b": "syntax error at position 2: unexpected '- > b'",
+}
+
+
+@pytest.mark.parametrize("text", PARSED)
+def test_parse_table(text):
+    f = parse_ltl(text)
+    assert f == PARSED[text] and repr(f) == repr(PARSED[text])
+
+
+@pytest.mark.parametrize("text", PARSE_ERRORS)
+def test_parse_error_table(text):
+    with pytest.raises(LtlError) as caught:
+        parse_ltl(text)
+    assert str(caught.value) == PARSE_ERRORS[text]
+
+
+def test_parse_nesting_is_not_limited_by_recursion():
+    """The parser keeps its own stacks: 5,000 levels of each kind of nesting."""
+    assert parse_ltl("(" * 5000 + "a" + ")" * 5000) == A
+    for text in ("!" * 5000 + "a", "X " * 5000 + "a", " -> ".join("a" * 5001)):
+        f = parse_ltl(text)
+        for _ in range(5000):
+            f = f.right if isinstance(f, Implies) else f.child
+        assert f == A
+
+
+def test_property_file_bounds_formula_depth():
+    def conjunction(n):
+        return "G(" + " && ".join(["!a"] * n) + ")"
+
+    parsed = parse_property_file(f"ok: {conjunction(199)}\n")
+    assert parsed["ok"] == parse_ltl(conjunction(199))
+    with pytest.raises(LtlError) as caught:
+        parse_property_file(f"ok: {conjunction(199)}\n# next\ndeep: {conjunction(200)}\n")
+    assert str(caught.value) == "line 3: formula nests 201 operators deep, more than 200"
+
+
+def _buchi_form(f) -> str:
+    auto = ltl_to_buchi(f)
+    return repr((auto.states, sorted(auto.initial),
+                 [(sorted(auto.required[n]), sorted(auto.forbidden[n]), auto.successors[n])
+                  for n in auto.states],
+                 [sorted(acc) for acc in auto.acceptance]))
+
+
+def test_formula_layer_digest():
+    """Printing, repr, negation normal form and the automaton of the library
+    templates, 200 random formulas and one benchmark-style property file,
+    pinned by one sha256."""
+    rng = random.Random(9)
+    formulas = [parse_ltl(text) for text in PROPERTY_TEMPLATES.values()]
+    formulas += [random_formula(rng) for _ in range(200)]
+    formulas += parse_property_file(
+        _benchmark_generators().property_file(random.Random(11), 170, 4, 12).text).values()
+    digest = hashlib.sha256()
+    for f in formulas:
+        negated = to_nnf(Not(f))
+        for part in (format_formula(f), repr(f), repr(negated), _buchi_form(negated)):
+            digest.update(part.encode() + b"\n")
+    assert digest.hexdigest() == FORMULA_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def corrupted_roundtrip(a, cpm, index, **change):
     branches = list(ir.handlers["sigma1"])
     branches[index] = dataclasses.replace(branches[index], **change)
     lts = explore(dataclasses.replace(ir, handlers={"sigma1": tuple(branches)}))
-    return compare_roundtrip(a, lts, collapse(lts))
+    return compare_roundtrip(a, cpm, lts, collapse(lts))
 
 
 def test_roundtrip_names_a_wrong_output(two_state_annotated, two_state_cpm):
@@ -192,6 +192,19 @@ def test_roundtrip_names_a_wrong_proposition_update(two_state_annotated, two_sta
     assert report.message == "labels differ after input word ['sigma1']"
 
 
+def test_roundtrip_names_swapped_temporaries(two_state_annotated, two_state_cpm):
+    """The handlers of omega1 and omega2 raise each other's temporaries:
+    outputs and state labels still agree with the machine."""
+    ir = build_ir(two_state_annotated, two_state_cpm)
+    ((case1, temps1),) = ir.output_cases["omega1"]
+    ((case2, temps2),) = ir.output_cases["omega2"]
+    lts = explore(dataclasses.replace(ir, output_cases={"omega1": ((case1, temps2),),
+                                                        "omega2": ((case2, temps1),)}))
+    report = compare_roundtrip(two_state_annotated, two_state_cpm, lts, collapse(lts))
+    assert not report.passed
+    assert report.message == "temporaries differ on input word ['sigma1']"
+
+
 def test_roundtrip_rejects_a_nondeterministic_state_space(two_state_annotated,
                                                           two_state_cpm):
     lts = explore(build_ir(two_state_annotated, two_state_cpm))
@@ -201,7 +214,7 @@ def test_roundtrip_rejects_a_nondeterministic_state_space(two_state_annotated,
     pending = next(d for s, label, d in lts.edges
                    if label == "sigma1" and by_idx[s].q == "q2")
     forked = dataclasses.replace(lts, edges=lts.edges + ((ready, "sigma1", pending),))
-    report = compare_roundtrip(two_state_annotated, forked, collapse(forked))
+    report = compare_roundtrip(two_state_annotated, two_state_cpm, forked, collapse(forked))
     assert not report.passed
     assert report.message == "collapsed model is nondeterministic"
 
