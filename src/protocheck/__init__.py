@@ -9,10 +9,10 @@ space, and concretize any violation into a replayable test.
 
 from .automata import (MealyMachine, MachineError, EquivalenceResult,
                        bisimilar, reachable, complete, parse_dot, emit_dot,
-                       isomorphic, EPSILON, TAU)
+                       EPSILON, TAU)
 from .cpm import (Condition, Cpm, CpmError, AnnotatedMachine, parse_cpm,
-                  matches, annotate, expand_tau, strip_tau,
-                  annotated_equal, emit_annotated_dot, parse_annotated_dot)
+                  matches, annotate, expand_tau, emit_annotated_dot,
+                  parse_annotated_dot)
 from .actorgen import (ActorModelIR, MutationConfig, ActorGenError,
                        build_ir, emit_rebeca, apply_timeout_mutation,
                        TIMEOUT_PROP)

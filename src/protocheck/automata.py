@@ -144,8 +144,7 @@ class EquivalenceResult:
         return self.equivalent
 
 
-def bisimilar(a: MealyMachine, b: MealyMachine,
-              restrict_to_shared: bool = False) -> EquivalenceResult:
+def bisimilar(a: MealyMachine, b: MealyMachine) -> EquivalenceResult:
     """Check output-trace equivalence of two deterministic machines.
 
     For deterministic input-complete Mealy machines bisimilarity coincides
@@ -153,23 +152,16 @@ def bisimilar(a: MealyMachine, b: MealyMachine,
     returns a shortest distinguishing input word when the machines differ.
     """
     if set(a.inputs) != set(b.inputs):
-        if not restrict_to_shared:
-            only_a = sorted(set(a.inputs) - set(b.inputs))
-            only_b = sorted(set(b.inputs) - set(a.inputs))
-            raise MachineError(
-                "input alphabets differ "
-                f"(left-only: {only_a}, right-only: {only_b}); "
-                "pass restrict_to_shared=True to compare on the intersection"
-            )
-        alphabet = tuple(s for s in a.inputs if s in set(b.inputs))
-    else:
-        alphabet = a.inputs
+        only_a = sorted(set(a.inputs) - set(b.inputs))
+        only_b = sorted(set(b.inputs) - set(a.inputs))
+        raise MachineError(
+            f"input alphabets differ (left-only: {only_a}, right-only: {only_b})")
     start = (a.initial, b.initial)
     seen = {start}
     frontier = deque([(start, ())])
     while frontier:
         (qa, qb), prefix = frontier.popleft()
-        for sym in alphabet:
+        for sym in a.inputs:
             na, oa = a.transitions[(qa, sym)]
             nb, ob = b.transitions[(qb, sym)]
             word = prefix + (sym,)
@@ -384,34 +376,3 @@ def emit_dot(m: MealyMachine, name: str = "mealy") -> str:
     """Canonical DOT text for ``m``; ``parse_dot`` round-trips it exactly."""
     body = [f"  {_quote(q)};" for q in m.states]
     return dot_document(name, _quote(m.initial), body + transition_edges(m))
-
-
-def isomorphic(a: MealyMachine, b: MealyMachine) -> bool:
-    """Graph isomorphism respecting labels and the initial state.
-
-    Deterministic machines admit a canonical reachability-order matching, so
-    one synchronized traversal decides isomorphism of their reachable parts.
-    """
-    if set(a.inputs) != set(b.inputs):
-        return False
-    mapping = {a.initial: b.initial}
-    frontier = deque([a.initial])
-    while frontier:
-        qa = frontier.popleft()
-        qb = mapping[qa]
-        for sym in a.inputs:
-            ea, eb = a.transitions.get((qa, sym)), b.transitions.get((qb, sym))
-            if (ea is None) != (eb is None):
-                return False
-            if ea is None:
-                continue
-            (na, oa), (nb, ob) = ea, eb
-            if oa != ob:
-                return False
-            if na in mapping:
-                if mapping[na] != nb:
-                    return False
-            else:
-                mapping[na] = nb
-                frontier.append(na)
-    return len(set(mapping.values())) == len(mapping)

@@ -124,7 +124,9 @@ def _property_file(cpm) -> str:
 
 
 def _collapsed_dot(model) -> str:
-    if model.is_deterministic():
+    """The annotated form of a total, deterministic collapse; the outcome
+    list of any other."""
+    if model.is_deterministic() and model.missing() is None:
         return emit_annotated_dot(model.to_annotated())
     return emit_collapsed_dot(model)
 
@@ -272,6 +274,9 @@ def cmd_collapse(args) -> int:
     _write(args.out, _collapsed_dot(model))
     if not model.is_deterministic():
         print("note: nondeterministic outcomes kept as parallel edges", file=sys.stderr)
+    elif (gap := model.missing()) is not None:
+        print(f"note: partial model, no outcome for {gap!r}; "
+              "written as an outcome list", file=sys.stderr)
     return EXIT_OK
 
 
@@ -312,6 +317,11 @@ def cmd_replay(args) -> int:
 def cmd_pipeline(args) -> int:
     config_text = _read(args.config)
     config = json.loads(config_text)
+    if not isinstance(config, dict):
+        raise ValueError("pipeline config must be a JSON object")
+    for key in ("learner", "mutation"):
+        if not isinstance(config.get(key, {}), dict):
+            raise ValueError(f'pipeline config "{key}" must be an object')
     if "cpm" not in config:
         raise ValueError('pipeline config lacks "cpm"')
     if "sul" not in config and "model" not in config:

@@ -11,14 +11,12 @@ sets, i.e. a Kripke-structure view layered over the transducer.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
 from .automata import (EPSILON, TAU, MachineError, MealyMachine, _escape,
-                       _quote, _split_label, EquivalenceResult, dot_document,
-                       read_dot, transition_edges)
+                       _quote, _split_label, dot_document, read_dot, transition_edges)
 
 _PROP_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -329,58 +327,6 @@ def expand_tau(a: AnnotatedMachine, cpm: Cpm) -> AnnotatedMachine:
     )
     return split_machine(m.states, m.inputs, m.outputs, m.initial, a.labels,
                          outcomes, a.diagnostics)
-
-
-def strip_tau(a: AnnotatedMachine) -> AnnotatedMachine:
-    """Merge every ``input/tau`` + ``epsilon/output`` split back into one
-    transition, undoing :func:`expand_tau` structurally."""
-    if not a.tau_states:
-        return a
-    m = a.machine
-    transitions: dict[tuple[str, str], tuple[str, str]] = {}
-    for (q, sym), (dst, out) in m.transitions.items():
-        if q in a.tau_states:
-            continue
-        if dst in a.tau_states:
-            bridge = m.transitions.get((dst, EPSILON))
-            if bridge is None:
-                raise MachineError(f"internal state {dst!r} lacks its epsilon transition")
-            transitions[(q, sym)] = bridge
-        else:
-            transitions[(q, sym)] = (dst, out)
-    states = tuple(q for q in m.states if q not in a.tau_states)
-    used_outputs = {out for (_, out) in transitions.values()}
-    outputs = tuple(o for o in m.outputs if o in used_outputs)
-    machine = MealyMachine(states, m.inputs, outputs, m.initial, transitions)
-    labels = {q: a.label(q) for q in states}
-    return AnnotatedMachine(machine, labels, diagnostics=a.diagnostics)
-
-
-def annotated_equal(a: AnnotatedMachine, b: AnnotatedMachine) -> EquivalenceResult:
-    """Trace equivalence that also requires identical labels along the way.
-
-    Returns INEQUIVALENT with the shortest input word leading to a pair of
-    states that differ in outputs or in their proposition sets.
-    """
-    alphabet = a.machine.inputs
-    if set(alphabet) != set(b.machine.inputs):
-        raise MachineError("input alphabets differ")
-    if a.label(a.machine.initial) != b.label(b.machine.initial):
-        return EquivalenceResult(False, ())
-    seen = {(a.machine.initial, b.machine.initial)}
-    frontier = deque([((a.machine.initial, b.machine.initial), ())])
-    while frontier:
-        (qa, qb), prefix = frontier.popleft()
-        for sym in alphabet:
-            na, oa = a.machine.transitions[(qa, sym)]
-            nb, ob = b.machine.transitions[(qb, sym)]
-            word = prefix + (sym,)
-            if oa != ob or a.label(na) != b.label(nb):
-                return EquivalenceResult(False, word, a.machine.run(word), b.machine.run(word))
-            if (na, nb) not in seen:
-                seen.add((na, nb))
-                frontier.append(((na, nb), word))
-    return EquivalenceResult(True)
 
 
 # ---------------------------------------------------------------------------

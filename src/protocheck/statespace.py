@@ -3,19 +3,19 @@
 Explores the actor semantics message by message into a labeled transition
 system, collapses that system back into an (annotated) machine by cutting at
 request boundaries, and verifies the round trip: collapse(explore(build(a)))
-must be trace-equivalent to ``a`` with identical state labels.
+must be trace-equivalent to ``a`` with identical state labels, and raise
+the temporaries the map gives each step.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 from .automata import (MachineError, _escape, _quote, _split_fields, _unescape,
                        dot_document, dot_edge, io_label, read_dot)
-from .cpm import (AnnotatedMachine, Cpm, annotated_equal, split_machine, split_tau,
-                  strip_tau)
+from .cpm import AnnotatedMachine, Cpm, split_machine, split_tau
 from .actorgen import ActorModelIR, TIMEOUT_PROP, build_ir
 from .ltl import KripkeStructure, kripke_view
 
@@ -134,23 +134,29 @@ class CollapsedModel:
     def is_deterministic(self) -> bool:
         return all(len(v) == 1 for v in self.transitions.values())
 
+    def missing(self) -> tuple[str, str] | None:
+        """The first (state, input) pair without an outcome, if any."""
+        return next(((q, sym) for q in self.states for sym in self.inputs
+                     if (q, sym) not in self.transitions), None)
+
     def to_annotated(self) -> AnnotatedMachine:
         """Deterministic collapse as an annotated machine, temporaries
         rendered as internal split states (source-label inheritance)."""
         if not self.is_deterministic():
             raise StateSpaceError("model is nondeterministic; no single machine view")
-        outcomes = []
-        for q in self.states:
-            for sym in self.inputs:
-                if (q, sym) not in self.transitions:
-                    raise StateSpaceError(
-                        f"collapsed model is partial: no outcome for ({q!r}, {sym!r})")
-                (target, out, temps), = self.transitions[(q, sym)]
-                outcomes.append((q, sym, target, out, temps))
+        _require_total(self)
+        outcomes = [(q, sym, *self.transitions[(q, sym)][0])
+                    for q in self.states for sym in self.inputs]
         outputs = tuple(dict.fromkeys(out for _, _, _, out, _ in outcomes))
         labels = {q: self.labels.get(q, frozenset()) for q in self.states}
         return split_machine(self.states, self.inputs, outputs, self.initial, labels,
                              outcomes)
+
+
+def _require_total(cm: CollapsedModel):
+    gap = cm.missing()
+    if gap is not None:
+        raise StateSpaceError(f"collapsed model is partial: no outcome for {gap!r}")
 
 
 def collapse(lts: Lts) -> CollapsedModel:
@@ -271,31 +277,42 @@ def compare_roundtrip(a: AnnotatedMachine, cpm: Cpm, lts: Lts,
     """Round-trip verdict for ``collapsed``, the collapse of ``lts``, which
     is the state space of the actor model of ``a`` under ``cpm``, mutated or
     not: outcomes that deliver the reserved timeout message are the
-    mutation's and are left out.  Every other outcome must raise the
-    temporaries the map gives its input and output."""
-    nominal = replace(collapsed, transitions={
-        key: tuple([o for o in outcomes if o[1] != TIMEOUT_LABEL])
-        for key, outcomes in collapsed.transitions.items()})
-    if not nominal.is_deterministic():
-        return RoundtripReport(False, "collapsed model is nondeterministic", len(lts.nodes))
-    result = annotated_equal(a, strip_tau(nominal.to_annotated()))
-    if not result.equivalent:
-        what = ("behavior differs on input word" if result.left_outputs != result.right_outputs
-                else "labels differ after input word")
-        return RoundtripReport(False, f"{what} {list(result.witness)}", len(lts.nodes))
+    mutation's and are left out.  One breadth-first walk over pairs of
+    states compares, step by step, the output, the target's labels and the
+    temporaries the map gives the step's input and output."""
+    def fail(message: str) -> RoundtripReport:
+        return RoundtripReport(False, message, len(lts.nodes))
+
+    nominal = {}
+    for key, outcomes in collapsed.transitions.items():
+        kept = [o for o in outcomes if o[1] != TIMEOUT_LABEL]
+        if len(kept) != 1:
+            return fail("collapsed model is nondeterministic")
+        nominal[key] = kept[0]
+    _require_total(collapsed)
+    m = a.machine
+    if set(m.inputs) != set(collapsed.inputs):
+        raise MachineError("input alphabets differ")
+    if a.label(m.initial) != collapsed.labels.get(collapsed.initial, frozenset()):
+        return fail("labels differ after input word []")
     # breadth-first, so the first mismatch is found on a shortest word
-    seen = {nominal.initial}
-    frontier = [(nominal.initial, ())]
-    for q, prefix in frontier:
-        for sym in a.machine.inputs:
-            ((target, out, temps),) = nominal.transitions[(q, sym)]
+    start = (m.initial, collapsed.initial)
+    seen = {start}
+    frontier = [(start, ())]
+    for (qa, qc), prefix in frontier:
+        for sym in m.inputs:
+            na, out = m.transitions[(qa, sym)]
+            nc, got, temps = nominal[(qc, sym)]
             word = prefix + (sym,)
+            if got != out:
+                return fail(f"behavior differs on input word {list(word)}")
+            if a.label(na) != collapsed.labels.get(nc, frozenset()):
+                return fail(f"labels differ after input word {list(word)}")
             if temps != cpm.raised_temps(sym, out):
-                return RoundtripReport(False, f"temporaries differ on input word {list(word)}",
-                                       len(lts.nodes))
-            if target not in seen:
-                seen.add(target)
-                frontier.append((target, word))
+                return fail(f"temporaries differ on input word {list(word)}")
+            if (na, nc) not in seen:
+                seen.add((na, nc))
+                frontier.append(((na, nc), word))
     return RoundtripReport(True, "PASS", len(lts.nodes))
 
 

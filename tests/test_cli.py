@@ -243,6 +243,38 @@ def test_collapse_mutated_lts_keeps_nondeterminism(workdir, tmp_path):
     assert "timeout" in text
 
 
+# a state space in which state a never issues input y
+PARTIAL_LTS_DOT = """digraph partial {
+  __start -> n0;
+  n0 [label="q=a; props=P; temps="];
+  n1 [label="q=a; props=P; temps="];
+  n2 [label="q=b; props=; temps="];
+  n3 [label="q=b; props=; temps="];
+  n4 [label="q=b; props=; temps="];
+  n5 [label="q=a; props=P; temps="];
+  n0 -> n1 [label="req"];
+  n1 -> n2 [label="x"];
+  n2 -> n3 [label="o"];
+  n3 -> n4 [label="req"];
+  n4 -> n5 [label="x"];
+  n4 -> n5 [label="y"];
+  n5 -> n0 [label="o"];
+}
+"""
+
+
+def test_collapse_writes_a_partial_model_as_an_outcome_list(tmp_path, capsys):
+    lts = tmp_path / "lts.dot"
+    lts.write_text(PARTIAL_LTS_DOT)
+    out = tmp_path / "collapsed.dot"
+    assert run("collapse", "--lts", str(lts), "--out", str(out)) == 0
+    assert capsys.readouterr().err == (
+        "note: partial model, no outcome for ('a', 'y'); written as an outcome list\n")
+    edges = [line.strip() for line in out.read_text().splitlines() if "->" in line]
+    assert edges == ["__start -> a;", 'a -> b [label="x / o"];',
+                     'b -> a [label="x / o"];', 'b -> a [label="y / o"];']
+
+
 def test_gen_rebeca_emits_companion_property_file(workdir, tmp_path):
     annotated = str(tmp_path / "a.dot")
     run("annotate", "--model", str(workdir / "model.dot"),
@@ -316,6 +348,24 @@ def test_pipeline_config_without_a_required_key_exits_64(workdir, capsys, config
     assert run("pipeline", "--config", str(path)) == 64
     assert capsys.readouterr().err == f"protocheck: error: pipeline config lacks {key}\n"
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("config,message", [
+    (5, "pipeline config must be a JSON object"),
+    ({"model": "model.dot", "cpm": "map.cpm", "out_dir": "out", "learner": "lstar"},
+     'pipeline config "learner" must be an object'),
+    ({"model": "model.dot", "cpm": "map.cpm", "out_dir": "out", "mutation": True},
+     'pipeline config "mutation" must be an object'),
+], ids=["number", "learner", "mutation"])
+def test_pipeline_config_of_the_wrong_shape_exits_64(workdir, capsys, monkeypatch,
+                                                     config, message):
+    monkeypatch.chdir(workdir)
+    path = workdir / "pipeline.json"
+    path.write_text(json.dumps(config))
+    assert run("pipeline", "--config", str(path)) == 64
+    assert capsys.readouterr().err == f"protocheck: error: {message}\n"
+    assert not (workdir / "out").exists()
+    assert not (workdir / "pipeline-out").exists()
 
 
 def deep_check(workdir, conjuncts: int, in_process: bool):

@@ -5,9 +5,9 @@ from collections import deque
 
 import pytest
 
-from protocheck import (EPSILON, TAU, MealyMachine, annotate, annotated_equal, build_ir,
-                        bisimilar, emit_annotated_dot, expand_tau,
-                        parse_annotated_dot, parse_cpm, strip_tau, matches)
+from protocheck import (EPSILON, TAU, MealyMachine, annotate, build_ir,
+                        emit_annotated_dot, expand_tau,
+                        parse_annotated_dot, parse_cpm, matches)
 from protocheck.cpm import Condition, Cpm, CpmError
 from helpers import random_machine, random_cpm
 
@@ -240,13 +240,26 @@ def test_expand_tau_structural_invariants(emrtd_cpm):
             assert not expanded.temps(q)
 
 
-def test_expand_then_strip_preserves_behavior(emrtd_cpm):
+def test_expand_splits_each_transition_through_one_internal_state(emrtd_cpm):
+    """``(q, sym) -> (tauN, tau)`` then ``(tauN, eps) -> (dst, out)`` gives
+    back every original transition, and every original state keeps its
+    labels."""
     from protocheck import build_emrtd_machine
     machine, _ = build_emrtd_machine()
     a = annotate(machine, emrtd_cpm)
-    restored = strip_tau(expand_tau(a, emrtd_cpm))
-    assert bisimilar(machine, restored.machine).equivalent
-    assert annotated_equal(a, restored).equivalent
+    expanded = expand_tau(a, emrtd_cpm)
+    m = expanded.machine
+    assert expanded.tau_states
+    for (q, sym), (dst, out) in machine.transitions.items():
+        first = m.transitions[(q, sym)]
+        if first[0] in expanded.tau_states:
+            assert first[1] == TAU
+            assert m.transitions[(first[0], EPSILON)] == (dst, out)
+        else:
+            assert first == (dst, out)
+    assert {key for key in m.transitions if key[0] not in expanded.tau_states} == \
+        set(machine.transitions)
+    assert all(expanded.label(q) == a.label(q) for q in machine.states)
 
 
 def test_expand_tau_twice_rejected(two_state_annotated, two_state_cpm):

@@ -6,10 +6,9 @@ import random
 import pytest
 
 from protocheck import (MealyMachine, MutationConfig, TIMEOUT_PROP, annotate,
-                        annotated_equal, apply_timeout_mutation, bisimilar,
-                        build_emrtd_machine, build_ir, build_uds_machine,
-                        collapse, emit_lts_dot, explore, parse_lts_dot,
-                        strip_tau, verify_roundtrip)
+                        apply_timeout_mutation, build_emrtd_machine, build_ir,
+                        build_uds_machine, collapse, emit_lts_dot, explore,
+                        parse_lts_dot, verify_roundtrip)
 from protocheck.cpm import Cpm
 from protocheck.statespace import (StateSpaceError, compare_roundtrip,
                                    kripke_from_collapsed)
@@ -102,9 +101,8 @@ def test_collapse_two_state_identity(two_state_annotated, two_state_cpm):
     lts = explore(build_ir(two_state_annotated, two_state_cpm))
     model = collapse(lts)
     assert model.is_deterministic()
-    recovered = strip_tau(model.to_annotated())
-    assert bisimilar(two_state_annotated.machine, recovered.machine).equivalent
-    assert annotated_equal(two_state_annotated, recovered).equivalent
+    report = compare_roundtrip(two_state_annotated, two_state_cpm, lts, model)
+    assert report.passed and report.message == "PASS"
 
 
 def test_collapse_single_state_identity():
@@ -255,12 +253,11 @@ def test_corrupted_branch_detected(two_state_annotated, two_state_cpm):
     # flip one branch's target state
     bad = dataclasses.replace(branches[0], target="q1")
     corrupted = dataclasses.replace(ir, handlers={"sigma1": (bad, branches[1])})
-    recovered = strip_tau(collapse(explore(corrupted)).to_annotated())
-    verdict = bisimilar(two_state_annotated.machine, recovered.machine)
-    assert not verdict.equivalent
-    assert verdict.witness    # distinguishing word shipped with the failure
-    assert two_state_annotated.machine.run(verdict.witness) != \
-        recovered.machine.run(verdict.witness)
+    lts = explore(corrupted)
+    report = compare_roundtrip(two_state_annotated, two_state_cpm, lts, collapse(lts))
+    assert not report.passed
+    # the distinguishing word ships with the failure
+    assert report.message == "behavior differs on input word ['sigma1', 'sigma1']"
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +278,8 @@ def test_lts_dot_round_trip_case_study(emrtd_cpm):
     a = annotate(machine, emrtd_cpm)
     lts = explore(build_ir(a, emrtd_cpm))
     back = parse_lts_dot(emit_lts_dot(lts))
-    recovered = strip_tau(collapse(back).to_annotated())
-    assert bisimilar(machine, recovered.machine).equivalent
+    report = compare_roundtrip(a, emrtd_cpm, back, collapse(back))
+    assert report.passed, report.message
 
 
 def test_collapse_rejects_misshapen_lts():
