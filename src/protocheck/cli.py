@@ -326,13 +326,11 @@ def cmd_pipeline(args) -> int:
         raise ValueError('pipeline config lacks "cpm"')
     if "sul" not in config and "model" not in config:
         raise ValueError('pipeline config lacks "sul" or "model"')
+    _check_config_values(config)
     out_dir = Path(config.get("out_dir", "pipeline-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = config.get("seed", 0)
     learner_cfg = config.get("learner", {})
-    algorithm = learner_cfg.get("algorithm", "lstar")
-    if algorithm != "lstar":
-        raise ValueError(f"unknown learning algorithm {algorithm!r}")
     mutation_cfg = config.get("mutation", {})
     mutated = bool(mutation_cfg.get("enabled"))
     ceiling = config.get("state_ceiling", 10 ** 6)
@@ -399,6 +397,28 @@ def cmd_pipeline(args) -> int:
 
     _write_manifest(out_dir, config_text, seed, stages)
     return EXIT_OK
+
+
+def _check_config_values(config: dict):
+    """Reject an ill-typed scalar of a pipeline config before anything is
+    written."""
+    learner = config.get("learner", {})
+    counts = [(f'"{key}"', config.get(key, 1)) for key in ("state_ceiling", "unroll")]
+    counts += [(f'"learner.{key}"', learner.get(key, 1))
+               for key in ("min_len", "max_len", "num_tests")]
+    for name, value in counts:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"pipeline config {name} must be a positive integer")
+    seed = config.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError('pipeline config "seed" must be an integer')
+    if not isinstance(config.get("out_dir", ""), str):
+        raise ValueError('pipeline config "out_dir" must be a string')
+    if learner.get("oracle", "exact") not in ("exact", "random-walk"):
+        raise ValueError('pipeline config "learner.oracle" must be "exact" or "random-walk"')
+    algorithm = learner.get("algorithm", "lstar")
+    if algorithm != "lstar":
+        raise ValueError(f"unknown learning algorithm {algorithm!r}")
 
 
 def _write_manifest(out_dir: Path, config_text: str, seed, stages):

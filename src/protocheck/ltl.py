@@ -1,13 +1,15 @@
 """Linear temporal logic: parsing, automaton translation, model checking.
 
 The checker follows the automata-theoretic recipe: negate the formula,
-translate to a generalized Buchi automaton via the expand-node tableau, and
+translate it to a transition-based generalized Buchi automaton whose states
+are sets of owed formulas and whose edges carry the acceptance marks, and
 search the product with the Kripke structure for a strongly connected
-component that meets every acceptance set (Couvreur's algorithm).  Witnesses
+component whose edges carry every mark (Couvreur's algorithm).  Witnesses
 are built from breadth-first shortest paths: a stem into that component and
-a loop inside it.  A separate bounded oracle decides formulas by direct
-semantics on exhaustively enumerated lasso words; it shares no code with the
-Buchi path and serves as an independent cross-check.
+the shortest cycle through its entry that carries every mark.  A separate
+bounded oracle decides formulas by direct semantics on exhaustively
+enumerated lasso words; it shares no code with the Buchi path and serves as
+an independent cross-check.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 from .cpm import AnnotatedMachine, Cpm
 
@@ -134,21 +137,22 @@ _SYMBOL = {Not: "!", Always: "G ", Eventually: "F ", Next: "X ", And: " && ",
 
 
 def format_formula(f: Formula) -> str:
-    if isinstance(f, Prop):
-        return f.name
-    if isinstance(f, Const):
-        return "true" if f.value else "false"
-    if isinstance(f, Unary):
-        return _SYMBOL[type(f)] + _atomish(f.child)
-    if isinstance(f, Binary):
-        return _atomish(f.left) + _SYMBOL[type(f)] + _atomish(f.right)
-    raise TypeError(f"not a formula: {f!r}")
+    def step(g: Formula, text) -> str:
+        if isinstance(g, Prop):
+            return g.name
+        if isinstance(g, Const):
+            return "true" if g.value else "false"
+        if isinstance(g, Unary):
+            return _SYMBOL[type(g)] + _atomish(g.child, text)
+        return _atomish(g.left, text) + _SYMBOL[type(g)] + _atomish(g.right, text)
+
+    return _fold(f, step)
 
 
-def _atomish(f: Formula) -> str:
-    if isinstance(f, Binary):
-        return f"({format_formula(f)})"
-    return format_formula(f)
+def _atomish(g: Formula, text) -> str:
+    if isinstance(g, Binary):
+        return f"({text(g)})"
+    return text(g)
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +245,18 @@ def parse_ltl(text: str) -> Formula:
 
 def substitute(f: Formula, assignment: dict[str, bool]) -> Formula:
     """Replace named propositions by boolean constants."""
-    if isinstance(f, Prop):
-        if f.name in assignment:
-            return TRUE if assignment[f.name] else FALSE
-        return f
-    if isinstance(f, Const):
-        return f
-    if isinstance(f, Unary):
-        return type(f)(substitute(f.child, assignment))
-    if isinstance(f, Binary):
-        return type(f)(substitute(f.left, assignment), substitute(f.right, assignment))
-    raise TypeError(f"not a formula: {f!r}")
+    def step(g: Formula, value) -> Formula:
+        if isinstance(g, Prop):
+            if g.name in assignment:
+                return TRUE if assignment[g.name] else FALSE
+            return g
+        if isinstance(g, Const):
+            return g
+        if isinstance(g, Unary):
+            return type(g)(value(g.child))
+        return type(g)(value(g.left), value(g.right))
+
+    return _fold(f, step)
 
 
 def instantiate(f: Formula, declared: frozenset[str]) -> tuple[Formula, tuple[str, ...]]:
@@ -274,6 +279,20 @@ def _nodes(f: Formula) -> list[tuple[Formula, int]]:
     return nodes
 
 
+def _fold(f: Formula, step):
+    """One pass over the nodes of ``f`` without recursion, children before
+    parents: ``step(g, value)`` gives the value of node g, and ``value(h)``
+    returns the one already given for its child h.  Every node is a
+    proposition, a constant, or of one of the two operator shapes."""
+    done: dict[int, object] = {}
+    value = lambda h: done[id(h)]  # noqa: E731
+    for g, _ in reversed(_nodes(f)):
+        if not isinstance(g, (Prop, Const, Unary, Binary)):
+            raise TypeError(f"not a formula: {g!r}")
+        done[id(g)] = step(g, value)
+    return done[id(f)]
+
+
 def propositions(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g, _ in _nodes(f) if isinstance(g, Prop))
 
@@ -285,174 +304,165 @@ _DUAL = {And: Or, Or: And, Until: Release, Release: Until}
 def to_nnf(f: Formula) -> Formula:
     """Negation normal form: negations pushed onto propositions, F and ->
     eliminated (F phi = true U phi, G phi = false R phi)."""
-    if isinstance(f, Not):
-        g = f.child
+    def step(g: Formula, value) -> tuple[Formula, Formula]:
+        """The normal forms of g and of !g."""
         if isinstance(g, Prop):
-            return f
+            return g, Not(g)
         if isinstance(g, Const):
-            return Const(not g.value)
-        if isinstance(g, Not):
-            return to_nnf(g.child)
+            return g, Const(not g.value)
+        if isinstance(g, Unary):
+            pos, neg = value(g.child)
+            if isinstance(g, Not):
+                return neg, pos
+            if isinstance(g, Eventually):
+                return Until(TRUE, pos), Release(FALSE, neg)
+            if isinstance(g, Always):
+                return Release(FALSE, pos), Until(TRUE, neg)
+            return type(g)(pos), type(g)(neg)
+        (left, not_left), (right, not_right) = value(g.left), value(g.right)
         if isinstance(g, Implies):
-            return And(to_nnf(g.left), to_nnf(Not(g.right)))
-        if isinstance(g, Next):
-            return Next(to_nnf(Not(g.child)))
-        if isinstance(g, Eventually):
-            return Release(FALSE, to_nnf(Not(g.child)))
-        if isinstance(g, Always):
-            return Until(TRUE, to_nnf(Not(g.child)))
-        if isinstance(g, Binary):
-            return _DUAL[type(g)](to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-    elif isinstance(f, (Prop, Const)):
-        return f
-    elif isinstance(f, Implies):
-        return Or(to_nnf(Not(f.left)), to_nnf(f.right))
-    elif isinstance(f, Eventually):
-        return Until(TRUE, to_nnf(f.child))
-    elif isinstance(f, Always):
-        return Release(FALSE, to_nnf(f.child))
-    elif isinstance(f, Unary):
-        return type(f)(to_nnf(f.child))
-    elif isinstance(f, Binary):
-        return type(f)(to_nnf(f.left), to_nnf(f.right))
-    raise TypeError(f"not a formula: {f!r}")
+            return Or(not_left, right), And(left, not_right)
+        return type(g)(left, right), _DUAL[type(g)](not_left, not_right)
+
+    return _fold(f, step)[0]
 
 
 # ---------------------------------------------------------------------------
-# Buchi translation: expand-node tableau, generalized acceptance
+# Buchi translation: obligation sets, acceptance marks on edges
 # ---------------------------------------------------------------------------
+
+class Cover(NamedTuple):
+    """One edge out of an automaton state: the letter holds every
+    proposition of ``required`` and none of ``forbidden``, the run goes on
+    to state ``target``, and the edge carries the acceptance ``marks``
+    (bit j for the j-th Until)."""
+
+    required: frozenset[str]
+    forbidden: frozenset[str]
+    target: int
+    marks: int
+
 
 @dataclass(frozen=True)
 class BuchiAutomaton:
-    """Generalized Buchi automaton over proposition valuations.
+    """Transition-based generalized Buchi automaton over proposition
+    valuations (Couvreur, FM 1999; Gastin and Oddoux, CAV 2001).
 
-    States read letters: a run b0 b1 ... over a valuation word v0 v1 ...
-    requires b0 initial, v_i to satisfy the literal constraints of b_i, and
-    b_{i+1} to be a listed successor of b_i.  A run is accepting when it
-    visits every set of ``acceptance`` infinitely often.
+    State i owes the formulas ``states[i]`` from now on; state 0, which owes
+    the translated formula, is initial.  A run over a valuation word
+    v0 v1 ... takes at step i a cover of its state that v_i satisfies, out
+    of ``covers[i]``.  It is accepting when, for each j below
+    ``mark_count``, infinitely many of the covers it takes carry mark j.
     """
 
-    states: tuple[int, ...]
-    initial: frozenset[int]
-    required: dict[int, frozenset[str]]
-    forbidden: dict[int, frozenset[str]]
-    successors: dict[int, tuple[int, ...]]
-    acceptance: tuple[frozenset[int], ...]
-
-    @property
-    def accepting(self) -> frozenset[int]:
-        """The first acceptance set: the only one of a single-set automaton."""
-        return self.acceptance[0]
-
-    def admits(self, state: int, valuation: frozenset[str]) -> bool:
-        return (self.required[state] <= valuation
-                and not (self.forbidden[state] & valuation))
+    states: tuple[tuple[Formula, ...], ...]
+    covers: tuple[tuple[Cover, ...], ...]
+    mark_count: int
 
 
-class _Node:
-    """Tableau node; ``new`` and ``next`` are insertion-ordered sets."""
+def ltl_to_buchi(f: Formula, ceiling: int = 10 ** 6) -> BuchiAutomaton:
+    """One state per obligation set, in order of discovery, each expanded
+    once into its covers.  A cover carries mark j when it does not take the
+    j-th Until or takes its right operand.  Every branch the expansion
+    opens counts against ``ceiling``.
 
-    __slots__ = ("incoming", "new", "old", "next")
-
-    def __init__(self, incoming: set, new: dict, old: set, next_: dict):
-        self.incoming, self.new, self.old, self.next = incoming, new, old, next_
-
-
-_INIT = "init"
-
-
-def _tableau(f: Formula) -> list[_Node]:
-    """Finished nodes of the Gerth-Peled-Vardi-Wolper tableau, in order of
-    completion; ``incoming`` holds the indices of predecessor nodes and
-    ``_INIT``.  Pending nodes form a stack and finished ones are found by
-    their (old, next) sets, so the result depends on nothing but ``f``."""
-    finished: list[_Node] = []
-    index: dict[tuple[frozenset, frozenset], int] = {}
-    stack = [_Node({_INIT}, {f: None}, set(), {})]
-    while stack:
-        node = stack.pop()
-        if not _saturate(node, stack):
-            continue
-        n = index.setdefault((frozenset(node.old), frozenset(node.next)), len(finished))
-        if n < len(finished):
-            finished[n].incoming |= node.incoming
-        else:
-            finished.append(node)
-            stack.append(_Node({n}, dict(node.next), set(), {}))
-    return finished
-
-
-def _saturate(node: _Node, stack: list[_Node]) -> bool:
-    """Move formulas from ``new`` to ``old`` first-in-first-out.  True when
-    ``new`` runs empty; False when the node is contradictory or has been
-    split in two, the children pushed on ``stack``."""
-    while node.new:
-        # false can never be satisfied; taken in its turn, after the formulas
-        # queued before it, it would first split the node for nothing
-        if FALSE in node.new:
-            return False
-        g = next(iter(node.new))
-        del node.new[g]
-        if isinstance(g, Prop) and Not(g) in node.old or isinstance(g, Not) and g.child in node.old:
-            return False
-        node.old.add(g)
-        if isinstance(g, And):
-            node.new.update((h, None) for h in (g.left, g.right) if h not in node.old)
+    Obligation sets are bitmasks over the subformulas of ``f``, numbered in
+    ``_nodes`` order after false, so a branch owing false dies before it
+    splits; the automaton depends on nothing but ``f``."""
+    closure = list(dict.fromkeys([FALSE] + [g for g, _ in _nodes(f)]))
+    bit = {g: 1 << i for i, g in enumerate(closure)}
+    mark = {u: 1 << j for j, u in enumerate(g for g in closure if isinstance(g, Until))}
+    sets_marks: dict[int, int] = {}
+    for u, m in mark.items():
+        sets_marks[bit[u.right]] = sets_marks.get(bit[u.right], 0) | m
+    # per formula: the taken formulas it conflicts with; on its first
+    # branch, the formulas owed now and next, and the right operand of a
+    # Release owed next, which both branches of the Release owe anyway; the
+    # formulas its second branch owes now (None if it does not split); the
+    # marks it sets; the mark its first branch clears unless ``right`` is taken
+    rules = []
+    literals = 0
+    for g in closure:
+        conflict = now = later = implies = clears = right = 0
+        other = None
+        if g == FALSE:
+            conflict = bit[g]
+        elif isinstance(g, Prop) or isinstance(g, Not) and isinstance(g.child, Prop):
+            conflict = bit.get(g.child if isinstance(g, Not) else Not(g), 0)
+            literals |= bit[g]
+        elif isinstance(g, And):
+            now = bit[g.left] | bit[g.right]
+        elif isinstance(g, Or):
+            now, other = bit[g.left], bit[g.right]
         elif isinstance(g, Next):
-            node.next[g.child] = None
-        elif isinstance(g, (Or, Until, Release)):
-            if isinstance(g, Or):
-                new1, next1, new2 = (g.left,), (), (g.right,)
-            elif isinstance(g, Until):
-                new1, next1, new2 = (g.left,), (g,), (g.right,)
-            else:
-                new1, next1, new2 = (g.right,), (g,), (g.left, g.right)
-            # the first child, pushed last, takes over the node's own sets
-            stack.append(_Node(set(node.incoming), _extend(node.new, new2, node.old),
-                               set(node.old), dict(node.next)))
-            stack.append(_Node(node.incoming, _extend(node.new, new1, node.old),
-                               node.old, _extend(node.next, next1, ())))
-            return False
-        elif not isinstance(g, (Const, Prop, Not)):
+            later = bit[g.child]
+            implies = bit[g.child.right] if isinstance(g.child, Release) else 0
+        elif isinstance(g, Until):
+            now, later, other = bit[g.left], bit[g], bit[g.right]
+            clears, right = mark[g], bit[g.right]
+        elif isinstance(g, Release):
+            now, later, other = bit[g.right], bit[g], bit[g.left] | bit[g.right]
+            implies = bit[g.right]
+        elif g != TRUE:
             raise TypeError(f"formula not in negation normal form: {g!r}")
-    return True
+        rules.append((conflict, now, later, implies, other, sets_marks.get(bit[g], 0),
+                      clears, right))
+    full = (1 << len(mark)) - 1
 
+    owed = [bit[f]]
+    state_of = {bit[f]: 0}
+    covers = []
+    opened = 0
 
-def _extend(ordered: dict, formulas, old) -> dict:
-    return {**ordered, **{g: None for g in formulas if g not in old}}
+    def cover(lits: int, target: int, marks: int) -> Cover:
+        chosen = [closure[i] for i in _bits(lits)]
+        return Cover(frozenset(g.name for g in chosen if isinstance(g, Prop)),
+                     frozenset(g.child.name for g in chosen if isinstance(g, Not)),
+                     target, marks)
 
-
-def ltl_to_buchi(f: Formula) -> BuchiAutomaton:
-    """One state per tableau node and one acceptance set per Until (a
-    single set of every state when there is none)."""
-    finished = _tableau(f)
-    states = tuple(range(len(finished)))
-    untils = sorted({g for node in finished for g in node.old if isinstance(g, Until)},
-                    key=str)
-    acceptance = tuple(
-        frozenset(n for n in states
-                  if u.right in finished[n].old or u not in finished[n].old)
-        for u in untils
-    ) or (frozenset(states),)
-    edges: dict[int, list[int]] = {n: [] for n in states}
-    initial = set()
-    for n, node in enumerate(finished):
-        for src in node.incoming:
-            if src == _INIT:
-                initial.add(n)
+    for obligations in owed:
+        found: dict[tuple[int, int, int], None] = {}
+        branches = [(obligations, 0, 0, 0, full)]
+        while branches:
+            todo, taken, later, implied, marks = branches.pop()
+            while todo:
+                low = todo & -todo
+                taken |= low
+                conflict, now, after, implies, other, sets, clears, right = \
+                    rules[low.bit_length() - 1]
+                if taken & conflict:
+                    break
+                marks |= sets
+                if other is not None:
+                    opened += 1
+                    if opened > ceiling:
+                        raise LtlError(f"automaton state ceiling exceeded ({ceiling})")
+                    branches.append(((todo | other) & ~taken, taken, later, implied, marks))
+                    if not taken & right:
+                        marks &= ~clears
+                todo = (todo | now) & ~taken
+                later |= after
+                implied |= implies
             else:
-                edges[src].append(n)
+                later &= ~implied
+                target = state_of.setdefault(later, len(owed))
+                if target == len(owed):
+                    owed.append(later)
+                found[taken & literals, target, marks] = None
+        covers.append(tuple(cover(*key) for key in found))
     return BuchiAutomaton(
-        states=states,
-        initial=frozenset(initial),
-        required={n: frozenset(g.name for g in node.old if isinstance(g, Prop))
-                  for n, node in enumerate(finished)},
-        forbidden={n: frozenset(g.child.name for g in node.old
-                                if isinstance(g, Not) and isinstance(g.child, Prop))
-                   for n, node in enumerate(finished)},
-        successors={n: tuple(sorted(edges[n])) for n in states},
-        acceptance=acceptance,
+        states=tuple(tuple(closure[i] for i in _bits(m)) for m in owed),
+        covers=tuple(covers),
+        mark_count=len(mark),
     )
+
+
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +592,8 @@ def evaluate_on_lasso(f: Formula, stem_vals, loop_vals) -> bool:
 
     Temporal operators are solved as fixpoints over the finite position
     graph (stem positions chained, loop positions cyclic): least fixpoints
-    for U/F, greatest for R/G.  Takes the original formula, sugar included.
+    for U/F, and R/G as their duals.  Takes the original formula, sugar
+    included.
     """
     if not loop_vals:
         raise LtlError("loop must be non-empty")
@@ -592,63 +603,48 @@ def evaluate_on_lasso(f: Formula, stem_vals, loop_vals) -> bool:
 def _truth(f: Formula, vals, k: int) -> list[bool]:
     """Truth of ``f`` at every position of the word vals[:k] . vals[k:]^omega."""
     n = len(vals)
+    after = [i + 1 if i + 1 < n else k for i in range(n)]
 
-    def nxt(i: int) -> int:
-        return i + 1 if i + 1 < n else k
-
-    cache: dict[Formula, list[bool]] = {}
-
-    def arr(g: Formula) -> list[bool]:
-        if g in cache:
-            return cache[g]
+    def step(g: Formula, value) -> list[bool]:
         if isinstance(g, Prop):
-            res = [g.name in vals[i] for i in range(n)]
-        elif isinstance(g, Const):
-            res = [g.value] * n
-        elif isinstance(g, Not):
-            res = [not v for v in arr(g.child)]
-        elif isinstance(g, And):
-            left, right = arr(g.left), arr(g.right)
-            res = [left[i] and right[i] for i in range(n)]
-        elif isinstance(g, Or):
-            left, right = arr(g.left), arr(g.right)
-            res = [left[i] or right[i] for i in range(n)]
-        elif isinstance(g, Implies):
-            left, right = arr(g.left), arr(g.right)
-            res = [(not left[i]) or right[i] for i in range(n)]
-        elif isinstance(g, Next):
-            child = arr(g.child)
-            res = [child[nxt(i)] for i in range(n)]
-        elif isinstance(g, (Eventually, Until)):
-            hold = [True] * n if isinstance(g, Eventually) else arr(g.left)
-            target = arr(g.child) if isinstance(g, Eventually) else arr(g.right)
-            res = [False] * n
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n - 1, -1, -1):
-                    v = target[i] or (hold[i] and res[nxt(i)])
-                    if v != res[i]:
-                        res[i] = v
-                        changed = True
-        elif isinstance(g, (Always, Release)):
-            hold = [False] * n if isinstance(g, Always) else arr(g.left)
-            target = arr(g.child) if isinstance(g, Always) else arr(g.right)
-            res = [True] * n
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n - 1, -1, -1):
-                    v = target[i] and (hold[i] or res[nxt(i)])
-                    if v != res[i]:
-                        res[i] = v
-                        changed = True
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        cache[g] = res
+            return [g.name in vals[i] for i in range(n)]
+        if isinstance(g, Const):
+            return [g.value] * n
+        if isinstance(g, Not):
+            return [not v for v in value(g.child)]
+        if isinstance(g, And):
+            return [a and b for a, b in zip(value(g.left), value(g.right))]
+        if isinstance(g, Or):
+            return [a or b for a, b in zip(value(g.left), value(g.right))]
+        if isinstance(g, Implies):
+            return [(not a) or b for a, b in zip(value(g.left), value(g.right))]
+        if isinstance(g, Next):
+            child = value(g.child)
+            return [child[after[i]] for i in range(n)]
+        if isinstance(g, Eventually):
+            return until([True] * n, value(g.child))
+        if isinstance(g, Until):
+            return until(value(g.left), value(g.right))
+        # by duality: G a = !F !a and a R b = !(!a U !b)
+        if isinstance(g, Always):
+            return [not v for v in until([True] * n, [not v for v in value(g.child)])]
+        return [not v for v in until([not v for v in value(g.left)],
+                                     [not v for v in value(g.right)])]
+
+    def until(hold: list[bool], target: list[bool]) -> list[bool]:
+        """The least fixpoint of res[i] = target[i] or (hold[i] and res[i + 1])."""
+        res = [False] * n
+        changed = True
+        while changed:
+            changed = False
+            for i in range(n - 1, -1, -1):
+                v = target[i] or (hold[i] and res[after[i]])
+                if v != res[i]:
+                    res[i] = v
+                    changed = True
         return res
 
-    return arr(f)
+    return _fold(f, step)
 
 
 def lasso_valuations(k: KripkeStructure, lasso: Lasso):
@@ -691,10 +687,12 @@ def check(k: KripkeStructure, f: Formula,
     negation automaton is decided by a strongly connected component
     search, the witness is built from breadth-first shortest paths, and
     every witness is replayed through direct semantics before being
-    returned.
+    returned.  ``max_product_states`` bounds the automaton's expansion as
+    well as the product.
     """
     resolved, substituted, warnings = _resolve_undeclared(f, k.atomic_props)
-    product = _Product(k, ltl_to_buchi(to_nnf(Not(resolved))), max_product_states)
+    automaton = ltl_to_buchi(to_nnf(Not(resolved)), max_product_states)
+    product = _Product(k, automaton, max_product_states)
     component = product.accepting_component()
     if component is None:
         return CheckResult(HOLDS, None, substituted, warnings)
@@ -711,9 +709,7 @@ def _validate_lasso(k: KripkeStructure, lasso: Lasso):
     """Structural witness contract: consecutive states are connected, the
     stem enters the loop, and the loop closes back on its head."""
     sequence = lasso.states() + (lasso.loop[0],)
-    if lasso.stem and lasso.stem[0] not in k.initial:
-        raise LtlError(f"internal error: witness starts outside the initial states: {lasso}")
-    if not lasso.stem and lasso.loop[0] not in k.initial:
+    if sequence[0] not in k.initial:
         raise LtlError(f"internal error: witness starts outside the initial states: {lasso}")
     for a, b in zip(sequence, sequence[1:]):
         if b not in k.successors[a]:
@@ -721,123 +717,125 @@ def _validate_lasso(k: KripkeStructure, lasso: Lasso):
 
 
 class _Product:
-    """Product of a Kripke structure and a generalized Buchi automaton.
+    """Product of a Kripke structure and a transition-based generalized
+    Buchi automaton.
 
     The product state (s, b) is the integer ``s * width + b`` over the
-    structure's index.  Each automaton edge is decided once per distinct
-    label: ``table[b][label id]`` holds the successors of b that admit the
-    label.  ``marks[b]`` has bit i set when b is in acceptance set i.
+    structure's index.  An edge out of (s, b) reads the label of s: the
+    covers of each automaton state are decided once per distinct label,
+    and ``table[b][label id]`` holds the (target, marks) pairs of the covers
+    of b that admit it.  The search starts in (s0, 0) for each initial s0.
     """
 
     def __init__(self, k: KripkeStructure, auto: BuchiAutomaton, ceiling: int):
         index = k.index
         self.names, self.ceiling = k.states, ceiling
         self.width = width = len(auto.states)
-        admits = [[auto.admits(b, v) for v in index.labels] for b in auto.states]
-        table = [[tuple(b2 for b2 in auto.successors[b] if admits[b2][label])
-                  for label in range(len(index.labels))] for b in auto.states]
+        table = [[tuple(dict.fromkeys((c.target, c.marks) for c in covers
+                                      if c.required <= v and not c.forbidden & v))
+                  for v in index.labels] for covers in auto.covers]
         k_successors, label_of = index.successors, index.label_of
 
-        def successors(p: int) -> list[int]:
+        def successors(p: int) -> list[tuple[int, int]]:
             s, b = divmod(p, width)
-            row = table[b]
-            return [t * width + b2 for t in k_successors[s] for b2 in row[label_of[t]]]
+            row = table[b][label_of[s]]
+            return [(t * width + b2, marks) for b2, marks in row for t in k_successors[s]]
 
         self.successors = successors
-        self.start = [s * width + b for s in index.initial for b in sorted(auto.initial)
-                      if admits[b][label_of[s]]]
-        self.marks = [sum(1 << i for i, acc in enumerate(auto.acceptance) if b in acc)
-                      for b in auto.states]
-        self.full = (1 << len(auto.acceptance)) - 1
+        self.start = [s * width for s in index.initial]
+        self.full = (1 << auto.mark_count) - 1
 
     def accepting_component(self) -> list[int] | None:
         """Couvreur's search: the states of the first strongly connected
-        set found whose marks cover every acceptance set, or None.
+        set found whose inner edges carry every mark, or None.
 
         ``live`` holds the visited states not yet in a finished component,
         in visiting order; ``position`` maps them to their index there and
         finished states to -1.  Each root opens a component on ``live`` and
-        carries the OR of its states' marks; an edge back into ``live``
-        merges every root above the target into one component."""
-        successors, marks, width, full = self.successors, self.marks, self.width, self.full
+        carries two values: the OR of the marks on the edges inside its
+        component, and the marks of the edge that entered it.  An edge back
+        into ``live`` merges every root above the target into one
+        component, ORing both values of each popped root and the edge's own
+        marks."""
+        successors, full = self.successors, self.full
         position: dict[int, int] = {}
         live: list[int] = []
         roots: list[int] = []
-        root_marks: list[int] = []
+        inner: list[int] = []
+        entered: list[int] = []
         stack: list = []
 
-        def visit(q: int):
+        def visit(q: int, marks: int):
             if len(position) >= self.ceiling:
                 raise LtlError(f"product state ceiling exceeded ({self.ceiling})")
             position[q] = len(live)
             roots.append(len(live))
-            root_marks.append(marks[q % width])
+            inner.append(0)
+            entered.append(marks)
             live.append(q)
             stack.append((q, iter(successors(q))))
 
         for first in self.start:
             if first not in position:
-                visit(first)
+                visit(first, 0)
             while stack:
                 p, edges = stack[-1]
-                for q in edges:
+                for q, marks in edges:
                     at = position.get(q)
                     if at is None:
-                        visit(q)
+                        visit(q, marks)
                         break
                     if at >= 0:
-                        merged = 0
                         while roots[-1] > at:
                             roots.pop()
-                            merged |= root_marks.pop()
-                        root_marks[-1] |= merged
-                        if root_marks[-1] == full:
+                            marks |= inner.pop() | entered.pop()
+                        inner[-1] |= marks
+                        if inner[-1] == full:
                             return live[roots[-1]:]
                 else:
                     stack.pop()
                     at = position[p]
                     if roots[-1] == at:
                         roots.pop()
-                        root_marks.pop()
+                        inner.pop()
+                        entered.pop()
                         for q in live[at:]:
                             position[q] = -1
                         del live[at:]
         return None
 
     def lasso(self, component: list[int]) -> Lasso:
-        """Shortest stem into the component; from its entry, a loop that
-        goes to the nearest component state carrying a still missing
-        acceptance set until all are covered, then takes the shortest way
-        back to the entry.  The way back may leave the component found by
-        the search, which is only the part of a strongly connected component
-        explored so far: a cycle through the entry stays inside the entry's
-        whole component."""
+        """Shortest stem into the component; from its entry, the shortest
+        cycle back to the entry whose edges carry every mark, found by one
+        breadth-first search over (product state, marks covered so far)
+        pairs.  The cycle may leave the component found by the search,
+        which is only the part of a strongly connected component explored
+        so far: a cycle through the entry stays inside the entry's whole
+        component."""
+        successors, width = self.successors, self.width
         inside = set(component)
-        successors, marks, width = self.successors, self.marks, self.width
-        path = self._shortest_path(self.start, inside.__contains__)
-        entry = path[-1]
-        loop = [entry]
-        covered = marks[entry % width]
-        while covered != self.full:
-            after = [q for q in successors(loop[-1]) if q in inside]
-            loop += self._shortest_path(after, lambda q: marks[q % width] & ~covered, inside)
-            covered |= marks[loop[-1] % width]
-        loop += self._shortest_path(successors(loop[-1]), lambda q: q == entry)[:-1]
-        return Lasso(tuple(self.names[p // width] for p in path[:-1]),
-                     tuple(self.names[p // width] for p in loop))
+        stem = self._shortest_path(self.start, lambda p: [q for q, _ in successors(p)],
+                                   inside.__contains__)
+        entry = stem[-1]
+        loop = self._shortest_path(
+            successors(entry),
+            lambda pair: [(q, pair[1] | marks) for q, marks in successors(pair[0])],
+            (entry, self.full).__eq__)
+        return Lasso(tuple(self.names[p // width] for p in stem[:-1]),
+                     tuple(self.names[p // width] for p in [entry] + [q for q, _ in loop[:-1]]))
 
-    def _shortest_path(self, sources, goal, inside=None) -> list[int]:
-        """Breadth-first shortest path from one of ``sources`` to a state
-        satisfying ``goal``, staying in ``inside`` when given; the goal
-        must be reachable.  States are tested as they are discovered, which
-        is the order they would leave the queue in."""
+    def _shortest_path(self, sources, step, goal) -> list:
+        """Breadth-first shortest path from one of ``sources`` to a node
+        satisfying ``goal``, moving by ``step``; the goal must be reachable.
+        Nodes are tested as they are discovered, which is the order they
+        would leave the queue in."""
         parent = dict.fromkeys(sources)
         found = next((p for p in parent if goal(p)), None)
         queue = deque(parent)
         while found is None:
             p = queue.popleft()
-            for q in self.successors(p):
-                if q not in parent and (inside is None or q in inside):
+            for q in step(p):
+                if q not in parent:
                     parent[q] = p
                     if goal(q):
                         found = q
@@ -957,8 +955,9 @@ def emit_property_file(formulas: dict[str, Formula],
     return "\n".join(lines) + "\n"
 
 
-# deepest formula a property file may hold: the recursive formula passes
-# (normal form, printing, direct semantics) stay within the recursion limit
+# deepest formula a property file may hold: the formula passes walk without
+# recursion, but the equality, repr and pickling that dataclasses generate
+# recurse once per level
 MAX_FORMULA_DEPTH = 200
 
 

@@ -356,7 +356,31 @@ def test_pipeline_config_without_a_required_key_exits_64(workdir, capsys, config
      'pipeline config "learner" must be an object'),
     ({"model": "model.dot", "cpm": "map.cpm", "out_dir": "out", "mutation": True},
      'pipeline config "mutation" must be an object'),
-], ids=["number", "learner", "mutation"])
+    ({"model": "model.dot", "cpm": "map.cpm", "out_dir": "out", "state_ceiling": "big"},
+     'pipeline config "state_ceiling" must be a positive integer'),
+    ({"model": "model.dot", "cpm": "map.cpm", "out_dir": "out", "state_ceiling": 0},
+     'pipeline config "state_ceiling" must be a positive integer'),
+    ({"model": "model.dot", "cpm": "map.cpm", "out_dir": "out", "unroll": "x"},
+     'pipeline config "unroll" must be a positive integer'),
+    ({"model": "model.dot", "cpm": "map.cpm", "out_dir": "out", "unroll": True},
+     'pipeline config "unroll" must be a positive integer'),
+    ({"sul": "uds", "cpm": "map.cpm", "out_dir": "out", "learner": {"min_len": 0}},
+     'pipeline config "learner.min_len" must be a positive integer'),
+    ({"sul": "uds", "cpm": "map.cpm", "out_dir": "out", "learner": {"max_len": 2.5}},
+     'pipeline config "learner.max_len" must be a positive integer'),
+    ({"sul": "uds", "cpm": "map.cpm", "out_dir": "out", "learner": {"num_tests": None}},
+     'pipeline config "learner.num_tests" must be a positive integer'),
+    ({"model": "model.dot", "cpm": "map.cpm", "out_dir": "out", "seed": "1"},
+     'pipeline config "seed" must be an integer'),
+    ({"model": "model.dot", "cpm": "map.cpm", "out_dir": 5},
+     'pipeline config "out_dir" must be a string'),
+    ({"sul": "uds", "cpm": "map.cpm", "out_dir": "out", "learner": {"oracle": "exactt"}},
+     'pipeline config "learner.oracle" must be "exact" or "random-walk"'),
+    ({"sul": "uds", "cpm": "map.cpm", "out_dir": "out", "learner": {"algorithm": "ttt"}},
+     "unknown learning algorithm 'ttt'"),
+], ids=["number", "learner", "mutation", "ceiling-text", "ceiling-zero", "unroll-text",
+        "unroll-bool", "min-len", "max-len", "num-tests", "seed", "out-dir", "oracle",
+        "algorithm"])
 def test_pipeline_config_of_the_wrong_shape_exits_64(workdir, capsys, monkeypatch,
                                                      config, message):
     monkeypatch.chdir(workdir)

@@ -11,7 +11,7 @@ import pytest
 
 from protocheck import (annotate, expand_tau, build_uds_machine,
                         build_emrtd_machine)
-from protocheck.ltl import (And, Always, BOUNDED_HOLDS, Eventually,
+from protocheck.ltl import (And, Always, BOUNDED_HOLDS, Cover, Eventually,
                             FALSE, HOLDS, Implies, KripkeStructure,
                             LtlError, Next, Not, Or, Prop, Release, TRUE,
                             Until, VIOLATED, bounded_oracle, check,
@@ -24,7 +24,7 @@ from helpers import random_kripke, random_formula
 from protocheck.fixtures import fixture_text
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
-FORMULA_DIGEST = "8262514610d7de96240f27d0f3e1458981976486f23764e1f3a45d9ddb1bb076"
+FORMULA_DIGEST = "84dc2592efaba6d795dc5562769df4f91a1bc9cd0f73ab9b139b5d1c2d7636ad"
 
 
 def _benchmark_generators():
@@ -186,12 +186,25 @@ def test_property_file_bounds_formula_depth():
     assert str(caught.value) == "line 3: formula nests 201 operators deep, more than 200"
 
 
+def test_library_check_of_a_1000_conjunct_formula_gets_a_verdict():
+    """Outside property files depth is not bounded: normal form, printing
+    and direct semantics (run on every witness) walk the formula without
+    recursion."""
+    f = parse_ltl(" && ".join(["p"] * 1000))
+    k_p = KripkeStructure(("a",), ("a",), {"a": ("a",)}, {"a": val("p")}, frozenset({"p"}))
+    k_not_p = KripkeStructure(("a",), ("a",), {"a": ("a",)}, {"a": val()}, frozenset({"p"}))
+    assert check(k_p, f).verdict == HOLDS
+    result = check(k_not_p, f)
+    assert result.verdict == VIOLATED
+    assert not evaluate_on_lasso(f, *lasso_valuations(k_not_p, result.lasso))
+    assert format_formula(f) == "(" * 998 + "p && p" + ") && p" * 998
+
+
 def _buchi_form(f) -> str:
     auto = ltl_to_buchi(f)
-    return repr((auto.states, sorted(auto.initial),
-                 [(sorted(auto.required[n]), sorted(auto.forbidden[n]), auto.successors[n])
-                  for n in auto.states],
-                 [sorted(acc) for acc in auto.acceptance]))
+    return repr((auto.states, auto.mark_count,
+                 [[(sorted(c.required), sorted(c.forbidden), c.target, c.marks) for c in covers]
+                  for covers in auto.covers]))
 
 
 def test_formula_layer_digest():
@@ -239,13 +252,9 @@ def test_nnf_eliminates_sugar():
 
 def test_buchi_always_p_is_canonical_single_state():
     auto = ltl_to_buchi(to_nnf(parse_ltl("G p")))
-    assert len(auto.states) == 1
-    (state,) = auto.states
-    assert auto.initial == frozenset({state})
-    assert auto.accepting == frozenset({state})
-    assert auto.successors[state] == (state,)
-    assert auto.required[state] == frozenset({"p"})
-    assert auto.forbidden[state] == frozenset()
+    assert auto.states == ((Release(FALSE, Prop("p")),),)
+    assert auto.covers == ((Cover(frozenset({"p"}), frozenset(), 0, 0),),)
+    assert auto.mark_count == 0
 
 
 def test_buchi_eventually_p_accepts_exactly_eventual_p():
