@@ -26,13 +26,14 @@ from .ltl import (Formula, LtlError, parse_ltl, to_nnf, ltl_to_buchi,
                   CheckResult, HOLDS, VIOLATED, BOUNDED_HOLDS,
                   PROPERTY_TEMPLATES, verdict_text, verdict_jsonl,
                   emit_property_file)
-from .learning import (SulInterface, MachineSul, Mapper, MappedSul,
-                       ObservationTable, LearnResult, lstar_learn,
+from .learning import (SulInterface, MachineSul,
+                       ObservationTree, LearnResult, lstar_learn,
                        exact_oracle, random_walk_oracle,
-                       canonicalize_nonce_mapper, FreshNonceSul,
                        build_emrtd_sul, build_uds_sul, build_emrtd_machine,
                        build_uds_machine, EMRTD_INPUTS, UDS_INPUTS,
                        LearnError, SulNondeterminismError)
+from .mapper import (Mapper, MappedSul, canonicalize_nonce_mapper,
+                     FreshNonceSul)
 from .testkit import (TestCase, ReplayResult, TestKitError, concretize,
                       replay, feedback, write_tests, read_tests,
                       CONFIRMED, DIVERGED)

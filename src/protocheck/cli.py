@@ -29,7 +29,7 @@ from .statespace import (explore, collapse, verify_roundtrip, compare_roundtrip,
 from .ltl import (check, kripke_from_annotated, property_library, PropertyInstance,
                   parse_property_file, vacuity, instantiate, format_formula,
                   emit_property_file, verdict_jsonl, HOLDS)
-from .learning import (FIXTURE_SULS, lstar_learn, exact_oracle,
+from .learning import (FIXTURE_SULS, SulInterface, lstar_learn, exact_oracle,
                        random_walk_oracle, build_uds_sul)
 from .testkit import (concretize, replay, read_tests, write_tests, to_record,
                       from_record)
@@ -79,6 +79,30 @@ def _resolve_sul(selector: str):
                      "uds-patched or module:callable")
 
 
+class _Counted(SulInterface):
+    """Counts what reaches the wrapped system as the system sees it: one
+    reset and ``len(word)`` symbols per query, one per reset and step."""
+
+    def __init__(self, sul: SulInterface):
+        self.sul, self.resets, self.symbols = sul, 0, 0
+
+    def reset(self):
+        self.resets += 1
+        self.sul.reset()
+
+    def step(self, symbol: str) -> str:
+        self.symbols += 1
+        return self.sul.step(symbol)
+
+    def query(self, word):
+        self.resets += 1
+        self.symbols += len(word)
+        return self.sul.query(word)
+
+    def cost(self) -> dict[str, int]:
+        return {"resets": self.resets, "symbols": self.symbols}
+
+
 # ---------------------------------------------------------------------------
 # Stages, shared by the subcommands and the pipeline
 # ---------------------------------------------------------------------------
@@ -89,10 +113,13 @@ def _json_text(data) -> str:
 
 def _learn(selector: str, oracle: str, min_len: int, max_len: int,
            num_tests: int, seed: int):
-    """The learned machine and the learner's statistics."""
+    """The learned machine and the learner's statistics, with the resets
+    and symbols the system received for membership queries and for the
+    equivalence oracle."""
     sul, hidden = _resolve_sul(selector)
     if hidden is None:
         raise ValueError("learning needs a fixture (or factory) exposing its input alphabet")
+    membership, walks = _Counted(sul), _Counted(sul)
     if oracle == "exact":
         equivalence = lambda hyp: exact_oracle(hidden, hyp)  # noqa: E731
     else:
@@ -100,13 +127,14 @@ def _learn(selector: str, oracle: str, min_len: int, max_len: int,
         # words under every PYTHONHASHSEED
         rounds = itertools.count(1)
         equivalence = lambda hyp: random_walk_oracle(  # noqa: E731
-            sul, hyp, min_len, max_len, num_tests, f"{seed}/{next(rounds)}")
-    result = lstar_learn(sul, hidden.inputs, equivalence)
+            walks, hyp, min_len, max_len, num_tests, f"{seed}/{next(rounds)}")
+    result = lstar_learn(membership, hidden.inputs, equivalence)
     return result.machine, {
         "membership_queries": result.membership_queries,
         "equivalence_queries": result.equivalence_queries,
         "rounds": result.rounds,
         "proven": result.proven,
+        "cost": {"membership": membership.cost(), "oracle": walks.cost()},
     }
 
 
@@ -223,6 +251,7 @@ def _replay(sul, tests, report_path: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_learn(args) -> int:
+    _check_walk_lengths(args.min_len, args.max_len, "--min-len", "--max-len")
     machine, stats = _learn(args.sul, args.oracle, args.min_len, args.max_len,
                             args.num_tests, args.seed)
     _write(args.out, emit_dot(machine))
@@ -389,9 +418,9 @@ def cmd_pipeline(args) -> int:
     stages["emit-test"] = {"tests": violations}
 
     if "sul" in config and violations:
-        sul, _ = _resolve_sul(config["sul"])
+        sul = _Counted(_resolve_sul(config["sul"])[0])
         diverged = _replay(sul, tests, str(out_dir / "replay.json"))
-        stages["replay"] = {"diverged": diverged > 0}
+        stages["replay"] = {"diverged": diverged > 0, "cost": sul.cost()}
     else:
         stages["replay"] = {"skipped": True}
 
@@ -409,6 +438,8 @@ def _check_config_values(config: dict):
     for name, value in counts:
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"pipeline config {name} must be a positive integer")
+    _check_walk_lengths(learner.get("min_len", 20), learner.get("max_len", 50),
+                        'pipeline config "learner.min_len"', '"learner.max_len"')
     seed = config.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValueError('pipeline config "seed" must be an integer')
@@ -419,6 +450,15 @@ def _check_config_values(config: dict):
     algorithm = learner.get("algorithm", "lstar")
     if algorithm != "lstar":
         raise ValueError(f"unknown learning algorithm {algorithm!r}")
+
+
+def _check_walk_lengths(min_len: int, max_len: int, min_name: str, max_name: str):
+    """Random walks need 1 <= min_len <= max_len; checked before anything
+    is written, whichever oracle is chosen."""
+    if min_len < 1:
+        raise ValueError(f"{min_name} must be at least 1")
+    if min_len > max_len:
+        raise ValueError(f"{min_name} must not exceed {max_name}")
 
 
 def _write_manifest(out_dir: Path, config_text: str, seed, stages):
@@ -445,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sul", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--algorithm", choices=["lstar"], default="lstar",
-                   help="learning algorithm (seam for future additions)")
+                   help="name of the learning entry point, which runs L# on an "
+                   "observation tree")
     p.add_argument("--oracle", choices=["exact", "random-walk"], default="exact")
     p.add_argument("--min-len", type=int, default=20)
     p.add_argument("--max-len", type=int, default=50)

@@ -1,24 +1,23 @@
 """Active learning of Mealy machines from black-box systems.
 
-Observation-table learning (close, hypothesize, refine each counterexample
-by the one distinguishing suffix a binary search finds in it, after Rivest
-and Schapire) against a system-under-learning interface, with an exact
-oracle for simulation and a random-walk conformance oracle for the
-black-box setting.  Includes the abstraction mapper that canonicalizes
-nondeterministic concrete outputs (nonces, counters) and two simulated
-systems reconstructed for the case studies: a travel-document chip
-speaking smartcard selects/reads behind a basic authentication step, and
-an automotive diagnostic unit with sessions and a two-step security access
-that wrongly accepts bad keys once unlocked.
+L# (learning by apartness) on one observation tree that holds every
+answered word, with Rivest-Schapire counterexample processing on the tree,
+against a system-under-learning interface; an exact oracle for simulation
+and a random-walk conformance oracle for the black-box setting.  Includes
+two simulated systems reconstructed for the case studies: a travel-document
+chip speaking smartcard selects/reads behind a basic authentication step,
+and an automotive diagnostic unit with sessions and a two-step security
+access that wrongly accepts bad keys once unlocked.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import MealyMachine, Word, bisimilar
-from .cpm import matches
 
 
 class LearnError(RuntimeError):
@@ -64,147 +63,201 @@ class MachineSul(SulInterface):
         return output
 
 
-class _CachingSul(SulInterface):
-    """Query cache that also stores every prefix of each answered word, so
-    the learner never pays twice for a word covered by a longer one."""
+# ---------------------------------------------------------------------------
+# Observation tree
+# ---------------------------------------------------------------------------
+
+class ObservationTree:
+    """Every word the system answered, as a tree: node 0 is the empty word
+    and ``edges[n][a]`` is node ``n``'s (child, output) pair on input ``a``.
+    It asks the system only what it cannot answer itself and checks every
+    answer against what it holds: the one nondeterminism check."""
 
     def __init__(self, sul: SulInterface):
         self.sul = sul
-        self.cache: dict[Word, Word] = {(): ()}
+        self.edges: list[dict[str, tuple[int, str]]] = [{}]
+        self.parents: list[tuple[int, str]] = [(0, "")]
         self.queries = 0
 
-    def query(self, word: Word) -> Word:
-        hit = self.cache.get(word)
-        if hit is not None:
-            return hit
-        outputs = self.sul.query(word)
-        if len(outputs) != len(word):
-            raise LearnError(f"system returned {len(outputs)} outputs for {len(word)} inputs")
-        self.queries += 1
-        for i in range(1, len(word) + 1):
-            prefix = word[:i]
-            known = self.cache.get(prefix)
-            if known is not None and known != outputs[:i]:
-                raise SulNondeterminismError(
-                    f"system answered {known} then {outputs[:i]} for {prefix}")
-            self.cache[prefix] = outputs[:i]
-        return outputs
+    def access(self, node: int) -> Word:
+        word = []
+        while node:
+            node, symbol = self.parents[node]
+            word.append(symbol)
+        return tuple(reversed(word))
 
-
-# ---------------------------------------------------------------------------
-# Observation table
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ObservationTable:
-    """Prefix rows (short S plus extensions S*A) against suffix columns E;
-    a row holds, in column order, the output word each suffix provokes
-    after its prefix.
-
-    Rows are only added by closing and columns only by counterexample
-    processing, so the short rows stay pairwise distinct: each is the
-    access sequence of its own hypothesis state.  A row only grows at its
-    end, so filling the table asks only for the cells of new rows and new
-    columns, in row-then-column order."""
-
-    alphabet: tuple[str, ...]
-    prefixes: list[Word] = field(default_factory=list)
-    suffixes: list[Word] = field(default_factory=list)
-    rows: dict[Word, list[Word]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.prefixes:
-            self.prefixes = [()]
-        if not self.suffixes:
-            self.suffixes = [(a,) for a in self.alphabet]
-
-    def all_rows(self):
-        short = set(self.prefixes)
-        return self.prefixes + [s + (a,) for s in self.prefixes for a in self.alphabet
-                                if s + (a,) not in short]
-
-    def _fill_row(self, prefix: Word, sul: _CachingSul):
-        """Append the cells of the columns ``prefix``'s row lacks."""
-        row = self.rows.setdefault(prefix, [])
-        for suffix in self.suffixes[len(row):]:
-            row.append(sul.query(prefix + suffix)[len(prefix):])
-
-    def fill(self, sul: _CachingSul):
-        for prefix in self.all_rows():
-            self._fill_row(prefix, sul)
-
-    def close(self, sul: _CachingSul) -> MealyMachine:
-        """Fill the table, promote unclosed rows until none is left, and
-        return the hypothesis.
-
-        One pass over the extension rows in (short row, input) order checks
-        each against an index of the short rows' signatures.  A row found
-        unclosed becomes a short row on the spot: its signature joins the
-        index and its own extensions are filled and appended to the pass,
-        so a row is looked at once however many rows are promoted."""
-        self.fill(sul)
-        index = {tuple(self.rows[s]): i for i, s in enumerate(self.prefixes)}
-        successors = []
-        for s in self.prefixes:  # grows while it is walked
-            for a in self.alphabet:
-                extended = s + (a,)
-                signature = tuple(self.rows[extended])
-                target = index.get(signature)
-                if target is None:
-                    target = index[signature] = len(self.prefixes)
-                    self.prefixes.append(extended)
-                    for b in self.alphabet:
-                        self._fill_row(extended + (b,), sul)
-                successors.append(target)
-        return self.hypothesis(successors)
-
-    def hypothesis(self, successors: list[int]) -> MealyMachine:
-        """One state per short row, named ``s<i>`` after its index in
-        ``prefixes``; ``successors`` holds the index of the short row each
-        extension row matches, in (short row, input) order."""
-        names = tuple(f"s{i}" for i in range(len(self.prefixes)))
-        columns = [self.suffixes.index((a,)) for a in self.alphabet]
-        targets = iter(successors)
-        transitions = {}
-        outputs: list[str] = []
-        for name, s in zip(names, self.prefixes):
-            row = self.rows[s]
-            for a, column in zip(self.alphabet, columns):
-                output = row[column][0]
-                transitions[(name, a)] = (names[next(targets)], output)
-                if output not in outputs:
-                    outputs.append(output)
-        return MealyMachine(names, self.alphabet, tuple(outputs), "s0", transitions)
-
-
-def _refine(table: ObservationTable, sul: _CachingSul,
-            hypothesis: MealyMachine, word: Word) -> MealyMachine:
-    """Rivest-Schapire counterexample processing, in the Mealy form of
-    Shahbaz and Groz.  While the hypothesis answers ``word`` wrongly, split
-    it at ``i``: feed the system the access sequence of the state the
-    hypothesis reaches after ``word[:i]``, then ``word[i:]``, and compare
-    its outputs on ``word[i:]`` with the hypothesis's.  At ``i = 0`` they
-    differ (that is ``word`` itself); at ``len(word)`` nothing is compared.
-    A binary search finds an ``i`` where they differ with ``i + 1`` where
-    they agree, and ``word[i + 1:]`` becomes one new column.  It splits the
-    access sequence of ``word[:i]`` extended by ``word[i]`` from every short
-    row, so closing the table adds a state."""
-    while sul.query(word) != (predicted := hypothesis.run(word)):
-        access = dict(zip(hypothesis.states, table.prefixes))
-        states = [hypothesis.initial]
+    def query(self, word: Word, node: int = 0) -> Word:
+        """The outputs ``word`` provokes after ``node``."""
+        outputs, start = [], node
         for symbol in word:
-            states.append(hypothesis.step(states[-1], symbol)[0])
-        wrong, right = 0, len(word)
-        while right - wrong > 1:
-            mid = (wrong + right) // 2
-            u = access[states[mid]]
-            if sul.query(u + word[mid:])[len(u):] == predicted[mid:]:
-                right = mid
+            step = self.edges[node].get(symbol)
+            if step is None:
+                return self._ask(self.access(start), tuple(word))
+            node, output = step
+            outputs.append(output)
+        return tuple(outputs)
+
+    def _ask(self, prefix: Word, word: Word) -> Word:
+        full = prefix + word
+        answer = tuple(self.sul.query(full))
+        if len(answer) != len(full):
+            raise LearnError(f"system returned {len(answer)} outputs for {len(full)} inputs")
+        self.queries += 1
+        edges, node = self.edges, 0
+        for i, (symbol, output) in enumerate(zip(full, answer)):
+            step = edges[node].get(symbol)
+            if step is None:
+                step = edges[node][symbol] = (len(edges), output)
+                edges.append({})
+                self.parents.append((node, symbol))
+            elif step[1] != output:
+                raise SulNondeterminismError(
+                    f"system answered {list(answer)} to {list(full)}, but "
+                    f"{step[1]!r} earlier to its prefix {list(full[:i + 1])}")
+            node = step[0]
+        return answer[len(prefix):]
+
+    def apart(self, p: int, q: int) -> Word | None:
+        """The shortest word both nodes know whose last outputs differ."""
+        pairs = [(p, q, ())]
+        for p, q, word in pairs:  # grows while it is walked: breadth first
+            known = self.edges[q]
+            for symbol, (child, output) in self.edges[p].items():
+                if (step := known.get(symbol)) is not None:
+                    if step[1] != output:
+                        return word + (symbol,)
+                    pairs.append((child, step[0], word + (symbol,)))
+        return None
+
+
+# ---------------------------------------------------------------------------
+# L# (Vaandrager, Garhewal, Rot and Wissmann, TACAS 2022) on the tree
+# ---------------------------------------------------------------------------
+
+class _Split(NamedTuple):
+    """Splitting-tree node: the basis states below it answer ``witness``
+    differently; one child, a split or a basis node, per answer."""
+
+    witness: Word
+    children: dict
+
+
+class _LSharp:
+    """The basis holds pairwise apart tree nodes, one per hypothesis state;
+    the frontier holds their one-input extensions outside the basis.  A
+    frontier node is sifted down the splitting tree, asking the system only
+    for answers the tree lacks, and is identified with the basis state at
+    its leaf unless the tree shows the two apart.  A frontier node apart
+    from every basis state is promoted: its answer opens a new leaf, or its
+    apartness witness splits the leaf it reached, and only that leaf's
+    frontier nodes are sifted again.  The root asks the first input, so
+    each extension query also asks the first sifting question."""
+
+    def __init__(self, tree: ObservationTree, alphabet: tuple[str, ...]):
+        self.tree, self.alphabet = tree, alphabet
+        self.root = _Split(alphabet[:1], {})
+        self.basis: list[int] = []
+        self.home: dict[int, int] = {}          # frontier node -> basis node
+        self.members: dict[int, list[int]] = {}  # basis node -> frontier nodes
+        self.place: dict[int, tuple[_Split, Word]] = {}
+        self.todo: deque[tuple[int, _Split]] = deque()
+        self._leaf(self.root, tree.query(self.root.witness), 0)
+        self._settle()
+
+    def _leaf(self, split: _Split, answer: Word, node: int):
+        """Promote ``node`` to a basis state below ``split``; queue its
+        extensions."""
+        split.children[answer] = node
+        self.place[node] = (split, answer)
+        self.basis.append(node)
+        self.members[node] = []
+        for symbol in self.alphabet:
+            self.tree.query((symbol,) + self.root.witness, node)
+            self.todo.append((self.tree.edges[node][symbol][0], self.root))
+
+    def _split(self, leaf: int, node: int, witness: Word):
+        """Put a split on ``witness``, which tells ``node`` from ``leaf``,
+        in ``leaf``'s place, and sift ``leaf``'s frontier nodes again."""
+        parent, answer = self.place[leaf]
+        split = parent.children[answer] = _Split(witness, {})
+        answer = self.tree.query(witness, leaf)
+        split.children[answer] = leaf
+        self.place[leaf] = (split, answer)
+        for member in self.members[leaf]:
+            del self.home[member]
+            self.todo.append((member, split))
+        self.members[leaf] = []
+        self._leaf(split, self.tree.query(witness, node), node)
+
+    def _settle(self):
+        tree, todo = self.tree, self.todo
+        while todo:
+            node, split = todo.popleft()
+            while True:
+                answer = tree.query(split.witness, node)
+                below = split.children.get(answer)
+                if not isinstance(below, _Split):
+                    break
+                split = below
+            if below is None:
+                self._leaf(split, answer, node)
+            elif (witness := tree.apart(node, below)) is not None:
+                self._split(below, node, witness)
             else:
-                wrong = mid
-        table.suffixes.append(word[right:])
-        hypothesis = table.close(sul)
-    return hypothesis
+                self.home[node] = below
+                self.members[below].append(node)
+
+    def refine(self, word: Word) -> bool:
+        """Rivest-Schapire counterexample processing on the tree; returns
+        whether the hypothesis answered ``word`` wrongly.
+
+        While it does, with ``d`` its first wrong output: feeding the access
+        word of the state the hypothesis reaches after ``word[:i]``, then
+        ``word[i:d + 1]``, gives wrong outputs at ``i = 0`` and right ones at
+        ``i = d``.  A binary search finds a wrong ``i`` next to a right
+        ``i + 1``; then the frontier node the ``i``-th state reaches on
+        ``word[i]`` is apart from the state it was identified with."""
+        tree, home = self.tree, self.home
+        refined = False
+        while True:
+            states, predicted = [0], []
+            for symbol in word:
+                child, output = tree.edges[states[-1]][symbol]
+                states.append(home.get(child, child))
+                predicted.append(output)
+            actual = tree.query(word)
+            d = next((i for i, (a, p) in enumerate(zip(actual, predicted)) if a != p), None)
+            if d is None:
+                return refined
+            wrong, right = 0, d
+            while right - wrong > 1:
+                mid = (wrong + right) // 2
+                if tree.query(word[mid:d + 1], states[mid]) == tuple(predicted[mid:d + 1]):
+                    right = mid
+                else:
+                    wrong = mid
+            node = tree.edges[states[wrong]][word[wrong]][0]
+            leaf = home.pop(node)
+            self.members[leaf].remove(node)
+            self._split(leaf, node, tree.apart(node, leaf))
+            self._settle()
+            refined = True
+
+    def hypothesis(self) -> MealyMachine:
+        """One state per basis node, named ``s<i>`` in breadth-first order
+        over the input alphabet."""
+        order, names, transitions, outputs = [0], {0: "s0"}, {}, {}
+        for node in order:  # grows while it is walked
+            for symbol in self.alphabet:
+                child, output = self.tree.edges[node][symbol]
+                target = self.home.get(child, child)
+                if target not in names:
+                    names[target] = f"s{len(order)}"
+                    order.append(target)
+                transitions[(names[node], symbol)] = (names[target], output)
+                outputs[output] = None
+        return MealyMachine(tuple(names.values()), self.alphabet, tuple(outputs),
+                            "s0", transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -218,44 +271,44 @@ class LearnResult:
     membership_queries: int
     equivalence_queries: int
     proven: bool
-    table_size: tuple[int, int]
+    table_size: tuple[int, int]  # (basis states, frontier nodes)
 
 
 def lstar_learn(sul: SulInterface, alphabet, equivalence,
-                max_rounds: int = 100,
+                max_rounds: int = 1000,
                 initial_counterexamples=()) -> LearnResult:
-    """Observation-table learning loop.
+    """The learning entry point, which runs L# on an observation tree (the
+    name is kept from the observation-table learner it replaced).
 
     ``equivalence`` maps a hypothesis to a counterexample word or None; a
-    None answer accepts the hypothesis.  Each counterexample adds the one
-    suffix a binary search finds in it as a new column and is reused until
-    the hypothesis answers it correctly; a counterexample the hypothesis
-    already answers correctly is an error.  ``initial_counterexamples``
-    (e.g. diverging words fed back from test replays) are processed the
-    same way against the first hypothesis, which may already answer some
-    of them correctly.  One round is one equivalence query.  Returns the
-    last hypothesis the oracle was asked about, flagged unproven when the
-    round budget runs out.
+    None answer accepts the hypothesis.  Each counterexample is processed
+    until the hypothesis answers it correctly; a counterexample the
+    hypothesis already answers correctly is an error.
+    ``initial_counterexamples`` (e.g. diverging words fed back from test
+    replays) are processed the same way before the first round, and may
+    already be answered correctly.  One round is one equivalence query;
+    each refuted hypothesis adds at least one state, so a system of ``n``
+    states takes at most ``n`` rounds.  Returns the last hypothesis the
+    oracle was asked about, flagged unproven when the round budget runs
+    out.
     """
     if max_rounds < 1:
         raise LearnError(f"max_rounds must be at least 1, got {max_rounds}")
-    cached = _CachingSul(sul)
-    table = ObservationTable(tuple(alphabet))
-    hypothesis = table.close(cached)
+    tree = ObservationTree(sul)
+    learner = _LSharp(tree, tuple(alphabet))
     for word in initial_counterexamples:
-        hypothesis = _refine(table, cached, hypothesis, tuple(word))
+        learner.refine(tuple(word))
     for round_no in range(1, max_rounds + 1):
+        hypothesis = learner.hypothesis()
         counterexample = equivalence(hypothesis)
         if counterexample is None or round_no == max_rounds:
             break
-        refined = _refine(table, cached, hypothesis, tuple(counterexample))
-        if refined is hypothesis:
+        if not learner.refine(tuple(counterexample)):
             raise LearnError(
                 f"counterexample {counterexample} produced no table growth")
-        hypothesis = refined
-    return LearnResult(hypothesis, round_no, cached.queries, round_no,
+    return LearnResult(hypothesis, round_no, tree.queries, round_no,
                        counterexample is None,
-                       (len(table.prefixes), len(table.suffixes)))
+                       (len(learner.basis), len(learner.home)))
 
 
 def exact_oracle(hidden: MealyMachine, hypothesis: MealyMachine) -> Word | None:
@@ -279,95 +332,15 @@ def random_walk_oracle(sul: SulInterface, hypothesis: MealyMachine,
     if not (1 <= min_len <= max_len):
         raise LearnError("walk lengths must satisfy 1 <= min <= max")
     rng = random.Random(seed)
-    alphabet = hypothesis.inputs
+    alphabet, transitions = hypothesis.inputs, hypothesis.transitions
     for _ in range(num_tests):
-        length = rng.randint(min_len, max_len)
-        word = tuple(rng.choice(alphabet) for _ in range(length))
-        actual = sul.query(word)
-        predicted = hypothesis.run(word)
-        for i, (a, p) in enumerate(zip(actual, predicted)):
-            if a != p:
+        word = tuple(rng.choices(alphabet, k=rng.randint(min_len, max_len)))
+        state = hypothesis.initial
+        for i, (symbol, actual) in enumerate(zip(word, sul.query(word))):
+            state, output = transitions[(state, symbol)]
+            if output != actual:
                 return word[:i + 1]
     return None
-
-
-# ---------------------------------------------------------------------------
-# Abstraction mapper
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Mapper:
-    """Total abstract-to-concrete input translation plus a partial inverse
-    for the declared class of nondeterministic concrete outputs; everything
-    else passes through unchanged."""
-
-    input_map: dict[str, str] = field(default_factory=dict)
-    # (glob patterns over concrete outputs, canonical abstract symbol)
-    output_classes: tuple[tuple[tuple[str, ...], str], ...] = ()
-
-    def concrete_input(self, symbol: str) -> str:
-        return self.input_map.get(symbol, symbol)
-
-    def abstract_output(self, concrete: str) -> str:
-        for patterns, canonical in self.output_classes:
-            if matches(patterns, concrete):
-                return canonical
-        return concrete
-
-
-class MappedSul(SulInterface):
-    """Mapper-wrapped system; deterministic as long as every varying
-    concrete output falls into a declared class.  Undeclared variation is
-    reported with the offending input and both observed values."""
-
-    def __init__(self, raw: SulInterface, mapper: Mapper):
-        self.raw = raw
-        self.mapper = mapper
-        self.history: tuple[str, ...] = ()
-        self.observed: dict[tuple[str, ...], str] = {}
-
-    def reset(self):
-        self.raw.reset()
-        self.history = ()
-
-    def step(self, symbol: str) -> str:
-        concrete = self.raw.step(self.mapper.concrete_input(symbol))
-        abstract = self.mapper.abstract_output(concrete)
-        self.history += (symbol,)
-        known = self.observed.get(self.history)
-        if known is not None and known != abstract:
-            raise SulNondeterminismError(
-                f"output after {list(self.history)} changed from {known!r} to "
-                f"{abstract!r} (concrete {concrete!r}); declare it as a "
-                "nondeterministic output class")
-        self.observed[self.history] = abstract
-        return abstract
-
-
-def canonicalize_nonce_mapper() -> Mapper:
-    """Demo mapper folding challenge nonces into one canonical symbol."""
-    return Mapper(output_classes=((("CHAL_*",), "NONCE"),))
-
-
-class FreshNonceSul(SulInterface):
-    """Raw demo system that answers a challenge request with a fresh nonce
-    every time and echoes a fixed status otherwise."""
-
-    def __init__(self, leak: bool = False):
-        self.counter = 0
-        self.leak = leak
-
-    def reset(self):
-        pass
-
-    def step(self, symbol: str) -> str:
-        if symbol == "GET_CHALLENGE":
-            self.counter += 1
-            return f"CHAL_{self.counter:04x}"
-        if symbol == "READ_SERIAL" and self.leak:
-            self.counter += 1
-            return f"SERIAL_{self.counter:04x}"
-        return "9000"
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,37 @@ class Formula:
 def _hash_once(cls):
     """Keep the generated field hash as ``_field_hash`` and answer
     ``hash()`` from the value stored when the node was built: otherwise
-    every dict or set operation re-hashes the node's whole subtree."""
+    every dict or set operation re-hashes the node's whole subtree.
+    Equality walks both trees without recursion."""
     cls._field_hash = cls.__hash__
     cls.__hash__ = _stored_hash
+    cls.__eq__ = _equal
     return cls
 
 
 def _stored_hash(self: Formula) -> int:
     return self._hash
+
+
+def _equal(self: Formula, other) -> bool:
+    """Structural equality, node pair by node pair on an explicit stack; a
+    differing stored hash tells two nodes apart without a walk."""
+    if not isinstance(other, Formula):
+        return NotImplemented
+    pairs = [(self, other)]
+    while pairs:
+        a, b = pairs.pop()
+        if a is b:
+            continue
+        if a.__class__ is not b.__class__ or a._hash != b._hash:
+            return False
+        if isinstance(a, Binary):
+            pairs += ((a.left, b.left), (a.right, b.right))
+        elif isinstance(a, Unary):
+            pairs.append((a.child, b.child))
+        elif a.__dict__ != b.__dict__:
+            return False
+    return True
 
 
 @_hash_once
@@ -955,8 +978,8 @@ def emit_property_file(formulas: dict[str, Formula],
     return "\n".join(lines) + "\n"
 
 
-# deepest formula a property file may hold: the formula passes walk without
-# recursion, but the equality, repr and pickling that dataclasses generate
+# deepest formula a property file may hold: the formula passes and equality
+# walk without recursion, but the repr and pickling that dataclasses generate
 # recurse once per level
 MAX_FORMULA_DEPTH = 200
 

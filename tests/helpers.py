@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from protocheck import MachineSul, MealyMachine, reachable
+from protocheck import MachineSul, MealyMachine, build_uds_machine, reachable
 from protocheck.cpm import Condition, Cpm
 from protocheck.ltl import (And, Eventually, Always, Implies, KripkeStructure,
                             Next, Not, Or, Prop, Until)
@@ -67,6 +67,27 @@ def combination_lock_sul():
     """``module:factory`` form of the combination lock, for the CLI."""
     machine = combination_lock()
     return MachineSul(machine), machine
+
+
+# resets and symbols that reached every system ``counted_uds_sul`` built
+SYSTEM_COST = {"resets": 0, "symbols": 0}
+
+
+class _CountedMachine(MachineSul):
+    def reset(self):
+        SYSTEM_COST["resets"] += 1
+        super().reset()
+
+    def step(self, symbol: str) -> str:
+        SYSTEM_COST["symbols"] += 1
+        return super().step(symbol)
+
+
+def counted_uds_sul():
+    """``module:factory`` form of the diagnostic unit that counts, at the
+    system, every reset and symbol it receives."""
+    machine, _ = build_uds_machine()
+    return _CountedMachine(machine), machine
 
 
 def random_cpm(rng: random.Random, machine: MealyMachine,

@@ -96,6 +96,58 @@ def test_usage_errors_exit_64(workdir):
                "--out", "x.dot") == 64
 
 
+def cli_process(cwd, *argv):
+    """The command line in a fresh interpreter: (exit code, stdout, stderr)."""
+    src = str(Path(protocheck.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "protocheck.cli", *argv], cwd=cwd,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--min-len", "0"], "--min-len must be at least 1"),
+    (["--oracle", "random-walk", "--min-len", "50", "--max-len", "20"],
+     "--min-len must not exceed --max-len"),
+], ids=["zero", "above-max"])
+def test_learn_with_bad_walk_lengths_exits_64_with_one_line(tmp_path, argv, message):
+    assert cli_process(tmp_path, "learn", "--sul", "uds", "--out", "m.dot", *argv) == (
+        64, "", f"protocheck: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pipeline_with_min_len_above_max_len_exits_64_with_one_line(tmp_path):
+    (tmp_path / "uds.cpm").write_text(fixture_text("uds.cpm"))
+    (tmp_path / "config.json").write_text(json.dumps({
+        "sul": "uds", "cpm": "uds.cpm", "out_dir": "out",
+        "learner": {"oracle": "random-walk", "min_len": 50, "max_len": 20}}))
+    assert cli_process(tmp_path, "pipeline", "--config", "config.json") == (
+        64, "", 'protocheck: error: pipeline config "learner.min_len" must not exceed '
+        '"learner.max_len"\n')
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_cost_adds_up_to_what_the_system_received(workdir):
+    import helpers
+
+    helpers.SYSTEM_COST.update(resets=0, symbols=0)
+    config = workdir / "counted.json"
+    config.write_text(json.dumps({
+        "sul": "helpers:counted_uds_sul", "cpm": str(workdir / "uds.cpm"),
+        "out_dir": str(workdir / "out"), "seed": 4,
+        "learner": {"oracle": "random-walk", "min_len": 10, "max_len": 30,
+                    "num_tests": 100}}))
+    assert run("pipeline", "--config", str(config)) == 0
+    stages = json.loads((workdir / "out" / "manifest.json").read_text())["stages"]
+    parts = [stages["learn"]["cost"]["membership"], stages["learn"]["cost"]["oracle"],
+             stages["replay"]["cost"]]
+    assert all(part["resets"] > 0 for part in parts)
+    assert stages["learn"]["cost"]["membership"]["resets"] == \
+        stages["learn"]["membership_queries"]
+    assert {key: sum(part[key] for part in parts) for key in ("resets", "symbols")} == \
+        helpers.SYSTEM_COST
+
+
 def test_learn_writes_stats(workdir, tmp_path):
     stats = tmp_path / "stats.json"
     assert run("learn", "--sul", "emrtd", "--out", str(tmp_path / "m.dot"),

@@ -89,7 +89,7 @@ GOLDEN = {
         "lts.dot":
             "85b6641d5e7f4e207d479e0e8d8f733cca44bd91e21f0e6ae354176f7407de4d",
         "manifest.json":
-            "19cb78bdf4bd10742e0b0922af77a5ab1b55551e4f1c4bfe58830a28a7b37844",
+            "ebae061eb435cdbf179745ac77dcb4ba8dd3e837f64749e07e332b4dc49959f1",
         "model.dot":
             "6ca50b868ef5e0f2189664db70ccb130472fcf6d584aab2d00e334a40c34b24c",
         "model.property":
@@ -111,7 +111,7 @@ GOLDEN = {
         "lts.dot":
             "e2c0ae388b32f1a7e4e76de28ac3c3f82e1f3b9c6663c9564283fdd4b9f57bc7",
         "manifest.json":
-            "16622674d2c0383fd2ad3a3a7aff795e2cc416bc2d6e11c068bca58239627e5b",
+            "2c2d6a1b0cbbd54c2891b189093b3d563541c9a1cafe0ac64e6ed725dd2edf4a",
         "model.dot":
             "6ca50b868ef5e0f2189664db70ccb130472fcf6d584aab2d00e334a40c34b24c",
         "model.property":
@@ -179,7 +179,7 @@ GOLDEN = {
         "lts.dot":
             "048e002859c363f92698d1a1f4b88282ee4c8a6d097f60cdb6f501e73174fe34",
         "manifest.json":
-            "48612eb1e38bdd777ae294092f9ef31bc9a8518bc08dea51ef3f51537c90c046",
+            "34f0faa80f4a8dc96ef4fcec2370b8468be5c414ba8da6c1d8f0407710b3dca1",
         "model.dot":
             "5001667a32dfbe07da7fd188e74a4eeb70aaf3c27f3b958372ccf5bdd81ad50f",
         "model.property":
@@ -203,7 +203,7 @@ GOLDEN = {
         "lts.dot":
             "6aa20d2adca2b276af5be608d3a7f79172446a5338258749141cbcc86862e091",
         "manifest.json":
-            "22e15464cad9cd1d097f81fdfb4699ba1a791b2844d1edbb7a4a226463687ee6",
+            "608298ff8b1a9d435918cb9d7721b823f0030b2dc96c93ba723a9276742ed116",
         "model.dot":
             "5001667a32dfbe07da7fd188e74a4eeb70aaf3c27f3b958372ccf5bdd81ad50f",
         "model.property":
@@ -227,7 +227,7 @@ GOLDEN = {
         "lts.dot":
             "048e002859c363f92698d1a1f4b88282ee4c8a6d097f60cdb6f501e73174fe34",
         "manifest.json":
-            "7682833b7e60d1c83f70210ebc24fd03c2cbc746d707a8d8fce565e762c90339",
+            "bb4c7262afecb1e18110097f26ff8a1485b695ec42fc627b9b61e0c39942495c",
         "model.dot":
             "5001667a32dfbe07da7fd188e74a4eeb70aaf3c27f3b958372ccf5bdd81ad50f",
         "model.property":

@@ -1,4 +1,5 @@
-"""Active learning: the table loop, oracles, mapper, and the two fixtures."""
+"""Active learning: L# on the observation tree, oracles, mapper, and the two
+fixtures."""
 
 import hashlib
 import random
@@ -12,12 +13,12 @@ from protocheck import (MachineSul, MealyMachine, annotate, bisimilar,
                         lstar_learn, random_walk_oracle, FreshNonceSul,
                         MappedSul, SulInterface, SulNondeterminismError)
 from protocheck.learning import (EMRTD_INPUTS, UDS_INPUTS, LearnError,
-                                 _CachingSul)
+                                 ObservationTree)
 from helpers import combination_lock, learning_target
 
 
 # ---------------------------------------------------------------------------
-# observation-table learning
+# L# on the observation tree
 # ---------------------------------------------------------------------------
 
 def test_learn_single_state_machine_in_one_round():
@@ -25,7 +26,7 @@ def test_learn_single_state_machine_in_one_round():
                      {("only", "a"): ("only", "x"), ("only", "b"): ("only", "x")})
     result = lstar_learn(MachineSul(m), m.inputs, lambda h: exact_oracle(m, h))
     assert result.rounds == 1
-    assert result.table_size[0] == 1          # epsilon row only
+    assert result.table_size[0] == 1          # the root is the one basis state
     assert bisimilar(m, result.machine).equivalent
 
 
@@ -85,6 +86,36 @@ def test_counterexamples_add_no_duplicate_short_rows(oracle):
         assert bisimilar(hidden, result.machine).equivalent
 
 
+@pytest.mark.parametrize("oracle", ["exact", "random-walk"])
+def test_learned_machine_is_exact_and_asks_fewer_words_than_the_table(oracle):
+    # on these 24-state machines the observation-table learner sent
+    # 547-725 words; L# stays below 450 with either oracle
+    for seed in (0, 1, 3, 4, 5, 6):
+        hidden = learning_target(seed, states=24, inputs=("a", "b", "c", "d"))
+        sul = MachineSul(hidden)
+        if oracle == "exact":
+            equivalence = lambda h: exact_oracle(hidden, h)  # noqa: E731
+        else:
+            equivalence = lambda h: random_walk_oracle(  # noqa: E731
+                sul, h, 5, 20, 200, seed)
+        result = lstar_learn(sul, hidden.inputs, equivalence)
+        assert result.proven
+        assert bisimilar(hidden, result.machine).equivalent
+        assert result.membership_queries < 450
+        assert result.table_size == (len(hidden.states),
+                                     len(hidden.states) * 3 + 1)
+
+
+def test_default_round_budget_covers_one_round_per_state():
+    # each refuted hypothesis adds at least one state; this machine takes
+    # more than 100 rounds with the exact oracle
+    hidden = learning_target(7, states=150)
+    result = lstar_learn(MachineSul(hidden), hidden.inputs,
+                         lambda h: exact_oracle(hidden, h))
+    assert result.rounds > 100
+    assert result.proven and bisimilar(hidden, result.machine).equivalent
+
+
 def test_round_budget_returns_last_hypothesis_unproven():
     hidden = combination_lock()
     full = lstar_learn(MachineSul(hidden), hidden.inputs,
@@ -134,23 +165,23 @@ _LEARNING_TARGETS = {
 # space-separated; sha256 of emit_dot of the learned machine)
 _QUERY_LOG_DIGESTS = {
     ("seed1-64", "exact"): (
-        "69f17e9cd34486cc2a22cbb5cb57f96085f3ae333a618fe36fc99fe08b4f7ffe",
-        "f493571cd0b2b002cda504a38ffa9e9e2e1650af3708e0060eaccee94e0a6f0d"),
+        "2e484203f8d6bdc536f3b37ddcb711de9a7a4f7850f3270c395db9ac39e440a4",
+        "afc9bd8762f9ed2c5797f0978e6e97603de69444eb6de27bee2506a764667bc5"),
     ("seed1-64", "random-walk"): (
-        "10a8edaa40f360f55febb05b88f1e821cb7c07094b8f44b008ff07035a33f083",
-        "128f086eab0de988bc7a7541487e5aede18cd964a737ef710e5961746e5530f4"),
+        "3de04cd42a3397a8a1791315dfd7d265c244870a48a522c966ed7463d4bf872d",
+        "afc9bd8762f9ed2c5797f0978e6e97603de69444eb6de27bee2506a764667bc5"),
     ("seed2", "exact"): (
-        "854b1834875aa9a276ac5cf768e0eb005e2059cc6b1b2b7767caa5d969a003f9",
-        "744a7aeba058eef4ab4c3cef761760c07797c7c0c813d292b70bcf387b1be01d"),
+        "ce40f387fbe61ceb69901af9572de3938a616e1896825364c99401b541da14a0",
+        "88be939be156a5d8b991201c29ded4a1537c0332829a84ad08bb6e427c32547e"),
     ("seed2", "random-walk"): (
-        "dfd5911f93d68389467acc5b691c182e8520a772ca0314e9f71bab9f31a30cf4",
-        "0aaeb4e3fecbc5e3008e67f48088846eb1aa831edce58d5d280b18d70d0f6cf5"),
+        "102e95193c9280d719f777b438c493b6c6e49ff74355bbc152d47bdbd9d61ba6",
+        "88be939be156a5d8b991201c29ded4a1537c0332829a84ad08bb6e427c32547e"),
     ("seed3", "exact"): (
-        "0a8950556778c934f5d161f9309f439972fa8022783ebb6014e0850be40c9f9f",
-        "c5150a9bf5d63fb7798a361d9b861330d8f9c5899e8a3f4ec5839e4d1a1fc325"),
+        "b700e689aa6741a77f3130c8ff4ac72ac2d6f1086fb1abbafcb05aaab99d3698",
+        "b646b68273950c85bf918a5acc9a3128409dcd3df8aa16f55ad8e47d160d5b28"),
     ("seed3", "random-walk"): (
-        "5f8a12e5e3d0d836bcd82a334b934a2be4205c1899d7217417e1b8d9dd7d7e0c",
-        "7ebcf500a4d3078f8bbb3884b6c537656bd69ff6e707a0bab3aa7cf01dc7eb75"),
+        "6d4db9b19dabd95ea7c22496d9059119878b17654fdfdc8b7121ef177340735f",
+        "b646b68273950c85bf918a5acc9a3128409dcd3df8aa16f55ad8e47d160d5b28"),
 }
 
 
@@ -158,7 +189,7 @@ _QUERY_LOG_DIGESTS = {
 @pytest.mark.parametrize("target", sorted(_LEARNING_TARGETS))
 def test_multi_round_learning_sends_the_same_words(target, oracle):
     # the words the system sees, and their order, are part of the
-    # byte-identity contract: they decide the cache hits, the query counts
+    # byte-identity contract: they decide what the tree holds, the query counts
     # and the random-walk oracle's draws
     hidden = _LEARNING_TARGETS[target]()
     sul = _RecordingSul(hidden)
@@ -201,18 +232,47 @@ def test_flaky_sul_detected():
         lstar_learn(Flaky(), ("a",), lambda h: None)
 
 
-def test_query_soundness_spot_check():
+def test_tree_answers_what_it_holds_without_the_system():
     sul, hidden = build_uds_sul()
-    cached = _CachingSul(sul)
+    recording = _RecordingSul(hidden)
+    tree = ObservationTree(recording)
     rng = random.Random(9)
     words = [tuple(rng.choice(hidden.inputs) for _ in range(rng.randint(1, 6)))
              for _ in range(300)]
     for w in words:
-        cached.query(w)
-    fresh = MachineSul(hidden)
-    sample = rng.sample(words, max(3, len(words) // 100))
-    for w in sample:
-        assert cached.query(w) == fresh.query(w)
+        assert tree.query(w) == sul.query(w)
+    asked = len(recording.words)
+    assert asked == tree.queries < len(words)
+    # every answered word and each of its prefixes, from any node on its path
+    for w in words:
+        for cut in range(len(w) + 1):
+            node = 0
+            for symbol in w[:cut]:
+                node = tree.edges[node][symbol][0]
+            assert tree.access(node) == w[:cut]
+            assert tree.query(w[cut:], node) == hidden.run(w)[cut:]
+    assert len(recording.words) == asked
+
+
+def test_tree_names_the_word_a_nondeterministic_system_changed():
+    class Drifting(SulInterface):
+        """Answers "x" to the first two inputs after it is built, "y" after."""
+
+        def __init__(self):
+            self.steps = 0
+
+        def reset(self):
+            pass
+
+        def step(self, symbol):
+            self.steps += 1
+            return "x" if self.steps < 3 else "y"
+
+    tree = ObservationTree(Drifting())
+    assert tree.query(("a", "b")) == ("x", "x")
+    assert tree.query(("a",)) == ("x",)
+    with pytest.raises(SulNondeterminismError, match=r"\['a', 'c'\].*'x'.*\['a'\]"):
+        tree.query(("a", "c"))
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,19 @@ def test_library_check_of_a_1000_conjunct_formula_gets_a_verdict():
     assert format_formula(f) == "(" * 998 + "p && p" + ") && p" * 998
 
 
+def test_equal_deep_halves_of_a_disjunction_get_a_verdict():
+    """The automaton's closure holds each deep half once: telling the two
+    equal but distinct 600-deep subtrees apart takes no recursion."""
+    conjunction = " && ".join(["p"] * 600)
+    f = parse_ltl(f"({conjunction}) || ({conjunction})")
+    assert f.left == f.right and f.left is not f.right
+    assert f.left != parse_ltl(conjunction + " && q")
+    k_p = KripkeStructure(("a",), ("a",), {"a": ("a",)}, {"a": val("p")}, frozenset({"p"}))
+    k_not_p = KripkeStructure(("a",), ("a",), {"a": ("a",)}, {"a": val()}, frozenset({"p"}))
+    assert check(k_p, f).verdict == HOLDS
+    assert check(k_not_p, f).verdict == VIOLATED
+
+
 def _buchi_form(f) -> str:
     auto = ltl_to_buchi(f)
     return repr((auto.states, auto.mark_count,
