@@ -19,8 +19,8 @@ from .actorgen import (ActorModelIR, MutationConfig, ActorGenError,
 from .statespace import (Lts, CollapsedModel, StateSpaceError, explore,
                          collapse, verify_roundtrip, kripke_from_collapsed,
                          emit_lts_dot, parse_lts_dot, RoundtripReport)
-from .ltl import (Formula, LtlError, parse_ltl, to_nnf, ltl_to_buchi,
-                  BuchiAutomaton, KripkeStructure, kripke_from_annotated,
+from .ltl import (Formula, LtlError, CeilingError, parse_ltl, to_nnf,
+                  ltl_to_buchi, BuchiAutomaton, KripkeStructure, kripke_from_annotated,
                   Lasso, check, bounded_oracle, evaluate_on_lasso,
                   property_library, parse_property_file, vacuity,
                   CheckResult, HOLDS, VIOLATED, BOUNDED_HOLDS,

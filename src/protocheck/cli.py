@@ -5,8 +5,9 @@ writes its outputs; ``pipeline`` runs the same helpers in memory and writes
 every intermediate artifact along the way.
 
 Exit codes: 0 success, 1 round-trip failure, 2 property violations found,
-3 replay divergence, 64 usage errors.  All outputs are deterministic given
-the same inputs and seeds; reports embed seeds for reproducibility.
+3 replay divergence, 4 a resource ceiling reached, 64 usage errors.  All
+outputs are deterministic given the same inputs and seeds; reports embed
+seeds for reproducibility.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .cpm import (parse_cpm, annotate, expand_tau, emit_annotated_dot,
 from .actorgen import MutationConfig, build_ir, emit_rebeca, apply_timeout_mutation
 from .statespace import (explore, collapse, verify_roundtrip, compare_roundtrip,
                          emit_lts_dot, parse_lts_dot, emit_collapsed_dot)
-from .ltl import (check, kripke_from_annotated, property_library, PropertyInstance,
-                  parse_property_file, vacuity, instantiate, format_formula,
-                  emit_property_file, verdict_jsonl, HOLDS)
+from .ltl import (CeilingError, check, kripke_from_annotated, property_library,
+                  PropertyInstance, parse_property_file, vacuity, instantiate,
+                  format_formula, emit_property_file, verdict_jsonl, HOLDS)
 from .learning import (FIXTURE_SULS, SulInterface, lstar_learn, exact_oracle,
                        random_walk_oracle, build_uds_sul)
 from .testkit import (concretize, replay, read_tests, write_tests, to_record,
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_ROUNDTRIP = 1
 EXIT_VIOLATED = 2
 EXIT_DIVERGED = 3
+EXIT_CEILING = 4
 EXIT_USAGE = 64
 
 
@@ -572,6 +574,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except CeilingError as exc:
+        print(f"protocheck: error: {exc}", file=sys.stderr)
+        return EXIT_CEILING
     except (FileNotFoundError, ValueError) as exc:
         print(f"protocheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,6 +31,11 @@ class OracleBudgetError(RuntimeError):
     """Raised when bounded enumeration would exceed its guard."""
 
 
+class CeilingError(RuntimeError):
+    """Raised when a search reaches its resource ceiling: the state space,
+    the product or the automaton expansion."""
+
+
 # ---------------------------------------------------------------------------
 # Formula AST
 # ---------------------------------------------------------------------------
@@ -459,7 +464,7 @@ def ltl_to_buchi(f: Formula, ceiling: int = 10 ** 6) -> BuchiAutomaton:
                 if other is not None:
                     opened += 1
                     if opened > ceiling:
-                        raise LtlError(f"automaton state ceiling exceeded ({ceiling})")
+                        raise CeilingError(f"automaton state ceiling exceeded ({ceiling})")
                     branches.append(((todo | other) & ~taken, taken, later, implied, marks))
                     if not taken & right:
                         marks &= ~clears
@@ -496,13 +501,21 @@ def _bits(mask: int):
 class KripkeIndex:
     """States numbered 0..n-1 in declaration order, with successor tuples
     and one label id per state; distinct labels are numbered in order of
-    first occurrence."""
+    first occurrence.
+
+    ``quotient`` is the label quotient: one node per label id, with an edge
+    from label a to label b when some reachable state labelled a has a
+    successor labelled b.  Every path of the structure reads the labels of
+    a path of the quotient, so a property that holds on the quotient holds
+    on the structure.  A label has successors there exactly when some
+    reachable state carries it."""
 
     number: dict[str, int]
     successors: tuple[tuple[int, ...], ...]
     label_of: tuple[int, ...]
     labels: tuple[frozenset[str], ...]
     initial: tuple[int, ...]
+    quotient: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -532,29 +545,25 @@ class KripkeStructure:
     def index(self) -> KripkeIndex:
         """The structure over integers, built once and freed with it."""
         number = {q: i for i, q in enumerate(self.states)}
+        successors = tuple(tuple(number[t] for t in self.successors[q]) for q in self.states)
         label_ids: dict[frozenset[str], int] = {}
-        return KripkeIndex(
-            number=number,
-            successors=tuple(tuple(number[t] for t in self.successors[q])
-                             for q in self.states),
-            label_of=tuple(label_ids.setdefault(self.label(q), len(label_ids))
-                           for q in self.states),
-            labels=tuple(label_ids),
-            initial=tuple(number[q] for q in self.initial),
-        )
-
-    def reachable_states(self) -> list[str]:
-        seen = list(self.initial)
-        seen_set = set(seen)
-        frontier = deque(seen)
-        while frontier:
-            q = frontier.popleft()
-            for succ in self.successors[q]:
-                if succ not in seen_set:
-                    seen_set.add(succ)
-                    seen.append(succ)
-                    frontier.append(succ)
-        return seen
+        label_of = tuple(label_ids.setdefault(self.label(q), len(label_ids))
+                         for q in self.states)
+        initial = tuple(number[q] for q in self.initial)
+        # breadth-first over the reachable states, each adding its edges
+        quotient: list[dict[int, None]] = [{} for _ in label_ids]
+        frontier = list(dict.fromkeys(initial))
+        seen = set(frontier)
+        for s in frontier:
+            edges = quotient[label_of[s]]
+            for t in successors[s]:
+                edges[label_of[t]] = None
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+        return KripkeIndex(number=number, successors=successors, label_of=label_of,
+                           labels=tuple(label_ids), initial=initial,
+                           quotient=tuple(map(tuple, quotient)))
 
 
 def kripke_from_annotated(a: AnnotatedMachine,
@@ -710,13 +719,15 @@ def check(k: KripkeStructure, f: Formula,
     negation automaton is decided by a strongly connected component
     search, the witness is built from breadth-first shortest paths, and
     every witness is replayed through direct semantics before being
-    returned.  ``max_product_states`` bounds the automaton's expansion as
-    well as the product.
+    returned.  The search runs first on the product with the structure's
+    label quotient, and only if that finds a component on the structure's
+    own product, which alone gives witnesses.  ``max_product_states``
+    bounds the automaton's expansion as well as each search.
     """
     resolved, substituted, warnings = _resolve_undeclared(f, k.atomic_props)
     automaton = ltl_to_buchi(to_nnf(Not(resolved)), max_product_states)
     product = _Product(k, automaton, max_product_states)
-    component = product.accepting_component()
+    component = None if product.holds_on_quotient() else product.accepting_component()
     if component is None:
         return CheckResult(HOLDS, None, substituted, warnings)
     witness = product.lasso(component)
@@ -748,6 +759,10 @@ class _Product:
     covers of each automaton state are decided once per distinct label,
     and ``table[b][label id]`` holds the (target, marks) pairs of the covers
     of b that admit it.  The search starts in (s0, 0) for each initial s0.
+
+    The product with the label quotient numbers its states the same way,
+    with s a label id, so the same table serves it: each node carries its
+    own label.
     """
 
     def __init__(self, k: KripkeStructure, auto: BuchiAutomaton, ceiling: int):
@@ -757,20 +772,35 @@ class _Product:
         table = [[tuple(dict.fromkeys((c.target, c.marks) for c in covers
                                       if c.required <= v and not c.forbidden & v))
                   for v in index.labels] for covers in auto.covers]
-        k_successors, label_of = index.successors, index.label_of
 
-        def successors(p: int) -> list[tuple[int, int]]:
-            s, b = divmod(p, width)
-            row = table[b][label_of[s]]
-            return [(t * width + b2, marks) for b2, marks in row for t in k_successors[s]]
+        def over(k_successors, label_of):
+            def successors(p: int) -> list[tuple[int, int]]:
+                s, b = divmod(p, width)
+                row = table[b][label_of[s]]
+                return [(t * width + b2, marks) for b2, marks in row for t in k_successors[s]]
+            return successors
 
-        self.successors = successors
+        self.successors = over(index.successors, index.label_of)
         self.start = [s * width for s in index.initial]
+        self.quotient = (over(index.quotient, range(len(index.labels))),
+                         [index.label_of[s] * width for s in index.initial])
         self.full = (1 << auto.mark_count) - 1
 
-    def accepting_component(self) -> list[int] | None:
-        """Couvreur's search: the states of the first strongly connected
-        set found whose inner edges carry every mark, or None.
+    def holds_on_quotient(self) -> bool:
+        """True when the product with the label quotient has no accepting
+        component.  A search that reaches the ceiling proves nothing: the
+        structure's own product, though never smaller, may still show a
+        witness within it."""
+        try:
+            return self.accepting_component(quotient=True) is None
+        except CeilingError:
+            return False
+
+    def accepting_component(self, quotient: bool = False) -> list[int] | None:
+        """Couvreur's search over the structure's product, or with
+        ``quotient`` over the product with the label quotient: the states of
+        the first strongly connected set found whose inner edges carry every
+        mark, or None.
 
         ``live`` holds the visited states not yet in a finished component,
         in visiting order; ``position`` maps them to their index there and
@@ -780,7 +810,8 @@ class _Product:
         into ``live`` merges every root above the target into one
         component, ORing both values of each popped root and the edge's own
         marks."""
-        successors, full = self.successors, self.full
+        successors, start = self.quotient if quotient else (self.successors, self.start)
+        full = self.full
         position: dict[int, int] = {}
         live: list[int] = []
         roots: list[int] = []
@@ -790,7 +821,7 @@ class _Product:
 
         def visit(q: int, marks: int):
             if len(position) >= self.ceiling:
-                raise LtlError(f"product state ceiling exceeded ({self.ceiling})")
+                raise CeilingError(f"product state ceiling exceeded ({self.ceiling})")
             position[q] = len(live)
             roots.append(len(live))
             inner.append(0)
@@ -798,7 +829,7 @@ class _Product:
             live.append(q)
             stack.append((q, iter(successors(q))))
 
-        for first in self.start:
+        for first in start:
             if first not in position:
                 visit(first, 0)
             while stack:
@@ -865,7 +896,7 @@ class _Product:
                         break
                     queue.append(q)
             if len(parent) > self.ceiling:
-                raise LtlError(f"product state ceiling exceeded ({self.ceiling})")
+                raise CeilingError(f"product state ceiling exceeded ({self.ceiling})")
         path = []
         while found is not None:
             path.append(found)
@@ -1090,8 +1121,10 @@ def vacuity(k: KripkeStructure, f: Formula) -> VacuityInfo | None:
     antecedent, consequent = shape
     if not (_is_propositional(antecedent) and _is_propositional(consequent)):
         return None
-    # one position per reachable label: a propositional formula reads no other
-    labels = [k.label(s) for s in k.reachable_states()]
+    # one position per reachable label, the quotient nodes with successors:
+    # a propositional formula reads no other
+    index = k.index
+    labels = [v for v, out in zip(index.labels, index.quotient) if out]
     fires = _truth(antecedent, labels, 0)
     ante = any(fires)
     risk = any(a and not c for a, c in zip(fires, _truth(consequent, labels, 0)))

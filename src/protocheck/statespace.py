@@ -17,14 +17,14 @@ from .automata import (MachineError, _escape, _quote, _split_fields, _unescape,
                        dot_document, dot_edge, io_label, read_dot)
 from .cpm import AnnotatedMachine, Cpm, split_machine, split_tau
 from .actorgen import ActorModelIR, TIMEOUT_PROP, build_ir
-from .ltl import KripkeStructure, kripke_view
+from .ltl import CeilingError, KripkeStructure, kripke_view
 
 REQ_LABEL = "req"
 TIMEOUT_LABEL = "timeout"
 
 
 class StateSpaceError(RuntimeError):
-    """Raised on exploration ceilings and ill-formed transition systems."""
+    """Raised on ill-formed transition systems."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def explore(ir: ActorModelIR, max_nodes: int = 10 ** 6) -> Lts:
             return found
         idx = len(nodes)
         if idx >= max_nodes:
-            raise StateSpaceError(f"state ceiling exceeded ({max_nodes} nodes)")
+            raise CeilingError(f"state ceiling exceeded ({max_nodes} nodes)")
         index_of[key] = idx
         nodes.append(LtsNode(idx, q, props, temps, phase, pending))
         return idx

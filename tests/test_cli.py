@@ -476,3 +476,21 @@ def test_a_200_deep_property_gets_a_verdict(workdir, capsys, in_process):
     if in_process:
         out, err = capsys.readouterr()
     assert (code, out, err) == (2, "deep: VIOLATED\n", "")
+
+
+@pytest.mark.parametrize("command,message", [
+    ("explore", "state ceiling exceeded (5 nodes)"),
+    ("check", "product state ceiling exceeded (5)"),
+])
+def test_a_reached_ceiling_exits_4_with_one_line(workdir, command, message):
+    """A resource ceiling has its own exit code: neither the round-trip
+    failure of ``explore`` nor the usage error of ``check``."""
+    cpm = parse_cpm(fixture_text("uds.cpm"))
+    annotated = annotate(build_uds_machine()[0], cpm)
+    (workdir / "annotated.dot").write_text(emit_annotated_dot(annotated))
+    (workdir / "expanded.dot").write_text(emit_annotated_dot(expand_tau(annotated, cpm)))
+    argv = {"explore": ["--annotated", "annotated.dot", "--out", "lts.dot"],
+            "check": ["--expanded", "expanded.dot", "--report", "report.json"]}[command]
+    assert cli_process(workdir, command, *argv, "--cpm", "uds.cpm", "--max-nodes", "5") == (
+        4, "", f"protocheck: error: {message}\n")
+    assert not (workdir / "lts.dot").exists() and not (workdir / "report.json").exists()

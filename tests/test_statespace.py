@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from protocheck import (MealyMachine, MutationConfig, TIMEOUT_PROP, annotate,
-                        apply_timeout_mutation, build_emrtd_machine, build_ir,
-                        build_uds_machine, collapse, emit_lts_dot, explore,
-                        parse_lts_dot, verify_roundtrip)
+from protocheck import (CeilingError, MealyMachine, MutationConfig, TIMEOUT_PROP,
+                        annotate, apply_timeout_mutation, build_emrtd_machine,
+                        build_ir, build_uds_machine, collapse, emit_lts_dot,
+                        explore, parse_lts_dot, verify_roundtrip)
 from protocheck.cpm import Cpm
 from protocheck.statespace import (StateSpaceError, compare_roundtrip,
                                    kripke_from_collapsed)
@@ -52,7 +52,7 @@ def test_explore_deterministic(two_state_annotated, two_state_cpm):
 
 
 def test_explore_node_ceiling(two_state_annotated, two_state_cpm):
-    with pytest.raises(StateSpaceError, match="ceiling"):
+    with pytest.raises(CeilingError, match=r"^state ceiling exceeded \(3 nodes\)$"):
         explore(build_ir(two_state_annotated, two_state_cpm), max_nodes=3)
 
 

@@ -1,4 +1,5 @@
-"""Checker witnesses: the product ceiling, generalized acceptance and length.
+"""Checker witnesses: the product ceiling, generalized acceptance, length,
+and the label quotient that proves holding properties before the search.
 
 Every witness is a lasso over Kripke states that ``check`` has already
 replayed through direct semantics; these tests pin what it looks like.
@@ -6,15 +7,17 @@ replayed through direct semantics; these tests pin what it looks like.
 
 import importlib.util
 import random
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 from protocheck import annotate, build_uds_machine, expand_tau, parse_cpm, parse_dot
-from protocheck.ltl import (HOLDS, VIOLATED, KripkeStructure, LtlError, Not, check,
-                            kripke_from_annotated, ltl_to_buchi, parse_ltl,
-                            property_library, to_nnf)
+from protocheck.ltl import (BOUNDED_HOLDS, HOLDS, PROPERTY_TEMPLATES, VIOLATED,
+                            CeilingError, KripkeStructure, Not, _Product,
+                            bounded_oracle, check, kripke_from_annotated, ltl_to_buchi,
+                            parse_ltl, property_library, to_nnf)
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
 
@@ -29,13 +32,24 @@ def _ring(n: int, labels=None) -> KripkeStructure:
 
 @pytest.mark.parametrize("text", ["G F p", "G !p"])
 def test_product_ceiling_raises(text):
-    """Ten ring states: the search needs more than five product states,
+    """Ten ring states with pairwise distinct labels, so the label quotient
+    is the ring itself: each search needs more than five product states,
     whether or not the property holds."""
-    k = _ring(10)
+    k = _ring(10, {f"r{i}": frozenset({f"r{i}"}) for i in range(10)})
     expected = check(k, parse_ltl(text))
     assert expected.verdict == (VIOLATED if text == "G F p" else HOLDS)
-    with pytest.raises(LtlError, match=r"product state ceiling exceeded \(5\)"):
+    with pytest.raises(CeilingError, match=r"^product state ceiling exceeded \(5\)$"):
         check(k, parse_ltl(text), max_product_states=5)
+
+
+def test_quotient_proves_within_the_ceiling_the_product_exceeds():
+    """On the unlabelled ring the quotient is one node with a self-loop:
+    it proves G !p within five states.  For G F p it finds a component, so
+    the search falls through to the ring's own product, which needs more."""
+    k = _ring(10)
+    assert check(k, parse_ltl("G !p"), max_product_states=5).verdict == HOLDS
+    with pytest.raises(CeilingError, match=r"^product state ceiling exceeded \(5\)$"):
+        check(k, parse_ltl("G F p"), max_product_states=5)
 
 
 def test_automaton_ceiling_raises_one_line(uds_cpm):
@@ -44,7 +58,7 @@ def test_automaton_ceiling_raises_one_line(uds_cpm):
     expanded = expand_tau(annotate(build_uds_machine()[0], uds_cpm), uds_cpm)
     k = kripke_from_annotated(expanded, declared=uds_cpm.declared_props)
     f = parse_ltl("AUTH U (" * 200 + "PROT" + ")" * 200)
-    with pytest.raises(LtlError) as caught:
+    with pytest.raises(CeilingError) as caught:
         check(k, f, max_product_states=10_000)
     assert str(caught.value) == "automaton state ceiling exceeded (10000)"
 
@@ -101,3 +115,52 @@ def test_library_witnesses_stay_short_on_a_500_state_machine():
     assert len(witnesses) == 4
     for lasso in witnesses.values():
         assert len(lasso.stem) + len(lasso.loop) <= 60, lasso
+
+
+def _few_labels(rng: random.Random) -> KripkeStructure:
+    """12 to 20 states over two propositions, one or two successors each:
+    at most four labels, so the quotient merges many states."""
+    n = rng.randint(12, 20)
+    states = tuple(f"s{i}" for i in range(n))
+    return KripkeStructure(
+        states=states, initial=(states[0],),
+        successors={q: tuple(rng.sample(states, rng.randint(1, 2))) for q in states},
+        labels={q: frozenset(p for p in "ab" if rng.random() < 0.5) for q in states},
+        atomic_props=frozenset("ab"))
+
+
+def _over_two(text: str, rng: random.Random) -> str:
+    """The formula with each of its propositions renamed to a or b."""
+    names = {}
+    return re.sub(r"[A-Z][A-Z0-9_]+", lambda m: names.setdefault(m[0], rng.choice("ab")),
+                  text)
+
+
+def test_quotient_changes_no_verdict_and_no_witness():
+    """Library and benchmark patterns on structures with few labels, where
+    the quotient often shows a counterexample the structure does not have.
+    ``check`` gives the verdict and lasso of the structure's own product
+    searched alone, and agrees with the bounded oracle; both branches run."""
+    gen = _benchmark_generators()
+    rng = random.Random(1313)
+    patterns = list(PROPERTY_TEMPLATES.values())
+    patterns += gen.property_file(random.Random(5), 36, 0, 0).text.splitlines()[1:]
+    proved = refuted = 0
+    for _ in range(30):
+        k = _few_labels(rng)
+        for text in patterns:
+            f = parse_ltl(_over_two(text.split(":", 1)[-1], rng))
+            result = check(k, f)
+            product = _Product(k, ltl_to_buchi(to_nnf(Not(f))), 10 ** 6)
+            component = product.accepting_component()
+            assert result.lasso == (None if component is None else product.lasso(component))
+            assert result.verdict == (HOLDS if component is None else VIOLATED)
+            if product.holds_on_quotient():
+                proved += 1
+            elif component is None:
+                refuted += 1
+            bounds = (4, 4) if component is None else (
+                max(4, len(result.lasso.stem)), max(4, len(result.lasso.loop)))
+            oracle = bounded_oracle(k, f, *bounds)
+            assert (oracle.verdict == BOUNDED_HOLDS) == result.holds, (text, f)
+    assert proved > 300 and refuted > 50, (proved, refuted)
