@@ -32,8 +32,7 @@ from .learning import (SulInterface, MachineSul,
                        build_emrtd_sul, build_uds_sul, build_emrtd_machine,
                        build_uds_machine, EMRTD_INPUTS, UDS_INPUTS,
                        LearnError, SulNondeterminismError)
-from .mapper import (Mapper, MappedSul, canonicalize_nonce_mapper,
-                     FreshNonceSul)
+from .mapper import Mapper, MappedSul
 from .testkit import (TestCase, ReplayResult, TestKitError, concretize,
                       replay, feedback, write_tests, read_tests,
                       CONFIRMED, DIVERGED)

@@ -5,9 +5,11 @@ writes its outputs; ``pipeline`` runs the same helpers in memory and writes
 every intermediate artifact along the way.
 
 Exit codes: 0 success, 1 round-trip failure, 2 property violations found,
-3 replay divergence, 4 a resource ceiling reached, 64 usage errors.  All
-outputs are deterministic given the same inputs and seeds; reports embed
-seeds for reproducibility.
+3 replay divergence, 4 a resource ceiling reached, 5 learning failed: the
+system answered inconsistently, 64 usage errors (a count flag or config key
+below 1 among them, caught before anything is written).  All outputs are
+deterministic given the same inputs and seeds; reports embed seeds for
+reproducibility.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .statespace import (explore, collapse, verify_roundtrip, compare_roundtrip,
 from .ltl import (CeilingError, check, kripke_from_annotated, property_library,
                   PropertyInstance, parse_property_file, vacuity, instantiate,
                   format_formula, emit_property_file, verdict_jsonl, HOLDS)
-from .learning import (FIXTURE_SULS, SulInterface, lstar_learn, exact_oracle,
-                       random_walk_oracle, build_uds_sul)
+from .learning import (FIXTURE_SULS, LearnError, SulInterface, lstar_learn,
+                       exact_oracle, random_walk_oracle, build_uds_sul)
 from .testkit import (concretize, replay, read_tests, write_tests, to_record,
                       from_record)
 
@@ -40,7 +42,11 @@ EXIT_ROUNDTRIP = 1
 EXIT_VIOLATED = 2
 EXIT_DIVERGED = 3
 EXIT_CEILING = 4
+EXIT_LEARN = 5
 EXIT_USAGE = 64
+
+# argparse destinations of the count flags, each at least 1
+_COUNT_FLAGS = ("max_nodes", "unroll", "num_tests", "min_len", "max_len")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,10 +123,17 @@ def _learn(selector: str, oracle: str, min_len: int, max_len: int,
            num_tests: int, seed: int):
     """The learned machine and the learner's statistics, with the resets
     and symbols the system received for membership queries and for the
-    equivalence oracle."""
+    equivalence oracle.  The input alphabet is the hidden machine's when
+    the factory hands one over, else the system's ``inputs``."""
     sul, hidden = _resolve_sul(selector)
-    if hidden is None:
-        raise ValueError("learning needs a fixture (or factory) exposing its input alphabet")
+    if hidden is not None:
+        alphabet = hidden.inputs
+    elif not (alphabet := tuple(getattr(sul, "inputs", ()))):
+        raise ValueError(f"system {selector!r} names no input alphabet: give it an "
+                         "`inputs` attribute or return (system, machine)")
+    elif oracle == "exact":
+        raise ValueError("the exact oracle needs the hidden machine: return "
+                         "(system, machine) or use the random-walk oracle")
     membership, walks = _Counted(sul), _Counted(sul)
     if oracle == "exact":
         equivalence = lambda hyp: exact_oracle(hidden, hyp)  # noqa: E731
@@ -130,7 +143,7 @@ def _learn(selector: str, oracle: str, min_len: int, max_len: int,
         rounds = itertools.count(1)
         equivalence = lambda hyp: random_walk_oracle(  # noqa: E731
             walks, hyp, min_len, max_len, num_tests, f"{seed}/{next(rounds)}")
-    result = lstar_learn(membership, hidden.inputs, equivalence)
+    result = lstar_learn(membership, alphabet, equivalence)
     return result.machine, {
         "membership_queries": result.membership_queries,
         "equivalence_queries": result.equivalence_queries,
@@ -359,7 +372,6 @@ def cmd_pipeline(args) -> int:
         raise ValueError('pipeline config lacks "sul" or "model"')
     _check_config_values(config)
     out_dir = Path(config.get("out_dir", "pipeline-out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = config.get("seed", 0)
     learner_cfg = config.get("learner", {})
     mutation_cfg = config.get("mutation", {})
@@ -377,6 +389,7 @@ def cmd_pipeline(args) -> int:
     else:
         machine = parse_dot(_read(config["model"]))
         stages["learn"] = {"skipped": True}
+    out_dir.mkdir(parents=True, exist_ok=True)
     put("model.dot", emit_dot(machine))
 
     cpm = parse_cpm(_read(config["cpm"]))
@@ -434,12 +447,11 @@ def _check_config_values(config: dict):
     """Reject an ill-typed scalar of a pipeline config before anything is
     written."""
     learner = config.get("learner", {})
-    counts = [(f'"{key}"', config.get(key, 1)) for key in ("state_ceiling", "unroll")]
-    counts += [(f'"learner.{key}"', learner.get(key, 1))
+    counts = [(f'pipeline config "{key}"', config.get(key, 1))
+              for key in ("state_ceiling", "unroll")]
+    counts += [(f'pipeline config "learner.{key}"', learner.get(key, 1))
                for key in ("min_len", "max_len", "num_tests")]
-    for name, value in counts:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"pipeline config {name} must be a positive integer")
+    _check_counts(counts, "must be a positive integer")
     _check_walk_lengths(learner.get("min_len", 20), learner.get("max_len", 50),
                         'pipeline config "learner.min_len"', '"learner.max_len"')
     seed = config.get("seed", 0)
@@ -454,11 +466,17 @@ def _check_config_values(config: dict):
         raise ValueError(f"unknown learning algorithm {algorithm!r}")
 
 
+def _check_counts(counts, rule: str):
+    """Every (name, value) count is an integer of at least 1; checked
+    before anything is written, whether or not the run uses it."""
+    for name, value in counts:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} {rule}")
+
+
 def _check_walk_lengths(min_len: int, max_len: int, min_name: str, max_name: str):
-    """Random walks need 1 <= min_len <= max_len; checked before anything
-    is written, whichever oracle is chosen."""
-    if min_len < 1:
-        raise ValueError(f"{min_name} must be at least 1")
+    """Random walks need min_len <= max_len (both counts); checked before
+    anything is written, whichever oracle is chosen."""
     if min_len > max_len:
         raise ValueError(f"{min_name} must not exceed {max_name}")
 
@@ -573,10 +591,16 @@ def main(argv=None) -> int:
     # usage problems inside argparse exit through _Parser.error
     args = build_parser().parse_args(argv)
     try:
+        _check_counts([("--" + dest.replace("_", "-"), value)
+                       for dest, value in vars(args).items() if dest in _COUNT_FLAGS],
+                      "must be at least 1")
         return args.func(args)
     except CeilingError as exc:
         print(f"protocheck: error: {exc}", file=sys.stderr)
         return EXIT_CEILING
+    except LearnError as exc:
+        print(f"protocheck: error: {exc}", file=sys.stderr)
+        return EXIT_LEARN
     except (FileNotFoundError, ValueError) as exc:
         print(f"protocheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

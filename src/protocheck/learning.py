@@ -282,8 +282,10 @@ def lstar_learn(sul: SulInterface, alphabet, equivalence,
 
     ``equivalence`` maps a hypothesis to a counterexample word or None; a
     None answer accepts the hypothesis.  Each counterexample is processed
-    until the hypothesis answers it correctly; a counterexample the
-    hypothesis already answers correctly is an error.
+    until the hypothesis answers it correctly.  A counterexample the tree
+    already answers as the hypothesis does is asked once more, past the
+    tree: a changed answer raises ``SulNondeterminismError``, an unchanged
+    one ``LearnError``.
     ``initial_counterexamples`` (e.g. diverging words fed back from test
     replays) are processed the same way before the first round, and may
     already be answered correctly.  One round is one equivalence query;
@@ -304,6 +306,7 @@ def lstar_learn(sul: SulInterface, alphabet, equivalence,
         if counterexample is None or round_no == max_rounds:
             break
         if not learner.refine(tuple(counterexample)):
+            tree._ask((), tuple(counterexample))
             raise LearnError(
                 f"counterexample {counterexample} produced no table growth")
     return LearnResult(hypothesis, round_no, tree.queries, round_no,

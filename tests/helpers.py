@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from protocheck import MachineSul, MealyMachine, build_uds_machine, reachable
+from protocheck import (Mapper, MappedSul, MachineSul, MealyMachine, SulInterface,
+                        build_uds_machine, reachable)
 from protocheck.cpm import Condition, Cpm
 from protocheck.ltl import (And, Eventually, Always, Implies, KripkeStructure,
                             Next, Not, Or, Prop, Until)
@@ -88,6 +89,58 @@ def counted_uds_sul():
     system, every reset and symbol it receives."""
     machine, _ = build_uds_machine()
     return _CountedMachine(machine), machine
+
+
+def blackbox_uds_sul():
+    """``module:factory`` form of the diagnostic unit as a bare black box: a
+    system that names its input alphabet and hands over no machine."""
+    machine, _ = build_uds_machine()
+    sul = MachineSul(machine)
+    sul.inputs = machine.inputs
+    return sul
+
+
+def canonicalize_nonce_mapper() -> Mapper:
+    """Folds challenge nonces into one canonical symbol."""
+    return Mapper(output_classes=((("CHAL_*",), "NONCE"),))
+
+
+class FreshNonceSul(SulInterface):
+    """Raw system that answers a challenge request with a fresh nonce every
+    time and echoes a fixed status otherwise; with ``leak``, a serial read
+    answers with a fresh number too, which no mapper class declares."""
+
+    def __init__(self, leak: bool = False):
+        self.counter = 0
+        self.leak = leak
+
+    def reset(self):
+        pass
+
+    def step(self, symbol: str) -> str:
+        if symbol == "GET_CHALLENGE":
+            self.counter += 1
+            return f"CHAL_{self.counter:04x}"
+        if symbol == "READ_SERIAL" and self.leak:
+            self.counter += 1
+            return f"SERIAL_{self.counter:04x}"
+        return "9000"
+
+
+NONCE_INPUTS = ("GET_CHALLENGE", "READ_SERIAL")
+
+
+def nonce_sul(leak: bool = False) -> MappedSul:
+    """The fresh-nonce system behind the nonce mapper, as a bare black box
+    that names its input alphabet."""
+    sul = MappedSul(FreshNonceSul(leak), canonicalize_nonce_mapper())
+    sul.inputs = NONCE_INPUTS
+    return sul
+
+
+def leaky_nonce_sul() -> MappedSul:
+    """``module:factory`` form of the nonce system whose serial reads vary."""
+    return nonce_sul(leak=True)
 
 
 def random_cpm(rng: random.Random, machine: MealyMachine,

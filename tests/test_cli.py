@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import protocheck
-from protocheck import annotate, build_uds_machine, cli, emit_annotated_dot, expand_tau, parse_cpm
+from protocheck import (annotate, bisimilar, build_uds_machine, cli, emit_annotated_dot,
+                        emit_dot, expand_tau, parse_cpm, parse_dot)
 from protocheck.cli import main
 from protocheck.fixtures import fixture_text
 
@@ -97,11 +98,13 @@ def test_usage_errors_exit_64(workdir):
 
 
 def cli_process(cwd, *argv):
-    """The command line in a fresh interpreter: (exit code, stdout, stderr)."""
+    """The command line in a fresh interpreter, with ``helpers`` importable
+    for ``--sul helpers:factory``: (exit code, stdout, stderr)."""
     src = str(Path(protocheck.__file__).resolve().parent.parent)
+    path = os.pathsep.join((src, str(Path(__file__).resolve().parent)))
     proc = subprocess.run([sys.executable, "-m", "protocheck.cli", *argv], cwd=cwd,
                           capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -125,6 +128,74 @@ def test_pipeline_with_min_len_above_max_len_exits_64_with_one_line(tmp_path):
         64, "", 'protocheck: error: pipeline config "learner.min_len" must not exceed '
         '"learner.max_len"\n')
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["check", "--expanded", "expanded.dot", "--cpm", "uds.cpm", "--report", "report.json",
+      "--unroll", "0"], "--unroll"),
+    (["check", "--expanded", "expanded.dot", "--cpm", "uds.cpm", "--report", "report.json",
+      "--max-nodes", "0"], "--max-nodes"),
+    (["explore", "--annotated", "annotated.dot", "--cpm", "uds.cpm", "--out", "lts.dot",
+      "--max-nodes", "0"], "--max-nodes"),
+    (["verify-roundtrip", "--model", "uds.dot", "--cpm", "uds.cpm", "--max-nodes", "-1"],
+     "--max-nodes"),
+    (["learn", "--sul", "uds", "--oracle", "random-walk", "--num-tests", "0",
+      "--out", "m.dot"], "--num-tests"),
+], ids=["check-unroll", "check-max-nodes", "explore-max-nodes", "roundtrip-max-nodes",
+        "learn-num-tests"])
+def test_a_count_below_1_exits_64_with_one_line(workdir, argv, flag):
+    """Counts follow the pipeline's rule: each is at least 1, checked before
+    any stage runs or any file is written."""
+    machine = build_uds_machine()[0]
+    cpm = parse_cpm(fixture_text("uds.cpm"))
+    annotated = annotate(machine, cpm)
+    (workdir / "uds.dot").write_text(emit_dot(machine))
+    (workdir / "annotated.dot").write_text(emit_annotated_dot(annotated))
+    (workdir / "expanded.dot").write_text(emit_annotated_dot(expand_tau(annotated, cpm)))
+    before = set(workdir.iterdir())
+    assert cli_process(workdir, *argv) == (
+        64, "", f"protocheck: error: {flag} must be at least 1\n")
+    assert set(workdir.iterdir()) == before
+
+
+def test_a_bare_system_that_names_its_inputs_learns_by_random_walks(tmp_path):
+    code, out, err = cli_process(tmp_path, "learn", "--sul", "helpers:blackbox_uds_sul",
+                                 "--oracle", "random-walk", "--out", "m.dot")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["proven"] is True
+    learned = parse_dot((tmp_path / "m.dot").read_text())
+    assert bisimilar(build_uds_machine()[0], learned).equivalent
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["learn", "--sul", "helpers:blackbox_uds_sul", "--oracle", "exact", "--out", "m.dot"],
+     "the exact oracle needs the hidden machine: return (system, machine) or use the "
+     "random-walk oracle"),
+    (["learn", "--sul", "helpers:FreshNonceSul", "--oracle", "random-walk", "--out", "m.dot"],
+     "system 'helpers:FreshNonceSul' names no input alphabet: give it an `inputs` "
+     "attribute or return (system, machine)"),
+    (["pipeline", "--config", "config.json"],
+     "the exact oracle needs the hidden machine: return (system, machine) or use the "
+     "random-walk oracle"),
+], ids=["learn-exact", "learn-no-inputs", "pipeline-exact"])
+def test_a_bare_system_learning_what_it_cannot_exits_64_with_one_line(tmp_path, argv,
+                                                                      message):
+    (tmp_path / "uds.cpm").write_text(fixture_text("uds.cpm"))
+    (tmp_path / "config.json").write_text(json.dumps({
+        "sul": "helpers:blackbox_uds_sul", "cpm": "uds.cpm", "out_dir": "out"}))
+    assert cli_process(tmp_path, *argv) == (64, "", f"protocheck: error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "uds.cpm"]
+
+
+def test_a_system_that_changes_its_answers_exits_5_with_one_line(tmp_path):
+    """Learning failed: the serial number the nonce mapper does not declare
+    changes the answer to a word the observation tree holds."""
+    code, out, err = cli_process(tmp_path, "learn", "--sul", "helpers:leaky_nonce_sul",
+                                 "--oracle", "random-walk", "--out", "m.dot")
+    assert (code, out) == (5, "")
+    assert err.startswith("protocheck: error: system answered ")
+    assert err.count("\n") == 1 and "READ_SERIAL" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_cost_adds_up_to_what_the_system_received(workdir):

@@ -8,13 +8,13 @@ import pytest
 
 from protocheck import (MachineSul, MealyMachine, annotate, bisimilar,
                         build_emrtd_machine, build_emrtd_sul,
-                        build_uds_machine, build_uds_sul,
-                        canonicalize_nonce_mapper, emit_dot, exact_oracle,
-                        lstar_learn, random_walk_oracle, FreshNonceSul,
+                        build_uds_machine, build_uds_sul, emit_dot,
+                        exact_oracle, lstar_learn, random_walk_oracle,
                         MappedSul, SulInterface, SulNondeterminismError)
 from protocheck.learning import (EMRTD_INPUTS, UDS_INPUTS, LearnError,
                                  ObservationTree)
-from helpers import combination_lock, learning_target
+from helpers import (NONCE_INPUTS, FreshNonceSul, canonicalize_nonce_mapper,
+                     combination_lock, learning_target, nonce_sul)
 
 
 # ---------------------------------------------------------------------------
@@ -57,14 +57,17 @@ def test_learned_uds_accepts_wrong_key_when_unlocked(uds_cpm):
 def test_counterexample_must_grow_table():
     m = MealyMachine(("only",), ("a",), ("x",), "only",
                      {("only", "a"): ("only", "x")})
-    calls = []
+    recording = _RecordingSul(m)
+    asked = []
 
     def stubborn_oracle(hypothesis):
-        calls.append(1)
+        asked.append(len(recording.words))
         return ("a",)      # never informative: machine already answers x
 
     with pytest.raises(LearnError, match="no table growth"):
-        lstar_learn(MachineSul(m), m.inputs, stubborn_oracle)
+        lstar_learn(recording, m.inputs, stubborn_oracle)
+    # asked once more past the tree, which answered it alike, then refused
+    assert recording.words[asked[0]:] == [["a"]]
 
 
 @pytest.mark.parametrize("oracle", ["exact", "random-walk"])
@@ -341,12 +344,22 @@ def test_mapper_passthrough():
     assert mapper.abstract_output("CHAL_9f00") == "NONCE"
 
 
-def test_undeclared_varying_output_diagnosed():
-    wrapped = MappedSul(FreshNonceSul(leak=True), canonicalize_nonce_mapper())
-    word = ("GET_CHALLENGE", "READ_SERIAL")
-    wrapped.query(word)
+def test_fresh_nonces_learn_through_the_mapper_and_a_leak_is_named():
+    """The mapper only translates.  The undeclared serial number makes a
+    counterexample the tree answers as the hypothesis does; asked once
+    more, it changes, and the tree names it."""
+    expected = MealyMachine(("s0",), NONCE_INPUTS, ("NONCE", "9000"), "s0",
+                            {("s0", "GET_CHALLENGE"): ("s0", "NONCE"),
+                             ("s0", "READ_SERIAL"): ("s0", "9000")})
+
+    def learn(sul):
+        return lstar_learn(sul, NONCE_INPUTS,
+                           lambda h: random_walk_oracle(sul, h, 1, 6, 50, seed=2))
+
+    result = learn(nonce_sul())
+    assert result.proven and bisimilar(expected, result.machine).equivalent
     with pytest.raises(SulNondeterminismError, match="READ_SERIAL"):
-        wrapped.query(word)
+        learn(nonce_sul(leak=True))
 
 
 def test_mapper_translates_inputs():
