@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 
 # Input symbol reserved for the empty input on internal (tau) states.
 EPSILON = "__eps"
@@ -324,20 +325,34 @@ def dot_document(name: str, initial: str, body: list[str]) -> str:
 
 
 def dot_edge(src: str, dst: str, label: str) -> str:
-    return f'  {_quote(src)} -> {_quote(dst)} [label="{label}"];'
+    """An edge statement between two node ids, both already quoted."""
+    return f'  {src} -> {dst} [label="{label}"];'
 
 
 def io_label(symbol: str, output: str) -> str:
     return f"{_escape(symbol)} / {_escape(output)}"
 
 
-def transition_edges(m: MealyMachine) -> list[str]:
+def prop_list(props) -> str:
+    """A proposition set as the formats write it: sorted, comma-separated."""
+    return ",".join(sorted(props))
+
+
+def transition_edges(m: MealyMachine, quote) -> list[str]:
     """One edge per transition: states in order, each state's inputs in
-    alphabet order, then the empty input that leaves an internal state."""
-    return [dot_edge(q, dst, io_label(sym, out))
-            for q in m.states for sym in m.inputs + (EPSILON,)
-            if (q, sym) in m.transitions
-            for dst, out in [m.transitions[(q, sym)]]]
+    alphabet order, then the empty input that leaves an internal state.
+    ``quote`` is the document's cached :func:`_quote`; each label is escaped
+    once per document."""
+    label = cache(io_label)
+    edges = []
+    for q in m.states:
+        src = quote(q)
+        for sym in m.inputs + (EPSILON,):
+            entry = m.transitions.get((q, sym))
+            if entry is not None:
+                dst, out = entry
+                edges.append(dot_edge(src, quote(dst), label(sym, out)))
+    return edges
 
 
 def parse_dot(text: str, complete_missing: bool = False,
@@ -350,10 +365,12 @@ def parse_dot(text: str, complete_missing: bool = False,
     """
     graph = read_dot(text)
     transitions: dict[tuple[str, str], tuple[str, str]] = {}
+    # each distinct label is split once per document
+    pairs: dict[str, tuple[str, str]] = {}
     for src, dst, label, lineno in graph.edges:
         if label is None:
             raise MachineError(f"line {lineno}: edge {src!r} -> {dst!r} has no label")
-        sym, out = _split_label(label, lineno)
+        sym, out = pairs.get(label) or pairs.setdefault(label, _split_label(label, lineno))
         if transitions.setdefault((src, sym), (dst, out)) != (dst, out):
             raise MachineError(
                 f"line {lineno}: nondeterminism at state {src!r} on input {sym!r}"
@@ -374,5 +391,6 @@ def parse_dot(text: str, complete_missing: bool = False,
 
 def emit_dot(m: MealyMachine, name: str = "mealy") -> str:
     """Canonical DOT text for ``m``; ``parse_dot`` round-trips it exactly."""
-    body = [f"  {_quote(q)};" for q in m.states]
-    return dot_document(name, _quote(m.initial), body + transition_edges(m))
+    quote = cache(_quote)
+    body = [f"  {quote(q)};" for q in m.states]
+    return dot_document(name, quote(m.initial), body + transition_edges(m, quote))

@@ -20,6 +20,7 @@ import itertools
 import json
 import sys
 from dataclasses import asdict, replace
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -79,7 +80,13 @@ def _resolve_sul(selector: str):
         module_name, attr = selector.split(":", 1)
         import importlib
 
-        produced = getattr(importlib.import_module(module_name), attr)()
+        try:
+            factory = getattr(importlib.import_module(module_name), attr)
+        except (ImportError, AttributeError) as exc:
+            raise ValueError(f"cannot load system {selector!r}: {exc}") from None
+        if not callable(factory):
+            raise ValueError(f"system {selector!r} is not callable")
+        produced = factory()
         if isinstance(produced, tuple):
             return produced
         return produced, None
@@ -495,7 +502,11 @@ def _write_manifest(out_dir: Path, config_text: str, seed, stages):
 # Argument wiring
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: each parse
+    starts from a fresh namespace, so one call's values never reach the
+    next."""
     parser = _Parser(prog="protocheck",
                      description="learn, annotate, model-check and test protocol state machines")
     parser.add_argument("--version", action="version", version=__version__)
@@ -513,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-tests", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stats")
-    p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("annotate", help="label states via a proposition map")
     p.add_argument("--model", required=True)
@@ -521,13 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--complete", action="store_true",
                    help="fill missing inputs with no_response self-loops")
-    p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("expand", help="split temporary-proposition transitions")
     p.add_argument("--annotated", required=True)
     p.add_argument("--cpm", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("gen-rebeca", help="emit the two-actor model source")
     p.add_argument("--annotated", required=True)
@@ -536,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--properties-out",
                    help="also write the instantiated property file")
     p.add_argument("--timeout-mutation", type=float, default=None, metavar="P")
-    p.set_defaults(func=cmd_gen_rebeca)
 
     p = sub.add_parser("explore", help="generate the full actor state space")
     p.add_argument("--annotated", required=True)
@@ -544,12 +551,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--timeout-mutation", type=float, default=None, metavar="P")
     p.add_argument("--max-nodes", type=int, default=10 ** 6)
-    p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("collapse", help="cut a state space back into a machine")
     p.add_argument("--lts", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_collapse)
 
     p = sub.add_parser("verify-roundtrip",
                        help="check that explore+collapse reproduces the model")
@@ -557,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cpm", required=True)
     p.add_argument("--complete", action="store_true")
     p.add_argument("--max-nodes", type=int, default=10 ** 6)
-    p.set_defaults(func=cmd_verify_roundtrip)
 
     p = sub.add_parser("check", help="model-check properties on the expanded model")
     p.add_argument("--expanded", required=True)
@@ -568,33 +572,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jsonl", help="also write one JSON object per property")
     p.add_argument("--max-nodes", type=int, default=10 ** 6)
     p.add_argument("--unroll", type=int, default=1)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("emit-test", help="extract replayable tests from a report")
     p.add_argument("--report", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_emit_test)
 
     p = sub.add_parser("replay", help="replay test cases against a system")
     p.add_argument("--tests", required=True)
     p.add_argument("--sul", required=True)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("pipeline", help="run every stage from a config file")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_pipeline)
     return parser
 
 
 def main(argv=None) -> int:
     # usage problems inside argparse exit through _Parser.error
     args = build_parser().parse_args(argv)
+    # looked up at each call, so a replaced cmd_* function is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         _check_counts([("--" + dest.replace("_", "-"), value)
                        for dest, value in vars(args).items() if dest in _COUNT_FLAGS],
                       "must be at least 1")
-        return args.func(args)
+        return command(args)
     except CeilingError as exc:
         print(f"protocheck: error: {exc}", file=sys.stderr)
         return EXIT_CEILING

@@ -16,7 +16,8 @@ from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
 from .automata import (EPSILON, TAU, MachineError, MealyMachine, _escape,
-                       _quote, _split_label, dot_document, read_dot, transition_edges)
+                       _quote, _split_label, dot_document, prop_list, read_dot,
+                       transition_edges)
 
 _PROP_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -247,7 +248,7 @@ def annotate(m: MealyMachine, cpm: Cpm) -> AnnotatedMachine:
         for p in sorted(labels[dst]):
             supplying = [
                 q for q, rules in incoming[dst]
-                if p in rules.gained or p in labels[q] - rules.blocked
+                if p in rules.gained or (p in labels[q] and p not in rules.blocked)
             ]
             if supplying and len(supplying) != len(incoming[dst]):
                 diagnostics.append(
@@ -336,21 +337,18 @@ def expand_tau(a: AnnotatedMachine, cpm: Cpm) -> AnnotatedMachine:
 # Node labels carry 'state {P1,P2}', internal states 'state {P1 | T1}' and a
 # diamond shape; parse_annotated_dot reverses the encoding.
 
-def _node_label(a: AnnotatedMachine, q: str) -> str:
-    props = ",".join(sorted(a.label(q)))
-    if q in a.tau_states:
-        temps = ",".join(sorted(a.temps(q)))
-        return f"{q} {{{props} | {temps}}}"
-    return f"{q} {{{props}}}"
-
-
 def emit_annotated_dot(a: AnnotatedMachine, name: str = "annotated") -> str:
     m = a.machine
+    quote = cache(_quote)
+    names = cache(lambda props: _escape(prop_list(props)))
     body = []
     for q in m.states:
-        shape = "diamond" if q in a.tau_states else "circle"
-        body.append(f'  {_quote(q)} [shape={shape}, label="{_escape(_node_label(a, q))}"];')
-    return dot_document(name, _quote(m.initial), body + transition_edges(m))
+        if q in a.tau_states:
+            shape, props = "diamond", f"{names(a.label(q))} | {names(a.temps(q))}"
+        else:
+            shape, props = "circle", names(a.label(q))
+        body.append(f'  {quote(q)} [shape={shape}, label="{_escape(q)} {{{props}}}"];')
+    return dot_document(name, quote(m.initial), body + transition_edges(m, quote))
 
 
 _NODE_LABEL_RE = re.compile(r"^(?P<id>.*?)\s*\{(?P<props>[^|{}]*)(?:\|(?P<temps>[^{}]*))?\}$")
@@ -372,10 +370,12 @@ def parse_annotated_dot(text: str) -> AnnotatedMachine:
             if lm.group("temps") is not None:
                 temp_labels[name] = names(lm.group("temps"))
     transitions: dict[tuple[str, str], tuple[str, str]] = {}
+    # each distinct label is split once per document
+    pairs: dict[str, tuple[str, str]] = {}
     for src, dst, label, lineno in graph.edges:
         if label is None:
             raise MachineError(f"line {lineno}: unlabeled edge")
-        sym, out = _split_label(label, lineno)
+        sym, out = pairs.get(label) or pairs.setdefault(label, _split_label(label, lineno))
         if (src, sym) in transitions:
             raise MachineError(f"line {lineno}: nondeterminism at {src!r} on {sym!r}")
         transitions[(src, sym)] = (dst, out)

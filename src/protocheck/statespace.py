@@ -12,9 +12,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .automata import (MachineError, _escape, _quote, _split_fields, _unescape,
-                       dot_document, dot_edge, io_label, read_dot)
+                       dot_document, dot_edge, io_label, prop_list, read_dot)
 from .cpm import AnnotatedMachine, Cpm, split_machine, split_tau
 from .actorgen import ActorModelIR, TIMEOUT_PROP, build_ir
 from .ltl import CeilingError, KripkeStructure, kripke_view
@@ -27,8 +28,7 @@ class StateSpaceError(RuntimeError):
     """Raised on ill-formed transition systems."""
 
 
-@dataclass(frozen=True)
-class LtsNode:
+class LtsNode(NamedTuple):
     index: int
     q: str
     props: frozenset[str]
@@ -219,14 +219,20 @@ def collapse(lts: Lts) -> CollapsedModel:
     q_counts = Counter(qs)
     names = {idx: q if q_counts[q] == 1 else f"{q}__{idx}" for idx, q in zip(ready_nodes, qs)}
     ordered = {
-        (names[ready], sym): tuple(sorted(
-            [(names[dst], out, temps) for dst, out, temps in outcomes],
-            key=lambda o: (o[0], o[1], sorted(o[2]))))
+        (names[ready], sym): _sorted_outcomes(
+            [(names[dst], out, temps) for dst, out, temps in outcomes])
         for ready in ready_nodes for sym, outcomes in transitions[ready].items()
     }
     return CollapsedModel(tuple(names.values()), tuple(dict.fromkeys(sym for _, sym in ordered)),
                           names[initial_ready], ordered,
                           {names[idx]: lts.nodes[idx].props for idx in ready_nodes})
+
+
+def _sorted_outcomes(outcomes: list) -> tuple:
+    """Outcomes ordered by target, output and sorted temporaries."""
+    if len(outcomes) == 1:
+        return tuple(outcomes)
+    return tuple(sorted(outcomes, key=lambda o: (o[0], o[1], sorted(o[2]))))
 
 
 def kripke_from_collapsed(cm: CollapsedModel,
@@ -319,17 +325,16 @@ def compare_roundtrip(a: AnnotatedMachine, cpm: Cpm, lts: Lts,
 def emit_collapsed_dot(cm: CollapsedModel, name: str = "collapsed") -> str:
     """DOT text for a collapsed model, tolerating nondeterministic outcomes
     (one edge per outcome; temporaries appended to the edge label)."""
-    body = []
-    for q in cm.states:
-        props = ",".join(sorted(cm.labels.get(q, frozenset())))
-        body.append(f'  {_quote(q)} [label="{_escape(q)} {{{props}}}"];')
+    quote, names, io = cache(_quote), cache(prop_list), cache(io_label)
+    body = [f'  {quote(q)} [label="{_escape(q)} {{{names(cm.labels.get(q, frozenset()))}}}"];'
+            for q in cm.states]
     for (q, sym), outcomes in sorted(cm.transitions.items()):
         for target, out, temps in outcomes:
-            label = io_label(sym, out)
+            label = io(sym, out)
             if temps:
-                label += " [" + ",".join(sorted(temps)) + "]"
-            body.append(dot_edge(q, target, label))
-    return dot_document(name, _quote(cm.initial), body)
+                label += f" [{names(temps)}]"
+            body.append(dot_edge(quote(q), quote(target), label))
+    return dot_document(name, quote(cm.initial), body)
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +342,12 @@ def emit_collapsed_dot(cm: CollapsedModel, name: str = "collapsed") -> str:
 # ---------------------------------------------------------------------------
 
 def emit_lts_dot(lts: Lts, name: str = "statespace") -> str:
-    body = []
-    for node in lts.nodes:
-        q = _escape(node.q).replace(";", "\\;")
-        label = (f"q={q}; props={','.join(sorted(node.props))}; "
-                 f"temps={','.join(sorted(node.temps))}")
-        body.append(f'  n{node.index} [label="{label}"];')
-    for src, label, dst in lts.edges:
-        body.append(f'  n{src} -> n{dst} [label="{_escape(label)}"];')
+    # the fields are separated by ';', which the state name escapes
+    state = cache(lambda q: _escape(q).replace(";", "\\;"))
+    names, label = cache(prop_list), cache(_escape)
+    body = [f'  n{node.index} [label="q={state(node.q)}; props={names(node.props)}; '
+            f'temps={names(node.temps)}"];' for node in lts.nodes]
+    body += [f'  n{src} -> n{dst} [label="{label(sym)}"];' for src, sym, dst in lts.edges]
     return dot_document(name, f"n{lts.initial}", body)
 
 
@@ -353,28 +356,37 @@ def parse_lts_dot(text: str) -> Lts:
     external tool using the same conventions; phases are re-derived from the
     message shape when the result is collapsed."""
     graph = read_dot(text)
-    raw_nodes: dict[str, tuple[str, frozenset[str], frozenset[str]]] = {}
     names = cache(lambda text: frozenset(p for p in text.split(",") if p))
-    for name, label, _ in graph.nodes:
+
+    @cache
+    def fields(label: str) -> tuple[str | None, frozenset[str], frozenset[str]]:
+        """The state (None without a 'q=' field), propositions and
+        temporaries of a node label; nodes of one state share labels."""
         # the fields are separated by ';', which the state name escapes
-        fields = dict([part.strip().split("=", 1) for part in _split_fields(label) if "=" in part])
+        found = dict([part.strip().split("=", 1) for part in _split_fields(label) if "=" in part])
         # read_dot has already unescaped the node id; the q= value is raw
-        q = _unescape(fields["q"]) if "q" in fields else name
-        raw_nodes[name] = (q, names(fields.get("props", "")), names(fields.get("temps", "")))
+        q = _unescape(found["q"]) if "q" in found else None
+        return q, names(found.get("props", "")), names(found.get("temps", ""))
+
+    raw_nodes: dict[str, tuple[str, frozenset[str], frozenset[str]]] = {}
+    for name, label, _ in graph.nodes:
+        q, props, temps = fields(label)
+        raw_nodes[name] = (name if q is None else q, props, temps)
+    unlabeled = frozenset()
     raw_edges: list[tuple[str, str, str]] = []
+    unescape = cache(_unescape)
     for src, dst, label, lineno in graph.edges:
         if label is None:
             raise MachineError(f"line {lineno}: unlabeled edge")
-        raw_edges.append((src, _unescape(label), dst))
-        for name in (src, dst):
-            raw_nodes.setdefault(name, (name, frozenset(), frozenset()))
+        raw_edges.append((src, unescape(label), dst))
+        if src not in raw_nodes:
+            raw_nodes[src] = (src, unlabeled, unlabeled)
+        if dst not in raw_nodes:
+            raw_nodes[dst] = (dst, unlabeled, unlabeled)
     if not graph.initials:
         raise MachineError("no initial node marker")
     indices = {name: i for i, name in enumerate(raw_nodes)}
-    nodes = tuple(
-        LtsNode(i, *raw_nodes[name], phase="", pending=None)
-        for name, i in indices.items()
-    )
+    nodes = tuple(LtsNode(i, *raw_nodes[name], "") for name, i in indices.items())
     edges = tuple((indices[s], label, indices[d]) for s, label, d in raw_edges)
     initial, line = graph.initials[-1]
     if initial not in indices:

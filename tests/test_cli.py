@@ -198,6 +198,49 @@ def test_a_system_that_changes_its_answers_exits_5_with_one_line(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+SELECTOR_ERRORS = [
+    ("nosuchmod:f", "cannot load system 'nosuchmod:f': No module named 'nosuchmod'"),
+    ("helpers:nosuch",
+     "cannot load system 'helpers:nosuch': module 'helpers' has no attribute 'nosuch'"),
+    ("helpers:NONCE_INPUTS", "system 'helpers:NONCE_INPUTS' is not callable"),
+]
+
+
+@pytest.mark.parametrize("selector,message", SELECTOR_ERRORS,
+                         ids=["no-module", "no-attribute", "not-callable"])
+def test_a_mistyped_system_selector_exits_64_with_one_line(tmp_path, selector, message):
+    assert cli_process(tmp_path, "learn", "--sul", selector, "--oracle", "random-walk",
+                       "--out", "m.dot") == (64, "", f"protocheck: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_replay_with_a_mistyped_system_selector_exits_64_with_one_line(tmp_path):
+    selector, message = SELECTOR_ERRORS[1]
+    assert cli_process(tmp_path, "replay", "--tests", "tests.jsonl", "--sul", selector,
+                       "--report", "replay.json") == (64, "", f"protocheck: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_repeated_calls_in_one_process_start_from_the_defaults(tmp_path):
+    """The parser is built once per process; a flag given to one call does
+    not carry over to the next."""
+    for seed_flag, name in ((["--seed", "5"], "first"), ([], "second")):
+        assert run("learn", "--sul", "uds", "--out", str(tmp_path / f"{name}.dot"),
+                   "--stats", str(tmp_path / f"{name}.json"), *seed_flag) == 0
+    seeds = [json.loads((tmp_path / f"{name}.json").read_text())["seed"]
+             for name in ("first", "second")]
+    assert seeds == [5, 0]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_dispatch_runs_the_command_function_bound_at_call_time(tmp_path, monkeypatch):
+    assert run("emit-test", "--report", "missing.json", "--out", str(tmp_path / "t.jsonl")) == 64
+    called = []
+    monkeypatch.setattr(cli, "cmd_emit_test", lambda args: called.append(args.report) or 0)
+    assert run("emit-test", "--report", "r.json", "--out", str(tmp_path / "t.jsonl")) == 0
+    assert called == ["r.json"]
+
+
 def test_manifest_cost_adds_up_to_what_the_system_received(workdir):
     import helpers
 

@@ -1,17 +1,19 @@
 """The three DOT formats on their one reader: errors and round trips."""
 
+import hashlib
 import random
 import re
 
 import pytest
 
-from protocheck import (MachineError, MealyMachine, annotate, build_ir,
-                        emit_annotated_dot, emit_dot, emit_lts_dot, expand_tau,
-                        explore, parse_annotated_dot, parse_dot, parse_lts_dot)
+from protocheck import (MachineError, MealyMachine, MutationConfig, annotate,
+                        apply_timeout_mutation, build_ir, collapse, emit_annotated_dot,
+                        emit_dot, emit_lts_dot, expand_tau, explore,
+                        parse_annotated_dot, parse_dot, parse_lts_dot)
 from protocheck.automata import read_dot
 from protocheck.cli import main
 from protocheck.cpm import Condition, Cpm
-from protocheck.statespace import Lts, LtsNode
+from protocheck.statespace import Lts, LtsNode, emit_collapsed_dot
 
 INPUTS = ("a/b", 'we"ird', "back\\slash", "plain")
 OUTPUTS = ("o/1", 'o"2', "o\\3", "ok")
@@ -235,3 +237,76 @@ def test_conflicting_initial_markers_are_rejected(reader, labels, initial, argv,
     # a start edge and initial=true on the same node agree
     agreeing = CONFLICTING_START.format(**labels, mark0=", initial=true", mark1="")
     assert initial(reader(agreeing)) == "q0"
+
+
+# Every emitter's bytes, pinned by sha256 on seeded machines whose symbols
+# hold quotes, backslashes, '/', ';' and a newline and whose states are
+# named like DOT keywords: an emitter may change how it builds its text,
+# not the text.
+PIN_STATES = ("graph", "Node", "strict_x", 's;1', "s\n2", 's/"q\\3', "q4", "edge")
+PIN_INPUTS = ("a/b", 'we"ird', "back\\slash", "x;y", "n\nl", "plain")
+PIN_OUTPUTS = ("o/1", 'o"2', "o\\3", "o;4", "o\n5", "ok")
+PIN_CPM = Cpm(
+    gains=(Condition(frozenset({"A"}), ("a/b",), ("o/*",)),
+           Condition(frozenset({"B"}), ('we"ird', "x;y"), ("*",)),
+           Condition(frozenset({"C"}), ("n\nl",), ("o;4", "ok"))),
+    loses=(Condition(frozenset({"A"}), ("back\\slash",), ("*",)),
+           Condition(frozenset({"B"}), ("plain",), ("o\n5",))),
+    taus=(Condition(frozenset({"T"}), ("plain",), ('o"2', "ok")),
+          Condition(frozenset({"U"}), ("x;y",), ("o;4",))),
+)
+
+
+def pinned_machine(seed: int) -> MealyMachine:
+    rng = random.Random(seed)
+    n = len(PIN_STATES)
+    transitions = {}
+    for i, q in enumerate(PIN_STATES):
+        for j, sym in enumerate(PIN_INPUTS):
+            # the first input walks a cycle through every state
+            dst = PIN_STATES[(i + 1) % n] if j == 0 else rng.choice(PIN_STATES)
+            transitions[(q, sym)] = (dst, rng.choice(PIN_OUTPUTS))
+    outputs = tuple(dict.fromkeys(out for _, out in transitions.values()))
+    return MealyMachine(PIN_STATES, PIN_INPUTS, outputs, PIN_STATES[0], transitions)
+
+
+def emitted_documents(seed: int) -> dict[str, str]:
+    m = pinned_machine(seed)
+    annotated = annotate(m, PIN_CPM)
+    ir = build_ir(annotated, PIN_CPM)
+    mutated = explore(apply_timeout_mutation(ir, MutationConfig(True, 0.1)))
+    collapsed = collapse(mutated)
+    assert not collapsed.is_deterministic()
+    return {
+        "emit_dot": emit_dot(m),
+        "emit_annotated_dot": emit_annotated_dot(annotated),
+        "emit_annotated_dot_expanded": emit_annotated_dot(expand_tau(annotated, PIN_CPM)),
+        "emit_lts_dot": emit_lts_dot(explore(ir)),
+        "emit_lts_dot_mutated": emit_lts_dot(mutated),
+        "emit_collapsed_dot": emit_collapsed_dot(collapsed),
+    }
+
+
+EMITTED_SHA256 = {
+    0: {"emit_dot": "77261be4ae40874bca8bdd245cdfc095e41ec25406cbd499e656cd72ea382a14",
+        "emit_annotated_dot": "44d0a386393cbd13a301a13f161a2fa4bf320d81c0f618059ee32413fa46ecae",
+        "emit_annotated_dot_expanded":
+            "c869d09b6e6a8e349cb1971d1324d4465d5bf92d0aaeef480619c87b8e4b82df",
+        "emit_lts_dot": "a50ff7966d1ef2a4f89dec4b16a2098bf70044eb3e0ae44fec0bf597c23275b7",
+        "emit_lts_dot_mutated": "2c72f1f939ad9ec8aab1ba3f789b9c45ae152b6a1083fa58e62b7cd068196497",
+        "emit_collapsed_dot": "4ae25c5cad0fb1c0f86a3379df539e5fb006c77b74ed1b1262cb3889e130cdbd"},
+    1: {"emit_dot": "2f08f5ff6aa1702782087200710182d1107c3be4d334907d8183b6bc3e4c07b1",
+        "emit_annotated_dot": "3981d6783aecfc1325dc020bf7c06eff3689424aa38d2ef78357bf96a73933da",
+        "emit_annotated_dot_expanded":
+            "96bc020718110ebcf62f7903ec745a2cf2b231fc9eb1a8ddf2db55ca7b121a51",
+        "emit_lts_dot": "078ac9fe8004cae90e047ad784cb15c0d7eefb0e5deda13e5c3c043b1fed9abf",
+        "emit_lts_dot_mutated": "850805a5dcdee31fc6de3cf782435b50cf45df0954b9f73353892944fe75e614",
+        "emit_collapsed_dot": "f11543b0a6000ed9943e1042c0448e4b53fbd92bacb1c3cee8f430a1a26f7415"},
+}
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_emitted_bytes_are_pinned(seed):
+    digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+               for name, text in emitted_documents(seed).items()}
+    assert digests == EMITTED_SHA256[seed]
