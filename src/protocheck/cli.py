@@ -7,15 +7,17 @@ every intermediate artifact along the way.
 Exit codes: 0 success, 1 round-trip failure, 2 property violations found,
 3 replay divergence, 4 a resource ceiling reached, 5 learning failed: the
 system answered inconsistently, 64 usage errors (a count flag or config key
-below 1 among them, caught before anything is written).  All outputs are
-deterministic given the same inputs and seeds; reports embed seeds for
-reproducibility.
+below 1, caught before anything is written; an unreadable or malformed input
+file or record), 70 internal error (a bug; please report it).  Past argument
+parsing, every failure prints one line.  All outputs are deterministic given
+the same inputs and seeds; reports embed seeds for reproducibility.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import itertools
 import json
 import sys
@@ -24,19 +26,19 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__
-from .automata import parse_dot, emit_dot
+from .automata import MealyMachine, parse_dot, emit_dot
 from .cpm import (parse_cpm, annotate, expand_tau, emit_annotated_dot,
                   parse_annotated_dot)
 from .actorgen import MutationConfig, build_ir, emit_rebeca, apply_timeout_mutation
 from .statespace import (explore, collapse, verify_roundtrip, compare_roundtrip,
-                         emit_lts_dot, parse_lts_dot, emit_collapsed_dot)
-from .ltl import (CeilingError, check, kripke_from_annotated, property_library,
+                         emit_lts_dot, parse_lts_dot, emit_collapsed_dot, StateSpaceError)
+from .ltl import (CEILING, CeilingError, check, kripke_from_annotated, property_library,
                   PropertyInstance, parse_property_file, vacuity, instantiate,
                   format_formula, emit_property_file, verdict_jsonl, HOLDS)
 from .learning import (FIXTURE_SULS, LearnError, SulInterface, lstar_learn,
-                       exact_oracle, random_walk_oracle, build_uds_sul)
-from .testkit import (concretize, replay, read_tests, write_tests, to_record,
-                      from_record)
+                       exact_oracle, random_walk_oracle)
+from .testkit import (TestKitError, concretize, replay, read_tests, write_tests,
+                      to_record, from_record)
 
 EXIT_OK = 0
 EXIT_ROUNDTRIP = 1
@@ -45,16 +47,19 @@ EXIT_DIVERGED = 3
 EXIT_CEILING = 4
 EXIT_LEARN = 5
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
+
+# each failure's exit code, found along the exception's MRO; any other is internal
+_EXIT_CODES = {CeilingError: EXIT_CEILING, LearnError: EXIT_LEARN, ValueError: EXIT_USAGE,
+               OSError: EXIT_USAGE, StateSpaceError: EXIT_USAGE, TestKitError: EXIT_USAGE}
 
 # argparse destinations of the count flags, each at least 1
 _COUNT_FLAGS = ("max_nodes", "unroll", "num_tests", "min_len", "max_len")
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    def exit(self, status=0, message=None):
+        super().exit(status and EXIT_USAGE, message)  # --help and --version exit 0
 
 
 def _read(path: str) -> str:
@@ -69,27 +74,29 @@ def _write(path: str, text: str):
 def _resolve_sul(selector: str):
     """Fixture name ('emrtd', 'uds', 'uds-patched') or 'module:callable'.
 
-    Returns (sul, hidden machine or None); factories may return either a
-    bare system or a (system, machine) pair.
+    Returns (sul, hidden machine or None); a factory is called with no
+    arguments and returns either a bare system or a (system, machine) pair.
     """
     if selector in FIXTURE_SULS:
         return FIXTURE_SULS[selector]()
-    if selector == "uds-patched":
-        return build_uds_sul(reject_wrong_key=True)
     if ":" in selector:
         module_name, attr = selector.split(":", 1)
-        import importlib
-
         try:
             factory = getattr(importlib.import_module(module_name), attr)
         except (ImportError, AttributeError) as exc:
             raise ValueError(f"cannot load system {selector!r}: {exc}") from None
         if not callable(factory):
             raise ValueError(f"system {selector!r} is not callable")
-        produced = factory()
-        if isinstance(produced, tuple):
-            return produced
-        return produced, None
+        try:
+            produced = factory()
+        except Exception as exc:  # noqa: BLE001 - the plug-in's failure, not ours
+            raise ValueError(f"system {selector!r} could not be built: {exc}") from None
+        pair = produced if isinstance(produced, tuple) else (produced, None)
+        kinds = (SulInterface, (MealyMachine, type(None)))
+        if len(pair) != 2 or not all(map(isinstance, pair, kinds)):
+            raise ValueError(f"system {selector!r} returned neither a SulInterface nor a "
+                             "(SulInterface, MealyMachine) pair")
+        return pair
     raise ValueError(f"unknown system-under-learning {selector!r}; use emrtd, uds, "
                      "uds-patched or module:callable")
 
@@ -383,7 +390,7 @@ def cmd_pipeline(args) -> int:
     learner_cfg = config.get("learner", {})
     mutation_cfg = config.get("mutation", {})
     mutated = bool(mutation_cfg.get("enabled"))
-    ceiling = config.get("state_ceiling", 10 ** 6)
+    ceiling = config.get("state_ceiling", CEILING)
 
     def put(name: str, text: str):
         (out_dir / name).write_text(text, encoding="utf-8")
@@ -550,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cpm", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--timeout-mutation", type=float, default=None, metavar="P")
-    p.add_argument("--max-nodes", type=int, default=10 ** 6)
+    p.add_argument("--max-nodes", type=int, default=CEILING)
 
     p = sub.add_parser("collapse", help="cut a state space back into a machine")
     p.add_argument("--lts", required=True)
@@ -561,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--cpm", required=True)
     p.add_argument("--complete", action="store_true")
-    p.add_argument("--max-nodes", type=int, default=10 ** 6)
+    p.add_argument("--max-nodes", type=int, default=CEILING)
 
     p = sub.add_parser("check", help="model-check properties on the expanded model")
     p.add_argument("--expanded", required=True)
@@ -570,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="property file, or 'builtin' for the generic library")
     p.add_argument("--report")
     p.add_argument("--jsonl", help="also write one JSON object per property")
-    p.add_argument("--max-nodes", type=int, default=10 ** 6)
+    p.add_argument("--max-nodes", type=int, default=CEILING)
     p.add_argument("--unroll", type=int, default=1)
 
     p = sub.add_parser("emit-test", help="extract replayable tests from a report")
@@ -588,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # usage problems inside argparse exit through _Parser.error
+    # usage problems inside argparse exit through _Parser.exit
     args = build_parser().parse_args(argv)
     # looked up at each call, so a replaced cmd_* function is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
@@ -597,15 +604,11 @@ def main(argv=None) -> int:
                        for dest, value in vars(args).items() if dest in _COUNT_FLAGS],
                       "must be at least 1")
         return command(args)
-    except CeilingError as exc:
-        print(f"protocheck: error: {exc}", file=sys.stderr)
-        return EXIT_CEILING
-    except LearnError as exc:
-        print(f"protocheck: error: {exc}", file=sys.stderr)
-        return EXIT_LEARN
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"protocheck: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:  # noqa: BLE001 - every failure ends here, in one line
+        code = next(filter(None, map(_EXIT_CODES.get, type(exc).__mro__)), EXIT_INTERNAL)
+        kind = "error" if code != EXIT_INTERNAL else f"internal error: {type(exc).__name__}"
+        print(f"protocheck: {kind}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

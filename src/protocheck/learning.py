@@ -529,4 +529,5 @@ def build_uds_sul(reject_wrong_key: bool = False) -> tuple[SulInterface, MealyMa
 FIXTURE_SULS = {
     "emrtd": build_emrtd_sul,
     "uds": build_uds_sul,
+    "uds-patched": lambda: build_uds_sul(reject_wrong_key=True),
 }

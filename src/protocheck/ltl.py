@@ -22,6 +22,13 @@ from typing import NamedTuple
 
 from .cpm import AnnotatedMachine, Cpm
 
+CEILING = 10 ** 6  # the default of every resource ceiling
+
+
+class CeilingError(RuntimeError):
+    """Raised when a search reaches its resource ceiling: the state space,
+    the product or the automaton expansion."""
+
 
 class LtlError(ValueError):
     """Raised for syntax errors and checker misuse."""
@@ -29,11 +36,6 @@ class LtlError(ValueError):
 
 class OracleBudgetError(RuntimeError):
     """Raised when bounded enumeration would exceed its guard."""
-
-
-class CeilingError(RuntimeError):
-    """Raised when a search reaches its resource ceiling: the state space,
-    the product or the automaton expansion."""
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +390,7 @@ class BuchiAutomaton:
     mark_count: int
 
 
-def ltl_to_buchi(f: Formula, ceiling: int = 10 ** 6) -> BuchiAutomaton:
+def ltl_to_buchi(f: Formula, ceiling: int = CEILING) -> BuchiAutomaton:
     """One state per obligation set, in order of discovery, each expanded
     once into its covers.  A cover carries mark j when it does not take the
     j-th Until or takes its right operand.  Every branch the expansion
@@ -711,7 +713,7 @@ def _resolve_undeclared(f: Formula, declared: frozenset[str]):
 
 
 def check(k: KripkeStructure, f: Formula,
-          max_product_states: int = 10 ** 6) -> CheckResult:
+          max_product_states: int = CEILING) -> CheckResult:
     """HOLDS, or VIOLATED with a lasso witness over Kripke states.
 
     Propositions absent from the structure's declared set are resolved to
@@ -734,8 +736,7 @@ def check(k: KripkeStructure, f: Formula,
     _validate_lasso(k, witness)
     stem_vals, loop_vals = lasso_valuations(k, witness)
     if evaluate_on_lasso(f, stem_vals, loop_vals):
-        raise LtlError(
-            f"internal error: witness fails to falsify {format_formula(f)}: {witness}")
+        raise AssertionError(f"witness fails to falsify {format_formula(f)}: {witness}")
     return CheckResult(VIOLATED, witness, substituted, warnings)
 
 
@@ -744,10 +745,10 @@ def _validate_lasso(k: KripkeStructure, lasso: Lasso):
     stem enters the loop, and the loop closes back on its head."""
     sequence = lasso.states() + (lasso.loop[0],)
     if sequence[0] not in k.initial:
-        raise LtlError(f"internal error: witness starts outside the initial states: {lasso}")
+        raise AssertionError(f"witness starts outside the initial states: {lasso}")
     for a, b in zip(sequence, sequence[1:]):
         if b not in k.successors[a]:
-            raise LtlError(f"internal error: witness step {a!r} -> {b!r} is not a transition")
+            raise AssertionError(f"witness step {a!r} -> {b!r} is not a transition")
 
 
 class _Product:

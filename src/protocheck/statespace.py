@@ -18,7 +18,7 @@ from .automata import (MachineError, _escape, _quote, _split_fields, _unescape,
                        dot_document, dot_edge, io_label, prop_list, read_dot)
 from .cpm import AnnotatedMachine, Cpm, split_machine, split_tau
 from .actorgen import ActorModelIR, TIMEOUT_PROP, build_ir
-from .ltl import CeilingError, KripkeStructure, kripke_view
+from .ltl import CEILING, CeilingError, KripkeStructure, kripke_view
 
 REQ_LABEL = "req"
 TIMEOUT_LABEL = "timeout"
@@ -46,7 +46,7 @@ class Lts:
     initial: int
 
 
-def explore(ir: ActorModelIR, max_nodes: int = 10 ** 6) -> Lts:
+def explore(ir: ActorModelIR, max_nodes: int = CEILING) -> Lts:
     """Exhaustive breadth-first expansion of the actor semantics.
 
     One macro step is request (temporaries reset), a nondeterministic input
@@ -104,10 +104,9 @@ def explore(ir: ActorModelIR, max_nodes: int = 10 ** 6) -> Lts:
             edges.append((idx, TIMEOUT_LABEL, intern(node.q, node.props,
                                                      frozenset([TIMEOUT_PROP]), "req")))
 
-    n_temps = len(ir.temp_props)
-    bound = (len(m.inputs) + 2) * len(m.states) * (2 ** n_temps)
+    bound = (len(m.inputs) + 2) * len(m.states) * 2 ** len(ir.temp_props)
     if len(nodes) > bound:
-        raise StateSpaceError(f"node count {len(nodes)} exceeds bound {bound}")
+        raise AssertionError(f"node count {len(nodes)} exceeds bound {bound}")
     return Lts(tuple(nodes), tuple(edges), initial)
 
 
@@ -270,7 +269,7 @@ class RoundtripReport:
 
 
 def verify_roundtrip(a: AnnotatedMachine, cpm: Cpm,
-                     max_nodes: int = 10 ** 6) -> RoundtripReport:
+                     max_nodes: int = CEILING) -> RoundtripReport:
     """Build the actor model, explore it, collapse the state space back and
     compare with the original: trace equivalence, identical labels and the
     temporaries the map raises."""

@@ -148,6 +148,9 @@ def to_record(test: TestCase) -> dict:
 
 
 def from_record(data: dict) -> TestCase:
+    for key in ("inputs", "expected"):
+        if not isinstance(data, dict) or not isinstance(data.get(key), list):
+            raise TestKitError(f'test record has no list "{key}"')
     prov = data.get("provenance", {})
     return TestCase(
         inputs=tuple(data["inputs"]),
@@ -168,7 +171,10 @@ def write_tests(tests, path):
 def read_tests(path) -> list[TestCase]:
     out = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             if line.strip():
-                out.append(from_record(json.loads(line)))
+                try:
+                    out.append(from_record(json.loads(line)))
+                except (ValueError, TestKitError) as exc:
+                    raise TestKitError(f"line {lineno}: {exc}") from None
     return out

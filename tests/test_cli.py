@@ -1,7 +1,9 @@
 """Command-line stages: file handoffs, exit codes, determinism."""
 
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,10 +12,13 @@ from pathlib import Path
 import pytest
 
 import protocheck
-from protocheck import (annotate, bisimilar, build_uds_machine, cli, emit_annotated_dot,
-                        emit_dot, expand_tau, parse_cpm, parse_dot)
+from protocheck import (ActorGenError, CeilingError, CpmError, LearnError, LtlError,
+                        MachineError, MealyMachine, StateSpaceError, SulNondeterminismError,
+                        TestKitError, annotate, bisimilar, build_uds_machine, cli,
+                        emit_annotated_dot, emit_dot, expand_tau, parse_cpm, parse_dot)
 from protocheck.cli import main
 from protocheck.fixtures import fixture_text
+from protocheck.ltl import OracleBudgetError
 
 
 @pytest.fixture()
@@ -97,12 +102,16 @@ def test_usage_errors_exit_64(workdir):
                "--out", "x.dot") == 64
 
 
-def cli_process(cwd, *argv):
-    """The command line in a fresh interpreter, with ``helpers`` importable
-    for ``--sul helpers:factory``: (exit code, stdout, stderr)."""
+def cli_process(cwd, *argv, flags=(), prelude=""):
+    """The command line in a fresh interpreter started with ``flags``, with
+    ``helpers`` importable for ``--sul helpers:factory``; the statements of
+    ``prelude`` run before ``main``: (exit code, stdout, stderr)."""
     src = str(Path(protocheck.__file__).resolve().parent.parent)
     path = os.pathsep.join((src, str(Path(__file__).resolve().parent)))
-    proc = subprocess.run([sys.executable, "-m", "protocheck.cli", *argv], cwd=cwd,
+    entry = ["-m", "protocheck.cli"] if not prelude else [
+        "-c", f"{prelude}\nimport sys\nfrom protocheck.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))"]
+    proc = subprocess.run([sys.executable, *flags, *entry, *argv], cwd=cwd,
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
@@ -608,3 +617,182 @@ def test_a_reached_ceiling_exits_4_with_one_line(workdir, command, message):
     assert cli_process(workdir, command, *argv, "--cpm", "uds.cpm", "--max-nodes", "5") == (
         4, "", f"protocheck: error: {message}\n")
     assert not (workdir / "lts.dot").exists() and not (workdir / "report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# The failure contract: one exit code per meaning, one line, no traceback
+# ---------------------------------------------------------------------------
+
+# package functions replaced before ``main`` runs in a fresh interpreter
+BREAK_ROUND_TRIP = ("from protocheck import cli, statespace\n"
+                    "cli.compare_roundtrip = lambda *args: "
+                    "statespace.RoundtripReport(False, 'broken on purpose', 0)")
+BREAK_WITNESS_CHECK = ("import protocheck.ltl as ltl\n"
+                       "ltl.evaluate_on_lasso = lambda *args: True")
+
+# a state space whose request node issues an input instead
+ILL_FORMED_LTS_DOT = """digraph bad {
+  __start -> n0;
+  n0 [label="q=s; props=; temps="];
+  n1 [label="q=s; props=; temps="];
+  n0 -> n1 [label=x];
+}
+"""
+
+
+@pytest.fixture()
+def exit_dir(tmp_path):
+    """Inputs for one run per exit code: the uds model at each stage, its
+    emitted tests, and one ill-formed input per reproduced escape."""
+    machine = build_uds_machine()[0]
+    cpm = parse_cpm(fixture_text("uds.cpm"))
+    annotated = annotate(machine, cpm)
+    files = {
+        "uds.cpm": fixture_text("uds.cpm"),
+        "uds.dot": emit_dot(machine),
+        "annotated.dot": emit_annotated_dot(annotated),
+        "expanded.dot": emit_annotated_dot(expand_tau(annotated, cpm)),
+        "model.json": json.dumps({"model": "uds.dot", "cpm": "uds.cpm", "out_dir": "out"}),
+        "ill-formed-lts.dot": ILL_FORMED_LTS_DOT,
+        "no-inputs.jsonl": '{"inputs": [], "expected": []}\n{"expected": []}\n',
+        "uneven.jsonl": '{"inputs": ["a"], "expected": []}\n',
+        "no-inputs-report.json": json.dumps(
+            {"properties": [{"name": "p", "test": {"expected": []}}]}),
+        "empty.cpm": "[GAINS]\n[LOSES]\n[TAUS]\n",
+        "req.dot": emit_annotated_dot(annotate(MealyMachine(
+            ("s",), ("req",), ("o",), "s", {("s", "req"): ("s", "o")}),
+            parse_cpm("[GAINS]\n[LOSES]\n[TAUS]\n"))),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "records").mkdir()
+    assert run("check", "--expanded", str(tmp_path / "expanded.dot"),
+               "--cpm", str(tmp_path / "uds.cpm"), "--report", str(tmp_path / "report.json")) == 2
+    assert run("emit-test", "--report", str(tmp_path / "report.json"),
+               "--out", str(tmp_path / "tests.jsonl")) == 0
+    return tmp_path
+
+
+def error_line(message: str) -> str:
+    return re.escape(f"protocheck: error: {message}")
+
+
+# (exit code, argv, pattern of the one stderr line or None for none,
+#  prelude, interpreter flags)
+EXIT_CASES = [
+    pytest.param(0, ["explore", "--annotated", "annotated.dot", "--cpm", "uds.cpm",
+                     "--out", "lts.dot"], r"\d+ nodes, \d+ edges", "", (), id="0-success"),
+    pytest.param(1, ["pipeline", "--config", "model.json"], "round-trip FAILED",
+                 BREAK_ROUND_TRIP, (), id="1-round-trip-failure"),
+    # violations and divergences are results: their verdicts go to stdout
+    pytest.param(2, ["check", "--expanded", "expanded.dot", "--cpm", "uds.cpm"], None, "", (),
+                 id="2-violations"),
+    pytest.param(3, ["replay", "--tests", "tests.jsonl", "--sul", "uds-patched"], None, "", (),
+                 id="3-divergence"),
+    pytest.param(4, ["check", "--expanded", "expanded.dot", "--cpm", "uds.cpm",
+                     "--max-nodes", "5"], error_line("product state ceiling exceeded (5)"),
+                 "", (), id="4-ceiling"),
+    pytest.param(5, ["learn", "--sul", "helpers:leaky_nonce_sul", "--oracle", "random-walk",
+                     "--out", "m.dot"], error_line("system answered ") + ".*READ_SERIAL.*",
+                 "", (), id="5-learning-failed"),
+    pytest.param(64, ["collapse", "--lts", "ill-formed-lts.dot", "--out", "c.dot"],
+                 error_line("ill-formed transition system: node 0 should only issue requests"),
+                 "", (), id="64-ill-formed-lts"),
+    pytest.param(64, ["explore", "--annotated", "req.dot", "--cpm", "empty.cpm",
+                      "--out", "lts.dot"],
+                 error_line("alphabet symbols collide with reserved message names: ['req']"),
+                 "", (), id="64-reserved-input"),
+    pytest.param(64, ["replay", "--tests", "no-inputs.jsonl", "--sul", "uds"],
+                 error_line('line 2: test record has no list "inputs"'), "", (),
+                 id="64-record-without-inputs"),
+    pytest.param(64, ["emit-test", "--report", "no-inputs-report.json", "--out", "t.jsonl"],
+                 error_line('test record has no list "inputs"'), "", (),
+                 id="64-report-test-without-inputs"),
+    pytest.param(64, ["replay", "--tests", "uneven.jsonl", "--sul", "uds"],
+                 error_line("line 1: inputs and expected outputs must have equal length"),
+                 "", (), id="64-record-of-uneven-lengths"),
+    pytest.param(64, ["replay", "--tests", "records", "--sul", "uds"],
+                 error_line("[Errno ") + r"\d+\] .*'records'", "", (),
+                 id="64-tests-a-directory"),
+    pytest.param(64, ["learn", "--sul", "protocheck.mapper:MappedSul", "--oracle",
+                      "random-walk", "--out", "m.dot"],
+                 error_line("system 'protocheck.mapper:MappedSul' could not be built: ")
+                 + r".*missing 2 required positional arguments.*", "", (),
+                 id="64-factory-needs-arguments"),
+    pytest.param(64, ["learn", "--sul", "protocheck.learning:build_uds_machine", "--oracle",
+                      "random-walk", "--out", "m.dot"],
+                 error_line("system 'protocheck.learning:build_uds_machine' returned neither "
+                            "a SulInterface nor a (SulInterface, MealyMachine) pair"),
+                 "", (), id="64-factory-returns-no-system"),
+    pytest.param(70, ["check", "--expanded", "expanded.dot", "--cpm", "uds.cpm",
+                      "--report", "r.json"],
+                 re.escape("protocheck: internal error: AssertionError: witness fails to "
+                           "falsify ") + ".*",
+                 BREAK_WITNESS_CHECK, ("-O",), id="70-internal-error-under-O"),
+]
+
+
+@pytest.mark.parametrize("code,argv,stderr,prelude,flags", EXIT_CASES)
+def test_each_exit_code_ends_in_at_most_one_line_and_no_traceback(exit_dir, code, argv,
+                                                                  stderr, prelude, flags):
+    before = set(exit_dir.iterdir())
+    got, _, err = cli_process(exit_dir, *argv, flags=flags, prelude=prelude)
+    assert got == code, err
+    assert "Traceback" not in err
+    if stderr is None:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and re.fullmatch(stderr + "\n", err), err
+    if code >= cli.EXIT_CEILING:
+        assert set(exit_dir.iterdir()) == before
+
+
+def test_a_witness_the_direct_semantics_accept_is_an_internal_error(exit_dir, monkeypatch,
+                                                                   capsys):
+    """The witness check raises, not asserts, so it also fires under -O."""
+    from protocheck import ltl
+
+    monkeypatch.setattr(ltl, "evaluate_on_lasso", lambda *args: True)
+    monkeypatch.chdir(exit_dir)
+    capsys.readouterr()
+    assert run("check", "--expanded", "expanded.dot", "--cpm", "uds.cpm",
+               "--report", "r.json") == 70
+    err = capsys.readouterr().err
+    assert err.startswith("protocheck: internal error: AssertionError: witness fails to "
+                          "falsify ")
+    assert err.count("\n") == 1
+    assert not (exit_dir / "r.json").exists()
+
+
+@pytest.mark.parametrize("error,code", [
+    (CeilingError("c"), 4), (LearnError("l"), 5), (SulNondeterminismError("s"), 5),
+    (LtlError("l"), 64), (MachineError("m"), 64), (CpmError("c"), 64),
+    (ActorGenError("a"), 64), (json.JSONDecodeError("j", "", 0), 64),
+    (FileNotFoundError("f"), 64), (IsADirectoryError("d"), 64), (StateSpaceError("s"), 64),
+    (TestKitError("t"), 64), (OracleBudgetError("o"), 70), (RuntimeError("r"), 70),
+    (KeyError("k"), 70), (TypeError("t"), 70), (AttributeError("a"), 70),
+    (RecursionError("r"), 70), (AssertionError("a"), 70),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value))
+def test_each_error_class_exits_with_its_one_code(monkeypatch, capsys, error, code):
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_collapse", failing)
+    assert run("collapse", "--lts", "lts.dot", "--out", "c.dot") == code
+    err = capsys.readouterr().err
+    kind = "error" if code != 70 else f"internal error: {type(error).__name__}"
+    assert err == f"protocheck: {kind}: {error}\n"
+
+
+def test_exit_1_is_reached_only_through_a_failed_round_trip():
+    """No error class maps to 1, no two meanings share a code, and the
+    round-trip code is returned only where a round trip failed."""
+    codes = {name: value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert len(set(codes.values())) == len(codes) == 8
+    assert cli.EXIT_ROUNDTRIP not in cli._EXIT_CODES.values()
+    uses = [line.strip() for line in inspect.getsource(cli).splitlines()
+            if "EXIT_ROUNDTRIP" in line]
+    assert uses == ["EXIT_ROUNDTRIP = 1",
+                    "return EXIT_OK if report.passed else EXIT_ROUNDTRIP",
+                    "return EXIT_ROUNDTRIP"]
+    assert "return 1" not in inspect.getsource(cli)
