@@ -21,9 +21,9 @@ from .statespace import (Lts, CollapsedModel, StateSpaceError, explore,
                          emit_lts_dot, parse_lts_dot, RoundtripReport)
 from .ltl import (Formula, LtlError, CeilingError, parse_ltl, to_nnf,
                   ltl_to_buchi, BuchiAutomaton, KripkeStructure, kripke_from_annotated,
-                  Lasso, check, bounded_oracle, evaluate_on_lasso,
+                  Lasso, check, evaluate_on_lasso,
                   property_library, parse_property_file, vacuity,
-                  CheckResult, HOLDS, VIOLATED, BOUNDED_HOLDS,
+                  CheckResult, HOLDS, VIOLATED,
                   PROPERTY_TEMPLATES, verdict_text, verdict_jsonl,
                   emit_property_file)
 from .learning import (SulInterface, MachineSul,

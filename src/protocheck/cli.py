@@ -61,6 +61,9 @@ class _Parser(argparse.ArgumentParser):
     def exit(self, status=0, message=None):
         super().exit(status and EXIT_USAGE, message)  # --help and --version exit 0
 
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")  # no usage block
+
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
@@ -188,7 +191,7 @@ def _collapsed_dot(model) -> str:
     return emit_collapsed_dot(model)
 
 
-def _load_properties(path: str | None, cpm) -> dict[str, PropertyInstance]:
+def _load_properties(path: str | None, cpm, text) -> dict[str, PropertyInstance]:
     """Property set: the builtin library instantiated against the map, or a
     property file (still subject to undeclared-to-false instantiation)."""
     if path in (None, "builtin"):
@@ -196,15 +199,18 @@ def _load_properties(path: str | None, cpm) -> dict[str, PropertyInstance]:
     out = {}
     for name, formula in parse_property_file(_read(path)).items():
         instantiated, undeclared = instantiate(formula, cpm.declared_props)
-        out[name] = PropertyInstance(name, instantiated, format_formula(formula), undeclared)
+        out[name] = PropertyInstance(name, instantiated, text(formula), undeclared)
     return out
 
 
-def _check(expanded, cpm, properties, max_nodes: int, unroll: int):
-    """Check every property on the expanded model, printing one verdict line
-    each.  Returns the report entries and the results by property name, whose
-    substitutions include those made at instantiation."""
+def _check(expanded, cpm, path: str | None, max_nodes: int, unroll: int):
+    """Check every property of ``path`` (see ``_load_properties``) on the
+    expanded model, printing one verdict line each.  Returns the report
+    entries and the results by property name, whose substitutions include
+    those made at instantiation.  Each formula object is printed once."""
     kripke = kripke_from_annotated(expanded, declared=cpm.declared_props)
+    text = cache(format_formula)
+    properties = _load_properties(path, cpm, text)
     entries = []
     results = {}
     for name in sorted(properties):
@@ -216,7 +222,7 @@ def _check(expanded, cpm, properties, max_nodes: int, unroll: int):
         vac = vacuity(kripke, inst.formula)
         entry = {
             "name": name,
-            "formula": format_formula(inst.formula),
+            "formula": text(inst.formula),
             "source": inst.source,
             "verdict": result.verdict,
             "substituted_false": list(result.substituted_false),
@@ -349,8 +355,7 @@ def cmd_verify_roundtrip(args) -> int:
 def cmd_check(args) -> int:
     expanded = parse_annotated_dot(_read(args.expanded))
     cpm = parse_cpm(_read(args.cpm))
-    entries, results = _check(expanded, cpm, _load_properties(args.properties, cpm),
-                              args.max_nodes, args.unroll)
+    entries, results = _check(expanded, cpm, args.properties, args.max_nodes, args.unroll)
     report = _report(args.expanded, args.cpm, entries)
     if args.report:
         _write(args.report, _json_text(report))
@@ -362,7 +367,13 @@ def cmd_check(args) -> int:
 
 def cmd_emit_test(args) -> int:
     report = json.loads(_read(args.report))
-    _emit_tests(report.get("properties", []), args.out)
+    entries = report.get("properties", []) if isinstance(report, dict) else None
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("test") or {}, dict) for e in entries):
+        raise ValueError('report is not an object whose "properties" lists objects with '
+                         'a string "name" and an object "test"')
+    _emit_tests(entries, args.out)
     return EXIT_OK
 
 
@@ -436,8 +447,8 @@ def cmd_pipeline(args) -> int:
         return EXIT_ROUNDTRIP
 
     # violations are a result, not a pipeline failure
-    entries, _ = _check(expanded, cpm, _load_properties(config.get("properties"), cpm),
-                        ceiling, config.get("unroll", 1))
+    entries, _ = _check(expanded, cpm, config.get("properties"), ceiling,
+                        config.get("unroll", 1))
     report = _report(str(out_dir / "expanded.dot"), config["cpm"], entries)
     put("report.json", _json_text(report))
     violations = report["violations"]
@@ -522,9 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="infer a model from a system under learning")
     p.add_argument("--sul", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--algorithm", choices=["lstar"], default="lstar",
-                   help="name of the learning entry point, which runs L# on an "
-                   "observation tree")
+    # accepted for old command lines; lstar is the only value
+    p.add_argument("--algorithm", choices=["lstar"], default="lstar", help=argparse.SUPPRESS)
     p.add_argument("--oracle", choices=["exact", "random-walk"], default="exact")
     p.add_argument("--min-len", type=int, default=20)
     p.add_argument("--max-len", type=int, default=50)

@@ -6,10 +6,9 @@ are sets of owed formulas and whose edges carry the acceptance marks, and
 search the product with the Kripke structure for a strongly connected
 component whose edges carry every mark (Couvreur's algorithm).  Witnesses
 are built from breadth-first shortest paths: a stem into that component and
-the shortest cycle through its entry that carries every mark.  A separate
-bounded oracle decides formulas by direct semantics on exhaustively
-enumerated lasso words; it shares no code with the Buchi path and serves as
-an independent cross-check.
+the shortest cycle through its entry that carries every mark.  Properties
+instantiated from one template share a shape: each shape is translated once
+per structure.
 """
 
 from __future__ import annotations
@@ -32,10 +31,6 @@ class CeilingError(RuntimeError):
 
 class LtlError(ValueError):
     """Raised for syntax errors and checker misuse."""
-
-
-class OracleBudgetError(RuntimeError):
-    """Raised when bounded enumeration would exceed its guard."""
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +562,14 @@ class KripkeStructure:
                            labels=tuple(label_ids), initial=initial,
                            quotient=tuple(map(tuple, quotient)))
 
+    @cached_property
+    def shapes(self) -> dict:
+        """``check``'s translations, freed with the structure: by (ceiling,
+        shape key), the negation automaton of the shape's first formula, that
+        formula's propositions in order of first occurrence, and the product
+        table column of each label projection onto them seen so far."""
+        return {}
+
 
 def kripke_from_annotated(a: AnnotatedMachine,
                           declared: frozenset[str] | None = None) -> KripkeStructure:
@@ -691,7 +694,6 @@ def lasso_valuations(k: KripkeStructure, lasso: Lasso):
 
 HOLDS = "HOLDS"
 VIOLATED = "VIOLATED"
-BOUNDED_HOLDS = "BOUNDED-HOLDS"
 
 
 @dataclass(frozen=True)
@@ -706,10 +708,33 @@ class CheckResult:
         return self.verdict == HOLDS
 
 
-def _resolve_undeclared(f: Formula, declared: frozenset[str]):
-    resolved, undeclared = instantiate(f, declared)
-    warnings = ("undeclared propositions resolved to false: " + ", ".join(undeclared),)
-    return resolved, undeclared, warnings if undeclared else ()
+def _shape(f: Formula, declared: frozenset[str]):
+    """One walk over ``f``: its shape key, its declared propositions in
+    order of first occurrence, and the sorted names of its undeclared ones.
+    The key lists in ``_nodes`` order (which, with each node's arity, fixes
+    the tree) each operator's class, each constant itself (not its value:
+    True == 1), each declared proposition's number and FALSE for each
+    undeclared one."""
+    number: dict[str, int] = {}
+    undeclared: set[str] = set()
+    key = []
+    for g, _ in _nodes(f):
+        if isinstance(g, Prop):
+            if g.name in declared:
+                key.append(number.setdefault(g.name, len(number)))
+            else:
+                undeclared.add(g.name)
+                key.append(FALSE)
+        else:
+            key.append(g if isinstance(g, Const) else g.__class__)
+    return tuple(key), tuple(number), tuple(sorted(undeclared))
+
+
+def _column(auto: BuchiAutomaton, letter: frozenset) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each automaton state, the (target, marks) pairs of its covers admitting letter."""
+    return tuple(tuple(dict.fromkeys((c.target, c.marks) for c in covers
+                                     if c.required <= letter and not c.forbidden & letter))
+                 for covers in auto.covers)
 
 
 def check(k: KripkeStructure, f: Formula,
@@ -724,11 +749,26 @@ def check(k: KripkeStructure, f: Formula,
     returned.  The search runs first on the product with the structure's
     label quotient, and only if that finds a component on the structure's
     own product, which alone gives witnesses.  ``max_product_states``
-    bounds the automaton's expansion as well as each search.
+    bounds the automaton's expansion as well as each search.  Formulas of
+    one shape (see ``_shape``) share one translation per structure: it is
+    the automaton of each, up to a one-to-one renaming of propositions.
     """
-    resolved, substituted, warnings = _resolve_undeclared(f, k.atomic_props)
-    automaton = ltl_to_buchi(to_nnf(Not(resolved)), max_product_states)
-    product = _Product(k, automaton, max_product_states)
+    key, names, substituted = _shape(f, k.atomic_props)
+    shape = k.shapes.get((max_product_states, key))
+    if shape is None:
+        resolved = substitute(f, dict.fromkeys(substituted, False)) if substituted else f
+        shape = k.shapes[max_product_states, key] = (
+            ltl_to_buchi(to_nnf(Not(resolved)), max_product_states), names, {})
+    automaton, first, columns = shape
+    table = []
+    for v in k.index.labels:
+        letter = sum(1 << i for i, p in enumerate(names) if p in v)  # bit i: proposition i
+        if letter not in columns:
+            columns[letter] = _column(automaton, frozenset(first[i] for i in _bits(letter)))
+        table.append(columns[letter])
+    product = _Product(k, automaton, max_product_states, table)
+    warnings = ("undeclared propositions resolved to false: " + ", ".join(substituted),)
+    warnings = warnings if substituted else ()
     component = None if product.holds_on_quotient() else product.accepting_component()
     if component is None:
         return CheckResult(HOLDS, None, substituted, warnings)
@@ -758,26 +798,26 @@ class _Product:
     The product state (s, b) is the integer ``s * width + b`` over the
     structure's index.  An edge out of (s, b) reads the label of s: the
     covers of each automaton state are decided once per distinct label,
-    and ``table[b][label id]`` holds the (target, marks) pairs of the covers
-    of b that admit it.  The search starts in (s0, 0) for each initial s0.
+    and ``table[label id][b]`` holds the (target, marks) pairs of the covers
+    of b that admit it; ``columns``, when given, is that table.  The search
+    starts in (s0, 0) for each initial s0.
 
     The product with the label quotient numbers its states the same way,
     with s a label id, so the same table serves it: each node carries its
     own label.
     """
 
-    def __init__(self, k: KripkeStructure, auto: BuchiAutomaton, ceiling: int):
+    def __init__(self, k: KripkeStructure, auto: BuchiAutomaton, ceiling: int,
+                 columns=None):
         index = k.index
         self.names, self.ceiling = k.states, ceiling
         self.width = width = len(auto.states)
-        table = [[tuple(dict.fromkeys((c.target, c.marks) for c in covers
-                                      if c.required <= v and not c.forbidden & v))
-                  for v in index.labels] for covers in auto.covers]
+        table = columns or [_column(auto, v) for v in index.labels]
 
         def over(k_successors, label_of):
             def successors(p: int) -> list[tuple[int, int]]:
                 s, b = divmod(p, width)
-                row = table[b][label_of[s]]
+                row = table[label_of[s]][b]
                 return [(t * width + b2, marks) for b2, marks in row for t in k_successors[s]]
             return successors
 
@@ -903,66 +943,6 @@ class _Product:
             path.append(found)
             found = parent[found]
         return path[::-1]
-
-
-# ---------------------------------------------------------------------------
-# Bounded oracle: exhaustive lasso enumeration with direct semantics
-# ---------------------------------------------------------------------------
-
-def bounded_oracle(k: KripkeStructure, f: Formula, stem_max: int, loop_max: int,
-                   max_lassos: int = 500_000) -> CheckResult:
-    """Exhaustively enumerate every lasso within the given bounds and decide
-    the formula by direct semantics on the induced words.
-
-    Returns VIOLATED with the first falsifying lasso, else BOUNDED-HOLDS.
-    Distinct state lassos inducing the same valuation word are evaluated
-    once.  Raises :class:`OracleBudgetError` past ``max_lassos``.
-    """
-    resolved, substituted, warnings = _resolve_undeclared(f, k.atomic_props)
-    seen_words: set = set()
-    budget = [0]
-
-    def consider(stem: tuple[str, ...], loop: tuple[str, ...]):
-        stem_vals = tuple(k.label(s) for s in stem)
-        loop_vals = tuple(k.label(s) for s in loop)
-        key = (stem_vals, loop_vals)
-        if key in seen_words:
-            return None
-        seen_words.add(key)
-        budget[0] += 1
-        if budget[0] > max_lassos:
-            raise OracleBudgetError(f"lasso budget exceeded ({max_lassos})")
-        if not evaluate_on_lasso(resolved, list(stem_vals), list(loop_vals)):
-            return Lasso(stem, loop)
-        return None
-
-    max_len = stem_max + loop_max
-    for init in k.initial:
-        path = [init]
-
-        def dfs():
-            last = path[-1]
-            # every decomposition of the current path into stem+loop where
-            # the last state loops back to the loop head
-            for i in range(len(path)):
-                head = path[i]
-                if i <= stem_max and len(path) - i <= loop_max and head in k.successors[last]:
-                    witness = consider(tuple(path[:i]), tuple(path[i:]))
-                    if witness is not None:
-                        return witness
-            if len(path) < max_len:
-                for succ in k.successors[last]:
-                    path.append(succ)
-                    witness = dfs()
-                    if witness is not None:
-                        return witness
-                    path.pop()
-            return None
-
-        witness = dfs()
-        if witness is not None:
-            return CheckResult(VIOLATED, witness, substituted, warnings)
-    return CheckResult(BOUNDED_HOLDS, None, substituted, warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,8 @@ def from_record(data: dict) -> TestCase:
         if not isinstance(data, dict) or not isinstance(data.get(key), list):
             raise TestKitError(f'test record has no list "{key}"')
     prov = data.get("provenance", {})
+    if not isinstance(prov, dict):
+        raise TestKitError('test record "provenance" is not an object')
     return TestCase(
         inputs=tuple(data["inputs"]),
         expected=tuple(data["expected"]),

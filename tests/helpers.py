@@ -1,4 +1,5 @@
-"""Seeded random generators shared by the property and acceptance tests."""
+"""Seeded random generators shared by the property and acceptance tests,
+and the bounded oracle that cross-checks the checker."""
 
 from __future__ import annotations
 
@@ -7,8 +8,9 @@ import random
 from protocheck import (Mapper, MappedSul, MachineSul, MealyMachine, SulInterface,
                         build_uds_machine, reachable)
 from protocheck.cpm import Condition, Cpm
-from protocheck.ltl import (And, Eventually, Always, Implies, KripkeStructure,
-                            Next, Not, Or, Prop, Until)
+from protocheck.ltl import (VIOLATED, And, CheckResult, Eventually, Always, Formula,
+                            Implies, KripkeStructure, Lasso, Next, Not, Or, Prop, Until,
+                            evaluate_on_lasso, instantiate)
 
 PROPS = ("p", "q", "r")
 
@@ -212,3 +214,71 @@ def random_formula(rng: random.Random, depth=3, temporal_budget=4):
         return Until(go(d - 1), go(d - 1))
 
     return go(depth)
+
+
+# ---------------------------------------------------------------------------
+# Bounded oracle: exhaustive lasso enumeration with direct semantics
+# ---------------------------------------------------------------------------
+
+BOUNDED_HOLDS = "BOUNDED-HOLDS"
+
+
+class OracleBudgetError(RuntimeError):
+    """Raised when bounded enumeration would exceed its guard."""
+
+
+def bounded_oracle(k: KripkeStructure, f: Formula, stem_max: int, loop_max: int,
+                   max_lassos: int = 500_000) -> CheckResult:
+    """Exhaustively enumerate every lasso within the given bounds and decide
+    the formula by direct semantics on the induced words; it shares no code
+    with the checker's automaton path.
+
+    Returns VIOLATED with the first falsifying lasso, else BOUNDED-HOLDS.
+    Distinct state lassos inducing the same valuation word are evaluated
+    once.  Raises :class:`OracleBudgetError` past ``max_lassos``.
+    """
+    resolved, substituted = instantiate(f, k.atomic_props)
+    seen_words: set = set()
+    budget = [0]
+
+    def consider(stem: tuple[str, ...], loop: tuple[str, ...]):
+        stem_vals = tuple(k.label(s) for s in stem)
+        loop_vals = tuple(k.label(s) for s in loop)
+        key = (stem_vals, loop_vals)
+        if key in seen_words:
+            return None
+        seen_words.add(key)
+        budget[0] += 1
+        if budget[0] > max_lassos:
+            raise OracleBudgetError(f"lasso budget exceeded ({max_lassos})")
+        if not evaluate_on_lasso(resolved, list(stem_vals), list(loop_vals)):
+            return Lasso(stem, loop)
+        return None
+
+    max_len = stem_max + loop_max
+    for init in k.initial:
+        path = [init]
+
+        def dfs():
+            last = path[-1]
+            # every decomposition of the current path into stem+loop where
+            # the last state loops back to the loop head
+            for i in range(len(path)):
+                head = path[i]
+                if i <= stem_max and len(path) - i <= loop_max and head in k.successors[last]:
+                    witness = consider(tuple(path[:i]), tuple(path[i:]))
+                    if witness is not None:
+                        return witness
+            if len(path) < max_len:
+                for succ in k.successors[last]:
+                    path.append(succ)
+                    witness = dfs()
+                    if witness is not None:
+                        return witness
+                    path.pop()
+            return None
+
+        witness = dfs()
+        if witness is not None:
+            return CheckResult(VIOLATED, witness, substituted)
+    return CheckResult(BOUNDED_HOLDS, None, substituted)

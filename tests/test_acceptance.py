@@ -16,10 +16,11 @@ from protocheck import (MutationConfig, TIMEOUT_PROP, annotate,
                         expand_tau, explore, feedback, kripke_from_annotated,
                         lstar_learn, property_library,
                         random_walk_oracle, replay, vacuity, verify_roundtrip,
-                        CONFIRMED, DIVERGED, HOLDS, VIOLATED, BOUNDED_HOLDS)
+                        CONFIRMED, DIVERGED, HOLDS, VIOLATED)
 from protocheck.fixtures import fixture_text
-from protocheck.ltl import bounded_oracle, evaluate_on_lasso, lasso_valuations
-from helpers import random_machine, random_cpm, random_kripke, random_formula
+from protocheck.ltl import evaluate_on_lasso, lasso_valuations
+from helpers import (BOUNDED_HOLDS, bounded_oracle, random_machine, random_cpm,
+                     random_kripke, random_formula)
 
 
 def report(line: str):

@@ -18,7 +18,7 @@ from protocheck import (ActorGenError, CeilingError, CpmError, LearnError, LtlEr
                         emit_annotated_dot, emit_dot, expand_tau, parse_cpm, parse_dot)
 from protocheck.cli import main
 from protocheck.fixtures import fixture_text
-from protocheck.ltl import OracleBudgetError
+from helpers import OracleBudgetError
 
 
 @pytest.fixture()
@@ -658,6 +658,10 @@ def exit_dir(tmp_path):
         "uneven.jsonl": '{"inputs": ["a"], "expected": []}\n',
         "no-inputs-report.json": json.dumps(
             {"properties": [{"name": "p", "test": {"expected": []}}]}),
+        "list-report.json": "[]",
+        "nameless-report.json": json.dumps(
+            {"properties": [{"test": {"inputs": [], "expected": []}}]}),
+        "string-provenance.jsonl": '{"inputs": [], "expected": [], "provenance": "s0"}\n',
         "empty.cpm": "[GAINS]\n[LOSES]\n[TAUS]\n",
         "req.dot": emit_annotated_dot(annotate(MealyMachine(
             ("s",), ("req",), ("o",), "s", {("s", "req"): ("s", "o")}),
@@ -676,6 +680,9 @@ def exit_dir(tmp_path):
 def error_line(message: str) -> str:
     return re.escape(f"protocheck: error: {message}")
 
+
+REPORT_SHAPE = ('report is not an object whose "properties" lists objects with a string '
+                '"name" and an object "test"')
 
 # (exit code, argv, pattern of the one stderr line or None for none,
 #  prelude, interpreter flags)
@@ -708,6 +715,20 @@ EXIT_CASES = [
     pytest.param(64, ["emit-test", "--report", "no-inputs-report.json", "--out", "t.jsonl"],
                  error_line('test record has no list "inputs"'), "", (),
                  id="64-report-test-without-inputs"),
+    pytest.param(64, ["emit-test", "--report", "list-report.json", "--out", "t.jsonl"],
+                 error_line(REPORT_SHAPE), "", (), id="64-report-a-list"),
+    pytest.param(64, ["emit-test", "--report", "nameless-report.json", "--out", "t.jsonl"],
+                 error_line(REPORT_SHAPE), "", (), id="64-report-test-without-name"),
+    pytest.param(64, ["replay", "--tests", "string-provenance.jsonl", "--sul", "uds"],
+                 error_line('line 1: test record "provenance" is not an object'), "", (),
+                 id="64-record-provenance-a-string"),
+    # argparse's own errors: one line, without the usage block
+    pytest.param(64, ["learn", "--bogus"],
+                 re.escape("protocheck learn: error: the following arguments are required: "
+                           "--sul, --out"), "", (), id="64-usage-missing-arguments"),
+    pytest.param(64, ["learn", "--sul", "uds", "--out", "m.dot", "--bogus"],
+                 error_line("unrecognized arguments: --bogus"), "", (),
+                 id="64-usage-unknown-flag"),
     pytest.param(64, ["replay", "--tests", "uneven.jsonl", "--sul", "uds"],
                  error_line("line 1: inputs and expected outputs must have equal length"),
                  "", (), id="64-record-of-uneven-lengths"),

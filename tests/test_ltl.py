@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import itertools
 import random
 import sys
 from collections import deque
@@ -11,16 +12,18 @@ import pytest
 
 from protocheck import (annotate, expand_tau, build_uds_machine,
                         build_emrtd_machine)
-from protocheck.ltl import (And, Always, BOUNDED_HOLDS, Cover, Eventually,
+from protocheck import ltl
+from protocheck.ltl import (CEILING, And, CeilingError, Always, Const, Cover, Eventually,
                             FALSE, HOLDS, Implies, KripkeStructure,
                             LtlError, Next, Not, Or, Prop, Release, TRUE,
-                            Until, VIOLATED, bounded_oracle, check,
+                            Unary, Until, VIOLATED, check,
                             evaluate_on_lasso, format_formula,
                             kripke_from_annotated, lasso_valuations,
                             ltl_to_buchi, parse_ltl, parse_property_file,
                             propositions, property_library, to_nnf, vacuity,
-                            PROPERTY_TEMPLATES)
-from helpers import random_kripke, random_formula
+                            PROPERTY_TEMPLATES, _shape, instantiate)
+from helpers import (BOUNDED_HOLDS, PROPS, OracleBudgetError, bounded_oracle,
+                     random_formula, random_kripke)
 from protocheck.fixtures import fixture_text
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
@@ -428,6 +431,107 @@ def test_check_duality_on_single_path_structures():
 
 
 # ---------------------------------------------------------------------------
+# one translation per property shape and structure
+# ---------------------------------------------------------------------------
+
+def _rename(f, mapping):
+    """f with each proposition p renamed to mapping[p]."""
+    def step(g, value):
+        if isinstance(g, Prop):
+            return Prop(mapping[g.name])
+        if isinstance(g, Const):
+            return g
+        if isinstance(g, Unary):
+            return type(g)(value(g.child))
+        return type(g)(value(g.left), value(g.right))
+
+    return ltl._fold(f, step)
+
+
+def _renamings(f):
+    """f with its propositions p, q, r permuted in every way."""
+    return [_rename(f, dict(zip(PROPS, order))) for order in itertools.permutations(PROPS)]
+
+
+def test_memo_automaton_renamed_back_is_the_instance_automaton():
+    """Field for field, the automaton the structure keeps for a shape (the
+    one of its first formula), renamed to an instance's propositions by
+    their numbers, is the one translated from the instance, undeclared
+    propositions resolved to false first (r is undeclared)."""
+    rng = random.Random(17)
+    formulas = [parse_ltl(text) for text in PROPERTY_TEMPLATES.values()]
+    declared = frozenset("pq").union(*map(propositions, formulas))
+    k = KripkeStructure(("a",), ("a",), {"a": ("a",)}, {"a": val("p")}, declared)
+    formulas += [g for _ in range(60) for g in _renamings(random_formula(rng))]
+    for f in formulas:
+        check(k, f)
+        key, names, _ = _shape(f, k.atomic_props)
+        automaton, first, _ = k.shapes[CEILING, key]
+        back = dict(zip(first, names))
+        expected = ltl_to_buchi(to_nnf(Not(instantiate(f, k.atomic_props)[0])))
+        assert tuple(tuple(_rename(g, back) for g in state)
+                     for state in automaton.states) == expected.states
+        assert tuple(tuple(c._replace(required=frozenset(back[p] for p in c.required),
+                                      forbidden=frozenset(back[p] for p in c.forbidden))
+                           for c in covers)
+                     for covers in automaton.covers) == expected.covers
+        assert automaton.mark_count == expected.mark_count
+    assert len(k.shapes) < len(formulas) / 2
+
+
+def test_check_on_one_shared_structure_is_check_on_a_fresh_one(monkeypatch):
+    """Renamings of one formula share one translation per structure, and the
+    results equal those of a fresh structure per property; the library
+    templates have seven shapes, so they are translated seven times."""
+    rng = random.Random(4242)
+    translated = []
+    monkeypatch.setattr(ltl, "ltl_to_buchi",
+                        lambda *args: translated.append(1) or ltl_to_buchi(*args))
+    for _ in range(25):
+        k = random_kripke(rng)
+        formulas = _renamings(random_formula(rng)) + [random_formula(rng) for _ in range(3)]
+        shared = [check(k, f) for f in formulas]
+        fresh = [check(KripkeStructure(k.states, k.initial, k.successors, k.labels,
+                                       k.atomic_props), f) for f in formulas]
+        assert shared == fresh
+        assert len(k.shapes) == len({_shape(f, k.atomic_props)[0] for f in formulas})
+    translated.clear()
+    k = random_kripke(rng)
+    for text in PROPERTY_TEMPLATES.values():
+        check(k, parse_ltl(text))
+    assert len(translated) == len(k.shapes) == 7
+
+
+@pytest.mark.parametrize("left,right", [
+    ("a && true", "a && b"), ("true", "b"), ("(!a U a)", "(!a U b)"), ("a U a", "a U b"),
+])
+def test_shapes_tell_constants_and_repeated_propositions_apart(left, right):
+    """A constant is kept as itself, never its value (True == 1), and a
+    proposition's number records where it first occurs.  On one structure,
+    where left holds and right does not, right gets its own automaton."""
+    declared = frozenset("ab")
+    assert _shape(parse_ltl(left), declared)[0] != _shape(parse_ltl(right), declared)[0]
+    k = KripkeStructure(("s",), ("s",), {"s": ("s",)}, {"s": val("a")}, declared)
+    assert [check(k, parse_ltl(text)).verdict for text in (left, right)] == [HOLDS, VIOLATED]
+
+
+def test_a_shape_is_translated_again_under_another_ceiling():
+    """The ceiling bounds the automaton's expansion, so a translation made
+    under a larger one is not reused under a smaller one."""
+    k = random_kripke(random.Random(3))
+    f = parse_ltl("p U (q U r)")
+    check(k, f)
+    with pytest.raises(CeilingError, match=r"^automaton state ceiling exceeded \(2\)$"):
+        check(k, f, max_product_states=2)
+
+
+def test_undeclared_propositions_share_the_shape_of_false():
+    key, names, undeclared = _shape(parse_ltl("G(a -> F ghost)"), frozenset("a"))
+    assert (names, undeclared) == (("a",), ("ghost",))
+    assert key == _shape(parse_ltl("G(b -> F false)"), frozenset("b"))[0]
+
+
+# ---------------------------------------------------------------------------
 # bounded oracle specifics
 # ---------------------------------------------------------------------------
 
@@ -442,7 +546,6 @@ def test_bounded_oracle_trivial_cases():
 
 
 def test_bounded_oracle_budget_guard():
-    from protocheck.ltl import OracleBudgetError
     rng = random.Random(8)
     k = random_kripke(rng, max_states=6, max_degree=2)
     with pytest.raises(OracleBudgetError):

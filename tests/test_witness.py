@@ -14,10 +14,10 @@ from pathlib import Path
 import pytest
 
 from protocheck import annotate, build_uds_machine, expand_tau, parse_cpm, parse_dot
-from protocheck.ltl import (BOUNDED_HOLDS, HOLDS, PROPERTY_TEMPLATES, VIOLATED,
-                            CeilingError, KripkeStructure, Not, _Product,
-                            bounded_oracle, check, kripke_from_annotated, ltl_to_buchi,
-                            parse_ltl, property_library, to_nnf)
+from protocheck.ltl import (HOLDS, PROPERTY_TEMPLATES, VIOLATED, CeilingError,
+                            KripkeStructure, Not, _Product, check, kripke_from_annotated,
+                            ltl_to_buchi, parse_ltl, property_library, to_nnf)
+from helpers import BOUNDED_HOLDS, bounded_oracle
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
 
