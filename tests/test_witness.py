@@ -5,6 +5,7 @@ Every witness is a lasso over Kripke states that ``check`` has already
 replayed through direct semantics; these tests pin what it looks like.
 """
 
+import hashlib
 import importlib.util
 import random
 import re
@@ -17,9 +18,10 @@ from protocheck import annotate, build_uds_machine, expand_tau, parse_cpm, parse
 from protocheck.ltl import (HOLDS, PROPERTY_TEMPLATES, VIOLATED, CeilingError,
                             KripkeStructure, Not, _Product, check, kripke_from_annotated,
                             ltl_to_buchi, parse_ltl, property_library, to_nnf)
-from helpers import BOUNDED_HOLDS, bounded_oracle
+from helpers import BOUNDED_HOLDS, bounded_oracle, random_formula
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
+WITNESS_DIGEST = "bca9a147869ca5ac5fa4c3d0f87b47fc6c129e6c79551cf17358fb3367c59dc5"
 
 
 def _ring(n: int, labels=None) -> KripkeStructure:
@@ -164,3 +166,49 @@ def test_quotient_changes_no_verdict_and_no_witness():
             oracle = bounded_oracle(k, f, *bounds)
             assert (oracle.verdict == BOUNDED_HOLDS) == result.holds, (text, f)
     assert proved > 300 and refuted > 50, (proved, refuted)
+
+
+def _tangled(rng: random.Random) -> KripkeStructure:
+    """4 to 24 states over p and q, one to three of them initial, one to
+    three successors each and self-loops on about a third: r is not
+    declared, so formulas over it take the warning path."""
+    n = rng.randint(4, 24)
+    states = tuple(f"w{i}" for i in range(n))
+    successors = {}
+    for q in states:
+        targets = rng.sample(states, rng.randint(1, min(3, n)))
+        if q not in targets and rng.random() < 0.3:
+            targets.append(q)
+        successors[q] = tuple(targets)
+    return KripkeStructure(
+        states=states, initial=tuple(rng.sample(states, rng.randint(1, 3))),
+        successors=successors,
+        labels={q: frozenset(p for p in "pq" if rng.random() < 0.5) for q in states},
+        atomic_props=frozenset("pq"))
+
+
+# multi-mark negations and their renamings, next to the random formulas
+_MARKED = ["G F p && G F q", "!(G F p && G F q)", "!(G F q && G F p)", "G F p -> G F q",
+           "!(G F p && G F q && G F r)", "F G p || F G !q", "G(p -> F q)", "G(q -> F p)"]
+
+
+def test_witness_layer_digest():
+    """The repr of every ``CheckResult`` over 40 seeded structures, each
+    formula checked once on one shared structure and once on a fresh one,
+    pinned by one sha256: the search's visiting order fixes each witness."""
+    rng = random.Random(31337)
+    digest = hashlib.sha256()
+    violated = 0
+    for _ in range(40):
+        k = _tangled(rng)
+        formulas = [parse_ltl(text) for text in _MARKED]
+        formulas += [random_formula(rng) for _ in range(12)]
+        for f in formulas:
+            shared = check(k, f)
+            fresh = check(KripkeStructure(k.states, k.initial, k.successors, k.labels,
+                                          k.atomic_props), f)
+            assert shared == fresh
+            violated += shared.verdict == VIOLATED
+            digest.update(repr(shared).encode() + b"\n")
+    assert violated > 200, violated
+    assert digest.hexdigest() == WITNESS_DIGEST
