@@ -570,6 +570,12 @@ class KripkeStructure:
         table column of each label projection onto them seen so far."""
         return {}
 
+    @cached_property
+    def searches(self) -> dict:
+        """``check``'s search results, freed with the structure: by (ceiling,
+        shape key, the letter each label id reads), the witness or None."""
+        return {}
+
 
 def kripke_from_annotated(a: AnnotatedMachine,
                           declared: frozenset[str] | None = None) -> KripkeStructure:
@@ -685,7 +691,10 @@ def _truth(f: Formula, vals, k: int) -> list[bool]:
 
 
 def lasso_valuations(k: KripkeStructure, lasso: Lasso):
-    return ([k.label(s) for s in lasso.stem], [k.label(s) for s in lasso.loop])
+    """The labels along the lasso as the checker reads them: undeclared
+    propositions are false."""
+    return ([k.label(s) & k.atomic_props for s in lasso.stem],
+            [k.label(s) & k.atomic_props for s in lasso.loop])
 
 
 # ---------------------------------------------------------------------------
@@ -730,11 +739,13 @@ def _shape(f: Formula, declared: frozenset[str]):
     return tuple(key), tuple(number), tuple(sorted(undeclared))
 
 
-def _column(auto: BuchiAutomaton, letter: frozenset) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each automaton state, the (target, marks) pairs of its covers admitting letter."""
-    return tuple(tuple(dict.fromkeys((c.target, c.marks) for c in covers
-                                     if c.required <= letter and not c.forbidden & letter))
-                 for covers in auto.covers)
+def _column(auto: BuchiAutomaton, letter: frozenset) -> tuple:
+    """For each automaton state, the (target, marks) pairs of its covers
+    admitting letter, and their distinct targets."""
+    rows = [tuple(dict.fromkeys((c.target, c.marks) for c in covers
+                                if c.required <= letter and not c.forbidden & letter))
+            for covers in auto.covers]
+    return tuple((row, tuple(dict.fromkeys(b for b, _ in row))) for row in rows)
 
 
 def check(k: KripkeStructure, f: Formula,
@@ -752,6 +763,8 @@ def check(k: KripkeStructure, f: Formula,
     bounds the automaton's expansion as well as each search.  Formulas of
     one shape (see ``_shape``) share one translation per structure: it is
     the automaton of each, up to a one-to-one renaming of propositions.
+    Their product is fixed by the letter each label reads, so formulas of
+    one shape whose letters agree on every label share one search.
     """
     key, names, substituted = _shape(f, k.atomic_props)
     shape = k.shapes.get((max_product_states, key))
@@ -760,22 +773,23 @@ def check(k: KripkeStructure, f: Formula,
         shape = k.shapes[max_product_states, key] = (
             ltl_to_buchi(to_nnf(Not(resolved)), max_product_states), names, {})
     automaton, first, columns = shape
-    table = []
-    for v in k.index.labels:
-        letter = sum(1 << i for i, p in enumerate(names) if p in v)  # bit i: proposition i
-        if letter not in columns:
-            columns[letter] = _column(automaton, frozenset(first[i] for i in _bits(letter)))
-        table.append(columns[letter])
-    product = _Product(k, automaton, max_product_states, table)
+    letters = tuple(sum(1 << i for i, p in enumerate(names) if p in v)  # bit i: names[i]
+                    for v in k.index.labels)
+    searched = (max_product_states, key, letters)
+    if searched not in k.searches:
+        for letter in letters:
+            if letter not in columns:
+                columns[letter] = _column(automaton, frozenset(first[i] for i in _bits(letter)))
+        product = _Product(k, automaton, max_product_states, [columns[v] for v in letters])
+        component = None if product.holds_on_quotient() else product.accepting_component()
+        k.searches[searched] = None if component is None else product.lasso(component)
+    witness = k.searches[searched]
     warnings = ("undeclared propositions resolved to false: " + ", ".join(substituted),)
     warnings = warnings if substituted else ()
-    component = None if product.holds_on_quotient() else product.accepting_component()
-    if component is None:
+    if witness is None:
         return CheckResult(HOLDS, None, substituted, warnings)
-    witness = product.lasso(component)
     _validate_lasso(k, witness)
-    stem_vals, loop_vals = lasso_valuations(k, witness)
-    if evaluate_on_lasso(f, stem_vals, loop_vals):
+    if evaluate_on_lasso(f, *lasso_valuations(k, witness)):
         raise AssertionError(f"witness fails to falsify {format_formula(f)}: {witness}")
     return CheckResult(VIOLATED, witness, substituted, warnings)
 
@@ -799,8 +813,9 @@ class _Product:
     structure's index.  An edge out of (s, b) reads the label of s: the
     covers of each automaton state are decided once per distinct label,
     and ``table[label id][b]`` holds the (target, marks) pairs of the covers
-    of b that admit it; ``columns``, when given, is that table.  The search
-    starts in (s0, 0) for each initial s0.
+    of b that admit it, and their distinct targets; ``columns``, when
+    given, is that table.  The searches start in (s0, 0) for each initial
+    s0, and take the pairs of a row in order, each to every successor of s.
 
     The product with the label quotient numbers its states the same way,
     with s a label id, so the same table serves it: each node carries its
@@ -809,23 +824,11 @@ class _Product:
 
     def __init__(self, k: KripkeStructure, auto: BuchiAutomaton, ceiling: int,
                  columns=None):
-        index = k.index
-        self.names, self.ceiling = k.states, ceiling
-        self.width = width = len(auto.states)
-        table = columns or [_column(auto, v) for v in index.labels]
-
-        def over(k_successors, label_of):
-            def successors(p: int) -> list[tuple[int, int]]:
-                s, b = divmod(p, width)
-                row = table[label_of[s]][b]
-                return [(t * width + b2, marks) for b2, marks in row for t in k_successors[s]]
-            return successors
-
-        self.successors = over(index.successors, index.label_of)
-        self.start = [s * width for s in index.initial]
-        self.quotient = (over(index.quotient, range(len(index.labels))),
-                         [index.label_of[s] * width for s in index.initial])
-        self.full = (1 << auto.mark_count) - 1
+        self.index, self.names, self.ceiling = k.index, k.states, ceiling
+        self.width = len(auto.states)
+        self.table = columns or [_column(auto, v) for v in self.index.labels]
+        self.start = [s * self.width for s in self.index.initial]
+        self.mark_count, self.full = auto.mark_count, (1 << auto.mark_count) - 1
 
     def holds_on_quotient(self) -> bool:
         """True when the product with the label quotient has no accepting
@@ -850,99 +853,126 @@ class _Product:
         component, and the marks of the edge that entered it.  An edge back
         into ``live`` merges every root above the target into one
         component, ORing both values of each popped root and the edge's own
-        marks."""
-        successors, start = self.quotient if quotient else (self.successors, self.start)
-        full = self.full
+        marks.  The bottom frame of ``stack`` holds the start states, entered
+        with no marks."""
+        index, width, table, full = self.index, self.width, self.table, self.full
+        successors, label_of, start = (
+            (index.quotient, range(len(index.labels)),
+             [index.label_of[s] * width for s in index.initial])
+            if quotient else (index.successors, index.label_of, self.start))
         position: dict[int, int] = {}
-        live: list[int] = []
-        roots: list[int] = []
-        inner: list[int] = []
-        entered: list[int] = []
-        stack: list = []
-
-        def visit(q: int, marks: int):
-            if len(position) >= self.ceiling:
-                raise CeilingError(f"product state ceiling exceeded ({self.ceiling})")
-            position[q] = len(live)
-            roots.append(len(live))
-            inner.append(0)
-            entered.append(marks)
-            live.append(q)
-            stack.append((q, iter(successors(q))))
-
-        for first in start:
-            if first not in position:
-                visit(first, 0)
-            while stack:
-                p, edges = stack[-1]
-                for q, marks in edges:
-                    at = position.get(q)
-                    if at is None:
-                        visit(q, marks)
-                        break
-                    if at >= 0:
-                        while roots[-1] > at:
-                            roots.pop()
-                            marks |= inner.pop() | entered.pop()
-                        inner[-1] |= marks
-                        if inner[-1] == full:
-                            return live[roots[-1]:]
-                else:
-                    stack.pop()
-                    at = position[p]
-                    if roots[-1] == at:
+        live, roots, inner, entered = [], [], [], []
+        stack: list = [(None, iter([(p, 0) for p in start]))]
+        while stack:
+            p, edges = stack[-1]
+            for q, marks in edges:
+                at = position.get(q)
+                if at is None:
+                    if len(position) >= self.ceiling:
+                        raise CeilingError(f"product state ceiling exceeded ({self.ceiling})")
+                    position[q] = len(live)
+                    roots.append(len(live))
+                    inner.append(0)
+                    entered.append(marks)
+                    live.append(q)
+                    s, b = divmod(q, width)
+                    stack.append((q, _edges(table[label_of[s]][b][0], successors[s], width)))
+                    break
+                if at >= 0:
+                    while roots[-1] > at:
                         roots.pop()
-                        inner.pop()
-                        entered.pop()
-                        for q in live[at:]:
-                            position[q] = -1
-                        del live[at:]
+                        marks |= inner.pop() | entered.pop()
+                    inner[-1] |= marks
+                    if inner[-1] == full:
+                        return live[roots[-1]:]
+            else:
+                stack.pop()
+                if stack and roots[-1] == position[p]:
+                    at = roots.pop()
+                    inner.pop()
+                    entered.pop()
+                    for q in live[at:]:
+                        position[q] = -1
+                    del live[at:]
         return None
 
     def lasso(self, component: list[int]) -> Lasso:
         """Shortest stem into the component; from its entry, the shortest
         cycle back to the entry whose edges carry every mark, found by one
         breadth-first search over (product state, marks covered so far)
-        pairs.  The cycle may leave the component found by the search,
-        which is only the part of a strongly connected component explored
-        so far: a cycle through the entry stays inside the entry's whole
-        component."""
-        successors, width = self.successors, self.width
+        pairs, each packed into the integer ``state << mark_count | marks``.
+        The cycle may leave the component found by the search, which is
+        only the part of a strongly connected component explored so far: a
+        cycle through the entry stays inside the entry's whole component.
+        Both searches test nodes as they are discovered, which is the order
+        they would leave the queue in."""
+        width, table, ceiling = self.width, self.table, self.ceiling
+        successors, label_of = self.index.successors, self.index.label_of
         inside = set(component)
-        stem = self._shortest_path(self.start, lambda p: [q for q, _ in successors(p)],
-                                   inside.__contains__)
-        entry = stem[-1]
-        loop = self._shortest_path(
-            successors(entry),
-            lambda pair: [(q, pair[1] | marks) for q, marks in successors(pair[0])],
-            (entry, self.full).__eq__)
-        return Lasso(tuple(self.names[p // width] for p in stem[:-1]),
-                     tuple(self.names[p // width] for p in [entry] + [q for q, _ in loop[:-1]]))
-
-    def _shortest_path(self, sources, step, goal) -> list:
-        """Breadth-first shortest path from one of ``sources`` to a node
-        satisfying ``goal``, moving by ``step``; the goal must be reachable.
-        Nodes are tested as they are discovered, which is the order they
-        would leave the queue in."""
-        parent = dict.fromkeys(sources)
-        found = next((p for p in parent if goal(p)), None)
+        parent = dict.fromkeys(self.start)
+        entry = next((p for p in parent if p in inside), None)
+        queue = deque(parent)
+        while entry is None:
+            p = queue.popleft()
+            s, b = divmod(p, width)
+            for b2 in table[label_of[s]][b][1]:
+                for t in successors[s]:
+                    q = t * width + b2
+                    if q not in parent:
+                        parent[q] = p
+                        if q in inside:
+                            entry = q
+                            break
+                        queue.append(q)
+                if entry is not None:
+                    break
+            if len(parent) > ceiling:
+                raise CeilingError(f"product state ceiling exceeded ({ceiling})")
+        stem = _path(parent, entry)
+        shift, full = self.mark_count, self.full
+        goal = entry << shift | full
+        s, b = divmod(entry, width)
+        parent = dict.fromkeys((t * width + b2) << shift | m
+                               for b2, m in table[label_of[s]][b][0] for t in successors[s])
+        found = goal if goal in parent else None
         queue = deque(parent)
         while found is None:
-            p = queue.popleft()
-            for q in step(p):
-                if q not in parent:
-                    parent[q] = p
-                    if goal(q):
-                        found = q
-                        break
-                    queue.append(q)
-            if len(parent) > self.ceiling:
-                raise CeilingError(f"product state ceiling exceeded ({self.ceiling})")
-        path = []
-        while found is not None:
-            path.append(found)
-            found = parent[found]
-        return path[::-1]
+            node = queue.popleft()
+            s, b = divmod(node >> shift, width)
+            for b2, m in table[label_of[s]][b][0]:
+                marks = node & full | m
+                for t in successors[s]:
+                    q = (t * width + b2) << shift | marks
+                    if q not in parent:
+                        parent[q] = node
+                        if q == goal:
+                            found = q
+                            break
+                        queue.append(q)
+                if found is not None:
+                    break
+            if len(parent) > ceiling:
+                raise CeilingError(f"product state ceiling exceeded ({ceiling})")
+        loop = [entry << shift] + _path(parent, found)[:-1]
+        return Lasso(tuple(self.names[p // width] for p in stem[:-1]),
+                     tuple(self.names[(node >> shift) // width] for node in loop))
+
+
+def _edges(row, successors, width):
+    """The edges (state, marks) of one product row, made as the search
+    takes them: it often returns before the last."""
+    for b, marks in row:
+        for t in successors:
+            yield t * width + b, marks
+
+
+def _path(parent: dict, node) -> list:
+    """The breadth-first path from a source (whose parent is None) to node."""
+    path = []
+    while node is not None:
+        path.append(node)
+        node = parent[node]
+    return path[::-1]
 
 
 # ---------------------------------------------------------------------------

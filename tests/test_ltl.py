@@ -352,6 +352,17 @@ def test_check_undeclared_resolved_false_with_warning():
     assert any("GHOST" in w for w in result.warnings)
 
 
+def test_undeclared_label_propositions_are_false_in_the_witness_replay():
+    """p labels the only state but is not declared: the automaton reads it
+    as false, and so does the replay of the witness."""
+    k = KripkeStructure(("a",), ("a",), {"a": ("a",)}, {"a": frozenset({"p"})}, frozenset())
+    result = check(k, parse_ltl("G p"))
+    assert result.verdict == VIOLATED
+    assert (result.lasso.stem, result.lasso.loop) == ((), ("a",))
+    assert result.warnings == ("undeclared propositions resolved to false: p",)
+    assert lasso_valuations(k, result.lasso) == ([], [frozenset()])
+
+
 def test_check_emrtd_auth_property_holds(emrtd_cpm):
     machine, _ = build_emrtd_machine()
     expanded = expand_tau(annotate(machine, emrtd_cpm), emrtd_cpm)
@@ -523,6 +534,69 @@ def test_a_shape_is_translated_again_under_another_ceiling():
     check(k, f)
     with pytest.raises(CeilingError, match=r"^automaton state ceiling exceeded \(2\)$"):
         check(k, f, max_product_states=2)
+
+
+def _counting(monkeypatch):
+    """Count the products ``check`` builds and the witnesses it replays."""
+    counts = {"products": 0, "replays": 0}
+
+    class Product(ltl._Product):
+        def __init__(self, *args):
+            counts["products"] += 1
+            super().__init__(*args)
+
+    def replay(*args):
+        counts["replays"] += 1
+        return evaluate_on_lasso(*args)
+
+    monkeypatch.setattr(ltl, "_Product", Product)
+    monkeypatch.setattr(ltl, "evaluate_on_lasso", replay)
+    return counts
+
+
+def _pair(a, b) -> KripkeStructure:
+    """Two states, a initial, each the other's successor."""
+    return KripkeStructure(("a", "b"), ("a",), {"a": ("b",), "b": ("a",)},
+                           {"a": val(*a), "b": val(*b)}, frozenset("pqr"))
+
+
+def test_formulas_whose_letters_agree_on_every_label_share_one_search(monkeypatch):
+    """p and q hold at a and not at b, so G p and G q, of one shape, read
+    the same letters: one product is searched, and each witness is still
+    replayed against its own formula."""
+    counts = _counting(monkeypatch)
+    k = _pair("pq", "")
+    results = [check(k, parse_ltl(text)) for text in ("G p", "G q", "G p", "G(p && q)")]
+    assert [r.verdict for r in results] == [VIOLATED] * 4
+    assert results[0] == results[1] == results[2]
+    assert counts == {"products": 2, "replays": 4}
+    assert len(k.searches) == 2
+
+
+def test_the_same_shape_reading_other_letters_gets_its_own_search(monkeypatch):
+    """p holds at both states and q only at a: G p and G q share a shape
+    but not a product."""
+    counts = _counting(monkeypatch)
+    k = _pair("pq", "p")
+    assert [check(k, parse_ltl(text)).verdict for text in ("G p", "G q")] == [HOLDS, VIOLATED]
+    assert counts == {"products": 2, "replays": 1}
+    assert len(k.shapes) == 1 and len(k.searches) == 2
+
+
+def test_a_product_is_searched_again_under_a_smaller_ceiling(monkeypatch):
+    """A search under a smaller ceiling is not answered from one made under
+    a larger one, and a search that reaches its ceiling stores nothing."""
+    counts = _counting(monkeypatch)
+    states = tuple(f"r{i}" for i in range(10))
+    k = KripkeStructure(states, (states[0],),
+                        {q: (states[(i + 1) % 10],) for i, q in enumerate(states)},
+                        {q: val(q) for q in states}, frozenset(states))
+    f = parse_ltl("G F r3")
+    assert check(k, f).verdict == HOLDS
+    for _ in range(2):
+        with pytest.raises(CeilingError, match=r"^product state ceiling exceeded \(5\)$"):
+            check(k, f, max_product_states=5)
+    assert counts["products"] == 3 and len(k.searches) == 1
 
 
 def test_undeclared_propositions_share_the_shape_of_false():
