@@ -13,9 +13,8 @@ from .automata import (MealyMachine, MachineError, EquivalenceResult,
 from .cpm import (Condition, Cpm, CpmError, AnnotatedMachine, parse_cpm,
                   matches, annotate, expand_tau, emit_annotated_dot,
                   parse_annotated_dot)
-from .actorgen import (ActorModelIR, MutationConfig, ActorGenError,
-                       build_ir, emit_rebeca, apply_timeout_mutation,
-                       TIMEOUT_PROP)
+from .actorgen import (ActorModelIR, ActorGenError, build_ir, emit_rebeca,
+                       apply_timeout_mutation, TIMEOUT_PROP)
 from .statespace import (Lts, CollapsedModel, StateSpaceError, explore,
                          collapse, verify_roundtrip, kripke_from_collapsed,
                          emit_lts_dot, parse_lts_dot, RoundtripReport)

@@ -27,19 +27,6 @@ class ActorGenError(ValueError):
 
 
 @dataclass(frozen=True)
-class MutationConfig:
-    """Timeout fault injection: model checking treats the timeout branch as
-    pure nondeterminism; the probability is validated, and no stage reads it."""
-
-    timeout_enabled: bool = False
-    timeout_probability: float = 0.1
-
-    def __post_init__(self):
-        if self.timeout_enabled and not (0.0 < self.timeout_probability < 1.0):
-            raise ActorGenError("timeout probability must lie strictly between 0 and 1")
-
-
-@dataclass(frozen=True)
 class SystemBranch:
     """One guard arm of an input handler: at ``state``, jump to ``target``,
     flip the listed propositions, and call the output handler with the
@@ -62,8 +49,8 @@ class ActorModelIR:
     # output symbol -> (case index, temp props set there), occurring cases only
     output_cases: dict[str, tuple[tuple[int, frozenset[str]], ...]]
     initial_props: frozenset[str]
-    queue_capacity: int = QUEUE_CAPACITY
-    mutation: MutationConfig | None = None
+    # the timeout fault: every input may instead reset the system and time out
+    timeout: bool = False
 
     @cached_property
     def state_index(self) -> dict[str, int]:
@@ -81,10 +68,6 @@ class ActorModelIR:
                 (props.add if value else props.discard)(p)
             props = frozenset(props)
         return branch, props
-
-    @property
-    def case_index(self) -> dict[str, int]:
-        return {sym: i for i, sym in enumerate(self.machine.inputs)}
 
 
 def build_ir(a: AnnotatedMachine, cpm: Cpm) -> ActorModelIR:
@@ -138,19 +121,18 @@ def build_ir(a: AnnotatedMachine, cpm: Cpm) -> ActorModelIR:
     )
 
 
-def apply_timeout_mutation(ir: ActorModelIR, cfg: MutationConfig) -> ActorModelIR:
+def apply_timeout_mutation(ir: ActorModelIR) -> ActorModelIR:
     """Give every input handler a nondeterministic alternative that resets
     the system to its initial state (propositions included) and calls a new
-    environment timeout handler, which raises the reserved timeout temporary."""
-    if not cfg.timeout_enabled:
-        return ir
+    environment timeout handler, which raises the reserved timeout temporary.
+    The choice carries no probability: it is Rebeca's ``?(0,1)``."""
     if TIMEOUT_PROP in ir.state_props or TIMEOUT_PROP in ir.temp_props:
         raise ActorGenError(
             f"proposition {TIMEOUT_PROP!r} already declared; cannot add timeout mutation")
     return replace(
         ir,
         temp_props=tuple(sorted(ir.temp_props + (TIMEOUT_PROP,))),
-        mutation=cfg,
+        timeout=True,
     )
 
 
@@ -226,13 +208,12 @@ def emit_rebeca(ir: ActorModelIR) -> str:
         if var in set(in_names.values()) | set(out_names.values()):
             raise ActorGenError(f"identifier collision on {var!r}")
     state_index = ir.state_index
-    mutated = ir.mutation is not None and ir.mutation.timeout_enabled
     temp_vars = [prop_vars[p] for p in ir.temp_props]
 
     lines: list[str] = []
     emit = lines.append
 
-    emit(f"reactiveclass Environment({ir.queue_capacity}) {{")
+    emit(f"reactiveclass Environment({QUEUE_CAPACITY}) {{")
     emit(f"{_IND}statevars {{")
     for var in temp_vars:
         emit(f"{_IND}{_IND}boolean {var};")
@@ -277,7 +258,7 @@ def emit_rebeca(ir: ActorModelIR) -> str:
         emit(f"{_IND}{_IND}self.req();")
         emit(f"{_IND}}}")
 
-    if mutated:
+    if ir.timeout:
         emit(f"{_IND}msgsrv timeout() {{")
         emit(f"{_IND}{_IND}{prop_vars[TIMEOUT_PROP]}=true;")
         emit(f"{_IND}{_IND}self.req();")
@@ -285,7 +266,7 @@ def emit_rebeca(ir: ActorModelIR) -> str:
 
     emit("}")
 
-    emit(f"reactiveclass System({ir.queue_capacity}) {{")
+    emit(f"reactiveclass System({QUEUE_CAPACITY}) {{")
     emit(f"{_IND}statevars {{")
     emit(f"{_IND}{_IND}int state;")
     for p in ir.state_props:
@@ -304,7 +285,7 @@ def emit_rebeca(ir: ActorModelIR) -> str:
         emit(f"{_IND}msgsrv {in_names[sym]}() {{")
         indent_body = f"{_IND}{_IND}"
         close = f"{_IND}}}"
-        if mutated:
+        if ir.timeout:
             emit(f"{_IND}{_IND}int to = ?(0,1);")
             emit(f"{_IND}{_IND}if(to==1) {{")
             emit(f"{_IND}{_IND}{_IND}state={state_index[m.initial]};")

@@ -19,6 +19,8 @@ EPSILON = "__eps"
 TAU = "__tau"
 # Pseudo-node marking the initial state in DOT files.
 START_NODE = "__start"
+# Output of the self-loops that complete a partial machine.
+NO_RESPONSE = "no_response"
 
 Word = tuple[str, ...]
 
@@ -76,12 +78,9 @@ class MealyMachine:
                     f"on input {a!r} ({len(missing)} missing in total)"
                 )
 
-    def step(self, state: str, symbol: str) -> tuple[str, str]:
-        return self.transitions[(state, symbol)]
-
-    def run(self, word: Word, start: str | None = None) -> Word:
-        """Output word produced by feeding ``word`` from ``start`` (default q0)."""
-        state = self.initial if start is None else start
+    def run(self, word: Word) -> Word:
+        """Output word produced by feeding ``word`` from the initial state."""
+        state = self.initial
         outputs = []
         for symbol in word:
             state, out = self.transitions[(state, symbol)]
@@ -95,8 +94,8 @@ class MealyMachine:
                 yield sym, entry[0], entry[1]
 
 
-def complete(m: MealyMachine, no_response: str = "no_response") -> MealyMachine:
-    """Fill missing (state, input) pairs with self-loops emitting ``no_response``.
+def complete(m: MealyMachine) -> MealyMachine:
+    """Fill missing (state, input) pairs with self-loops emitting ``NO_RESPONSE``.
 
     This is the downgrade path for hand-edited fixtures; learned models are
     total already.
@@ -106,11 +105,11 @@ def complete(m: MealyMachine, no_response: str = "no_response") -> MealyMachine:
     for q in m.states:
         for a in m.inputs:
             if (q, a) not in transitions:
-                transitions[(q, a)] = (q, no_response)
+                transitions[(q, a)] = (q, NO_RESPONSE)
                 added = True
     outputs = m.outputs
-    if added and no_response not in outputs:
-        outputs = outputs + (no_response,)
+    if added and NO_RESPONSE not in outputs:
+        outputs = outputs + (NO_RESPONSE,)
     return MealyMachine(m.states, m.inputs, outputs, m.initial, transitions)
 
 
@@ -355,8 +354,7 @@ def transition_edges(m: MealyMachine, quote) -> list[str]:
     return edges
 
 
-def parse_dot(text: str, complete_missing: bool = False,
-              no_response: str = "no_response") -> MealyMachine:
+def parse_dot(text: str, complete_missing: bool = False) -> MealyMachine:
     """Parse a GraphViz DOT document into a validated Mealy machine.
 
     Edges must be labeled ``input / output``.  The initial state is marked
@@ -385,12 +383,12 @@ def parse_dot(text: str, complete_missing: bool = False,
     machine = MealyMachine(tuple(graph.mentioned), inputs, outputs, graph.initials[0][0],
                            transitions, require_complete=not complete_missing)
     if complete_missing:
-        machine = complete(machine, no_response)
+        machine = complete(machine)
     return machine
 
 
-def emit_dot(m: MealyMachine, name: str = "mealy") -> str:
+def emit_dot(m: MealyMachine) -> str:
     """Canonical DOT text for ``m``; ``parse_dot`` round-trips it exactly."""
     quote = cache(_quote)
     body = [f"  {quote(q)};" for q in m.states]
-    return dot_document(name, quote(m.initial), body + transition_edges(m, quote))
+    return dot_document("mealy", quote(m.initial), body + transition_edges(m, quote))

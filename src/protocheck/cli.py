@@ -29,7 +29,7 @@ from . import __version__
 from .automata import MealyMachine, parse_dot, emit_dot
 from .cpm import (parse_cpm, annotate, expand_tau, emit_annotated_dot,
                   parse_annotated_dot)
-from .actorgen import MutationConfig, build_ir, emit_rebeca, apply_timeout_mutation
+from .actorgen import build_ir, emit_rebeca, apply_timeout_mutation
 from .statespace import (explore, collapse, verify_roundtrip, compare_roundtrip,
                          emit_lts_dot, parse_lts_dot, emit_collapsed_dot, StateSpaceError)
 from .ltl import (CEILING, CeilingError, check, kripke_from_annotated, property_library,
@@ -170,11 +170,9 @@ def _learn(selector: str, oracle: str, min_len: int, max_len: int,
     }
 
 
-def _actor_model(annotated, cpm, timeout_probability: float | None):
+def _actor_model(annotated, cpm, mutated: bool):
     ir = build_ir(annotated, cpm)
-    if timeout_probability is None:
-        return ir
-    return apply_timeout_mutation(ir, MutationConfig(True, timeout_probability))
+    return apply_timeout_mutation(ir) if mutated else ir
 
 
 def _property_file(cpm) -> str:
@@ -273,7 +271,8 @@ def _replay(sul, tests, report_path: str | None) -> int:
             "observed": list(result.observed),
             "first_divergence": result.first_divergence,
         })
-        print(f"{test.property_name or '(unnamed)'}: {result.verdict}")
+        line = f"{test.property_name or '(unnamed)'}: {result.verdict}"
+        print(f"{line} ({result.failure})" if result.failure else line)
         if not result.confirmed:
             diverged += 1
     if report_path:
@@ -318,7 +317,8 @@ def cmd_expand(args) -> int:
 def cmd_gen_rebeca(args) -> int:
     annotated = parse_annotated_dot(_read(args.annotated))
     cpm = parse_cpm(_read(args.cpm))
-    _write(args.out, emit_rebeca(_actor_model(annotated, cpm, args.timeout_mutation)))
+    ir = _actor_model(annotated, cpm, args.timeout_mutation is not None)
+    _write(args.out, emit_rebeca(ir))
     if args.properties_out:
         _write(args.properties_out, _property_file(cpm))
     return EXIT_OK
@@ -327,7 +327,8 @@ def cmd_gen_rebeca(args) -> int:
 def cmd_explore(args) -> int:
     annotated = parse_annotated_dot(_read(args.annotated))
     cpm = parse_cpm(_read(args.cpm))
-    lts = explore(_actor_model(annotated, cpm, args.timeout_mutation), args.max_nodes)
+    lts = explore(_actor_model(annotated, cpm, args.timeout_mutation is not None),
+                  args.max_nodes)
     _write(args.out, emit_lts_dot(lts))
     print(f"{len(lts.nodes)} nodes, {len(lts.edges)} edges", file=sys.stderr)
     return EXIT_OK
@@ -399,8 +400,7 @@ def cmd_pipeline(args) -> int:
     out_dir = Path(config.get("out_dir", "pipeline-out"))
     seed = config.get("seed", 0)
     learner_cfg = config.get("learner", {})
-    mutation_cfg = config.get("mutation", {})
-    mutated = bool(mutation_cfg.get("enabled"))
+    mutated = bool(config.get("mutation", {}).get("enabled"))
     ceiling = config.get("state_ceiling", CEILING)
 
     def put(name: str, text: str):
@@ -427,8 +427,7 @@ def cmd_pipeline(args) -> int:
     put("expanded.dot", emit_annotated_dot(expanded))
     stages["expand"] = {"internal_states": len(expanded.tau_states)}
 
-    ir = _actor_model(annotated, cpm,
-                      mutation_cfg.get("probability", 0.1) if mutated else None)
+    ir = _actor_model(annotated, cpm, mutated)
     put("model.rebeca", emit_rebeca(ir))
     put("model.property", _property_file(cpm))
     stages["gen-rebeca"] = {"mutated": mutated}
@@ -560,13 +559,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--properties-out",
                    help="also write the instantiated property file")
-    p.add_argument("--timeout-mutation", type=float, default=None, metavar="P")
+    p.add_argument("--timeout-mutation", nargs="?", const="", metavar="P",
+                   help="add the timeout fault (a trailing value is ignored)")
 
     p = sub.add_parser("explore", help="generate the full actor state space")
     p.add_argument("--annotated", required=True)
     p.add_argument("--cpm", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--timeout-mutation", type=float, default=None, metavar="P")
+    p.add_argument("--timeout-mutation", nargs="?", const="", metavar="P",
+                   help="add the timeout fault (a trailing value is ignored)")
     p.add_argument("--max-nodes", type=int, default=CEILING)
 
     p = sub.add_parser("collapse", help="cut a state space back into a machine")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from .automata import (EPSILON, TAU, MachineError, MealyMachine, _escape,
@@ -181,20 +181,6 @@ class AnnotatedMachine:
     def temps(self, state: str) -> frozenset[str]:
         return self.temp_labels.get(state, frozenset())
 
-    @cached_property
-    def tau_edges(self) -> tuple[dict[str, tuple[str, str]], dict[str, tuple[str, str]]]:
-        """The two halves of every split transition, by internal state:
-        (source, input) of the edge into it and (target, output) of the
-        edge out of it."""
-        tau_in: dict[str, tuple[str, str]] = {}
-        tau_out: dict[str, tuple[str, str]] = {}
-        for (q, sym), (dst, out) in self.machine.transitions.items():
-            if dst in self.tau_states and out == TAU:
-                tau_in[dst] = (q, sym)
-            if q in self.tau_states and sym == EPSILON:
-                tau_out[q] = (dst, out)
-        return tau_in, tau_out
-
 
 def annotate(m: MealyMachine, cpm: Cpm) -> AnnotatedMachine:
     """Label every state of ``m`` per the proposition map.
@@ -337,7 +323,7 @@ def expand_tau(a: AnnotatedMachine, cpm: Cpm) -> AnnotatedMachine:
 # Node labels carry 'state {P1,P2}', internal states 'state {P1 | T1}' and a
 # diamond shape; parse_annotated_dot reverses the encoding.
 
-def emit_annotated_dot(a: AnnotatedMachine, name: str = "annotated") -> str:
+def emit_annotated_dot(a: AnnotatedMachine) -> str:
     m = a.machine
     quote = cache(_quote)
     names = cache(lambda props: _escape(prop_list(props)))
@@ -348,7 +334,7 @@ def emit_annotated_dot(a: AnnotatedMachine, name: str = "annotated") -> str:
         else:
             shape, props = "circle", names(a.label(q))
         body.append(f'  {quote(q)} [shape={shape}, label="{_escape(q)} {{{props}}}"];')
-    return dot_document(name, quote(m.initial), body + transition_edges(m, quote))
+    return dot_document("annotated", quote(m.initial), body + transition_edges(m, quote))
 
 
 _NODE_LABEL_RE = re.compile(r"^(?P<id>.*?)\s*\{(?P<props>[^|{}]*)(?:\|(?P<temps>[^{}]*))?\}$")

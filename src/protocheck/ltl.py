@@ -538,6 +538,10 @@ class KripkeStructure:
     def label(self, state: str) -> frozenset[str]:
         return self.labels.get(state, frozenset())
 
+    def reads(self, label: frozenset[str]) -> frozenset[str]:
+        """``label`` as formulas read it: undeclared propositions are false."""
+        return label & self.atomic_props
+
     @cached_property
     def index(self) -> KripkeIndex:
         """The structure over integers, built once and freed with it."""
@@ -693,8 +697,8 @@ def _truth(f: Formula, vals, k: int) -> list[bool]:
 def lasso_valuations(k: KripkeStructure, lasso: Lasso):
     """The labels along the lasso as the checker reads them: undeclared
     propositions are false."""
-    return ([k.label(s) & k.atomic_props for s in lasso.stem],
-            [k.label(s) & k.atomic_props for s in lasso.loop])
+    return ([k.reads(k.label(s)) for s in lasso.stem],
+            [k.reads(k.label(s)) for s in lasso.loop])
 
 
 # ---------------------------------------------------------------------------
@@ -1135,7 +1139,7 @@ def vacuity(k: KripkeStructure, f: Formula) -> VacuityInfo | None:
     # one position per reachable label, the quotient nodes with successors:
     # a propositional formula reads no other
     index = k.index
-    labels = [v for v, out in zip(index.labels, index.quotient) if out]
+    labels = [k.reads(v) for v, out in zip(index.labels, index.quotient) if out]
     fires = _truth(antecedent, labels, 0)
     ante = any(fires)
     risk = any(a and not c for a, c in zip(fires, _truth(consequent, labels, 0)))

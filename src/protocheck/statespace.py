@@ -65,7 +65,6 @@ def explore(ir: ActorModelIR, max_nodes: int = CEILING) -> Lts:
         for out, cases in ir.output_cases.items()
         for case, temps in cases
     }
-    mutated = ir.mutation is not None and ir.mutation.timeout_enabled
 
     nodes: list[LtsNode] = []
     index_of: dict[tuple, int] = {}
@@ -94,7 +93,7 @@ def explore(ir: ActorModelIR, max_nodes: int = CEILING) -> Lts:
                 branch, props = ir.step(node.q, node.props, sym)
                 edges.append((idx, sym, intern(branch.target, props, frozenset(), "out",
                                                ("out", branch.output, case))))
-                if mutated:
+                if ir.timeout:
                     edges.append((idx, sym, intern(m.initial, ir.initial_props, frozenset(),
                                                    "timeout")))
         elif node.phase == "out":
@@ -321,7 +320,7 @@ def compare_roundtrip(a: AnnotatedMachine, cpm: Cpm, lts: Lts,
     return RoundtripReport(True, "PASS", len(lts.nodes))
 
 
-def emit_collapsed_dot(cm: CollapsedModel, name: str = "collapsed") -> str:
+def emit_collapsed_dot(cm: CollapsedModel) -> str:
     """DOT text for a collapsed model, tolerating nondeterministic outcomes
     (one edge per outcome; temporaries appended to the edge label)."""
     quote, names, io = cache(_quote), cache(prop_list), cache(io_label)
@@ -333,21 +332,21 @@ def emit_collapsed_dot(cm: CollapsedModel, name: str = "collapsed") -> str:
             if temps:
                 label += f" [{names(temps)}]"
             body.append(dot_edge(quote(q), quote(target), label))
-    return dot_document(name, quote(cm.initial), body)
+    return dot_document("collapsed", quote(cm.initial), body)
 
 
 # ---------------------------------------------------------------------------
 # LTS DOT serialization
 # ---------------------------------------------------------------------------
 
-def emit_lts_dot(lts: Lts, name: str = "statespace") -> str:
+def emit_lts_dot(lts: Lts) -> str:
     # the fields are separated by ';', which the state name escapes
     state = cache(lambda q: _escape(q).replace(";", "\\;"))
     names, label = cache(prop_list), cache(_escape)
     body = [f'  n{node.index} [label="q={state(node.q)}; props={names(node.props)}; '
             f'temps={names(node.temps)}"];' for node in lts.nodes]
     body += [f'  n{src} -> n{dst} [label="{label(sym)}"];' for src, sym, dst in lts.edges]
-    return dot_document(name, f"n{lts.initial}", body)
+    return dot_document("statespace", f"n{lts.initial}", body)
 
 
 def parse_lts_dot(text: str) -> Lts:

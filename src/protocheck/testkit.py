@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .automata import Word
+from .automata import EPSILON, TAU, Word
 from .cpm import AnnotatedMachine
 from .ltl import KripkeStructure, Lasso
 from .learning import SulInterface
@@ -50,33 +50,26 @@ def concretize(lasso: Lasso, k: KripkeStructure, a: AnnotatedMachine,
     for state in lasso.states():
         if state not in known:
             raise TestKitError(f"witness state {state!r} is not a state of the structure")
-    tau_in, tau_out = a.tau_edges
+    m = a.machine
     path = list(lasso.stem) + list(lasso.loop) * unroll
     inputs: list[str] = []
     expected: list[str] = []
     for x, y in zip(path, path[1:]):
-        if y in a.tau_states:
-            src, sym = tau_in[y]
-            if src != x:
-                raise TestKitError(
-                    f"witness step {x!r} -> {y!r} does not match the split origin {src!r}")
-            dst, out = tau_out[y]
-            inputs.append(sym)
-            expected.append(out)
-        elif x in a.tau_states:
-            dst, _ = tau_out[x]
-            if dst != y:
-                raise TestKitError(
-                    f"witness step {x!r} -> {y!r} does not match the split target {dst!r}")
-        else:
-            for sym in a.machine.inputs:
-                entry = a.machine.transitions.get((x, sym))
-                if entry is not None and entry[0] == y:
-                    inputs.append(sym)
-                    expected.append(entry[1])
-                    break
-            else:
+        if x in a.tau_states:
+            # the bridge out of an internal state: its input was taken on the way in
+            if m.transitions.get((x, EPSILON), (None,))[0] != y:
                 raise TestKitError(f"no transition reproduces witness step {x!r} -> {y!r}")
+            continue
+        for sym in m.inputs:
+            dst, out = m.transitions.get((x, sym), (None, None))
+            if dst == y:
+                inputs.append(sym)
+                if out == TAU:  # into an internal state: the output is its bridge's
+                    out = m.transitions.get((y, EPSILON), (y, out))[1]
+                expected.append(out)
+                break
+        else:
+            raise TestKitError(f"no transition reproduces witness step {x!r} -> {y!r}")
     return TestCase(tuple(inputs), tuple(expected), property_name,
                     lasso.stem, lasso.loop, unroll)
 

@@ -102,6 +102,19 @@ def blackbox_uds_sul():
     return sul
 
 
+class _LinkDownSul(SulInterface):
+    def reset(self):
+        pass
+
+    def step(self, symbol: str) -> str:
+        raise RuntimeError("link down")
+
+
+def link_down_sul():
+    """``module:factory`` form of a system whose every step fails."""
+    return _LinkDownSul()
+
+
 def canonicalize_nonce_mapper() -> Mapper:
     """Folds challenge nonces into one canonical symbol."""
     return Mapper(output_classes=((("CHAL_*",), "NONCE"),))

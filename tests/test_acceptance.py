@@ -9,7 +9,7 @@ breadth-first search, direct semantics).
 import random
 import time
 
-from protocheck import (MutationConfig, TIMEOUT_PROP, annotate,
+from protocheck import (TIMEOUT_PROP, annotate,
                         apply_timeout_mutation, bisimilar, build_emrtd_machine,
                         build_ir, build_uds_machine, build_uds_sul, check,
                         collapse, concretize, emit_rebeca, exact_oracle,
@@ -214,8 +214,7 @@ def test_criterion_7_timeout_mutation(emrtd_cpm):
     start = time.time()
     machine, _ = build_emrtd_machine()
     annotated = annotate(machine, emrtd_cpm)
-    ir = apply_timeout_mutation(build_ir(annotated, emrtd_cpm),
-                                MutationConfig(True, 0.1))
+    ir = apply_timeout_mutation(build_ir(annotated, emrtd_cpm))
     lts = explore(ir)
     by_index = {n.index: n for n in lts.nodes}
     ready_nodes = [n for n in lts.nodes if n.phase == "ready"]

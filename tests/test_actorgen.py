@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from protocheck import (MutationConfig, TIMEOUT_PROP,
+from protocheck import (TIMEOUT_PROP,
                         annotate, apply_timeout_mutation, build_emrtd_machine,
                         build_ir, emit_rebeca, expand_tau)
-from protocheck.actorgen import (ActorGenError, input_msgsrv_name,
+from protocheck.actorgen import (QUEUE_CAPACITY, ActorGenError, input_msgsrv_name,
                                  output_msgsrv_name)
 from protocheck.cpm import Condition, Cpm, parse_cpm
 from protocheck.fixtures import fixture_text
@@ -32,7 +32,7 @@ def test_two_state_ir_shape(two_state_annotated, two_state_cpm):
     assert second.prop_updates == (("p", False),)
     assert set(ir.output_cases) == {"omega1", "omega2"}
     assert ir.output_cases["omega2"] == ((0, frozenset({"omega2set"})),)
-    assert ir.queue_capacity == 3
+    assert QUEUE_CAPACITY == 3 and not ir.timeout
 
 
 def test_ir_without_map_moves_state_only(two_state_machine):
@@ -51,8 +51,8 @@ def test_emrtd_ir_reproduces_published_fragment(emrtd_cpm):
     assert branch.target == "2"
     assert branch.output == "9000"
     assert branch.case_index == 28
-    assert ir.case_index["RD_BIN"] == 22
-    assert ir.case_index["SSEL_EF_DG1"] == 32
+    assert ir.machine.inputs.index("RD_BIN") == 22
+    assert ir.machine.inputs.index("SSEL_EF_DG1") == 32
 
 
 def test_ir_rejects_expanded_machine(two_state_annotated, two_state_cpm):
@@ -132,21 +132,10 @@ def test_no_constructor_when_initial_unlabeled(two_state_annotated, two_state_cp
 # timeout mutation
 # ---------------------------------------------------------------------------
 
-def test_mutation_disabled_is_identity(two_state_annotated, two_state_cpm):
-    ir = build_ir(two_state_annotated, two_state_cpm)
-    assert apply_timeout_mutation(ir, MutationConfig(False)) is ir
-
-
-def test_mutation_probability_validated():
-    with pytest.raises(ActorGenError, match="probability"):
-        MutationConfig(True, 1.5)
-
-
 def test_mutation_adds_timeout_machinery(two_state_annotated, two_state_cpm):
-    ir = apply_timeout_mutation(build_ir(two_state_annotated, two_state_cpm),
-                                MutationConfig(True, 0.25))
+    ir = apply_timeout_mutation(build_ir(two_state_annotated, two_state_cpm))
     assert TIMEOUT_PROP in ir.temp_props
-    assert ir.mutation.timeout_probability == 0.25
+    assert ir.timeout
     text = emit_rebeca(ir)
     assert "int to = ?(0,1);" in text
     assert "environment.timeout();" in text
@@ -159,7 +148,7 @@ def test_mutation_name_collision_rejected(two_state_machine):
     cpm = parse_cpm("[TAUS]\nTIMEOUT | * | omega1\n")
     ir = build_ir(annotate(two_state_machine, cpm), cpm)
     with pytest.raises(ActorGenError, match="TIMEOUT"):
-        apply_timeout_mutation(ir, MutationConfig(True, 0.1))
+        apply_timeout_mutation(ir)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,16 @@ def test_a_count_below_1_exits_64_with_one_line(workdir, argv, flag):
     assert set(workdir.iterdir()) == before
 
 
+def test_a_system_failure_during_replay_prints_its_reason(tmp_path):
+    (tmp_path / "tests.jsonl").write_text(
+        '{"property": "p", "inputs": ["a"], "expected": ["b"]}\n')
+    assert cli_process(tmp_path, "replay", "--tests", "tests.jsonl", "--sul",
+                       "helpers:link_down_sul", "--report", "replay.json") == (
+        3, "p: DIVERGED (system failure at position 0: link down)\n", "")
+    assert json.loads((tmp_path / "replay.json").read_text()) == {"diverged": 1, "replays": [
+        {"property": "p", "verdict": "DIVERGED", "observed": [], "first_divergence": 0}]}
+
+
 def test_a_bare_system_that_names_its_inputs_learns_by_random_walks(tmp_path):
     code, out, err = cli_process(tmp_path, "learn", "--sul", "helpers:blackbox_uds_sul",
                                  "--oracle", "random-walk", "--out", "m.dot")
@@ -366,14 +376,42 @@ def test_pipeline_explores_once(workdir, monkeypatch, mutation):
     calls = []
 
     def counting(ir, *rest):
-        calls.append(ir.mutation)
+        calls.append(ir.timeout)
         return explore(ir, *rest)
 
     monkeypatch.setattr(statespace, "explore", counting)
     monkeypatch.setattr(cli, "explore", counting)
     config = worked_example_config(workdir, mutation={"enabled": mutation})
     assert run("pipeline", "--config", config) == 0
-    assert len(calls) == 1 and (calls[0] is not None) == mutation
+    assert calls == [mutation]
+
+
+def test_a_mutation_probability_is_accepted_and_read_by_nothing(workdir):
+    """The timeout branch is a nondeterministic choice: a probability, even
+    one outside (0, 1), changes no file but the manifest's config digest."""
+    outputs = []
+    for probability in (0.1, 5):
+        config = worked_example_config(
+            workdir, mutation={"enabled": True, "probability": probability})
+        assert run("pipeline", "--config", config) == 0
+        files = {p.name: p.read_bytes() for p in (workdir / "out").iterdir()}
+        manifest = json.loads(files.pop("manifest.json"))
+        outputs.append((files, manifest["stages"]))
+    assert outputs[0] == outputs[1]
+    assert "timeout" in outputs[0][0]["lts.dot"].decode()
+
+
+def test_explore_with_a_bare_timeout_flag_writes_what_a_trailing_value_writes(workdir):
+    annotated = str(workdir / "annotated.dot")
+    run("annotate", "--model", str(workdir / "model.dot"),
+        "--cpm", str(workdir / "map.cpm"), "--out", annotated)
+    written = []
+    for flag in (["--timeout-mutation"], ["--timeout-mutation", "0.2"]):
+        lts = workdir / "lts.dot"
+        assert run("explore", "--annotated", annotated, "--cpm", str(workdir / "map.cpm"),
+                   "--out", str(lts), *flag) == 0
+        written.append(lts.read_bytes())
+    assert written[0] == written[1] and b"timeout" in written[0]
 
 
 def test_outputs_deterministic_across_runs(workdir):

@@ -385,15 +385,16 @@ def test_rules_decided_per_pair_match_the_per_transition_reference(seed):
     assert any(d.startswith("unused gains condition ['D']") for d in a.diagnostics)
 
     expanded = expand_tau(a, cpm)
-    tau_in, tau_out = expanded.tau_edges
-    split = {tau_in[t]: t for t in expanded.tau_states}
+    transitions = expanded.machine.transitions
+    split = {(q, sym): dst for (q, sym), (dst, out) in transitions.items()
+             if dst in expanded.tau_states and out == TAU}
     for (q, sym), (dst, out) in m.transitions.items():
         temps = reference_temps(cpm, sym, out)
         assert cpm.raised_temps(sym, out) == temps
         if temps:
             internal = split[(q, sym)]
             assert expanded.temp_labels[internal] == temps
-            assert tau_out[internal] == (dst, out)
+            assert transitions[(internal, EPSILON)] == (dst, out)
         else:
             assert expanded.machine.transitions[(q, sym)] == (dst, out)
     assert len(split) == sum(1 for (_, sym), (_, out) in m.transitions.items()

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from protocheck import (MachineError, MealyMachine, MutationConfig, annotate,
+from protocheck import (MachineError, MealyMachine, annotate,
                         apply_timeout_mutation, build_ir, collapse, emit_annotated_dot,
                         emit_dot, emit_lts_dot, expand_tau, explore,
                         parse_annotated_dot, parse_dot, parse_lts_dot)
@@ -274,7 +274,7 @@ def emitted_documents(seed: int) -> dict[str, str]:
     m = pinned_machine(seed)
     annotated = annotate(m, PIN_CPM)
     ir = build_ir(annotated, PIN_CPM)
-    mutated = explore(apply_timeout_mutation(ir, MutationConfig(True, 0.1)))
+    mutated = explore(apply_timeout_mutation(ir))
     collapsed = collapse(mutated)
     assert not collapsed.is_deterministic()
     return {

@@ -714,6 +714,18 @@ def test_parse_property_file_errors():
         parse_property_file("a: G p\nb: G (p &&\n")
 
 
+def test_vacuity_reads_undeclared_propositions_as_check_does():
+    """``p`` is undeclared, so ``check`` reads it as false and the property
+    holds; vacuity must not see the raw label's ``p`` and report a risk."""
+    k = KripkeStructure(("a", "b"), ("a",), {"a": ("b",), "b": ("b",)},
+                        {"a": frozenset({"p", "q"}), "b": frozenset({"q"})},
+                        frozenset({"q"}))
+    f = parse_ltl("G(p -> !q)")
+    assert check(k, f).verdict == HOLDS
+    report = vacuity(k, f)
+    assert not report.antecedent_reachable and not report.risk_reachable
+
+
 def test_vacuity_antecedent_never_true(uds_cpm):
     machine, _ = build_uds_machine()
     expanded = expand_tau(annotate(machine, uds_cpm), uds_cpm)

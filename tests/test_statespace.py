@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from protocheck import (CeilingError, MealyMachine, MutationConfig, TIMEOUT_PROP,
+from protocheck import (CeilingError, MealyMachine, TIMEOUT_PROP,
                         annotate, apply_timeout_mutation, build_emrtd_machine,
                         build_ir, build_uds_machine, collapse, emit_lts_dot,
                         explore, parse_lts_dot, verify_roundtrip)
@@ -74,8 +74,7 @@ def test_explore_node_count_bound(seed):
 
 
 def test_explore_mutated_adds_timeout_edges(two_state_annotated, two_state_cpm):
-    ir = apply_timeout_mutation(build_ir(two_state_annotated, two_state_cpm),
-                                MutationConfig(True, 0.1))
+    ir = apply_timeout_mutation(build_ir(two_state_annotated, two_state_cpm))
     lts = explore(ir)
     by_idx = {n.index: n for n in lts.nodes}
     timeout_edges = [(s, d) for s, label, d in lts.edges if label == "timeout"]
@@ -113,8 +112,7 @@ def test_collapse_single_state_identity():
 
 
 def test_collapse_mutated_is_nondeterministic(two_state_annotated, two_state_cpm):
-    ir = apply_timeout_mutation(build_ir(two_state_annotated, two_state_cpm),
-                                MutationConfig(True, 0.1))
+    ir = apply_timeout_mutation(build_ir(two_state_annotated, two_state_cpm))
     model = collapse(explore(ir))
     assert not model.is_deterministic()
     for (q, sym), outcomes in model.transitions.items():
@@ -242,7 +240,7 @@ def roundtrip_cases():
 def test_mutated_collapse_without_timeouts_is_the_nominal_collapse(machine, cpm):
     ir = build_ir(annotate(machine, cpm), cpm)
     nominal = collapse(explore(ir))
-    mutated = collapse(explore(apply_timeout_mutation(ir, MutationConfig(True, 0.1))))
+    mutated = collapse(explore(apply_timeout_mutation(ir)))
     assert not mutated.is_deterministic()
     assert timeout_free(mutated) == nominal
 

@@ -7,8 +7,8 @@ from protocheck import (MachineSul, MealyMachine, TestCase, annotate,
                         exact_oracle, expand_tau, feedback,
                         kripke_from_annotated, lstar_learn, parse_cpm,
                         property_library, read_tests, replay, write_tests,
-                        CONFIRMED, DIVERGED)
-from protocheck.cpm import Cpm
+                        CONFIRMED, DIVERGED, TAU)
+from protocheck.cpm import AnnotatedMachine, Cpm
 from protocheck.fixtures import fixture_text
 from protocheck.ltl import Lasso
 from protocheck.testkit import TestKitError
@@ -43,6 +43,17 @@ def test_concretize_loop_only_lasso():
     test = concretize(Lasso((), ("z", "z")), k, a, "spin")
     assert test.inputs == ("tick",)
     assert test.expected == ("tock",)
+
+
+def test_concretize_keeps_a_tau_output_that_no_bridge_follows():
+    """A hand-written model may output tau into an ordinary state: with no
+    empty-input bridge out of it, the tau output is the expected one."""
+    m = MealyMachine(("q", "r"), ("a",), (TAU, "o"), "q",
+                     {("q", "a"): ("r", TAU), ("r", "a"): ("r", "o")},
+                     require_complete=False)
+    a = AnnotatedMachine(m, {})
+    test = concretize(Lasso(("q",), ("r",)), kripke_from_annotated(a), a, unroll=2)
+    assert test.inputs == ("a", "a") and test.expected == (TAU, "o")
 
 
 def test_concretize_unroll_repeats_loop(uds_violation):
