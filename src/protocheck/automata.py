@@ -375,8 +375,6 @@ def parse_dot(text: str, complete_missing: bool = False) -> MealyMachine:
             )
     if not graph.initials:
         raise MachineError("no initial state: add a '__start -> q' edge or an initial=true attribute")
-    if not graph.mentioned:
-        raise MachineError("document contains no states")
 
     inputs = tuple(dict.fromkeys(sym for _, sym in transitions))
     outputs = tuple(dict.fromkeys(out for _, out in transitions.values()))

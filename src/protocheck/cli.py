@@ -6,8 +6,8 @@ every intermediate artifact along the way.
 
 Exit codes: 0 success, 1 round-trip failure, 2 property violations found,
 3 replay divergence, 4 a resource ceiling reached, 5 learning failed: the
-system answered inconsistently, 64 usage errors (a count flag or config key
-below 1, caught before anything is written; an unreadable or malformed input
+system answered inconsistently, 64 usage errors (a bad count flag or config
+value, caught before anything is written; an unreadable or malformed input
 file or record), 70 internal error (a bug; please report it).  Past argument
 parsing, every failure prints one line.  All outputs are deterministic given
 the same inputs and seeds; reports embed seeds for reproducibility.
@@ -56,6 +56,23 @@ _EXIT_CODES = {CeilingError: EXIT_CEILING, LearnError: EXIT_LEARN, ValueError: E
 # argparse destinations of the count flags, each at least 1
 _COUNT_FLAGS = ("max_nodes", "unroll", "num_tests", "min_len", "max_len")
 
+_POSITIVE = "a positive integer"
+_KINDS = {str: "a string", int: "an integer", bool: "a boolean", dict: "an object"}
+
+# each pipeline config key, a dotted one read inside its section, with its
+# (default, rule): a type, a tuple of the allowed values or _POSITIVE; other
+# keys are ignored.  The flags that share a key take its default from here.
+_CONFIG = {
+    "sul": (None, str), "model": (None, str), "cpm": (None, str), "properties": (None, str),
+    "out_dir": ("pipeline-out", str), "seed": (0, int),
+    "state_ceiling": (CEILING, _POSITIVE), "unroll": (1, _POSITIVE),
+    "learner": ({}, dict), "learner.algorithm": ("lstar", ("lstar",)),
+    "learner.oracle": ("exact", ("exact", "random-walk")),
+    "learner.min_len": (20, _POSITIVE), "learner.max_len": (50, _POSITIVE),
+    "learner.num_tests": (50, _POSITIVE),
+    "mutation": ({}, dict), "mutation.enabled": (False, bool),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def exit(self, status=0, message=None):
@@ -69,7 +86,7 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write(path: str, text: str):
+def _write(path: str | Path, text: str):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(text, encoding="utf-8")
 
@@ -386,56 +403,37 @@ def cmd_replay(args) -> int:
 
 def cmd_pipeline(args) -> int:
     config_text = _read(args.config)
-    config = json.loads(config_text)
-    if not isinstance(config, dict):
-        raise ValueError("pipeline config must be a JSON object")
-    for key in ("learner", "mutation"):
-        if not isinstance(config.get(key, {}), dict):
-            raise ValueError(f'pipeline config "{key}" must be an object')
-    if "cpm" not in config:
-        raise ValueError('pipeline config lacks "cpm"')
-    if "sul" not in config and "model" not in config:
-        raise ValueError('pipeline config lacks "sul" or "model"')
-    _check_config_values(config)
-    out_dir = Path(config.get("out_dir", "pipeline-out"))
-    seed = config.get("seed", 0)
-    learner_cfg = config.get("learner", {})
-    mutated = bool(config.get("mutation", {}).get("enabled"))
-    ceiling = config.get("state_ceiling", CEILING)
+    config = _read_config(json.loads(config_text))
+    out_dir, seed, ceiling = Path(config["out_dir"]), config["seed"], config["state_ceiling"]
 
-    def put(name: str, text: str):
-        (out_dir / name).write_text(text, encoding="utf-8")
-
+    cpm = parse_cpm(_read(config["cpm"]))
     stages = {}
-    if "sul" in config:
+    if config["sul"] is not None:
         machine, stages["learn"] = _learn(
-            config["sul"], learner_cfg.get("oracle", "exact"), learner_cfg.get("min_len", 20),
-            learner_cfg.get("max_len", 50), learner_cfg.get("num_tests", 50), seed)
+            config["sul"], config["learner.oracle"], config["learner.min_len"],
+            config["learner.max_len"], config["learner.num_tests"], seed)
     else:
         machine = parse_dot(_read(config["model"]))
         stages["learn"] = {"skipped": True}
-    out_dir.mkdir(parents=True, exist_ok=True)
-    put("model.dot", emit_dot(machine))
-
-    cpm = parse_cpm(_read(config["cpm"]))
+    _write(out_dir / "model.dot", emit_dot(machine))
 
     annotated = annotate(machine, cpm)
-    put("annotated.dot", emit_annotated_dot(annotated))
+    _write(out_dir / "annotated.dot", emit_annotated_dot(annotated))
     stages["annotate"] = {"diagnostics": list(annotated.diagnostics)}
 
     expanded = expand_tau(annotated, cpm)
-    put("expanded.dot", emit_annotated_dot(expanded))
+    _write(out_dir / "expanded.dot", emit_annotated_dot(expanded))
     stages["expand"] = {"internal_states": len(expanded.tau_states)}
 
-    ir = _actor_model(annotated, cpm, mutated)
-    put("model.rebeca", emit_rebeca(ir))
-    put("model.property", _property_file(cpm))
-    stages["gen-rebeca"] = {"mutated": mutated}
+    ir = _actor_model(annotated, cpm, config["mutation.enabled"])
+    _write(out_dir / "model.rebeca", emit_rebeca(ir))
+    _write(out_dir / "model.property", _property_file(cpm))
+    stages["gen-rebeca"] = {"mutated": config["mutation.enabled"]}
 
     lts = explore(ir, ceiling)
-    put("lts.dot", emit_lts_dot(lts))
+    _write(out_dir / "lts.dot", emit_lts_dot(lts))
     collapsed = collapse(lts)
-    put("collapsed.dot", _collapsed_dot(collapsed))
+    _write(out_dir / "collapsed.dot", _collapsed_dot(collapsed))
     stages["explore"] = {"nodes": len(lts.nodes), "edges": len(lts.edges)}
 
     roundtrip = compare_roundtrip(annotated, cpm, lts, collapsed)
@@ -446,17 +444,16 @@ def cmd_pipeline(args) -> int:
         return EXIT_ROUNDTRIP
 
     # violations are a result, not a pipeline failure
-    entries, _ = _check(expanded, cpm, config.get("properties"), ceiling,
-                        config.get("unroll", 1))
+    entries, _ = _check(expanded, cpm, config["properties"], ceiling, config["unroll"])
     report = _report(str(out_dir / "expanded.dot"), config["cpm"], entries)
-    put("report.json", _json_text(report))
+    _write(out_dir / "report.json", _json_text(report))
     violations = report["violations"]
     stages["check"] = {"violations": violations}
 
     tests = _emit_tests(entries, out_dir / "tests.jsonl")
     stages["emit-test"] = {"tests": violations}
 
-    if "sul" in config and violations:
+    if config["sul"] is not None and violations:
         sul = _Counted(_resolve_sul(config["sul"])[0])
         diverged = _replay(sul, tests, str(out_dir / "replay.json"))
         stages["replay"] = {"diverged": diverged > 0, "cost": sul.cost()}
@@ -467,35 +464,31 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _check_config_values(config: dict):
-    """Reject an ill-typed scalar of a pipeline config before anything is
-    written."""
-    learner = config.get("learner", {})
-    counts = [(f'pipeline config "{key}"', config.get(key, 1))
-              for key in ("state_ceiling", "unroll")]
-    counts += [(f'pipeline config "learner.{key}"', learner.get(key, 1))
-               for key in ("min_len", "max_len", "num_tests")]
-    _check_counts(counts, "must be a positive integer")
-    _check_walk_lengths(learner.get("min_len", 20), learner.get("max_len", 50),
+def _read_config(config) -> dict:
+    """Each ``_CONFIG`` key's value in a pipeline config, or its default; raises
+    on the first value that breaks its rule, a lacking key or bad walk lengths."""
+    if type(config) is not dict:
+        raise ValueError("pipeline config must be a JSON object")
+    values = {}
+    for key, (default, rule) in _CONFIG.items():
+        section, _, name = key.rpartition(".")
+        value = (values[section] if section else config).get(name, default)
+        if rule is _POSITIVE:
+            ok, text = type(value) is int and value >= 1, rule
+        elif isinstance(rule, tuple):
+            ok, text = value in rule, " or ".join(map(json.dumps, rule))
+        else:
+            ok, text = type(value) is rule, _KINDS[rule]
+        if not (ok or value is None and default is None):
+            raise ValueError(f'pipeline config "{key}" must be {text}')
+        values[key] = value
+    if values["cpm"] is None:
+        raise ValueError('pipeline config lacks "cpm"')
+    if values["sul"] is None and values["model"] is None:
+        raise ValueError('pipeline config lacks "sul" or "model"')
+    _check_walk_lengths(values["learner.min_len"], values["learner.max_len"],
                         'pipeline config "learner.min_len"', '"learner.max_len"')
-    seed = config.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError('pipeline config "seed" must be an integer')
-    if not isinstance(config.get("out_dir", ""), str):
-        raise ValueError('pipeline config "out_dir" must be a string')
-    if learner.get("oracle", "exact") not in ("exact", "random-walk"):
-        raise ValueError('pipeline config "learner.oracle" must be "exact" or "random-walk"')
-    algorithm = learner.get("algorithm", "lstar")
-    if algorithm != "lstar":
-        raise ValueError(f"unknown learning algorithm {algorithm!r}")
-
-
-def _check_counts(counts, rule: str):
-    """Every (name, value) count is an integer of at least 1; checked
-    before anything is written, whether or not the run uses it."""
-    for name, value in counts:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} {rule}")
+    return values
 
 
 def _check_walk_lengths(min_len: int, max_len: int, min_name: str, max_name: str):
@@ -512,7 +505,7 @@ def _write_manifest(out_dir: Path, config_text: str, seed, stages):
         "seed": seed,
         "stages": stages,
     }
-    (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
+    _write(out_dir / "manifest.json", _json_text(manifest))
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +522,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def shared(key: str) -> dict:
+        """The keywords of a flag that shares a pipeline config key."""
+        default, rule = _CONFIG[key]
+        kind = {"choices": rule} if isinstance(rule, tuple) else {"type": int}
+        return {"default": default, **kind}
+
     p = sub.add_parser("learn", help="infer a model from a system under learning")
     p.add_argument("--sul", required=True)
     p.add_argument("--out", required=True)
     # accepted for old command lines; lstar is the only value
-    p.add_argument("--algorithm", choices=["lstar"], default="lstar", help=argparse.SUPPRESS)
-    p.add_argument("--oracle", choices=["exact", "random-walk"], default="exact")
-    p.add_argument("--min-len", type=int, default=20)
-    p.add_argument("--max-len", type=int, default=50)
-    p.add_argument("--num-tests", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--algorithm", **shared("learner.algorithm"), help=argparse.SUPPRESS)
+    p.add_argument("--oracle", **shared("learner.oracle"))
+    p.add_argument("--min-len", **shared("learner.min_len"))
+    p.add_argument("--max-len", **shared("learner.max_len"))
+    p.add_argument("--num-tests", **shared("learner.num_tests"))
+    p.add_argument("--seed", **shared("seed"))
     p.add_argument("--stats")
 
     p = sub.add_parser("annotate", help="label states via a proposition map")
@@ -568,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--timeout-mutation", nargs="?", const="", metavar="P",
                    help="add the timeout fault (a trailing value is ignored)")
-    p.add_argument("--max-nodes", type=int, default=CEILING)
+    p.add_argument("--max-nodes", **shared("state_ceiling"))
 
     p = sub.add_parser("collapse", help="cut a state space back into a machine")
     p.add_argument("--lts", required=True)
@@ -579,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--cpm", required=True)
     p.add_argument("--complete", action="store_true")
-    p.add_argument("--max-nodes", type=int, default=CEILING)
+    p.add_argument("--max-nodes", **shared("state_ceiling"))
 
     p = sub.add_parser("check", help="model-check properties on the expanded model")
     p.add_argument("--expanded", required=True)
@@ -588,8 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="property file, or 'builtin' for the generic library")
     p.add_argument("--report")
     p.add_argument("--jsonl", help="also write one JSON object per property")
-    p.add_argument("--max-nodes", type=int, default=CEILING)
-    p.add_argument("--unroll", type=int, default=1)
+    p.add_argument("--max-nodes", **shared("state_ceiling"))
+    p.add_argument("--unroll", **shared("unroll"))
 
     p = sub.add_parser("emit-test", help="extract replayable tests from a report")
     p.add_argument("--report", required=True)
@@ -611,9 +610,9 @@ def main(argv=None) -> int:
     # looked up at each call, so a replaced cmd_* function is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        _check_counts([("--" + dest.replace("_", "-"), value)
-                       for dest, value in vars(args).items() if dest in _COUNT_FLAGS],
-                      "must be at least 1")
+        for dest, value in vars(args).items():
+            if dest in _COUNT_FLAGS and value < 1:
+                raise ValueError(f"--{dest.replace('_', '-')} must be at least 1")
         return command(args)
     except Exception as exc:  # noqa: BLE001 - every failure ends here, in one line
         code = next(filter(None, map(_EXIT_CODES.get, type(exc).__mro__)), EXIT_INTERNAL)

@@ -441,11 +441,8 @@ def build_emrtd_machine() -> tuple[MealyMachine, dict[tuple[str, str], str]]:
         for q in range(6):
             put(q, symbol, q, "6988", "TABLE")
 
-    outputs = []
-    for (_, out) in t.values():
-        if out not in outputs:
-            outputs.append(out)
-    machine = MealyMachine(states, EMRTD_INPUTS, tuple(outputs), "0", t)
+    outputs = tuple(dict.fromkeys(out for _, out in t.values()))
+    machine = MealyMachine(states, EMRTD_INPUTS, outputs, "0", t)
     return machine, tag
 
 
@@ -513,11 +510,8 @@ def build_uds_machine(reject_wrong_key: bool = False
     rows("CheckASWBit", [(0, "7f"), (1, "7f"), (2, "7f"), (3, "7f"),
                          (4, "71"), (5, "71"), (6, "7f")], "TABLE")
 
-    outputs = []
-    for (_, out) in t.values():
-        if out not in outputs:
-            outputs.append(out)
-    machine = MealyMachine(states, UDS_INPUTS, tuple(outputs), "s0", t)
+    outputs = tuple(dict.fromkeys(out for _, out in t.values()))
+    machine = MealyMachine(states, UDS_INPUTS, outputs, "s0", t)
     return machine, tag
 
 

@@ -9,7 +9,8 @@ from protocheck import (TIMEOUT_PROP,
                         build_ir, emit_rebeca, expand_tau)
 from protocheck.actorgen import (QUEUE_CAPACITY, ActorGenError, input_msgsrv_name,
                                  output_msgsrv_name)
-from protocheck.cpm import Condition, Cpm, parse_cpm
+from protocheck.automata import MealyMachine
+from protocheck.cpm import AnnotatedMachine, Condition, Cpm, parse_cpm
 from protocheck.fixtures import fixture_text
 from helpers import random_machine, random_cpm
 
@@ -53,6 +54,24 @@ def test_emrtd_ir_reproduces_published_fragment(emrtd_cpm):
     assert branch.case_index == 28
     assert ir.machine.inputs.index("RD_BIN") == 22
     assert ir.machine.inputs.index("SSEL_EF_DG1") == 32
+
+
+def one_state(inputs, transitions) -> AnnotatedMachine:
+    machine = MealyMachine(("q",), inputs, ("o",), "q", transitions, require_complete=False)
+    return AnnotatedMachine(machine, {})
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: build_ir(one_state(("x", "y"), {("q", "x"): ("q", "o")}), Cpm()),
+     "machine is not input-complete: missing [('q', 'y')]"),
+    (lambda: emit_rebeca(build_ir(one_state(
+        ("A.B", "A-B"), {("q", "A.B"): ("q", "o"), ("q", "A-B"): ("q", "o")}), Cpm())),
+     "input symbols 'A.B' and 'A-B' map to the same identifier 'pp_a_b'"),
+], ids=["incomplete", "identifier-collision"])
+def test_actor_model_errors(build, message):
+    with pytest.raises(ActorGenError) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 def test_ir_rejects_expanded_machine(two_state_annotated, two_state_cpm):

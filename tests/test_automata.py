@@ -99,6 +99,36 @@ def test_parse_incomplete_is_error_by_default():
     assert "no_response" in m.outputs
 
 
+def machine_with(states=("a",), inputs=("x",), outputs=("o",), initial="a",
+                 transitions=()):
+    return MealyMachine(states, inputs, outputs, initial, dict(transitions),
+                        require_complete=False)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: machine_with(states=("a", "a")), "duplicate state identifiers"),
+    (lambda: machine_with(inputs=("x", "x")), "duplicate input symbols"),
+    (lambda: machine_with(initial="b"), "initial state 'b' not among states"),
+    (lambda: machine_with(transitions=[(("b", "x"), ("a", "o"))]),
+     "transition from unknown state 'b'"),
+    (lambda: machine_with(transitions=[(("a", "x"), ("b", "o"))]),
+     "transition into unknown state 'b'"),
+    (lambda: machine_with(transitions=[(("a", "y"), ("a", "o"))]),
+     "transition on unknown input 'y'"),
+    (lambda: machine_with(transitions=[(("a", "x"), ("a", "p"))]),
+     "transition with unknown output 'p'"),
+    (lambda: parse_dot("digraph g { __start -> a; a -> a; }"),
+     "line 1: edge 'a' -> 'a' has no label"),
+    (lambda: parse_dot('digraph g { __start -> a; a -> a [label="x"]; }'),
+     "line 1: edge label 'x' lacks 'input / output' separator"),
+], ids=["duplicate-states", "duplicate-inputs", "unknown-initial", "from-unknown",
+        "into-unknown", "unknown-input", "unknown-output", "unlabeled-edge", "no-separator"])
+def test_invalid_machines_and_documents_are_rejected(build, message):
+    with pytest.raises(MachineError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 def test_reserved_epsilon_rejected():
     with pytest.raises(MachineError, match="reserved"):
         MealyMachine(("a",), ("__eps",), ("o",), "a", {("a", "__eps"): ("a", "o")})

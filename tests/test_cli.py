@@ -563,6 +563,20 @@ def test_pipeline_config_without_a_required_key_exits_64(workdir, capsys, config
     assert not (workdir / "out").exists()
 
 
+def test_pipeline_with_a_missing_map_exits_64_before_learning(workdir, capsys, monkeypatch):
+    monkeypatch.chdir(workdir)
+    learned = []
+    monkeypatch.setattr(cli, "_learn", lambda *a: learned.append(a))
+    (workdir / "pipeline.json").write_text(json.dumps(
+        {"sul": "uds", "cpm": "nosuch.cpm", "out_dir": "out"}))
+    assert run("pipeline", "--config", "pipeline.json") == 64
+    err = capsys.readouterr().err
+    assert err.startswith("protocheck: error: ") and "nosuch.cpm" in err
+    assert err.count("\n") == 1
+    assert learned == []
+    assert not (workdir / "out").exists()
+
+
 @pytest.mark.parametrize("config,message", [
     (5, "pipeline config must be a JSON object"),
     ({"model": "model.dot", "cpm": "map.cpm", "out_dir": "out", "learner": "lstar"},
@@ -590,10 +604,18 @@ def test_pipeline_config_without_a_required_key_exits_64(workdir, capsys, config
     ({"sul": "uds", "cpm": "map.cpm", "out_dir": "out", "learner": {"oracle": "exactt"}},
      'pipeline config "learner.oracle" must be "exact" or "random-walk"'),
     ({"sul": "uds", "cpm": "map.cpm", "out_dir": "out", "learner": {"algorithm": "ttt"}},
-     "unknown learning algorithm 'ttt'"),
+     'pipeline config "learner.algorithm" must be "lstar"'),
+    ({"sul": "uds", "cpm": 5, "out_dir": "out"}, 'pipeline config "cpm" must be a string'),
+    ({"sul": 5, "cpm": "map.cpm", "out_dir": "out"}, 'pipeline config "sul" must be a string'),
+    ({"model": 5, "cpm": "map.cpm", "out_dir": "out"},
+     'pipeline config "model" must be a string'),
+    ({"sul": "uds", "cpm": "map.cpm", "out_dir": "out", "properties": 5},
+     'pipeline config "properties" must be a string'),
+    ({"sul": "uds", "cpm": "map.cpm", "out_dir": "out", "mutation": {"enabled": "false"}},
+     'pipeline config "mutation.enabled" must be a boolean'),
 ], ids=["number", "learner", "mutation", "ceiling-text", "ceiling-zero", "unroll-text",
         "unroll-bool", "min-len", "max-len", "num-tests", "seed", "out-dir", "oracle",
-        "algorithm"])
+        "algorithm", "cpm", "sul", "model", "properties", "mutation-enabled"])
 def test_pipeline_config_of_the_wrong_shape_exits_64(workdir, capsys, monkeypatch,
                                                      config, message):
     monkeypatch.chdir(workdir)

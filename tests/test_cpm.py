@@ -8,6 +8,7 @@ import pytest
 from protocheck import (EPSILON, TAU, MealyMachine, annotate, build_ir,
                         emit_annotated_dot, expand_tau,
                         parse_annotated_dot, parse_cpm, matches)
+from protocheck.automata import MachineError
 from protocheck.cpm import Condition, Cpm, CpmError
 from helpers import random_machine, random_cpm
 
@@ -292,6 +293,17 @@ def test_emit_annotated_golden_expanded(two_state_annotated, two_state_cpm):
   tau0 -> q1 [label="__eps / omega2"];
 }
 """
+
+
+@pytest.mark.parametrize("text,message", [
+    ('digraph g { __start -> a; a -> a [label="x / o"]; a -> a [label="x / p"]; }',
+     "line 1: nondeterminism at 'a' on 'x'"),
+    ('digraph g { a [label="a {}"]; a -> a [label="x / o"]; }', "no initial state marker"),
+], ids=["nondeterminism", "no-initial"])
+def test_annotated_dot_errors(text, message):
+    with pytest.raises(MachineError) as caught:
+        parse_annotated_dot(text)
+    assert str(caught.value) == message
 
 
 def test_annotated_dot_round_trip(two_state_annotated, two_state_cpm):

@@ -661,6 +661,20 @@ def test_kripke_rejects_successor_outside_states():
                         labels={})
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: KripkeStructure(("a", "b"), ("a",), {"a": ("b",)}, {}),
+     "transition relation not left-total at 'b'"),
+    (lambda: KripkeStructure(("a",), ("b",), {"a": ("a",)}, {}),
+     "initial state 'b' not among states"),
+    (lambda: parse_property_file("a: G p\n1bad: G p\n"),
+     "line 2: invalid property name '1bad'"),
+], ids=["not-left-total", "unknown-initial", "property-name"])
+def test_invalid_structures_and_property_files_are_rejected(build, message):
+    with pytest.raises(LtlError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 # ---------------------------------------------------------------------------
 # property library and files
 # ---------------------------------------------------------------------------

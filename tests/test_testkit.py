@@ -7,7 +7,7 @@ from protocheck import (MachineSul, MealyMachine, TestCase, annotate,
                         exact_oracle, expand_tau, feedback,
                         kripke_from_annotated, lstar_learn, parse_cpm,
                         property_library, read_tests, replay, write_tests,
-                        CONFIRMED, DIVERGED, TAU)
+                        CONFIRMED, DIVERGED, EPSILON, TAU)
 from protocheck.cpm import AnnotatedMachine, Cpm
 from protocheck.fixtures import fixture_text
 from protocheck.ltl import Lasso
@@ -72,6 +72,22 @@ def test_concretize_rejects_foreign_states(uds_violation):
     _, _, _, expanded, k, _ = uds_violation
     with pytest.raises(TestKitError, match="not a state"):
         concretize(Lasso(("nowhere",), ("nowhere",)), k, expanded, "p")
+
+
+@pytest.mark.parametrize("lasso,step", [
+    (Lasso(("a",), ("a",)), "'a' -> 'a'"),
+    (Lasso(("a", "t"), ("a",)), "'t' -> 'a'"),
+], ids=["ordinary-state", "internal-state"])
+def test_concretize_rejects_a_step_no_transition_reproduces(lasso, step):
+    """From ``a`` only ``x`` leads on, into the internal state ``t``, whose
+    bridge goes to ``b``: neither ``a -> a`` nor ``t -> a`` is a step."""
+    m = MealyMachine(("a", "t", "b"), ("x",), (TAU, "o"), "a",
+                     {("a", "x"): ("t", TAU), ("t", EPSILON): ("b", "o"),
+                      ("b", "x"): ("b", "o")}, require_complete=False)
+    a = AnnotatedMachine(m, {}, frozenset({"t"}))
+    with pytest.raises(TestKitError) as caught:
+        concretize(lasso, kripke_from_annotated(a), a, "p")
+    assert str(caught.value) == f"no transition reproduces witness step {step}"
 
 
 def test_replay_confirms_on_same_system(uds_violation):
