@@ -12,8 +12,8 @@ as a case index) and calls request again.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 from .automata import MealyMachine
 from .cpm import AnnotatedMachine, Cpm
@@ -51,6 +51,23 @@ class ActorModelIR:
     initial_props: frozenset[str]
     # the timeout fault: every input may instead reset the system and time out
     timeout: bool = False
+    # each symbol's Rebeca identifier by kind, decided when the IR is made:
+    # two symbols of one kind, or a variable and a message, never share one
+    in_names: dict[str, str] = field(init=False, repr=False, compare=False)
+    out_names: dict[str, str] = field(init=False, repr=False, compare=False)
+    prop_vars: dict[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        in_names = _name_table(self.machine.inputs, input_msgsrv_name, "input")
+        out_names = _name_table(self.output_cases, output_msgsrv_name, "output")
+        prop_vars = _name_table(self.state_props + self.temp_props, prop_var_name,
+                                "proposition")
+        messages = {*in_names.values(), *out_names.values()}
+        for var in [*prop_vars.values(), "state"]:
+            if var in messages:
+                raise ActorGenError(f"identifier collision on {var!r}")
+        # set once, past the frozen __setattr__, as cached_property does
+        vars(self).update(in_names=in_names, out_names=out_names, prop_vars=prop_vars)
 
     @cached_property
     def state_index(self) -> dict[str, int]:
@@ -125,10 +142,8 @@ def apply_timeout_mutation(ir: ActorModelIR) -> ActorModelIR:
     """Give every input handler a nondeterministic alternative that resets
     the system to its initial state (propositions included) and calls a new
     environment timeout handler, which raises the reserved timeout temporary.
-    The choice carries no probability: it is Rebeca's ``?(0,1)``."""
-    if TIMEOUT_PROP in ir.state_props or TIMEOUT_PROP in ir.temp_props:
-        raise ActorGenError(
-            f"proposition {TIMEOUT_PROP!r} already declared; cannot add timeout mutation")
+    The choice carries no probability: it is Rebeca's ``?(0,1)``.  A map
+    whose propositions already take the timeout variable is refused."""
     return replace(
         ir,
         temp_props=tuple(sorted(ir.temp_props + (TIMEOUT_PROP,))),
@@ -157,16 +172,14 @@ def _sanitize(symbol: str) -> str:
     return re.sub(r"[^A-Za-z0-9_]", "_", symbol).lower() or "sym"
 
 
-def input_msgsrv_name(symbol: str) -> str:
+def _msgsrv_name(prefix: str, symbol: str) -> str:
     if _LOWER_ID.match(symbol) and symbol not in _RESERVED:
         return symbol
-    return "pp_" + _sanitize(symbol)
+    return prefix + _sanitize(symbol)
 
 
-def output_msgsrv_name(symbol: str) -> str:
-    if _LOWER_ID.match(symbol) and symbol not in _RESERVED:
-        return symbol
-    return "req_" + _sanitize(symbol)
+input_msgsrv_name = partial(_msgsrv_name, "pp_")
+output_msgsrv_name = partial(_msgsrv_name, "req_")
 
 
 def prop_var_name(prop: str) -> str:
@@ -174,7 +187,6 @@ def prop_var_name(prop: str) -> str:
 
 
 def _name_table(symbols, namer, kind: str) -> dict[str, str]:
-    table: dict[str, str] = {}
     used: dict[str, str] = {}
     for sym in symbols:
         name = namer(sym)
@@ -183,8 +195,7 @@ def _name_table(symbols, namer, kind: str) -> dict[str, str]:
                 f"{kind} symbols {used[name]!r} and {sym!r} map to the same "
                 f"identifier {name!r}")
         used[name] = sym
-        table[sym] = name
-    return table
+    return {sym: name for name, sym in used.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +212,7 @@ def emit_rebeca(ir: ActorModelIR) -> str:
     indentation) so equal IRs yield byte-identical text.
     """
     m = ir.machine
-    in_names = _name_table(m.inputs, input_msgsrv_name, "input")
-    out_names = _name_table(ir.output_cases.keys(), output_msgsrv_name, "output")
-    prop_vars = _name_table(ir.state_props + ir.temp_props, prop_var_name, "proposition")
-    for var in list(prop_vars.values()) + ["state"]:
-        if var in set(in_names.values()) | set(out_names.values()):
-            raise ActorGenError(f"identifier collision on {var!r}")
+    in_names, out_names, prop_vars = ir.in_names, ir.out_names, ir.prop_vars
     state_index = ir.state_index
     temp_vars = [prop_vars[p] for p in ir.temp_props]
 

@@ -354,14 +354,9 @@ def transition_edges(m: MealyMachine, quote) -> list[str]:
     return edges
 
 
-def parse_dot(text: str, complete_missing: bool = False) -> MealyMachine:
-    """Parse a GraphViz DOT document into a validated Mealy machine.
-
-    Edges must be labeled ``input / output``.  The initial state is marked
-    either by an edge from the pseudo-node ``__start`` or by a node attribute
-    ``initial=true``.  Alphabets are inferred from the symbols seen.
-    """
-    graph = read_dot(text)
+def transition_table(graph: DotGraph):
+    """The transition map and initial state of a machine document.  A repeated
+    identical edge is kept once; differing edges on one state and input are nondeterminism."""
     transitions: dict[tuple[str, str], tuple[str, str]] = {}
     # each distinct label is split once per document
     pairs: dict[str, tuple[str, str]] = {}
@@ -370,15 +365,24 @@ def parse_dot(text: str, complete_missing: bool = False) -> MealyMachine:
             raise MachineError(f"line {lineno}: edge {src!r} -> {dst!r} has no label")
         sym, out = pairs.get(label) or pairs.setdefault(label, _split_label(label, lineno))
         if transitions.setdefault((src, sym), (dst, out)) != (dst, out):
-            raise MachineError(
-                f"line {lineno}: nondeterminism at state {src!r} on input {sym!r}"
-            )
+            raise MachineError(f"line {lineno}: nondeterminism at state {src!r} on input {sym!r}")
     if not graph.initials:
         raise MachineError("no initial state: add a '__start -> q' edge or an initial=true attribute")
+    return transitions, graph.initials[0][0]
 
+
+def parse_dot(text: str, complete_missing: bool = False) -> MealyMachine:
+    """Parse a GraphViz DOT document into a validated Mealy machine.
+
+    Edges must be labeled ``input / output``.  The initial state is marked
+    either by an edge from the pseudo-node ``__start`` or by a node attribute
+    ``initial=true``.  Alphabets are inferred from the symbols seen.
+    """
+    graph = read_dot(text)
+    transitions, initial = transition_table(graph)
     inputs = tuple(dict.fromkeys(sym for _, sym in transitions))
     outputs = tuple(dict.fromkeys(out for _, out in transitions.values()))
-    machine = MealyMachine(tuple(graph.mentioned), inputs, outputs, graph.initials[0][0],
+    machine = MealyMachine(tuple(graph.mentioned), inputs, outputs, initial,
                            transitions, require_complete=not complete_missing)
     if complete_missing:
         machine = complete(machine)

@@ -2,7 +2,7 @@
 
 Each subcommand reads its input files, runs the stage helpers below and
 writes its outputs; ``pipeline`` runs the same helpers in memory and writes
-every intermediate artifact along the way.
+every artifact after its last stage: a run failing with 4 or above writes none.
 
 Exit codes: 0 success, 1 round-trip failure, 2 property violations found,
 3 replay divergence, 4 a resource ceiling reached, 5 learning failed: the
@@ -37,7 +37,7 @@ from .ltl import (CEILING, CeilingError, check, kripke_from_annotated, property_
                   format_formula, emit_property_file, verdict_jsonl, HOLDS)
 from .learning import (FIXTURE_SULS, LearnError, SulInterface, lstar_learn,
                        exact_oracle, random_walk_oracle)
-from .testkit import (TestKitError, concretize, replay, read_tests, write_tests,
+from .testkit import (TestKitError, concretize, replay, read_tests, tests_jsonl,
                       to_record, from_record)
 
 EXIT_OK = 0
@@ -267,17 +267,17 @@ def _report(expanded_path: str, cpm_path: str, entries) -> dict:
     }
 
 
-def _emit_tests(entries, path):
+def _emit_tests(entries):
+    """The tests of the report entries that carry one, and their file text."""
     tests = [from_record({"property": entry["name"], **entry["test"]})
              for entry in entries if entry.get("test")]
-    write_tests(tests, path)
     print(f"{len(tests)} test case(s) written")
-    return tests
+    return tests, tests_jsonl(tests)
 
 
-def _replay(sul, tests, report_path: str | None) -> int:
+def _replay(sul, tests) -> tuple[int, str]:
     """Replay every test, printing one verdict line each; returns the number
-    of divergences."""
+    of divergences and the text of the replay report."""
     diverged = 0
     results = []
     for test in tests:
@@ -292,9 +292,7 @@ def _replay(sul, tests, report_path: str | None) -> int:
         print(f"{line} ({result.failure})" if result.failure else line)
         if not result.confirmed:
             diverged += 1
-    if report_path:
-        _write(report_path, _json_text({"replays": results, "diverged": diverged}))
-    return diverged
+    return diverged, _json_text({"replays": results, "diverged": diverged})
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +389,15 @@ def cmd_emit_test(args) -> int:
             and isinstance(e.get("test") or {}, dict) for e in entries):
         raise ValueError('report is not an object whose "properties" lists objects with '
                          'a string "name" and an object "test"')
-    _emit_tests(entries, args.out)
+    _write(args.out, _emit_tests(entries)[1])
     return EXIT_OK
 
 
 def cmd_replay(args) -> int:
     sul, _ = _resolve_sul(args.sul)
-    diverged = _replay(sul, read_tests(args.tests), args.report)
+    diverged, text = _replay(sul, read_tests(args.tests))
+    if args.report:
+        _write(args.report, text)
     return EXIT_OK if diverged == 0 else EXIT_DIVERGED
 
 
@@ -407,7 +407,8 @@ def cmd_pipeline(args) -> int:
     out_dir, seed, ceiling = Path(config["out_dir"]), config["seed"], config["state_ceiling"]
 
     cpm = parse_cpm(_read(config["cpm"]))
-    stages = {}
+    # every artifact's text by file name, written once no stage is left to fail
+    files, stages = {}, {}
     if config["sul"] is not None:
         machine, stages["learn"] = _learn(
             config["sul"], config["learner.oracle"], config["learner.min_len"],
@@ -415,52 +416,58 @@ def cmd_pipeline(args) -> int:
     else:
         machine = parse_dot(_read(config["model"]))
         stages["learn"] = {"skipped": True}
-    _write(out_dir / "model.dot", emit_dot(machine))
+    files["model.dot"] = emit_dot(machine)
 
     annotated = annotate(machine, cpm)
-    _write(out_dir / "annotated.dot", emit_annotated_dot(annotated))
+    files["annotated.dot"] = emit_annotated_dot(annotated)
     stages["annotate"] = {"diagnostics": list(annotated.diagnostics)}
 
     expanded = expand_tau(annotated, cpm)
-    _write(out_dir / "expanded.dot", emit_annotated_dot(expanded))
+    files["expanded.dot"] = emit_annotated_dot(expanded)
     stages["expand"] = {"internal_states": len(expanded.tau_states)}
 
     ir = _actor_model(annotated, cpm, config["mutation.enabled"])
-    _write(out_dir / "model.rebeca", emit_rebeca(ir))
-    _write(out_dir / "model.property", _property_file(cpm))
+    files["model.rebeca"] = emit_rebeca(ir)
+    files["model.property"] = _property_file(cpm)
     stages["gen-rebeca"] = {"mutated": config["mutation.enabled"]}
 
     lts = explore(ir, ceiling)
-    _write(out_dir / "lts.dot", emit_lts_dot(lts))
+    files["lts.dot"] = emit_lts_dot(lts)
     collapsed = collapse(lts)
-    _write(out_dir / "collapsed.dot", _collapsed_dot(collapsed))
+    files["collapsed.dot"] = _collapsed_dot(collapsed)
     stages["explore"] = {"nodes": len(lts.nodes), "edges": len(lts.edges)}
 
     roundtrip = compare_roundtrip(annotated, cpm, lts, collapsed)
     stages["verify-roundtrip"] = {"passed": roundtrip.passed, "message": roundtrip.message}
+    if roundtrip.passed:
+        # violations are a result, not a pipeline failure
+        entries, _ = _check(expanded, cpm, config["properties"], ceiling, config["unroll"])
+        report = _report(str(out_dir / "expanded.dot"), config["cpm"], entries)
+        files["report.json"] = _json_text(report)
+        violations = report["violations"]
+        stages["check"] = {"violations": violations}
+
+        tests, files["tests.jsonl"] = _emit_tests(entries)
+        stages["emit-test"] = {"tests": violations}
+
+        if config["sul"] is not None and violations:
+            sul = _Counted(_resolve_sul(config["sul"])[0])
+            diverged, files["replay.json"] = _replay(sul, tests)
+            stages["replay"] = {"diverged": diverged > 0, "cost": sul.cost()}
+        else:
+            stages["replay"] = {"skipped": True}
+
+    files["manifest.json"] = _json_text({
+        "tool_version": __version__,
+        "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
+        "seed": seed,
+        "stages": stages,
+    })
+    for name, text in files.items():
+        _write(out_dir / name, text)
     if not roundtrip.passed:
-        _write_manifest(out_dir, config_text, seed, stages)
         print("round-trip FAILED", file=sys.stderr)
         return EXIT_ROUNDTRIP
-
-    # violations are a result, not a pipeline failure
-    entries, _ = _check(expanded, cpm, config["properties"], ceiling, config["unroll"])
-    report = _report(str(out_dir / "expanded.dot"), config["cpm"], entries)
-    _write(out_dir / "report.json", _json_text(report))
-    violations = report["violations"]
-    stages["check"] = {"violations": violations}
-
-    tests = _emit_tests(entries, out_dir / "tests.jsonl")
-    stages["emit-test"] = {"tests": violations}
-
-    if config["sul"] is not None and violations:
-        sul = _Counted(_resolve_sul(config["sul"])[0])
-        diverged = _replay(sul, tests, str(out_dir / "replay.json"))
-        stages["replay"] = {"diverged": diverged > 0, "cost": sul.cost()}
-    else:
-        stages["replay"] = {"skipped": True}
-
-    _write_manifest(out_dir, config_text, seed, stages)
     return EXIT_OK
 
 
@@ -496,16 +503,6 @@ def _check_walk_lengths(min_len: int, max_len: int, min_name: str, max_name: str
     anything is written, whichever oracle is chosen."""
     if min_len > max_len:
         raise ValueError(f"{min_name} must not exceed {max_name}")
-
-
-def _write_manifest(out_dir: Path, config_text: str, seed, stages):
-    manifest = {
-        "tool_version": __version__,
-        "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
-        "seed": seed,
-        "stages": stages,
-    }
-    _write(out_dir / "manifest.json", _json_text(manifest))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import NamedTuple
 
-from .automata import (EPSILON, TAU, MachineError, MealyMachine, _escape,
-                       _quote, _split_label, dot_document, prop_list, read_dot,
-                       transition_edges)
+from .automata import (EPSILON, TAU, MealyMachine, _escape, _quote, dot_document,
+                       prop_list, read_dot, transition_edges, transition_table)
 
 _PROP_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -345,6 +344,7 @@ def _names(cell: str) -> frozenset[str]:
 
 
 def parse_annotated_dot(text: str) -> AnnotatedMachine:
+    """Parse an annotated machine; its states are the node statements."""
     graph = read_dot(text)
     labels: dict[str, frozenset[str]] = {}
     temp_labels: dict[str, frozenset[str]] = {}
@@ -355,20 +355,9 @@ def parse_annotated_dot(text: str) -> AnnotatedMachine:
             labels[name] = names(lm.group("props"))
             if lm.group("temps") is not None:
                 temp_labels[name] = names(lm.group("temps"))
-    transitions: dict[tuple[str, str], tuple[str, str]] = {}
-    # each distinct label is split once per document
-    pairs: dict[str, tuple[str, str]] = {}
-    for src, dst, label, lineno in graph.edges:
-        if label is None:
-            raise MachineError(f"line {lineno}: unlabeled edge")
-        sym, out = pairs.get(label) or pairs.setdefault(label, _split_label(label, lineno))
-        if (src, sym) in transitions:
-            raise MachineError(f"line {lineno}: nondeterminism at {src!r} on {sym!r}")
-        transitions[(src, sym)] = (dst, out)
-    if not graph.initials:
-        raise MachineError("no initial state marker")
+    transitions, initial = transition_table(graph)
     inputs = tuple(dict.fromkeys(sym for _, sym in transitions if sym != EPSILON))
     outputs = tuple(dict.fromkeys(out for _, out in transitions.values()))
     machine = MealyMachine(tuple(name for name, _, _ in graph.nodes), inputs, outputs,
-                           graph.initials[-1][0], transitions, require_complete=False)
+                           initial, transitions, require_complete=False)
     return AnnotatedMachine(machine, labels, frozenset(temp_labels), temp_labels)

@@ -157,10 +157,14 @@ def from_record(data: dict) -> TestCase:
     )
 
 
+def tests_jsonl(tests) -> str:
+    """The text of a test-case file: one record per line."""
+    return "".join(json.dumps(to_record(test), sort_keys=True) + "\n" for test in tests)
+
+
 def write_tests(tests, path):
     with open(path, "w", encoding="utf-8") as handle:
-        for test in tests:
-            handle.write(json.dumps(to_record(test), sort_keys=True) + "\n")
+        handle.write(tests_jsonl(tests))
 
 
 def read_tests(path) -> list[TestCase]:

@@ -64,8 +64,8 @@ def one_state(inputs, transitions) -> AnnotatedMachine:
 @pytest.mark.parametrize("build,message", [
     (lambda: build_ir(one_state(("x", "y"), {("q", "x"): ("q", "o")}), Cpm()),
      "machine is not input-complete: missing [('q', 'y')]"),
-    (lambda: emit_rebeca(build_ir(one_state(
-        ("A.B", "A-B"), {("q", "A.B"): ("q", "o"), ("q", "A-B"): ("q", "o")}), Cpm())),
+    (lambda: build_ir(one_state(
+        ("A.B", "A-B"), {("q", "A.B"): ("q", "o"), ("q", "A-B"): ("q", "o")}), Cpm()),
      "input symbols 'A.B' and 'A-B' map to the same identifier 'pp_a_b'"),
 ], ids=["incomplete", "identifier-collision"])
 def test_actor_model_errors(build, message):
@@ -168,6 +168,17 @@ def test_mutation_name_collision_rejected(two_state_machine):
     ir = build_ir(annotate(two_state_machine, cpm), cpm)
     with pytest.raises(ActorGenError, match="TIMEOUT"):
         apply_timeout_mutation(ir)
+
+
+def test_mutation_refuses_a_temporary_named_like_its_variable(two_state_machine):
+    """The timeout variable and a lower-case ``timeout`` temporary share one
+    identifier: the mutation, not the emitter, refuses the map."""
+    cpm = parse_cpm("[TAUS]\ntimeout | * | omega1\n")
+    ir = build_ir(annotate(two_state_machine, cpm), cpm)
+    with pytest.raises(ActorGenError) as caught:
+        apply_timeout_mutation(ir)
+    assert str(caught.value) == ("proposition symbols 'TIMEOUT' and 'timeout' map to the "
+                                 "same identifier 'timeout'")
 
 
 # ---------------------------------------------------------------------------

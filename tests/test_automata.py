@@ -121,8 +121,11 @@ def machine_with(states=("a",), inputs=("x",), outputs=("o",), initial="a",
      "line 1: edge 'a' -> 'a' has no label"),
     (lambda: parse_dot('digraph g { __start -> a; a -> a [label="x"]; }'),
      "line 1: edge label 'x' lacks 'input / output' separator"),
+    (lambda: parse_dot('digraph g { a -> a [label="x / o"]; }'),
+     "no initial state: add a '__start -> q' edge or an initial=true attribute"),
 ], ids=["duplicate-states", "duplicate-inputs", "unknown-initial", "from-unknown",
-        "into-unknown", "unknown-input", "unknown-output", "unlabeled-edge", "no-separator"])
+        "into-unknown", "unknown-input", "unknown-output", "unlabeled-edge", "no-separator",
+        "no-initial"])
 def test_invalid_machines_and_documents_are_rejected(build, message):
     with pytest.raises(MachineError) as caught:
         build()

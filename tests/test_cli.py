@@ -700,6 +700,11 @@ ILL_FORMED_LTS_DOT = """digraph bad {
 """
 
 
+CLASHING_MACHINE = MealyMachine(("q",), ("A.B", "A-B"), ("o",), "q",
+                                {("q", "A.B"): ("q", "o"), ("q", "A-B"): ("q", "o")})
+CLASH = "input symbols 'A.B' and 'A-B' map to the same identifier 'pp_a_b'"
+
+
 @pytest.fixture()
 def exit_dir(tmp_path):
     """Inputs for one run per exit code: the uds model at each stage, its
@@ -726,6 +731,18 @@ def exit_dir(tmp_path):
         "req.dot": emit_annotated_dot(annotate(MealyMachine(
             ("s",), ("req",), ("o",), "s", {("s", "req"): ("s", "o")}),
             parse_cpm("[GAINS]\n[LOSES]\n[TAUS]\n"))),
+        # two inputs that map to one Rebeca identifier
+        "clash.dot": emit_dot(CLASHING_MACHINE),
+        "clash-annotated.dot": emit_annotated_dot(
+            annotate(CLASHING_MACHINE, parse_cpm("[GAINS]\n[LOSES]\n[TAUS]\n"))),
+        "bad.ltl": "p1: G(\n",
+        "ceiling.json": json.dumps(
+            {"sul": "uds", "cpm": "uds.cpm", "out_dir": "out", "state_ceiling": 3}),
+        "leaky.json": json.dumps({"sul": "helpers:leaky_nonce_sul", "cpm": "uds.cpm",
+                                  "out_dir": "out", "learner": {"oracle": "random-walk"}}),
+        "clash.json": json.dumps({"model": "clash.dot", "cpm": "empty.cpm", "out_dir": "out"}),
+        "bad-property.json": json.dumps(
+            {"model": "uds.dot", "cpm": "uds.cpm", "out_dir": "out", "properties": "bad.ltl"}),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -762,6 +779,21 @@ EXIT_CASES = [
     pytest.param(5, ["learn", "--sul", "helpers:leaky_nonce_sul", "--oracle", "random-walk",
                      "--out", "m.dot"], error_line("system answered ") + ".*READ_SERIAL.*",
                  "", (), id="5-learning-failed"),
+    # a pipeline that fails with 4 or above writes nothing, out_dir included
+    pytest.param(4, ["pipeline", "--config", "ceiling.json"],
+                 error_line("state ceiling exceeded (3 nodes)"), "", (),
+                 id="4-pipeline-ceiling"),
+    pytest.param(5, ["pipeline", "--config", "leaky.json"],
+                 error_line("system answered ") + ".*READ_SERIAL.*", "", (),
+                 id="5-pipeline-learning-failed"),
+    pytest.param(64, ["pipeline", "--config", "clash.json"], error_line(CLASH), "", (),
+                 id="64-pipeline-identifier-clash"),
+    pytest.param(64, ["pipeline", "--config", "bad-property.json"],
+                 error_line("line 1: syntax error at position 3: unexpected ''"), "", (),
+                 id="64-pipeline-malformed-property-file"),
+    pytest.param(64, ["explore", "--annotated", "clash-annotated.dot", "--cpm", "empty.cpm",
+                      "--out", "lts.dot"], error_line(CLASH), "", (),
+                 id="64-explore-identifier-clash"),
     pytest.param(64, ["collapse", "--lts", "ill-formed-lts.dot", "--out", "c.dot"],
                  error_line("ill-formed transition system: node 0 should only issue requests"),
                  "", (), id="64-ill-formed-lts"),

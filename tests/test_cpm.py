@@ -297,8 +297,9 @@ def test_emit_annotated_golden_expanded(two_state_annotated, two_state_cpm):
 
 @pytest.mark.parametrize("text,message", [
     ('digraph g { __start -> a; a -> a [label="x / o"]; a -> a [label="x / p"]; }',
-     "line 1: nondeterminism at 'a' on 'x'"),
-    ('digraph g { a [label="a {}"]; a -> a [label="x / o"]; }', "no initial state marker"),
+     "line 1: nondeterminism at state 'a' on input 'x'"),
+    ('digraph g { a [label="a {}"]; a -> a [label="x / o"]; }',
+     "no initial state: add a '__start -> q' edge or an initial=true attribute"),
 ], ids=["nondeterminism", "no-initial"])
 def test_annotated_dot_errors(text, message):
     with pytest.raises(MachineError) as caught:

@@ -73,8 +73,28 @@ def test_lts_dot_round_trip_on_hostile_symbols(seed):
 def test_annotated_dot_errors_carry_line_numbers():
     with pytest.raises(MachineError, match="^line 4: cannot parse statement"):
         parse_annotated_dot('digraph g {\n__start -> a;\na [label="a {}"];\n???\n}')
-    with pytest.raises(MachineError, match="^line 3: unlabeled edge"):
+    with pytest.raises(MachineError, match="^line 3: edge 'a' -> 'a' has no label"):
         parse_annotated_dot('digraph g {\n__start -> a;\na -> a;\n}')
+
+
+REPEATED_EDGE = 'digraph g {\n__start -> q;\nq [label="q {}"];\nq -> q [label="x / o"];\n%s\n}'
+
+
+def test_both_machine_readers_keep_a_repeated_identical_edge_once():
+    text = REPEATED_EDGE % 'q -> q [label="x / o"];'
+    expected = {("q", "x"): ("q", "o")}
+    assert parse_dot(text).transitions == expected
+    assert parse_annotated_dot(text).machine.transitions == expected
+
+
+def test_both_machine_readers_refuse_a_differing_repeated_edge_alike():
+    text = REPEATED_EDGE % 'q -> q [label="x / p"];'
+    messages = set()
+    for reader in (parse_dot, parse_annotated_dot):
+        with pytest.raises(MachineError) as caught:
+            reader(text)
+        messages.add(str(caught.value))
+    assert messages == {"line 5: nondeterminism at state 'q' on input 'x'"}
 
 
 def test_lts_dot_errors_carry_line_numbers():
