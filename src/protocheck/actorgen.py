@@ -20,6 +20,10 @@ from .cpm import AnnotatedMachine, Cpm
 
 TIMEOUT_PROP = "TIMEOUT"
 QUEUE_CAPACITY = 3
+# the environment's own messages, which label state-space edges as the
+# machine's inputs and outputs do
+REQ_LABEL = "req"
+TIMEOUT_LABEL = "timeout"
 
 
 class ActorGenError(ValueError):
@@ -58,7 +62,12 @@ class ActorModelIR:
     prop_vars: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        in_names = _name_table(self.machine.inputs, input_msgsrv_name, "input")
+        m = self.machine
+        clash = (set(m.inputs) | set(m.outputs)) & {REQ_LABEL, TIMEOUT_LABEL}
+        if clash:
+            raise ActorGenError(
+                f"alphabet symbols collide with reserved message names: {sorted(clash)}")
+        in_names = _name_table(m.inputs, input_msgsrv_name, "input")
         out_names = _name_table(self.output_cases, output_msgsrv_name, "output")
         prop_vars = _name_table(self.state_props + self.temp_props, prop_var_name,
                                 "proposition")

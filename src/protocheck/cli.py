@@ -401,6 +401,12 @@ def cmd_replay(args) -> int:
     return EXIT_OK if diverged == 0 else EXIT_DIVERGED
 
 
+# every file a pipeline run can write into its out_dir
+_PIPELINE_FILES = ("model.dot", "annotated.dot", "expanded.dot", "model.rebeca",
+                   "model.property", "lts.dot", "collapsed.dot", "report.json",
+                   "tests.jsonl", "replay.json", "manifest.json")
+
+
 def cmd_pipeline(args) -> int:
     config_text = _read(args.config)
     config = _read_config(json.loads(config_text))
@@ -463,6 +469,10 @@ def cmd_pipeline(args) -> int:
         "seed": seed,
         "stages": stages,
     })
+    # an earlier run's artifact that this run does not write would read as its own
+    for name in _PIPELINE_FILES:
+        if name not in files:
+            (out_dir / name).unlink(missing_ok=True)
     for name, text in files.items():
         _write(out_dir / name, text)
     if not roundtrip.passed:

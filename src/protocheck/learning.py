@@ -151,7 +151,13 @@ class _LSharp:
     from every basis state is promoted: its answer opens a new leaf, or its
     apartness witness splits the leaf it reached, and only that leaf's
     frontier nodes are sifted again.  The root asks the first input, so
-    each extension query also asks the first sifting question."""
+    each extension query also asks the first sifting question.
+
+    ``transitions`` is the hypothesis, kept across rounds: a promotion
+    points its parent's transition at the new state, and identifying a
+    frontier node points its parent's at that basis state.  A split leaf's
+    frontier nodes keep their old transitions only until ``_settle`` sifts
+    them again, before ``refine`` returns."""
 
     def __init__(self, tree: ObservationTree, alphabet: tuple[str, ...]):
         self.tree, self.alphabet = tree, alphabet
@@ -161,6 +167,8 @@ class _LSharp:
         self.members: dict[int, list[int]] = {}  # basis node -> frontier nodes
         self.place: dict[int, tuple[_Split, Word]] = {}
         self.todo: deque[tuple[int, _Split]] = deque()
+        # (basis node, input) -> (basis node, output)
+        self.transitions: dict[tuple[int, str], tuple[int, str]] = {}
         self._leaf(self.root, tree.query(self.root.witness), 0)
         self._settle()
 
@@ -171,6 +179,8 @@ class _LSharp:
         self.place[node] = (split, answer)
         self.basis.append(node)
         self.members[node] = []
+        if node:
+            self._point(node, node)
         for symbol in self.alphabet:
             self.tree.query((symbol,) + self.root.witness, node)
             self.todo.append((self.tree.edges[node][symbol][0], self.root))
@@ -206,6 +216,13 @@ class _LSharp:
             else:
                 self.home[node] = below
                 self.members[below].append(node)
+                self._point(node, below)
+
+    def _point(self, node: int, target: int):
+        """The hypothesis transition that reads ``node``'s last input from
+        its parent, a basis state, now leads to ``target``."""
+        parent, symbol = self.tree.parents[node]
+        self.transitions[(parent, symbol)] = (target, self.tree.edges[parent][symbol][1])
 
     def refine(self, word: Word) -> bool:
         """Rivest-Schapire counterexample processing on the tree; returns
@@ -217,13 +234,13 @@ class _LSharp:
         ``i = d``.  A binary search finds a wrong ``i`` next to a right
         ``i + 1``; then the frontier node the ``i``-th state reaches on
         ``word[i]`` is apart from the state it was identified with."""
-        tree, home = self.tree, self.home
+        tree, transitions = self.tree, self.transitions
         refined = False
         while True:
             states, predicted = [0], []
             for symbol in word:
-                child, output = tree.edges[states[-1]][symbol]
-                states.append(home.get(child, child))
+                state, output = transitions[(states[-1], symbol)]
+                states.append(state)
                 predicted.append(output)
             actual = tree.query(word)
             d = next((i for i, (a, p) in enumerate(zip(actual, predicted)) if a != p), None)
@@ -237,26 +254,38 @@ class _LSharp:
                 else:
                     wrong = mid
             node = tree.edges[states[wrong]][word[wrong]][0]
-            leaf = home.pop(node)
+            leaf = self.home.pop(node)
             self.members[leaf].remove(node)
             self._split(leaf, node, tree.apart(node, leaf))
             self._settle()
             refined = True
 
-    def hypothesis(self) -> MealyMachine:
-        """One state per basis node, named ``s<i>`` in breadth-first order
-        over the input alphabet."""
-        order, names, transitions, outputs = [0], {0: "s0"}, {}, {}
+
+class Hypothesis(NamedTuple):
+    """What the equivalence oracle is asked about: the learner's live
+    hypothesis, its states the basis nodes of the observation tree, node 0
+    initial.  It reads like a machine (``inputs``, ``initial``,
+    ``transitions``, ``run``) and changes when the learner refines it."""
+
+    inputs: tuple[str, ...]
+    transitions: dict[tuple[int, str], tuple[int, str]]
+    initial: int = 0
+
+    run = MealyMachine.run  # reads only initial and transitions
+
+    def machine(self) -> MealyMachine:
+        """The hypothesis as a machine, its states named ``s<i>`` in
+        breadth-first order over the input alphabet."""
+        order, names, transitions, outputs = [self.initial], {self.initial: "s0"}, {}, {}
         for node in order:  # grows while it is walked
-            for symbol in self.alphabet:
-                child, output = self.tree.edges[node][symbol]
-                target = self.home.get(child, child)
+            for symbol in self.inputs:
+                target, output = self.transitions[(node, symbol)]
                 if target not in names:
                     names[target] = f"s{len(order)}"
                     order.append(target)
                 transitions[(names[node], symbol)] = (names[target], output)
                 outputs[output] = None
-        return MealyMachine(tuple(names.values()), self.alphabet, tuple(outputs),
+        return MealyMachine(tuple(names.values()), self.inputs, tuple(outputs),
                             "s0", transitions)
 
 
@@ -280,8 +309,9 @@ def lstar_learn(sul: SulInterface, alphabet, equivalence,
     """The learning entry point, which runs L# on an observation tree (the
     name is kept from the observation-table learner it replaced).
 
-    ``equivalence`` maps a hypothesis to a counterexample word or None; a
-    None answer accepts the hypothesis.  Each counterexample is processed
+    ``equivalence`` maps a hypothesis, a ``Hypothesis`` view over the
+    learner's states, to a counterexample word or None; a None answer
+    accepts the hypothesis.  Each counterexample is processed
     until the hypothesis answers it correctly.  A counterexample the tree
     already answers as the hypothesis does is asked once more, past the
     tree: a changed answer raises ``SulNondeterminismError``, an unchanged
@@ -291,17 +321,17 @@ def lstar_learn(sul: SulInterface, alphabet, equivalence,
     already be answered correctly.  One round is one equivalence query;
     each refuted hypothesis adds at least one state, so a system of ``n``
     states takes at most ``n`` rounds.  Returns the last hypothesis the
-    oracle was asked about, flagged unproven when the round budget runs
-    out.
+    oracle was asked about as a named machine, flagged unproven when the
+    round budget runs out.
     """
     if max_rounds < 1:
         raise LearnError(f"max_rounds must be at least 1, got {max_rounds}")
     tree = ObservationTree(sul)
     learner = _LSharp(tree, tuple(alphabet))
+    hypothesis = Hypothesis(learner.alphabet, learner.transitions)
     for word in initial_counterexamples:
         learner.refine(tuple(word))
     for round_no in range(1, max_rounds + 1):
-        hypothesis = learner.hypothesis()
         counterexample = equivalence(hypothesis)
         if counterexample is None or round_no == max_rounds:
             break
@@ -309,19 +339,19 @@ def lstar_learn(sul: SulInterface, alphabet, equivalence,
             tree._ask((), tuple(counterexample))
             raise LearnError(
                 f"counterexample {counterexample} produced no table growth")
-    return LearnResult(hypothesis, round_no, tree.queries, round_no,
+    return LearnResult(hypothesis.machine(), round_no, tree.queries, round_no,
                        counterexample is None,
                        (len(learner.basis), len(learner.home)))
 
 
-def exact_oracle(hidden: MealyMachine, hypothesis: MealyMachine) -> Word | None:
+def exact_oracle(hidden: MealyMachine, hypothesis: MealyMachine | Hypothesis) -> Word | None:
     """Simulation-mode ground truth: equivalence check against the hidden
     machine, returning its distinguishing word as the counterexample."""
     result = bisimilar(hidden, hypothesis)
     return None if result.equivalent else result.witness
 
 
-def random_walk_oracle(sul: SulInterface, hypothesis: MealyMachine,
+def random_walk_oracle(sul: SulInterface, hypothesis: MealyMachine | Hypothesis,
                        min_len: int, max_len: int, num_tests: int,
                        seed: int | str) -> Word | None:
     """Conformance testing by seeded random walks.

@@ -17,11 +17,8 @@ from typing import NamedTuple
 from .automata import (MachineError, _escape, _quote, _split_fields, _unescape,
                        dot_document, dot_edge, io_label, prop_list, read_dot)
 from .cpm import AnnotatedMachine, Cpm, split_machine, split_tau
-from .actorgen import ActorModelIR, TIMEOUT_PROP, build_ir
+from .actorgen import REQ_LABEL, TIMEOUT_LABEL, TIMEOUT_PROP, ActorModelIR, build_ir
 from .ltl import CEILING, CeilingError, KripkeStructure, kripke_view
-
-REQ_LABEL = "req"
-TIMEOUT_LABEL = "timeout"
 
 
 class StateSpaceError(RuntimeError):
@@ -55,11 +52,6 @@ def explore(ir: ActorModelIR, max_nodes: int = CEILING) -> Lts:
     additionally branches to a reset-and-timeout path.
     """
     m = ir.machine
-    reserved = {REQ_LABEL, TIMEOUT_LABEL}
-    clash = (set(m.inputs) | set(m.outputs)) & reserved
-    if clash:
-        raise StateSpaceError(f"alphabet symbols collide with reserved message names: {sorted(clash)}")
-
     temps_for = {
         (case, out): temps
         for out, cases in ir.output_cases.items()

@@ -163,6 +163,14 @@ def test_mutation_adds_timeout_machinery(two_state_annotated, two_state_cpm):
     assert "timeout=true;" in text
 
 
+def test_an_output_named_like_the_timeout_message_is_rejected():
+    m = MealyMachine(("s",), ("a",), ("timeout",), "s", {("s", "a"): ("s", "timeout")})
+    with pytest.raises(ActorGenError) as caught:
+        build_ir(annotate(m, Cpm()), Cpm())
+    assert str(caught.value) == ("alphabet symbols collide with reserved message "
+                                 "names: ['timeout']")
+
+
 def test_mutation_name_collision_rejected(two_state_machine):
     cpm = parse_cpm("[TAUS]\nTIMEOUT | * | omega1\n")
     ir = build_ir(annotate(two_state_machine, cpm), cpm)

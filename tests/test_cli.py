@@ -13,9 +13,10 @@ import pytest
 
 import protocheck
 from protocheck import (ActorGenError, CeilingError, CpmError, LearnError, LtlError,
-                        MachineError, MealyMachine, StateSpaceError, SulNondeterminismError,
-                        TestKitError, annotate, bisimilar, build_uds_machine, cli,
-                        emit_annotated_dot, emit_dot, expand_tau, parse_cpm, parse_dot)
+                        MachineError, MealyMachine, RoundtripReport, StateSpaceError,
+                        SulNondeterminismError, TestKitError, annotate, bisimilar,
+                        build_uds_machine, cli, emit_annotated_dot, emit_dot, expand_tau,
+                        parse_cpm, parse_dot)
 from protocheck.cli import main
 from protocheck.fixtures import fixture_text
 from helpers import OracleBudgetError
@@ -368,6 +369,40 @@ def test_pipeline_round_trip_failure_exits_1_with_manifest(workdir, monkeypatch)
     assert not (workdir / "out" / "report.json").exists()
 
 
+PIPELINE_FILES = {"model.dot", "annotated.dot", "expanded.dot", "model.rebeca",
+                  "model.property", "lts.dot", "collapsed.dot", "report.json",
+                  "tests.jsonl", "replay.json", "manifest.json"}
+
+
+@pytest.mark.parametrize("second,gone", [
+    ("round-trip-failure", {"report.json", "tests.jsonl", "replay.json"}),
+    ("no-violations", {"replay.json"}),
+])
+def test_a_second_pipeline_run_leaves_none_of_the_first_runs_artifacts(workdir, monkeypatch,
+                                                                       second, gone):
+    out_dir = workdir / "out"
+
+    def config(sul):
+        path = workdir / "pipeline.json"
+        path.write_text(json.dumps({"sul": sul, "cpm": str(workdir / f"{sul}.cpm"),
+                                    "out_dir": str(out_dir)}))
+        return str(path)
+
+    # violations, a test and its replay: every artifact a run can write
+    assert run("pipeline", "--config", config("uds")) == 0
+    assert {p.name for p in out_dir.iterdir()} == PIPELINE_FILES == set(cli._PIPELINE_FILES)
+    (out_dir / "notes.txt").write_text("not the pipeline's\n")
+    if second == "round-trip-failure":
+        monkeypatch.setattr(cli, "compare_roundtrip",
+                            lambda *args: RoundtripReport(False, "broken on purpose", 0))
+        assert run("pipeline", "--config", config("uds")) == 1
+    else:
+        # every property holds on the travel-document chip: nothing to replay
+        assert run("pipeline", "--config", config("emrtd")) == 0
+    assert {p.name for p in out_dir.iterdir()} == PIPELINE_FILES - gone | {"notes.txt"}
+    assert (out_dir / "notes.txt").read_text() == "not the pipeline's\n"
+
+
 @pytest.mark.parametrize("mutation", [False, True])
 def test_pipeline_explores_once(workdir, monkeypatch, mutation):
     from protocheck import statespace
@@ -703,6 +738,9 @@ ILL_FORMED_LTS_DOT = """digraph bad {
 CLASHING_MACHINE = MealyMachine(("q",), ("A.B", "A-B"), ("o",), "q",
                                 {("q", "A.B"): ("q", "o"), ("q", "A-B"): ("q", "o")})
 CLASH = "input symbols 'A.B' and 'A-B' map to the same identifier 'pp_a_b'"
+# an input named like the environment's request message
+RESERVED_MACHINE = MealyMachine(("s",), ("req",), ("o",), "s", {("s", "req"): ("s", "o")})
+RESERVED = "alphabet symbols collide with reserved message names: ['req']"
 
 
 @pytest.fixture()
@@ -728,9 +766,9 @@ def exit_dir(tmp_path):
             {"properties": [{"test": {"inputs": [], "expected": []}}]}),
         "string-provenance.jsonl": '{"inputs": [], "expected": [], "provenance": "s0"}\n',
         "empty.cpm": "[GAINS]\n[LOSES]\n[TAUS]\n",
-        "req.dot": emit_annotated_dot(annotate(MealyMachine(
-            ("s",), ("req",), ("o",), "s", {("s", "req"): ("s", "o")}),
-            parse_cpm("[GAINS]\n[LOSES]\n[TAUS]\n"))),
+        "req.dot": emit_annotated_dot(annotate(RESERVED_MACHINE,
+                                               parse_cpm("[GAINS]\n[LOSES]\n[TAUS]\n"))),
+        "req-model.dot": emit_dot(RESERVED_MACHINE),
         # two inputs that map to one Rebeca identifier
         "clash.dot": emit_dot(CLASHING_MACHINE),
         "clash-annotated.dot": emit_annotated_dot(
@@ -741,6 +779,7 @@ def exit_dir(tmp_path):
         "leaky.json": json.dumps({"sul": "helpers:leaky_nonce_sul", "cpm": "uds.cpm",
                                   "out_dir": "out", "learner": {"oracle": "random-walk"}}),
         "clash.json": json.dumps({"model": "clash.dot", "cpm": "empty.cpm", "out_dir": "out"}),
+        "req.json": json.dumps({"model": "req-model.dot", "cpm": "empty.cpm", "out_dir": "out"}),
         "bad-property.json": json.dumps(
             {"model": "uds.dot", "cpm": "uds.cpm", "out_dir": "out", "properties": "bad.ltl"}),
     }
@@ -798,9 +837,15 @@ EXIT_CASES = [
                  error_line("ill-formed transition system: node 0 should only issue requests"),
                  "", (), id="64-ill-formed-lts"),
     pytest.param(64, ["explore", "--annotated", "req.dot", "--cpm", "empty.cpm",
-                      "--out", "lts.dot"],
-                 error_line("alphabet symbols collide with reserved message names: ['req']"),
-                 "", (), id="64-reserved-input"),
+                      "--out", "lts.dot"], error_line(RESERVED), "", (), id="64-reserved-input"),
+    # refused by every stage that makes the actor model, not by explore alone
+    pytest.param(64, ["gen-rebeca", "--annotated", "req.dot", "--cpm", "empty.cpm",
+                      "--out", "model.rebeca"], error_line(RESERVED), "", (),
+                 id="64-gen-rebeca-reserved-input"),
+    pytest.param(64, ["verify-roundtrip", "--model", "req-model.dot", "--cpm", "empty.cpm"],
+                 error_line(RESERVED), "", (), id="64-verify-roundtrip-reserved-input"),
+    pytest.param(64, ["pipeline", "--config", "req.json"], error_line(RESERVED), "", (),
+                 id="64-pipeline-reserved-input"),
     pytest.param(64, ["replay", "--tests", "no-inputs.jsonl", "--sul", "uds"],
                  error_line('line 2: test record has no list "inputs"'), "", (),
                  id="64-record-without-inputs"),

@@ -11,8 +11,8 @@ from protocheck import (MachineSul, MealyMachine, annotate, bisimilar,
                         build_uds_machine, build_uds_sul, emit_dot,
                         exact_oracle, lstar_learn, random_walk_oracle,
                         MappedSul, SulInterface, SulNondeterminismError)
-from protocheck.learning import (EMRTD_INPUTS, UDS_INPUTS, LearnError,
-                                 ObservationTree)
+from protocheck.learning import (EMRTD_INPUTS, UDS_INPUTS, Hypothesis, LearnError,
+                                 ObservationTree, _LSharp)
 from helpers import (NONCE_INPUTS, FreshNonceSul, canonicalize_nonce_mapper,
                      combination_lock, learning_target, nonce_sul)
 
@@ -107,6 +107,59 @@ def test_learned_machine_is_exact_and_asks_fewer_words_than_the_table(oracle):
         assert result.membership_queries < 450
         assert result.table_size == (len(hidden.states),
                                      len(hidden.states) * 3 + 1)
+
+
+def _rebuilt(learner):
+    """The hypothesis built afresh from the tree and the frontier's
+    identifications, breadth first and named as the returned machine is."""
+    order, names, transitions, outputs = [0], {0: "s0"}, {}, {}
+    for node in order:
+        for symbol in learner.alphabet:
+            child, output = learner.tree.edges[node][symbol]
+            target = learner.home.get(child, child)
+            if target not in names:
+                names[target] = f"s{len(order)}"
+                order.append(target)
+            transitions[(names[node], symbol)] = (names[target], output)
+            outputs[output] = None
+    return MealyMachine(tuple(names.values()), learner.alphabet, tuple(outputs),
+                        "s0", transitions)
+
+
+@pytest.mark.parametrize("oracle", ["exact", "random-walk"])
+@pytest.mark.parametrize("seed", [0, 1, 3, 4])
+def test_the_kept_hypothesis_is_the_one_built_afresh_after_every_refinement(seed, oracle):
+    hidden = learning_target(seed, states=24, inputs=("a", "b", "c", "d"))
+    sul = MachineSul(hidden)
+    learner = _LSharp(ObservationTree(sul), hidden.inputs)
+    view = Hypothesis(learner.alphabet, learner.transitions)
+    refinements = 0
+    while True:
+        basis = set(learner.basis)
+        assert learner.transitions.keys() == {(b, a) for b in basis for a in hidden.inputs}
+        assert {target for target, _ in learner.transitions.values()} <= basis
+        reached, frontier = {view.initial}, [view.initial]
+        for state in frontier:  # grows while it is walked
+            for symbol in view.inputs:
+                target = view.transitions[(state, symbol)][0]
+                if target not in reached:
+                    reached.add(target)
+                    frontier.append(target)
+        assert len(reached) == len(learner.basis)
+        rebuilt = _rebuilt(learner)
+        assert bisimilar(rebuilt, view).equivalent
+        assert view.machine() == rebuilt
+        if oracle == "exact":
+            counterexample = exact_oracle(hidden, view)
+        else:
+            counterexample = random_walk_oracle(sul, view, 5, 20, 200,
+                                                f"{seed}/{refinements}")
+        if counterexample is None:
+            break
+        assert learner.refine(tuple(counterexample))
+        refinements += 1
+    assert refinements >= 2
+    assert bisimilar(hidden, view).equivalent
 
 
 def test_default_round_budget_covers_one_round_per_state():
