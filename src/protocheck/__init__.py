@@ -33,7 +33,7 @@ from .learning import (SulInterface, MachineSul,
                        LearnError, SulNondeterminismError)
 from .mapper import Mapper, MappedSul
 from .testkit import (TestCase, ReplayResult, TestKitError, concretize,
-                      replay, feedback, write_tests, read_tests,
+                      replay, feedback, read_tests,
                       CONFIRMED, DIVERGED)
 
 __version__ = "0.1.0"

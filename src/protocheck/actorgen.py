@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 
 from .automata import MealyMachine
 from .cpm import AnnotatedMachine, Cpm
@@ -31,25 +31,13 @@ class ActorGenError(ValueError):
 
 
 @dataclass(frozen=True)
-class SystemBranch:
-    """One guard arm of an input handler: at ``state``, jump to ``target``,
-    flip the listed propositions, and call the output handler with the
-    provoking input's case index."""
-
-    state: str
-    target: str
-    prop_updates: tuple[tuple[str, bool], ...]
-    output: str
-    case_index: int
-
-
-@dataclass(frozen=True)
 class ActorModelIR:
     machine: MealyMachine
     state_props: tuple[str, ...]
     temp_props: tuple[str, ...]
-    # input symbol -> one branch per state, in state order
-    handlers: dict[str, tuple[SystemBranch, ...]]
+    # (state, input) -> the (proposition, value) pairs that transition sets,
+    # keyed like machine.transitions, which gives its target and output
+    updates: dict[tuple[str, str], tuple[tuple[str, bool], ...]]
     # output symbol -> (case index, temp props set there), occurring cases only
     output_cases: dict[str, tuple[tuple[int, frozenset[str]], ...]]
     initial_props: frozenset[str]
@@ -78,22 +66,19 @@ class ActorModelIR:
         # set once, past the frozen __setattr__, as cached_property does
         vars(self).update(in_names=in_names, out_names=out_names, prop_vars=prop_vars)
 
-    @cached_property
-    def state_index(self) -> dict[str, int]:
-        return {q: i for i, q in enumerate(self.machine.states)}
-
     def step(self, state: str, props: frozenset[str],
-             symbol: str) -> tuple[SystemBranch, frozenset[str]]:
+             symbol: str) -> tuple[str, str, frozenset[str]]:
         """The system actor's handler for ``symbol`` at ``state``, as the
-        emitted source encodes it: the guard arm taken and the propositions
-        after its updates."""
-        branch = self.handlers[symbol][self.state_index[state]]
-        if branch.prop_updates:
+        emitted source encodes it: the target, the output and the
+        propositions after the transition's updates."""
+        target, output = self.machine.transitions[(state, symbol)]
+        updates = self.updates[(state, symbol)]
+        if updates:
             props = set(props)
-            for p, value in branch.prop_updates:
+            for p, value in updates:
                 (props.add if value else props.discard)(p)
             props = frozenset(props)
-        return branch, props
+        return target, output, props
 
 
 def build_ir(a: AnnotatedMachine, cpm: Cpm) -> ActorModelIR:
@@ -113,35 +98,27 @@ def build_ir(a: AnnotatedMachine, cpm: Cpm) -> ActorModelIR:
     state_props = tuple(sorted(cpm.state_props))
     temp_props = tuple(sorted(cpm.temp_props))
 
-    handlers: dict[str, tuple[SystemBranch, ...]] = {}
-    for case, sym in enumerate(m.inputs):
-        branches = []
-        for q in m.states:
-            dst, out = m.transitions[(q, sym)]
-            src_labels, dst_labels = a.label(q), a.label(dst)
-            updates = tuple(
-                (p, p in dst_labels)
-                for p in state_props
-                if (p in dst_labels) != (p in src_labels)
-            )
-            branches.append(SystemBranch(q, dst, updates, out, case))
-        handlers[sym] = tuple(branches)
-
+    # one pass in state order, then input order: the output handlers'
+    # cases are kept in the order they are first met
+    updates: dict[tuple[str, str], tuple[tuple[str, bool], ...]] = {}
     output_cases: dict[str, list[tuple[int, frozenset[str]]]] = {}
     seen_pairs = set()
     for q in m.states:
+        src_labels = a.label(q)
         for case, sym in enumerate(m.inputs):
             dst, out = m.transitions[(q, sym)]
-            if (case, out) in seen_pairs:
-                continue
-            seen_pairs.add((case, out))
-            output_cases.setdefault(out, []).append((case, cpm.raised_temps(sym, out)))
+            dst_labels = a.label(dst)
+            updates[(q, sym)] = tuple((p, p in dst_labels) for p in state_props
+                                      if (p in dst_labels) != (p in src_labels))
+            if (case, out) not in seen_pairs:
+                seen_pairs.add((case, out))
+                output_cases.setdefault(out, []).append((case, cpm.raised_temps(sym, out)))
 
     return ActorModelIR(
         machine=m,
         state_props=state_props,
         temp_props=temp_props,
-        handlers=handlers,
+        updates=updates,
         output_cases={out: tuple(sorted(v)) for out, v in output_cases.items()},
         initial_props=a.label(m.initial),
     )
@@ -222,7 +199,7 @@ def emit_rebeca(ir: ActorModelIR) -> str:
     """
     m = ir.machine
     in_names, out_names, prop_vars = ir.in_names, ir.out_names, ir.prop_vars
-    state_index = ir.state_index
+    state_index = {q: i for i, q in enumerate(m.states)}
     temp_vars = [prop_vars[p] for p in ir.temp_props]
 
     lines: list[str] = []
@@ -296,10 +273,9 @@ def emit_rebeca(ir: ActorModelIR) -> str:
             emit(f"{_IND}{_IND}{prop_vars[p]}=true;")
         emit(f"{_IND}}}")
 
-    for sym in m.inputs:
+    last = len(m.states) - 1
+    for case, sym in enumerate(m.inputs):
         emit(f"{_IND}msgsrv {in_names[sym]}() {{")
-        indent_body = f"{_IND}{_IND}"
-        close = f"{_IND}}}"
         if ir.timeout:
             emit(f"{_IND}{_IND}int to = ?(0,1);")
             emit(f"{_IND}{_IND}if(to==1) {{")
@@ -309,15 +285,16 @@ def emit_rebeca(ir: ActorModelIR) -> str:
                 emit(f"{_IND}{_IND}{_IND}{prop_vars[p]}={value};")
             emit(f"{_IND}{_IND}{_IND}environment.timeout();")
             emit(f"{_IND}{_IND}}} else")
-        branches = ir.handlers[sym]
-        for i, branch in enumerate(branches):
-            emit(f"{indent_body}if(state=={state_index[branch.state]}) {{")
-            emit(f"{indent_body}{_IND}state={state_index[branch.target]};")
-            for p, value in branch.prop_updates:
-                emit(f"{indent_body}{_IND}{prop_vars[p]}={'true' if value else 'false'};")
-            emit(f"{indent_body}{_IND}environment.{out_names[branch.output]}({branch.case_index});")
-            emit(f"{indent_body}}} else" if i < len(branches) - 1 else f"{indent_body}}}")
-        emit(close)
+        # one guard arm per state
+        for i, q in enumerate(m.states):
+            target, out = m.transitions[(q, sym)]
+            emit(f"{_IND}{_IND}if(state=={i}) {{")
+            emit(f"{_IND}{_IND}{_IND}state={state_index[target]};")
+            for p, value in ir.updates[(q, sym)]:
+                emit(f"{_IND}{_IND}{_IND}{prop_vars[p]}={'true' if value else 'false'};")
+            emit(f"{_IND}{_IND}{_IND}environment.{out_names[out]}({case});")
+            emit(f"{_IND}{_IND}}} else" if i < last else f"{_IND}{_IND}}}")
+        emit(f"{_IND}}}")
 
     emit("}")
     emit("main {")

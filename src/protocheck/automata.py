@@ -354,6 +354,14 @@ def transition_edges(m: MealyMachine, quote) -> list[str]:
     return edges
 
 
+# the two rules every reader of the DOT formats shares, worded once
+NO_INITIAL_STATE = "no initial state: add a '__start -> q' edge or an initial=true attribute"
+
+
+def unlabeled_edge(src: str, dst: str, lineno: int) -> MachineError:
+    return MachineError(f"line {lineno}: edge {src!r} -> {dst!r} has no label")
+
+
 def transition_table(graph: DotGraph):
     """The transition map and initial state of a machine document.  A repeated
     identical edge is kept once; differing edges on one state and input are nondeterminism."""
@@ -362,12 +370,12 @@ def transition_table(graph: DotGraph):
     pairs: dict[str, tuple[str, str]] = {}
     for src, dst, label, lineno in graph.edges:
         if label is None:
-            raise MachineError(f"line {lineno}: edge {src!r} -> {dst!r} has no label")
+            raise unlabeled_edge(src, dst, lineno)
         sym, out = pairs.get(label) or pairs.setdefault(label, _split_label(label, lineno))
         if transitions.setdefault((src, sym), (dst, out)) != (dst, out):
             raise MachineError(f"line {lineno}: nondeterminism at state {src!r} on input {sym!r}")
     if not graph.initials:
-        raise MachineError("no initial state: add a '__start -> q' edge or an initial=true attribute")
+        raise MachineError(NO_INITIAL_STATE)
     return transitions, graph.initials[0][0]
 
 

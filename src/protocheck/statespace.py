@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
-from .automata import (MachineError, _escape, _quote, _split_fields, _unescape,
-                       dot_document, dot_edge, io_label, prop_list, read_dot)
+from .automata import (NO_INITIAL_STATE, MachineError, _escape, _quote, _split_fields,
+                       _unescape, dot_document, dot_edge, io_label, prop_list, read_dot,
+                       unlabeled_edge)
 from .cpm import AnnotatedMachine, Cpm, split_machine, split_tau
 from .actorgen import REQ_LABEL, TIMEOUT_LABEL, TIMEOUT_PROP, ActorModelIR, build_ir
 from .ltl import CEILING, CeilingError, KripkeStructure, kripke_view
@@ -82,9 +83,9 @@ def explore(ir: ActorModelIR, max_nodes: int = CEILING) -> Lts:
             edges.append((idx, REQ_LABEL, intern(node.q, node.props, frozenset(), "ready")))
         elif node.phase == "ready":
             for case, sym in enumerate(m.inputs):
-                branch, props = ir.step(node.q, node.props, sym)
-                edges.append((idx, sym, intern(branch.target, props, frozenset(), "out",
-                                               ("out", branch.output, case))))
+                target, out, props = ir.step(node.q, node.props, sym)
+                edges.append((idx, sym, intern(target, props, frozenset(), "out",
+                                               ("out", out, case))))
                 if ir.timeout:
                     edges.append((idx, sym, intern(m.initial, ir.initial_props, frozenset(),
                                                    "timeout")))
@@ -367,14 +368,14 @@ def parse_lts_dot(text: str) -> Lts:
     unescape = cache(_unescape)
     for src, dst, label, lineno in graph.edges:
         if label is None:
-            raise MachineError(f"line {lineno}: unlabeled edge")
+            raise unlabeled_edge(src, dst, lineno)
         raw_edges.append((src, unescape(label), dst))
         if src not in raw_nodes:
             raw_nodes[src] = (src, unlabeled, unlabeled)
         if dst not in raw_nodes:
             raw_nodes[dst] = (dst, unlabeled, unlabeled)
     if not graph.initials:
-        raise MachineError("no initial node marker")
+        raise MachineError(NO_INITIAL_STATE)
     indices = {name: i for i, name in enumerate(raw_nodes)}
     nodes = tuple(LtsNode(i, *raw_nodes[name], "") for name, i in indices.items())
     edges = tuple((indices[s], label, indices[d]) for s, label, d in raw_edges)

@@ -69,7 +69,9 @@ def concretize(lasso: Lasso, k: KripkeStructure, a: AnnotatedMachine,
                 expected.append(out)
                 break
         else:
-            raise TestKitError(f"no transition reproduces witness step {x!r} -> {y!r}")
+            # the Kripke view's self-loop on a dead end: staying there takes no input
+            if x != y or any((x, sym) in m.transitions for sym in (*m.inputs, EPSILON)):
+                raise TestKitError(f"no transition reproduces witness step {x!r} -> {y!r}")
     return TestCase(tuple(inputs), tuple(expected), property_name,
                     lasso.stem, lasso.loop, unroll)
 
@@ -160,11 +162,6 @@ def from_record(data: dict) -> TestCase:
 def tests_jsonl(tests) -> str:
     """The text of a test-case file: one record per line."""
     return "".join(json.dumps(to_record(test), sort_keys=True) + "\n" for test in tests)
-
-
-def write_tests(tests, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(tests_jsonl(tests))
 
 
 def read_tests(path) -> list[TestCase]:

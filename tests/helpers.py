@@ -3,6 +3,7 @@ and the bounded oracle that cross-checks the checker."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from protocheck import (Mapper, MappedSul, MachineSul, MealyMachine, SulInterface,
@@ -39,6 +40,14 @@ def random_machine(rng: random.Random, max_states=8, max_inputs=5,
                 outputs.append(out)
     machine = MealyMachine(states, inputs, tuple(outputs), states[0], transitions)
     return reachable(machine)
+
+
+def with_transition(ir, key, target: str, output: str):
+    """The actor model ``ir`` whose machine takes ``key``, a (state, input)
+    pair, to ``target`` with ``output``; its proposition updates are kept."""
+    m = ir.machine
+    return dataclasses.replace(ir, machine=dataclasses.replace(
+        m, transitions={**m.transitions, key: (target, output)}))
 
 
 def learning_target(seed: int, states=12, inputs=("a", "b", "c"),

@@ -23,14 +23,10 @@ def test_two_state_ir_shape(two_state_annotated, two_state_cpm):
     ir = build_ir(two_state_annotated, two_state_cpm)
     assert ir.temp_props == ("omega2set",)
     assert ir.state_props == ("p",)
-    assert set(ir.handlers) == {"sigma1"}
-    branches = ir.handlers["sigma1"]
-    assert len(branches) == 2
-    first, second = branches
-    assert (first.state, first.target, first.output) == ("q1", "q2", "omega1")
-    assert first.prop_updates == (("p", True),)
-    assert (second.state, second.target, second.output) == ("q2", "q1", "omega2")
-    assert second.prop_updates == (("p", False),)
+    assert ir.updates == {("q1", "sigma1"): (("p", True),),
+                          ("q2", "sigma1"): (("p", False),)}
+    assert ir.step("q1", frozenset(), "sigma1") == ("q2", "omega1", frozenset({"p"}))
+    assert ir.step("q2", frozenset({"p"}), "sigma1") == ("q1", "omega2", frozenset())
     assert set(ir.output_cases) == {"omega1", "omega2"}
     assert ir.output_cases["omega2"] == ((0, frozenset({"omega2set"})),)
     assert QUEUE_CAPACITY == 3 and not ir.timeout
@@ -39,19 +35,16 @@ def test_two_state_ir_shape(two_state_annotated, two_state_cpm):
 def test_ir_without_map_moves_state_only(two_state_machine):
     ir = build_ir(annotate(two_state_machine, Cpm()), Cpm())
     assert ir.state_props == () and ir.temp_props == ()
-    for branches in ir.handlers.values():
-        for branch in branches:
-            assert branch.prop_updates == ()
+    assert set(ir.updates) == set(two_state_machine.transitions)
+    assert set(ir.updates.values()) == {()}
 
 
 def test_emrtd_ir_reproduces_published_fragment(emrtd_cpm):
     machine, _ = build_emrtd_machine()
     ir = build_ir(annotate(machine, emrtd_cpm), emrtd_cpm)
-    branch = next(b for b in ir.handlers["BAC"] if b.state == "1")
-    assert branch.prop_updates == (("AUTH", True),)
-    assert branch.target == "2"
-    assert branch.output == "9000"
-    assert branch.case_index == 28
+    assert ir.updates[("1", "BAC")] == (("AUTH", True),)
+    assert ir.machine.transitions[("1", "BAC")] == ("2", "9000")
+    assert ir.machine.inputs.index("BAC") == 28
     assert ir.machine.inputs.index("RD_BIN") == 22
     assert ir.machine.inputs.index("SSEL_EF_DG1") == 32
 
@@ -205,9 +198,8 @@ def test_simulated_propositions_track_labels(seed):
     state = machine.initial
     for _ in range(60):
         sym = rng.choice(machine.inputs)
-        branch, props = ir.step(sim_state, props, sym)
-        sim_state = branch.target
+        sim_state, out, props = ir.step(sim_state, props, sym)
         state, expected_out = machine.transitions[(state, sym)]
-        assert branch.output == expected_out
+        assert out == expected_out
         assert sim_state == state
         assert props == a.label(state)

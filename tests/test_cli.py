@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,7 @@ from protocheck import (ActorGenError, CeilingError, CpmError, LearnError, LtlEr
                         parse_cpm, parse_dot)
 from protocheck.cli import main
 from protocheck.fixtures import fixture_text
-from helpers import OracleBudgetError
+from helpers import OracleBudgetError, with_transition
 
 
 @pytest.fixture()
@@ -83,6 +82,23 @@ def test_check_uds_exit_code_and_report(workdir, tmp_path):
     assert run("emit-test", "--report", report, "--out", tests_path) == 0
     assert run("replay", "--tests", tests_path, "--sul", "uds") == 0
     assert run("replay", "--tests", tests_path, "--sul", "uds-patched") == 3
+
+
+def test_check_of_a_violation_ending_in_a_dead_end_writes_a_one_input_test(tmp_path, capsys):
+    """The witness loops on ``b``, which has no transition: staying there
+    takes no input, so the test is the one step into ``b``."""
+    (tmp_path / "part.dot").write_text(
+        'digraph g {\n  __start -> a;\n  a [label="a {}"];\n'
+        '  b [label="b {INVKEYOK}"];\n  a -> b [label="x / o"];\n}\n')
+    (tmp_path / "m.cpm").write_text("[GAINS]\nINVKEYOK | x | o\n")
+    report = tmp_path / "r.json"
+    assert run("check", "--expanded", str(tmp_path / "part.dot"),
+               "--cpm", str(tmp_path / "m.cpm"), "--report", str(report)) == 2
+    assert "error" not in capsys.readouterr().err
+    entry = next(e for e in json.loads(report.read_text())["properties"]
+                 if e["name"] == "no_invalid_key")
+    assert entry["verdict"] == "VIOLATED"
+    assert (entry["test"]["inputs"], entry["test"]["expected"]) == (["x"], ["o"])
 
 
 def test_annotate_with_empty_cpm(workdir, tmp_path):
@@ -357,9 +373,7 @@ def test_pipeline_round_trip_failure_exits_1_with_manifest(workdir, monkeypatch)
     build_ir = cli.build_ir
 
     def corrupted(annotated, cpm):
-        ir = build_ir(annotated, cpm)
-        first, second = ir.handlers["sigma1"]
-        return replace(ir, handlers={"sigma1": (first, replace(second, output="omega1"))})
+        return with_transition(build_ir(annotated, cpm), ("q2", "sigma1"), "q1", "omega1")
 
     monkeypatch.setattr(cli, "build_ir", corrupted)
     assert run("pipeline", "--config", worked_example_config(workdir)) == 1

@@ -8,7 +8,7 @@ import pytest
 
 from protocheck import (MachineError, MealyMachine, annotate,
                         apply_timeout_mutation, build_ir, collapse, emit_annotated_dot,
-                        emit_dot, emit_lts_dot, expand_tau, explore,
+                        emit_dot, emit_lts_dot, emit_rebeca, expand_tau, explore,
                         parse_annotated_dot, parse_dot, parse_lts_dot)
 from protocheck.automata import read_dot
 from protocheck.cli import main
@@ -100,9 +100,13 @@ def test_both_machine_readers_refuse_a_differing_repeated_edge_alike():
 def test_lts_dot_errors_carry_line_numbers():
     with pytest.raises(MachineError, match="^line 3: cannot parse statement"):
         parse_lts_dot('digraph g {\n__start -> n0;\nn0 -> ;\n}')
-    with pytest.raises(MachineError, match="^line 5: unlabeled edge"):
+    with pytest.raises(MachineError, match="^line 5: edge 'n0' -> 'n0' has no label$"):
         parse_lts_dot('digraph g {\n__start -> n0;\n'
                       'n0 [label="q=a; props=; temps="];\n\nn0 -> n0;\n}')
+    with pytest.raises(MachineError) as caught:
+        parse_lts_dot('digraph g {\nn0 -> n0 [label="x"];\n}')
+    assert str(caught.value) == (
+        "no initial state: add a '__start -> q' edge or an initial=true attribute")
 
 
 @pytest.mark.parametrize("text", [
@@ -294,7 +298,8 @@ def emitted_documents(seed: int) -> dict[str, str]:
     m = pinned_machine(seed)
     annotated = annotate(m, PIN_CPM)
     ir = build_ir(annotated, PIN_CPM)
-    mutated = explore(apply_timeout_mutation(ir))
+    mutated_ir = apply_timeout_mutation(ir)
+    mutated = explore(mutated_ir)
     collapsed = collapse(mutated)
     assert not collapsed.is_deterministic()
     return {
@@ -304,6 +309,8 @@ def emitted_documents(seed: int) -> dict[str, str]:
         "emit_lts_dot": emit_lts_dot(explore(ir)),
         "emit_lts_dot_mutated": emit_lts_dot(mutated),
         "emit_collapsed_dot": emit_collapsed_dot(collapsed),
+        "emit_rebeca": emit_rebeca(ir),
+        "emit_rebeca_mutated": emit_rebeca(mutated_ir),
     }
 
 
@@ -314,14 +321,18 @@ EMITTED_SHA256 = {
             "c869d09b6e6a8e349cb1971d1324d4465d5bf92d0aaeef480619c87b8e4b82df",
         "emit_lts_dot": "a50ff7966d1ef2a4f89dec4b16a2098bf70044eb3e0ae44fec0bf597c23275b7",
         "emit_lts_dot_mutated": "2c72f1f939ad9ec8aab1ba3f789b9c45ae152b6a1083fa58e62b7cd068196497",
-        "emit_collapsed_dot": "4ae25c5cad0fb1c0f86a3379df539e5fb006c77b74ed1b1262cb3889e130cdbd"},
+        "emit_collapsed_dot": "4ae25c5cad0fb1c0f86a3379df539e5fb006c77b74ed1b1262cb3889e130cdbd",
+        "emit_rebeca": "e343337eabe0cf12d908e0ea36fcb47610ee342b1e684fb75c972ab61cd267f7",
+        "emit_rebeca_mutated": "6c5d9fc33474e26db16d3a95433d80196ff7fa02c0a6375461e069dd2ce14699"},
     1: {"emit_dot": "2f08f5ff6aa1702782087200710182d1107c3be4d334907d8183b6bc3e4c07b1",
         "emit_annotated_dot": "3981d6783aecfc1325dc020bf7c06eff3689424aa38d2ef78357bf96a73933da",
         "emit_annotated_dot_expanded":
             "96bc020718110ebcf62f7903ec745a2cf2b231fc9eb1a8ddf2db55ca7b121a51",
         "emit_lts_dot": "078ac9fe8004cae90e047ad784cb15c0d7eefb0e5deda13e5c3c043b1fed9abf",
         "emit_lts_dot_mutated": "850805a5dcdee31fc6de3cf782435b50cf45df0954b9f73353892944fe75e614",
-        "emit_collapsed_dot": "f11543b0a6000ed9943e1042c0448e4b53fbd92bacb1c3cee8f430a1a26f7415"},
+        "emit_collapsed_dot": "f11543b0a6000ed9943e1042c0448e4b53fbd92bacb1c3cee8f430a1a26f7415",
+        "emit_rebeca": "4037a51c2394d3e08d12c9c74cfbcd2ca4c5644e41649857568d3adc79c915e7",
+        "emit_rebeca_mutated": "c533ebfabb7d905638a54cba90229e7fdb6eddd9891b4baa4c7d7c21ecf97bad"},
 }
 
 

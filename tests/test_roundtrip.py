@@ -13,7 +13,7 @@ import pytest
 
 from protocheck import MachineError, annotate, build_ir, collapse, explore
 from protocheck.statespace import StateSpaceError, compare_roundtrip
-from helpers import random_cpm, random_machine
+from helpers import random_cpm, random_machine, with_transition
 
 
 def seeded_model(seed):
@@ -26,25 +26,25 @@ def seeded_model(seed):
 
 
 def change_branch(a, ir, rng, field):
-    """One branch of one handler gets another output, target or update of
-    one state proposition."""
-    sym = rng.choice(ir.machine.inputs)
-    branches = list(ir.handlers[sym])
-    i = rng.randrange(len(branches))
-    branch = branches[i]
+    """The transition of one state on one input gets another output, target
+    or update of one state proposition."""
+    m = ir.machine
+    sym = rng.choice(m.inputs)
+    key = (m.states[rng.randrange(len(m.states))], sym)
+    target, output = m.transitions[key]
     if field == "output":
+        case = m.inputs.index(sym)
         # only outputs whose handler has a case for this input can be sent
-        change = {"output": rng.choice([
+        return with_transition(ir, key, target, rng.choice([
             out for out, cases in sorted(ir.output_cases.items())
-            if out != branch.output and any(c == branch.case_index for c, _ in cases)])}
-    elif field == "target":
-        change = {"target": rng.choice([q for q in ir.machine.states if q != branch.target])}
-    else:
-        p = rng.choice(ir.state_props or ("A",))
-        kept = tuple(u for u in branch.prop_updates if u[0] != p)
-        change = {"prop_updates": kept + ((p, p not in a.label(branch.target)),)}
-    branches[i] = dataclasses.replace(branch, **change)
-    return dataclasses.replace(ir, handlers={**ir.handlers, sym: tuple(branches)})
+            if out != output and any(c == case for c, _ in cases)]))
+    if field == "target":
+        return with_transition(ir, key, rng.choice([q for q in m.states if q != target]),
+                               output)
+    p = rng.choice(ir.state_props or ("A",))
+    kept = tuple(u for u in ir.updates[key] if u[0] != p)
+    return dataclasses.replace(
+        ir, updates={**ir.updates, key: kept + ((p, p not in a.label(target)),)})
 
 
 def flip_temporary(ir, rng):

@@ -12,7 +12,7 @@ from protocheck import (ActorGenError, CeilingError, MealyMachine, TIMEOUT_PROP,
 from protocheck.cpm import Cpm
 from protocheck.statespace import (StateSpaceError, compare_roundtrip,
                                    kripke_from_collapsed)
-from helpers import random_machine, random_cpm
+from helpers import random_machine, random_cpm, with_transition
 
 
 def two_state_ir(two_state_annotated, two_state_cpm):
@@ -167,24 +167,25 @@ def test_roundtrip_empty_map(two_state_machine):
     assert report.passed
 
 
-def corrupted_roundtrip(a, cpm, index, **change):
-    """Round-trip verdict on the actor model of ``a`` with one branch of its
-    only handler changed."""
-    ir = build_ir(a, cpm)
-    branches = list(ir.handlers["sigma1"])
-    branches[index] = dataclasses.replace(branches[index], **change)
-    lts = explore(dataclasses.replace(ir, handlers={"sigma1": tuple(branches)}))
+def corrupted_roundtrip(a, cpm, corrupt):
+    """Round-trip verdict on the actor model of ``a`` changed by
+    ``corrupt``."""
+    lts = explore(corrupt(build_ir(a, cpm)))
     return compare_roundtrip(a, cpm, lts, collapse(lts))
 
 
 def test_roundtrip_names_a_wrong_output(two_state_annotated, two_state_cpm):
-    report = corrupted_roundtrip(two_state_annotated, two_state_cpm, 1, output="omega1")
+    report = corrupted_roundtrip(
+        two_state_annotated, two_state_cpm,
+        lambda ir: with_transition(ir, ("q2", "sigma1"), "q1", "omega1"))
     assert not report.passed
     assert report.message == "behavior differs on input word ['sigma1', 'sigma1']"
 
 
 def test_roundtrip_names_a_wrong_proposition_update(two_state_annotated, two_state_cpm):
-    report = corrupted_roundtrip(two_state_annotated, two_state_cpm, 0, prop_updates=())
+    report = corrupted_roundtrip(
+        two_state_annotated, two_state_cpm,
+        lambda ir: dataclasses.replace(ir, updates={**ir.updates, ("q1", "sigma1"): ()}))
     assert not report.passed
     assert report.message == "labels differ after input word ['sigma1']"
 
@@ -248,11 +249,8 @@ def test_mutated_collapse_without_timeouts_is_the_nominal_collapse(machine, cpm)
 
 def test_corrupted_branch_detected(two_state_annotated, two_state_cpm):
     ir = build_ir(two_state_annotated, two_state_cpm)
-    branches = ir.handlers["sigma1"]
-    # flip one branch's target state
-    bad = dataclasses.replace(branches[0], target="q1")
-    corrupted = dataclasses.replace(ir, handlers={"sigma1": (bad, branches[1])})
-    lts = explore(corrupted)
+    # flip one transition's target state
+    lts = explore(with_transition(ir, ("q1", "sigma1"), "q1", "omega1"))
     report = compare_roundtrip(two_state_annotated, two_state_cpm, lts, collapse(lts))
     assert not report.passed
     # the distinguishing word ships with the failure

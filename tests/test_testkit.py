@@ -6,11 +6,12 @@ from protocheck import (MachineSul, MealyMachine, TestCase, annotate,
                         bisimilar, build_uds_sul, check, concretize,
                         exact_oracle, expand_tau, feedback,
                         kripke_from_annotated, lstar_learn, parse_cpm,
-                        property_library, read_tests, replay, write_tests,
+                        property_library, read_tests, replay,
                         CONFIRMED, DIVERGED, EPSILON, TAU)
 from protocheck.cpm import AnnotatedMachine, Cpm
 from protocheck.fixtures import fixture_text
 from protocheck.ltl import Lasso
+from protocheck import testkit
 from protocheck.testkit import TestKitError
 
 
@@ -54,6 +55,19 @@ def test_concretize_keeps_a_tau_output_that_no_bridge_follows():
     a = AnnotatedMachine(m, {})
     test = concretize(Lasso(("q",), ("r",)), kripke_from_annotated(a), a, unroll=2)
     assert test.inputs == ("a", "a") and test.expected == (TAU, "o")
+
+
+def dead_end_machine() -> AnnotatedMachine:
+    """``b`` has no transition: the Kripke view gives it a self-loop."""
+    m = MealyMachine(("a", "b"), ("x",), ("o",), "a", {("a", "x"): ("b", "o")},
+                     require_complete=False)
+    return AnnotatedMachine(m, {"b": frozenset({"INVKEYOK"})})
+
+
+def test_concretize_stays_on_a_dead_end_without_input():
+    a = dead_end_machine()
+    test = concretize(Lasso(("a", "b"), ("b",)), kripke_from_annotated(a), a, unroll=3)
+    assert test.inputs == ("x",) and test.expected == ("o",)
 
 
 def test_concretize_unroll_repeats_loop(uds_violation):
@@ -186,6 +200,6 @@ def test_testcase_files_round_trip(tmp_path, uds_violation):
     _, _, _, expanded, k, result = uds_violation
     test = concretize(result.lasso, k, expanded, "no_invalid_key")
     path = tmp_path / "cases.jsonl"
-    write_tests([test], path)
+    path.write_text(testkit.tests_jsonl([test]), encoding="utf-8")
     (back,) = read_tests(path)
     assert back == test
