@@ -109,7 +109,7 @@ def test_lts_dot_errors_carry_line_numbers():
         "no initial state: add a '__start -> q' edge or an initial=true attribute")
 
 
-@pytest.mark.parametrize("text", [
+SPLITTING_DOCS = [
     # one line holding several statements, quoted names and labels holding
     # ';' and braces, and comments between them
     ('digraph g { __start -> "x;{y"; // comment\n'
@@ -122,7 +122,11 @@ def test_lts_dot_errors_carry_line_numbers():
     ('digraph g { __start -> "x;{y"; // note; b\n'
      '"x;{y" -> "x;{y" [label="a;{ / b}"] // trailing\n'
      '# note; c\n}'),
-], ids=["one_line", "header_and_multiline_label", "comments_end_at_the_newline"])
+]
+
+
+@pytest.mark.parametrize("text", SPLITTING_DOCS,
+                         ids=["one_line", "header_and_multiline_label", "comments_end_at_the_newline"])
 def test_statements_split_on_separators_outside_quotes_only(text):
     m = parse_dot(text)
     assert m.states == ("x;{y",)
@@ -227,9 +231,12 @@ def test_states_named_like_dot_keywords_round_trip_in_every_format():
         [(n.q, n.props, n.temps) for n in lts.nodes]
 
 
+KEYWORD_STATEMENTS = ('Strict DiGraph g {\n  graph [rankdir=LR]; node[shape=box]; edge [x=1]\n'
+                      '  rankdir = LR\n  subgraph s { graph1 -> edge_1 }\n  rankdir_1\n}')
+
+
 def test_dot_keywords_are_skipped_as_whole_tokens_only():
-    graph = read_dot('Strict DiGraph g {\n  graph [rankdir=LR]; node[shape=box]; edge [x=1]\n'
-                     '  rankdir = LR\n  subgraph s { graph1 -> edge_1 }\n  rankdir_1\n}')
+    graph = read_dot(KEYWORD_STATEMENTS)
     assert graph.edges == [("graph1", "edge_1", None, 4)]
     assert graph.nodes == [("rankdir_1", "", 5)]
 
@@ -341,3 +348,93 @@ def test_emitted_bytes_are_pinned(seed):
     digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
                for name, text in emitted_documents(seed).items()}
     assert digests == EMITTED_SHA256[seed]
+
+
+# The readers' whole behaviour on a fixed corpus, pinned by one sha256:
+# read_dot's graph, and each reader's result or its exact message.  The
+# corpus is every emitted document and the hand-written ones above, each
+# also with '\r\n' line ends and tab indentation, and seeded one-character
+# corruptions of the seed-0 DOT documents.  A reader may change how it reads,
+# not what it reads.
+KEYWORD_EDGE = 'digraph g {\n__start -> Node;\nNode -> Node [label="a / b"];\n}\n'
+CORRUPTING = ';"\\->[]{}#/=\n'
+
+
+def keyword_documents() -> list[str]:
+    m = keyword_named_machine()
+    cpm = Cpm(gains=(Condition(frozenset({"P"}), ("a",), ("*",)),),
+              taus=(Condition(frozenset({"T"}), ("b",), ("*",)),))
+    annotated = annotate(m, cpm)
+    return [emit_dot(m), emit_annotated_dot(expand_tau(annotated, cpm)),
+            emit_lts_dot(explore(build_ir(annotated, cpm))), KEYWORD_STATEMENTS, KEYWORD_EDGE]
+
+
+def corruptions(docs: list[str], count: int, rng: random.Random) -> list[str]:
+    """``count`` documents, each one of ``docs`` with one character of
+    CORRUPTING deleted, inserted or doubled."""
+    out = []
+    while len(out) < count:
+        doc, char = rng.choice(docs), rng.choice(CORRUPTING)
+        op = rng.choice(("delete", "insert", "double"))
+        if op == "insert":
+            i = rng.randrange(len(doc) + 1)
+            out.append(doc[:i] + char + doc[i:])
+            continue
+        places = [i for i, c in enumerate(doc) if c == char]
+        if places:
+            i = rng.choice(places)
+            out.append(doc[:i] + ("" if op == "delete" else char * 2) + doc[i + 1:])
+    return out
+
+
+def reader_corpus() -> list[str]:
+    seed0 = emitted_documents(0)
+    docs = [*seed0.values(), *emitted_documents(1).values(), PINNED_DOC, *SPLITTING_DOCS,
+            *keyword_documents()]
+    docs += [doc.replace("\n", "\r\n") for doc in docs] + \
+        [re.sub(r"(?m)^ +", "\t", doc) for doc in docs]
+    dot = [text for name, text in seed0.items() if "rebeca" not in name]
+    return docs + corruptions(dot, 300, random.Random(0))
+
+
+def graph_summary(text: str):
+    graph = read_dot(text)
+    return graph.nodes, graph.edges, graph.initials, list(graph.mentioned)
+
+
+def machine_summary(m: MealyMachine):
+    return m.states, m.inputs, m.outputs, m.initial, list(m.transitions.items())
+
+
+def annotated_summary(text: str):
+    a = parse_annotated_dot(text)
+    return (machine_summary(a.machine), [(q, sorted(p)) for q, p in a.labels.items()],
+            sorted(a.tau_states), [(q, sorted(t)) for q, t in a.temp_labels.items()])
+
+
+def lts_summary(text: str):
+    lts = parse_lts_dot(text)
+    return ([(n.index, n.q, sorted(n.props), sorted(n.temps), n.phase, n.pending)
+             for n in lts.nodes], lts.edges, lts.initial)
+
+
+# the sets in a result are sorted: the digest holds under every hash seed
+READERS = (graph_summary, lambda text: machine_summary(parse_dot(text)),
+           annotated_summary, lts_summary)
+
+
+def read_outcome(reader, text: str):
+    try:
+        return reader(text)
+    except MachineError as exc:
+        return str(exc)
+
+
+READER_CORPUS_SHA256 = "233a8ba1b677721f96056987b28c2a14f56b2949e1e817c424e933c7849bcce7"
+
+
+def test_reader_corpus_is_pinned():
+    outcomes = [[read_outcome(reader, text) for reader in READERS]
+                for text in reader_corpus()]
+    digest = hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest()
+    assert digest == READER_CORPUS_SHA256
