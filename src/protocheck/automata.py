@@ -230,20 +230,24 @@ _INNER = r'[^"\\]*(?:\\.[^"\\]*)*'      # inside a quoted string
 _TOKEN = rf'(?:"{_INNER}"|[A-Za-z0-9_.+-]+)'
 _SP = r"[^\S\n]*"                       # blanks inside a statement
 _BODY = rf'[^"\n;{{}}]*(?:"{_INNER}"[^"\n;{{}}]*)*'
-# an attribute list; a final label="..." is read off directly, any other
-# attributes stay raw text
-_ATTRS = rf'(?:\[(?:(?:({_BODY}),)??{_SP}label{_SP}={_SP}"({_INNER})"{_SP}|({_BODY}))\])?'
-# One match is one statement and the separators after it: an edge (groups
-# 1-5), a node (6-9), a comment (no group), or anything else (10), which is
-# a header or an error; only a match at the start may hold separators alone.
-# A statement runs up to ';', a newline, a brace or '//' outside quoted
-# strings; a comment starts with '//' or '#' and runs to the newline.  re.S:
-# a quoted string may hold a newline.
+# Every optional part below is written as a branch, (?:X|) for (?:X)? and
+# (?:|X) for (?:X)??: re runs a branch far more cheaply than a repeat.
+# An attribute list; a final label="..." is read off directly, any other
+# attributes stay raw text.
+_ATTRS = rf'(?:\[(?:(?:|({_BODY}),){_SP}label{_SP}={_SP}"({_INNER})"{_SP}|({_BODY}))\]|)'
+# One match is one statement and the separators after it: a node or an edge
+# (groups 1-5: name, target of an edge, the attributes before a final label,
+# that label, the raw attributes without one), a comment (no group), or
+# anything else (6), which is a header or an error; only a match at the
+# start may hold separators alone.  A statement runs up to ';', a newline, a
+# brace or '//' outside quoted strings; a comment starts with '//' or '#' and
+# runs to the newline.  The keyword lookahead runs only on a keyword's first
+# letter.  re.S: a quoted string may hold a newline.
 _DOT_RE = re.compile(
-    rf"(?:{_SP}(?!{_KEYWORD})(?:({_TOKEN}){_SP}->{_SP}({_TOKEN}){_SP}{_ATTRS}"
-    rf"|({_TOKEN}){_SP}{_ATTRS}){_SP}(?=[\n;{{}}]|//|\Z)"
+    rf"(?:{_SP}(?!(?=[dDgGsSnNeE]){_KEYWORD})({_TOKEN}){_SP}(?:->{_SP}({_TOKEN}){_SP}|)"
+    rf"{_ATTRS}{_SP}(?=[\n;{{}}]|//|\Z)"
     rf"|{_SP}(?://|#)[^\n]*"
-    rf'|((?:[^"\n;{{}}/]+|/(?!/)|"{_INNER}"?)+))?[\s;{{}}]*', re.S)
+    rf'|((?:[^"\n;{{}}/]+|/(?!/)|"{_INNER}"?)+)|)[\s;{{}}]*', re.S)
 # statements that carry no machine content
 _SKIP = re.compile(rf"\s*(?:{_KEYWORD}|(?i:rankdir)\s*=)|\s*$")
 _ATTR_RE = re.compile(rf"(\w+)\s*=\s*({_TOKEN})")
@@ -285,26 +289,25 @@ def read_dot(text: str) -> DotGraph:
     nodes, edges, initials, mentioned = graph.nodes, graph.edges, graph.initials, graph.mentioned
     line = 1
     for m in _DOT_RE.finditer(text):
-        src, dst, _, label, attrs, name, others, node_label, node_attrs, other = m.groups()
-        if src:
-            if src[0] == '"':
-                src = _unescape(src[1:-1])
-            if dst[0] == '"':
-                dst = _unescape(dst[1:-1])
-            if src == START_NODE:
-                initials.append((dst, line))
-            else:
-                mentioned[src] = None
-                edges.append((src, dst, _attr(attrs, "label") if label is None else label, line))
-            mentioned[dst] = None
-        elif name:
+        name, dst, others, label, attrs, other = m.groups()
+        if name:
             if name[0] == '"':
                 name = _unescape(name[1:-1])
-            if name != START_NODE:
-                if node_label is None:
-                    node_label, others = _attr(node_attrs, "label") or "", node_attrs
+            if dst:
+                if dst[0] == '"':
+                    dst = _unescape(dst[1:-1])
+                if name == START_NODE:
+                    initials.append((dst, line))
+                else:
+                    mentioned[name] = None
+                    edges.append((name, dst, _attr(attrs, "label") if label is None else label,
+                                  line))
+                mentioned[dst] = None
+            elif name != START_NODE:
+                if label is None:
+                    label, others = _attr(attrs, "label") or "", attrs
                 mentioned[name] = None
-                nodes.append((name, node_label, line))
+                nodes.append((name, label, line))
                 if others and (_attr(others, "initial") or "").lower() == "true":
                     initials.append((name, line))
         elif other and not _SKIP.match(other):
@@ -363,20 +366,25 @@ def unlabeled_edge(src: str, dst: str, lineno: int) -> MachineError:
 
 
 def transition_table(graph: DotGraph):
-    """The transition map and initial state of a machine document.  A repeated
-    identical edge is kept once; differing edges on one state and input are nondeterminism."""
+    """The transition map, its inputs and outputs in order of first use, and
+    the initial state of a machine document.  A repeated identical edge is
+    kept once; differing edges on one state and input are nondeterminism."""
     transitions: dict[tuple[str, str], tuple[str, str]] = {}
-    # each distinct label is split once per document
+    # each distinct label is split once per document; in the order of first
+    # use, the labels' symbols are the machine's
     pairs: dict[str, tuple[str, str]] = {}
     for src, dst, label, lineno in graph.edges:
         if label is None:
             raise unlabeled_edge(src, dst, lineno)
         sym, out = pairs.get(label) or pairs.setdefault(label, _split_label(label, lineno))
-        if transitions.setdefault((src, sym), (dst, out)) != (dst, out):
+        entry = (dst, out)
+        if transitions.setdefault((src, sym), entry) != entry:
             raise MachineError(f"line {lineno}: nondeterminism at state {src!r} on input {sym!r}")
     if not graph.initials:
         raise MachineError(NO_INITIAL_STATE)
-    return transitions, graph.initials[0][0]
+    inputs = tuple(dict.fromkeys(sym for sym, _ in pairs.values()))
+    outputs = tuple(dict.fromkeys(out for _, out in pairs.values()))
+    return transitions, inputs, outputs, graph.initials[0][0]
 
 
 def parse_dot(text: str, complete_missing: bool = False) -> MealyMachine:
@@ -387,9 +395,7 @@ def parse_dot(text: str, complete_missing: bool = False) -> MealyMachine:
     ``initial=true``.  Alphabets are inferred from the symbols seen.
     """
     graph = read_dot(text)
-    transitions, initial = transition_table(graph)
-    inputs = tuple(dict.fromkeys(sym for _, sym in transitions))
-    outputs = tuple(dict.fromkeys(out for _, out in transitions.values()))
+    transitions, inputs, outputs, initial = transition_table(graph)
     machine = MealyMachine(tuple(graph.mentioned), inputs, outputs, initial,
                            transitions, require_complete=not complete_missing)
     if complete_missing:

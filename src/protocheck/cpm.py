@@ -336,7 +336,7 @@ def emit_annotated_dot(a: AnnotatedMachine) -> str:
     return dot_document("annotated", quote(m.initial), body + transition_edges(m, quote))
 
 
-_NODE_LABEL_RE = re.compile(r"^(?P<id>.*?)\s*\{(?P<props>[^|{}]*)(?:\|(?P<temps>[^{}]*))?\}$")
+_NODE_LABEL_RE = re.compile(r"^(?P<id>.*?)\s*\{(?P<props>[^|{}]*)(?:\|(?P<temps>[^{}]*)|)\}$")
 
 
 def _names(cell: str) -> frozenset[str]:
@@ -355,9 +355,8 @@ def parse_annotated_dot(text: str) -> AnnotatedMachine:
             labels[name] = names(lm.group("props"))
             if lm.group("temps") is not None:
                 temp_labels[name] = names(lm.group("temps"))
-    transitions, initial = transition_table(graph)
-    inputs = tuple(dict.fromkeys(sym for _, sym in transitions if sym != EPSILON))
-    outputs = tuple(dict.fromkeys(out for _, out in transitions.values()))
+    transitions, inputs, outputs, initial = transition_table(graph)
+    inputs = tuple(sym for sym in inputs if sym != EPSILON)
     machine = MealyMachine(tuple(name for name, _, _ in graph.nodes), inputs, outputs,
                            initial, transitions, require_complete=False)
     return AnnotatedMachine(machine, labels, frozenset(temp_labels), temp_labels)

@@ -359,27 +359,37 @@ def parse_lts_dot(text: str) -> Lts:
         q = _unescape(found["q"]) if "q" in found else None
         return q, names(found.get("props", "")), names(found.get("temps", ""))
 
-    raw_nodes: dict[str, tuple[str, frozenset[str], frozenset[str]]] = {}
+    # one pass: the nodes in order of their statements, then the nodes that
+    # only edges name, which have no propositions
+    indices: dict[str, int] = {}
+    nodes: list[LtsNode] = []
     for name, label, _ in graph.nodes:
         q, props, temps = fields(label)
-        raw_nodes[name] = (name if q is None else q, props, temps)
+        i = indices.setdefault(name, len(nodes))
+        node = LtsNode(i, name if q is None else q, props, temps, "")
+        if i < len(nodes):
+            nodes[i] = node     # a repeated node statement: the last one counts
+        else:
+            nodes.append(node)
     unlabeled = frozenset()
-    raw_edges: list[tuple[str, str, str]] = []
+
+    def add(name: str):
+        indices[name] = len(nodes)
+        nodes.append(LtsNode(len(nodes), name, unlabeled, unlabeled, ""))
+
+    edges = []
     unescape = cache(_unescape)
     for src, dst, label, lineno in graph.edges:
         if label is None:
             raise unlabeled_edge(src, dst, lineno)
-        raw_edges.append((src, unescape(label), dst))
-        if src not in raw_nodes:
-            raw_nodes[src] = (src, unlabeled, unlabeled)
-        if dst not in raw_nodes:
-            raw_nodes[dst] = (dst, unlabeled, unlabeled)
+        if src not in indices:
+            add(src)
+        if dst not in indices:
+            add(dst)
+        edges.append((indices[src], unescape(label), indices[dst]))
     if not graph.initials:
         raise MachineError(NO_INITIAL_STATE)
-    indices = {name: i for i, name in enumerate(raw_nodes)}
-    nodes = tuple(LtsNode(i, *raw_nodes[name], "") for name, i in indices.items())
-    edges = tuple((indices[s], label, indices[d]) for s, label, d in raw_edges)
     initial, line = graph.initials[-1]
     if initial not in indices:
         raise MachineError(f"line {line}: initial node {initial!r} is not declared")
-    return Lts(nodes, edges, indices[initial])
+    return Lts(tuple(nodes), tuple(edges), indices[initial])
