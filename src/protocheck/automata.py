@@ -66,6 +66,9 @@ class MealyMachine:
                 raise MachineError(f"transition with unknown output {out!r}")
         if EPSILON in self.inputs:
             raise MachineError(f"{EPSILON!r} is reserved and may not appear in the input alphabet")
+        if START_NODE in state_set:
+            raise MachineError(f"{START_NODE!r} is reserved as the initial-state marker "
+                               "and may not name a state")
         if self.require_complete:
             missing = [
                 (q, a) for q in self.states for a in self.inputs
@@ -248,8 +251,11 @@ _DOT_RE = re.compile(
     rf"{_ATTRS}{_SP}(?=[\n;{{}}]|//|\Z)"
     rf"|{_SP}(?://|#)[^\n]*"
     rf'|((?:[^"\n;{{}}/]+|/(?!/)|"{_INNER}"?)+)|)[\s;{{}}]*', re.S)
-# statements that carry no machine content
-_SKIP = re.compile(rf"\s*(?:{_KEYWORD}|(?i:rankdir)\s*=)|\s*$")
+# statements that carry no machine content: a header or a default attribute
+# list (a keyword statement with no '->' outside quoted strings, which is an
+# edge from an unquoted keyword and an error), a rankdir setting, or blanks
+_SKIP = re.compile(rf'\s*(?:{_KEYWORD}(?:[^"-]|-(?!>)|"{_INNER}(?:"|\Z))*\Z'
+                   rf"|(?i:rankdir)\s*=)|\s*$")
 _ATTR_RE = re.compile(rf"(\w+)\s*=\s*({_TOKEN})")
 
 
@@ -296,6 +302,9 @@ def read_dot(text: str) -> DotGraph:
             if dst:
                 if dst[0] == '"':
                     dst = _unescape(dst[1:-1])
+                if dst == START_NODE:
+                    raise MachineError(f"line {line}: edge {name!r} -> {dst!r} ends at the "
+                                       "reserved initial-state marker")
                 if name == START_NODE:
                     initials.append((dst, line))
                 else:

@@ -137,6 +137,14 @@ def test_reserved_epsilon_rejected():
         MealyMachine(("a",), ("__eps",), ("o",), "a", {("a", "__eps"): ("a", "o")})
 
 
+def test_reserved_initial_state_marker_rejected_as_a_state():
+    with pytest.raises(MachineError) as caught:
+        MealyMachine(("a", "__start"), ("x",), ("o",), "a",
+                     {("a", "x"): ("__start", "o"), ("__start", "x"): ("a", "o")})
+    assert str(caught.value) == (
+        "'__start' is reserved as the initial-state marker and may not name a state")
+
+
 # ---------------------------------------------------------------------------
 # emission and round trips
 # ---------------------------------------------------------------------------

@@ -70,11 +70,21 @@ def test_lts_dot_round_trip_on_hostile_symbols(seed):
         [(n.index, n.q, n.props, n.temps) for n in lts.nodes]
 
 
-def test_annotated_dot_errors_carry_line_numbers():
+def annotated_dot_errors(newline: str):
+    """The annotated reader's errors name their line, whatever the line ends."""
     with pytest.raises(MachineError, match="^line 4: cannot parse statement"):
-        parse_annotated_dot('digraph g {\n__start -> a;\na [label="a {}"];\n???\n}')
+        parse_annotated_dot('digraph g {\n__start -> a;\na [label="a {}"];\n???\n}'
+                            .replace("\n", newline))
     with pytest.raises(MachineError, match="^line 3: edge 'a' -> 'a' has no label"):
-        parse_annotated_dot('digraph g {\n__start -> a;\na -> a;\n}')
+        parse_annotated_dot('digraph g {\n__start -> a;\na -> a;\n}'.replace("\n", newline))
+
+
+def test_annotated_dot_errors_carry_line_numbers():
+    annotated_dot_errors("\n")
+
+
+def test_annotated_dot_errors_carry_line_numbers_with_crlf():
+    annotated_dot_errors("\r\n")
 
 
 REPEATED_EDGE = 'digraph g {\n__start -> q;\nq [label="q {}"];\nq -> q [label="x / o"];\n%s\n}'
@@ -97,16 +107,26 @@ def test_both_machine_readers_refuse_a_differing_repeated_edge_alike():
     assert messages == {"line 5: nondeterminism at state 'q' on input 'x'"}
 
 
-def test_lts_dot_errors_carry_line_numbers():
+def lts_dot_errors(newline: str):
+    """The transition-system reader's errors name their line, whatever the
+    line ends."""
     with pytest.raises(MachineError, match="^line 3: cannot parse statement"):
-        parse_lts_dot('digraph g {\n__start -> n0;\nn0 -> ;\n}')
+        parse_lts_dot('digraph g {\n__start -> n0;\nn0 -> ;\n}'.replace("\n", newline))
     with pytest.raises(MachineError, match="^line 5: edge 'n0' -> 'n0' has no label$"):
         parse_lts_dot('digraph g {\n__start -> n0;\n'
-                      'n0 [label="q=a; props=; temps="];\n\nn0 -> n0;\n}')
+                      'n0 [label="q=a; props=; temps="];\n\nn0 -> n0;\n}'.replace("\n", newline))
     with pytest.raises(MachineError) as caught:
-        parse_lts_dot('digraph g {\nn0 -> n0 [label="x"];\n}')
+        parse_lts_dot('digraph g {\nn0 -> n0 [label="x"];\n}'.replace("\n", newline))
     assert str(caught.value) == (
         "no initial state: add a '__start -> q' edge or an initial=true attribute")
+
+
+def test_lts_dot_errors_carry_line_numbers():
+    lts_dot_errors("\n")
+
+
+def test_lts_dot_errors_carry_line_numbers_with_crlf():
+    lts_dot_errors("\r\n")
 
 
 SPLITTING_DOCS = [
@@ -157,6 +177,12 @@ def test_read_dot_output_is_pinned():
     # the label's newline counts: the error sits on line 12
     with pytest.raises(MachineError, match=r"^line 12: cannot parse statement '\?\?\?'$"):
         read_dot(PINNED_DOC[:-2] + "  ???\n}\n")
+
+
+def test_read_dot_counts_a_crlf_line_end_once():
+    # with '\r\n' line ends, in the label too, the error sits on line 12 as well
+    with pytest.raises(MachineError, match=r"^line 12: cannot parse statement '\?\?\?'$"):
+        read_dot((PINNED_DOC[:-2] + "  ???\n}\n").replace("\n", "\r\n"))
 
 
 def test_lts_start_at_undeclared_node_names_it(tmp_path, capsys):
@@ -239,6 +265,51 @@ def test_dot_keywords_are_skipped_as_whole_tokens_only():
     graph = read_dot(KEYWORD_STATEMENTS)
     assert graph.edges == [("graph1", "edge_1", None, 4)]
     assert graph.nodes == [("rankdir_1", "", 5)]
+
+
+def annotate_exit(text: str, flags: list[str], tmp_path) -> int:
+    """``annotate`` on ``text`` as a model, with an empty proposition map."""
+    (tmp_path / "model.dot").write_text(text)
+    (tmp_path / "map.cpm").write_text("")
+    return main(["annotate", *flags, "--model", str(tmp_path / "model.dot"),
+                 "--cpm", str(tmp_path / "map.cpm"), "--out", str(tmp_path / "out.dot")])
+
+
+KEYWORD_EDGE = 'digraph g {\n__start -> Node;\nNode -> Node [label="a / b"];\n}\n'
+
+
+def test_an_edge_from_an_unquoted_keyword_is_refused(tmp_path, capsys):
+    message = 'line 3: cannot parse statement \'Node -> Node [label="a / b"]\''
+    for reader in (read_dot, parse_dot, parse_annotated_dot, parse_lts_dot):
+        with pytest.raises(MachineError) as caught:
+            reader(KEYWORD_EDGE)
+        assert str(caught.value) == message
+    assert annotate_exit(KEYWORD_EDGE, [], tmp_path) == 64
+    assert capsys.readouterr().err == f"protocheck: error: {message}\n"
+    assert not (tmp_path / "out.dot").exists()
+    # quoted, the keyword names a state; a '->' in a quoted string is no edge
+    quoted = KEYWORD_EDGE.replace("Node", '"Node"')
+    assert parse_dot(quoted).transitions == {("Node", "a"): ("Node", "b")}
+    assert read_dot('digraph g { node [label="a -> b"]; edge [x="->"] }').edges == []
+
+
+INTO_START = ('digraph g {\n__start -> q0;\nq0;\nq0 -> q0 [label="b / b"];\n'
+              'q0 -> __start [label="a / b"];\n}\n')
+
+
+@pytest.mark.parametrize("flags", [[], ["--complete"]], ids=["strict", "complete"])
+def test_an_edge_into_the_initial_state_marker_is_refused(flags, tmp_path, capsys):
+    message = "line 5: edge 'q0' -> '__start' ends at the reserved initial-state marker"
+    for reader in (read_dot, parse_dot, parse_annotated_dot, parse_lts_dot):
+        with pytest.raises(MachineError) as caught:
+            reader(INTO_START)
+        assert str(caught.value) == message
+    assert annotate_exit(INTO_START, flags, tmp_path) == 64
+    assert capsys.readouterr().err == f"protocheck: error: {message}\n"
+    assert not (tmp_path / "out.dot").exists()
+    # from the marker to itself is no initial state either
+    with pytest.raises(MachineError, match="^line 2: edge '__start' -> '__start' ends at"):
+        read_dot("digraph g {\n__start -> __start;\n}")
 
 
 CONFLICTING_START = ('digraph g {{\n__start -> q0;\nq0 [label="{q0}"{mark0}];\n'
@@ -356,7 +427,6 @@ def test_emitted_bytes_are_pinned(seed):
 # also with '\r\n' line ends and tab indentation, and seeded one-character
 # corruptions of the seed-0 DOT documents.  A reader may change how it reads,
 # not what it reads.
-KEYWORD_EDGE = 'digraph g {\n__start -> Node;\nNode -> Node [label="a / b"];\n}\n'
 CORRUPTING = ';"\\->[]{}#/=\n'
 
 
@@ -430,7 +500,7 @@ def read_outcome(reader, text: str):
         return str(exc)
 
 
-READER_CORPUS_SHA256 = "233a8ba1b677721f96056987b28c2a14f56b2949e1e817c424e933c7849bcce7"
+READER_CORPUS_SHA256 = "82e19d5f3db01ec67c22fa70ef304e6ce3cb742a270b8ae6021f57f617a5288e"
 
 
 def test_reader_corpus_is_pinned():
