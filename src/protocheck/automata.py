@@ -47,20 +47,20 @@ class MealyMachine:
     require_complete: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.states)) != len(self.states):
+        state_set, input_set, output_set = set(self.states), set(self.inputs), set(self.outputs)
+        if len(state_set) != len(self.states):
             raise MachineError("duplicate state identifiers")
-        if len(set(self.inputs)) != len(self.inputs):
+        if len(input_set) != len(self.inputs):
             raise MachineError("duplicate input symbols")
-        if self.initial not in self.states:
+        if self.initial not in state_set:
             raise MachineError(f"initial state {self.initial!r} not among states")
-        state_set = set(self.states)
-        output_set = set(self.outputs)
-        for (src, sym), (dst, out) in self.transitions.items():
+        transitions = self.transitions
+        for (src, sym), (dst, out) in transitions.items():
             if src not in state_set:
                 raise MachineError(f"transition from unknown state {src!r}")
             if dst not in state_set:
                 raise MachineError(f"transition into unknown state {dst!r}")
-            if sym not in self.inputs and sym != EPSILON:
+            if sym not in input_set and sym != EPSILON:
                 raise MachineError(f"transition on unknown input {sym!r}")
             if out not in output_set:
                 raise MachineError(f"transition with unknown output {out!r}")
@@ -71,8 +71,7 @@ class MealyMachine:
                                "and may not name a state")
         if self.require_complete:
             missing = [
-                (q, a) for q in self.states for a in self.inputs
-                if (q, a) not in self.transitions
+                (q, a) for q in self.states for a in self.inputs if (q, a) not in transitions
             ]
             if missing:
                 q, a = missing[0]
@@ -229,12 +228,14 @@ def _split_fields(label: str) -> list[str]:
     return label.split(";") if "\\" not in label else _FIELD_RE.findall(label)
 
 
-_INNER = r'[^"\\]*(?:\\.[^"\\]*)*'      # inside a quoted string
+# Every optional group is written as a branch, (?:X|) for (?:X)? and (?:|X)
+# for (?:X)??, and a repeated group (?:aX)* as (?:aX(?:aX)*|), which enters
+# the repeat only after its first character: re runs a branch, and rejects
+# one on its first character, far more cheaply than it runs a repeat.
+_INNER = r'[^"\\]*(?:\\.[^"\\]*(?:\\.[^"\\]*)*|)'      # inside a quoted string
 _TOKEN = rf'(?:"{_INNER}"|[A-Za-z0-9_.+-]+)'
 _SP = r"[^\S\n]*"                       # blanks inside a statement
-_BODY = rf'[^"\n;{{}}]*(?:"{_INNER}"[^"\n;{{}}]*)*'
-# Every optional part below is written as a branch, (?:X|) for (?:X)? and
-# (?:|X) for (?:X)??: re runs a branch far more cheaply than a repeat.
+_BODY = rf'[^"\n;{{}}]*(?:"{_INNER}"[^"\n;{{}}]*(?:"{_INNER}"[^"\n;{{}}]*)*|)'
 # An attribute list; a final label="..." is read off directly, any other
 # attributes stay raw text.
 _ATTRS = rf'(?:\[(?:(?:|({_BODY}),){_SP}label{_SP}={_SP}"({_INNER})"{_SP}|({_BODY}))\]|)'
@@ -261,8 +262,9 @@ _ATTR_RE = re.compile(rf"(\w+)\s*=\s*({_TOKEN})")
 
 def _attr(attrs: str | None, key: str) -> str | None:
     """The last value of ``key`` in raw attribute text, quotes stripped and
-    escapes intact: they are resolved once, where the value is used."""
-    value = dict(_ATTR_RE.findall(attrs)).get(key) if attrs else None
+    escapes intact: they are resolved once, where the value is used.  Text
+    that does not hold ``key`` is not searched."""
+    value = dict(_ATTR_RE.findall(attrs)).get(key) if attrs and key in attrs else None
     return value[1:-1] if value and value[0] == '"' else value
 
 
