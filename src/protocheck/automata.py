@@ -253,8 +253,8 @@ _DOT_RE = re.compile(
     rf"|{_SP}(?://|#)[^\n]*"
     rf'|((?:[^"\n;{{}}/]+|/(?!/)|"{_INNER}"?)+)|)[\s;{{}}]*', re.S)
 # statements that carry no machine content: a header or a default attribute
-# list (a keyword statement with no '->' outside quoted strings, which is an
-# edge from an unquoted keyword and an error), a rankdir setting, or blanks
+# list (a keyword statement; one holding '->' outside quoted strings is an
+# edge from an unquoted keyword, and an error), a rankdir setting, or blanks
 _SKIP = re.compile(rf'\s*(?:{_KEYWORD}(?:[^"-]|-(?!>)|"{_INNER}(?:"|\Z))*\Z'
                    rf"|(?i:rankdir)\s*=)|\s*$")
 _ATTR_RE = re.compile(rf"(\w+)\s*=\s*({_TOKEN})")
@@ -291,8 +291,8 @@ def read_dot(text: str) -> DotGraph:
     markers in one pass.  Comments ('//' outside quoted strings, '#' at the
     start of a statement, each to the end of its line) and headers are
     dropped; any other statement that is neither a node nor an edge is an
-    error carrying its line number, and so are initial markers naming
-    different nodes."""
+    error carrying its line number, and so are an edge into ``__start`` and
+    initial markers naming different nodes."""
     graph = DotGraph()
     nodes, edges, initials, mentioned = graph.nodes, graph.edges, graph.initials, graph.mentioned
     line = 1
