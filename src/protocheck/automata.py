@@ -188,8 +188,9 @@ def bisimilar(a: MealyMachine, b: MealyMachine) -> EquivalenceResult:
 # one codec (_split_label, _split_fields) splits their labels.
 
 # DOT keywords, matched as whole tokens: a statement that starts with one is
-# a header or a default attribute list, and a state so named is quoted.
-_KEYWORD = r"(?i:digraph|graph|strict|subgraph|node|edge)(?![A-Za-z0-9_.+-])"
+# a header or a default attribute list, and a state so named is quoted.  A
+# '-' continues the token unless it starts '->'.
+_KEYWORD = r"(?i:digraph|graph|strict|subgraph|node|edge)(?![A-Za-z0-9_.+]|-(?!>))"
 _PLAIN_ID = re.compile(rf"^(?!{_KEYWORD})[A-Za-z_][A-Za-z0-9_]*$|^[0-9]+$")
 _ESCAPED = re.compile(r"\\(.)", re.S)
 _LABEL_SPLIT = re.compile(r"((?:\\.|[^\\/])*)/(.*)", re.S)
@@ -254,9 +255,10 @@ _DOT_RE = re.compile(
     rf'|((?:[^"\n;{{}}/]+|/(?!/)|"{_INNER}"?)+)|)[\s;{{}}]*', re.S)
 # statements that carry no machine content: a header or a default attribute
 # list (a keyword statement; one holding '->' outside quoted strings is an
-# edge from an unquoted keyword, and an error), a rankdir setting, or blanks
+# edge from an unquoted keyword, and an error), a rankdir setting of one
+# value, or blanks
 _SKIP = re.compile(rf'\s*(?:{_KEYWORD}(?:[^"-]|-(?!>)|"{_INNER}(?:"|\Z))*\Z'
-                   rf"|(?i:rankdir)\s*=)|\s*$")
+                   rf"|(?i:rankdir)\s*=\s*{_TOKEN}\s*\Z)|\s*$")
 _ATTR_RE = re.compile(rf"(\w+)\s*=\s*({_TOKEN})")
 
 

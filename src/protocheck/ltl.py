@@ -3,12 +3,15 @@
 The checker follows the automata-theoretic recipe: negate the formula,
 translate it to a transition-based generalized Buchi automaton whose states
 are sets of owed formulas and whose edges carry the acceptance marks, and
-search the product with the Kripke structure for a strongly connected
-component whose edges carry every mark (Couvreur's algorithm).  Witnesses
-are built from breadth-first shortest paths: a stem into that component and
+search the product with the Kripke structure for an accepting cycle.  Each
+automaton is classified once.  In a weak one every cycle within an
+accepting component is accepting, so one breadth-first pass finds the
+shortest lasso.  In a strong one Couvreur's algorithm searches for a
+strongly connected component whose edges carry every mark, and the witness
+is built from breadth-first shortest paths: a stem into that component and
 the shortest cycle through its entry that carries every mark.  Properties
-instantiated from one template share a shape: each shape is translated once
-per structure.
+instantiated from one template share a shape: each shape is translated and
+classified once per structure.
 """
 
 from __future__ import annotations
@@ -162,22 +165,33 @@ _SYMBOL = {Not: "!", Always: "G ", Eventually: "F ", Next: "X ", And: " && ",
 
 
 def format_formula(f: Formula) -> str:
-    def step(g: Formula, text) -> str:
-        if isinstance(g, Prop):
-            return g.name
-        if isinstance(g, Const):
-            return "true" if g.value else "false"
-        if isinstance(g, Unary):
-            return _SYMBOL[type(g)] + _atomish(g.child, text)
-        return _atomish(g.left, text) + _SYMBOL[type(g)] + _atomish(g.right, text)
+    """The text ``parse_ltl`` reads back as ``f``: every binary operand in
+    parentheses.  One pass over an explicit stack of nodes and the text
+    still to write after them."""
+    out = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            out.append(g)
+        elif isinstance(g, Prop):
+            out.append(g.name)
+        elif isinstance(g, Const):
+            out.append("true" if g.value else "false")
+        elif isinstance(g, Unary):
+            out.append(_SYMBOL[type(g)])
+            stack += _operand(g.child)
+        elif isinstance(g, Binary):
+            stack += (*_operand(g.right), _SYMBOL[type(g)], *_operand(g.left))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)
 
-    return _fold(f, step)
 
-
-def _atomish(g: Formula, text) -> str:
-    if isinstance(g, Binary):
-        return f"({text(g)})"
-    return text(g)
+def _operand(g: Formula) -> tuple:
+    """What ``format_formula`` pushes to print g as an operand, last first:
+    a binary one goes in parentheses."""
+    return (")", g, "(") if isinstance(g, Binary) else (g,)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +201,13 @@ def _atomish(g: Formula, text) -> str:
 # Grammar:  G F X U ! && || -> ( ) true false IDENT
 # Precedence, tightest first: unary (!, G, F, X), U, &&, ||, ->.
 
+# One match per token, blanks before it skipped; an operator letter or
+# constant is its own kind unless a name goes on.  The text ends in an eof
+# match; a character that starts no token is a bad one.
 _TOKEN_RE = re.compile(
-    r"(?:(?P<and>&&)|(?P<or>\|\|)|(?P<implies>->)|(?P<not>!)"
-    r"|(?P<lpar>\()|(?P<rpar>\))|(?P<ident>[A-Za-z][A-Za-z0-9_]*))"
-)
+    r"\s*(?:(?P<and>&&)|(?P<or>\|\|)|(?P<implies>->)|(?P<not>!)|(?P<lpar>\()|(?P<rpar>\))"
+    r"|(?:(?P<G>G)|(?P<F>F)|(?P<X>X)|(?P<U>U)|(?P<true>true)|(?P<false>false))"
+    r"(?![A-Za-z0-9_])|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<eof>\Z)|(?P<bad>.))", re.S)
 
 # token kind -> (precedence, groups to the right, operator)
 _BINARY = {"implies": (1, True, Implies), "or": (2, False, Or),
@@ -199,31 +216,22 @@ _PREFIX = {"not": Not, "G": Always, "F": Eventually, "X": Next}
 _CONSTANT = {"true": TRUE, "false": FALSE}
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise LtlError(f"syntax error at position {pos}: unexpected {text[pos:pos + 10]!r}")
-        kind = m.lastgroup
-        value = m.group(kind)
-        if kind == "ident" and value in ("true", "false", "G", "F", "X", "U"):
-            kind = value
-        tokens.append((kind, value, pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
-
-
 def parse_ltl(text: str) -> Formula:
     """Operator-precedence parse over explicit stacks, so no nesting depth
     meets the interpreter's recursion limit."""
+    return _parse(text, {})[0]
+
+
+def _parse(text: str, props: dict[str, Prop]) -> tuple[Formula, int]:
+    """``parse_ltl``'s formula and how many operators deep it nests, read
+    off the operand stack.  ``props`` holds the propositions already built,
+    by name, and gains the new ones: a name is one object wherever it
+    occurs.  The first character that starts no token is reported before
+    any error of the parse, as if the text were tokenized whole first."""
     operands: list[Formula] = []
+    depths: list[int] = []          # per operand, the operators it nests
     pending: list = []              # operators not applied yet; None is "("
+    tokens = _TOKEN_RE.finditer(text)
 
     def apply(floor: int):
         """Apply the pending operators above the innermost "(" that bind at
@@ -232,22 +240,41 @@ def parse_ltl(text: str) -> Formula:
             op = pending.pop()[1]
             if issubclass(op, Unary):
                 operands.append(op(operands.pop()))
+                depths[-1] += 1
             else:
                 right = operands.pop()
                 operands.append(op(operands.pop(), right))
+                deeper = depths.pop()
+                depths[-1] = max(depths[-1], deeper) + 1
+
+    def error(m, words: str) -> LtlError:
+        bad = m if m.lastgroup == "bad" else next(
+            (later for later in tokens if later.lastgroup == "bad"), None)
+        if bad is not None:
+            pos = bad.start("bad")
+            return LtlError(f"syntax error at position {pos}: "
+                            f"unexpected {text[pos:pos + 10]!r}")
+        kind = m.lastgroup
+        return LtlError(f"syntax error at position {m.start(kind)}: {words} {m[kind]!r}")
 
     operand_next = True
-    for kind, value, pos in _tokenize(text):
+    for m in tokens:
+        kind = m.lastgroup
         if operand_next:
             if kind in _PREFIX:
                 pending.append((5, _PREFIX[kind]))      # tighter than any binary
             elif kind == "lpar":
                 pending.append(None)
             elif kind == "ident" or kind in _CONSTANT:
-                operands.append(_CONSTANT[kind] if kind in _CONSTANT else Prop(value))
+                if kind in _CONSTANT:
+                    operands.append(_CONSTANT[kind])
+                else:
+                    name = m["ident"]
+                    operands.append(props.get(name) or props.setdefault(name, Prop(name)))
+                depths.append(0)
                 operand_next = False
             else:
-                raise LtlError(f"syntax error at position {pos}: unexpected {value!r}")
+                raise error(m, "unexpected")
         elif kind in _BINARY:
             precedence, right, op = _BINARY[kind]
             apply(precedence + 1 if right else precedence)
@@ -258,10 +285,9 @@ def parse_ltl(text: str) -> Formula:
             if kind == "rpar" and pending:
                 pending.pop()
             elif kind == "eof" and not pending:
-                return operands.pop()
+                return operands.pop(), depths.pop()
             else:
-                expected = "expected rpar, got" if pending else "unexpected"
-                raise LtlError(f"syntax error at position {pos}: {expected} {value!r}")
+                raise error(m, "expected rpar, got" if pending else "unexpected")
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +319,14 @@ def instantiate(f: Formula, declared: frozenset[str]) -> tuple[Formula, tuple[st
     return substitute(f, dict.fromkeys(undeclared, False)), undeclared
 
 
-def _nodes(f: Formula) -> list[tuple[Formula, int]]:
-    """Every node of ``f`` with its depth below the root, without recursion."""
-    nodes = [(f, 0)]
-    for g, depth in nodes:
+def _nodes(f: Formula) -> list[Formula]:
+    """Every node of ``f``, breadth-first from the root, without recursion."""
+    nodes = [f]
+    for g in nodes:
         if isinstance(g, Unary):
-            nodes.append((g.child, depth + 1))
+            nodes.append(g.child)
         elif isinstance(g, Binary):
-            nodes += ((g.left, depth + 1), (g.right, depth + 1))
+            nodes += (g.left, g.right)
     return nodes
 
 
@@ -311,7 +337,7 @@ def _fold(f: Formula, step):
     proposition, a constant, or of one of the two operator shapes."""
     done: dict[int, object] = {}
     value = lambda h: done[id(h)]  # noqa: E731
-    for g, _ in reversed(_nodes(f)):
+    for g in reversed(_nodes(f)):
         if not isinstance(g, (Prop, Const, Unary, Binary)):
             raise TypeError(f"not a formula: {g!r}")
         done[id(g)] = step(g, value)
@@ -319,7 +345,7 @@ def _fold(f: Formula, step):
 
 
 def propositions(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g, _ in _nodes(f) if isinstance(g, Prop))
+    return frozenset(g.name for g in _nodes(f) if isinstance(g, Prop))
 
 
 # the operator each one turns into when a negation is pushed through it
@@ -394,7 +420,7 @@ def ltl_to_buchi(f: Formula, ceiling: int = CEILING) -> BuchiAutomaton:
     Obligation sets are bitmasks over the subformulas of ``f``, numbered in
     ``_nodes`` order after false, so a branch owing false dies before it
     splits; the automaton depends on nothing but ``f``."""
-    closure = list(dict.fromkeys([FALSE] + [g for g, _ in _nodes(f)]))
+    closure = list(dict.fromkeys([FALSE] + _nodes(f)))
     bit = {g: 1 << i for i, g in enumerate(closure)}
     mark = {u: 1 << j for j, u in enumerate(g for g in closure if isinstance(g, Until))}
     sets_marks: dict[int, int] = {}
@@ -480,6 +506,53 @@ def ltl_to_buchi(f: Formula, ceiling: int = CEILING) -> BuchiAutomaton:
         covers=tuple(covers),
         mark_count=len(mark),
     )
+
+
+def _classify(auto: BuchiAutomaton):
+    """Each state's strongly connected component, numbered by its first
+    state, and the automaton's class (Bloem, Ravi & Somenzi, CAV 1999).  A
+    component whose inner edges all carry every mark is accepting: every
+    cycle in it is.  One whose inner edges together miss a mark, or that
+    has none, holds no accepting cycle.  When every component is one of the
+    two the automaton is weak, and the class gives each state its accepting
+    component, or None outside every accepting one.  Otherwise it is
+    strong, and the class is None.
+
+    The components come from Tarjan's search from state 0, from which every
+    state was discovered, on an explicit stack."""
+    covers, full = auto.covers, (1 << auto.mark_count) - 1
+    component: list = [None] * len(covers)
+    order, low, live = {0: 0}, [0] * len(covers), [0]
+    stack = [(0, iter([c.target for c in covers[0]]))]
+    while stack:
+        b, targets = stack[-1]
+        for t in targets:
+            if t not in order:
+                order[t] = low[t] = len(order)
+                live.append(t)
+                stack.append((t, iter([c.target for c in covers[t]])))
+                break
+            if component[t] is None:
+                low[b] = min(low[b], order[t])
+        else:
+            stack.pop()
+            if stack:
+                low[stack[-1][0]] = min(low[stack[-1][0]], low[b])
+            if low[b] == order[b]:
+                at = live.index(b)
+                for t in live[at:]:
+                    component[t] = b
+                del live[at:]
+    every: dict[int, bool] = {}     # per component with inner edges: all carry every mark
+    union: dict[int, int] = {}
+    for b, row in enumerate(covers):
+        for c in row:
+            if component[c.target] == component[b]:
+                every[component[b]] = every.get(component[b], True) and c.marks == full
+                union[component[b]] = union.get(component[b], 0) | c.marks
+    strong = any(not every[c] and union[c] == full for c in every)
+    return tuple(component), None if strong else tuple(
+        c if every.get(c) else None for c in component)
 
 
 def _bits(mask: int):
@@ -570,8 +643,11 @@ class KripkeStructure:
     def shapes(self) -> dict:
         """``check``'s translations, freed with the structure: by (ceiling,
         shape key), the negation automaton of the shape's first formula, that
-        formula's propositions in order of first occurrence, and the product
-        table column of each label projection onto them seen so far."""
+        formula's propositions in order of first occurrence, the product
+        table column of each label projection onto them seen so far, each
+        automaton state's component, and the automaton's class: each state's
+        accepting component if it is weak, None if it is strong (see
+        ``_classify``)."""
         return {}
 
     @cached_property
@@ -731,7 +807,7 @@ def _shape(f: Formula, declared: frozenset[str]):
     number: dict[str, int] = {}
     undeclared: set[str] = set()
     key = []
-    for g, _ in _nodes(f):
+    for g in _nodes(f):
         if isinstance(g, Prop):
             if g.name in declared:
                 key.append(number.setdefault(g.name, len(number)))
@@ -743,13 +819,18 @@ def _shape(f: Formula, declared: frozenset[str]):
     return tuple(key), tuple(number), tuple(sorted(undeclared))
 
 
-def _column(auto: BuchiAutomaton, letter: frozenset) -> tuple:
+def _column(auto: BuchiAutomaton, letter: frozenset, component) -> tuple:
     """For each automaton state, the (target, marks) pairs of its covers
-    admitting letter, and their distinct targets."""
+    admitting letter, their distinct targets, and the pairs whose target
+    lies in the state's own ``component``: a cycle takes no other."""
     rows = [tuple(dict.fromkeys((c.target, c.marks) for c in covers
                                 if c.required <= letter and not c.forbidden & letter))
             for covers in auto.covers]
-    return tuple((row, tuple(dict.fromkeys(b for b, _ in row))) for row in rows)
+    inner = [tuple(pair for pair in row if component[pair[0]] == component[b])
+             for b, row in enumerate(rows)]
+    return tuple((row, tuple(dict.fromkeys(b2 for b2, _ in row)),
+                  row if len(stay) == len(row) else stay)   # one tuple where they agree
+                 for row, stay in zip(rows, inner))
 
 
 def check(k: KripkeStructure, f: Formula,
@@ -763,7 +844,10 @@ def check(k: KripkeStructure, f: Formula,
     every witness is replayed through direct semantics before being
     returned.  The search runs first on the product with the structure's
     label quotient, and only if that finds a component on the structure's
-    own product, which alone gives witnesses.  ``max_product_states``
+    own product, which alone gives witnesses: for a weak automaton one
+    breadth-first pass gives the shortest lasso, for a strong one
+    Couvreur's search finds a component and breadth-first searches give
+    the stem into it and the loop.  ``max_product_states``
     bounds the automaton's expansion as well as each search.  Formulas of
     one shape (see ``_shape``) share one translation per structure: it is
     the automaton of each, up to a one-to-one renaming of propositions.
@@ -774,19 +858,26 @@ def check(k: KripkeStructure, f: Formula,
     shape = k.shapes.get((max_product_states, key))
     if shape is None:
         resolved = substitute(f, dict.fromkeys(substituted, False)) if substituted else f
+        automaton = ltl_to_buchi(to_nnf(Not(resolved)), max_product_states)
         shape = k.shapes[max_product_states, key] = (
-            ltl_to_buchi(to_nnf(Not(resolved)), max_product_states), names, {})
-    automaton, first, columns = shape
+            automaton, names, {}, *_classify(automaton))
+    automaton, first, columns, component, accepting = shape
     letters = tuple(sum(1 << i for i, p in enumerate(names) if p in v)  # bit i: names[i]
                     for v in k.index.labels)
     searched = (max_product_states, key, letters)
     if searched not in k.searches:
         for letter in letters:
             if letter not in columns:
-                columns[letter] = _column(automaton, frozenset(first[i] for i in _bits(letter)))
+                columns[letter] = _column(automaton, frozenset(first[i] for i in _bits(letter)),
+                                          component)
         product = _Product(k, automaton, max_product_states, [columns[v] for v in letters])
-        component = None if product.holds_on_quotient() else product.accepting_component()
-        k.searches[searched] = None if component is None else product.lasso(component)
+        if product.holds_on_quotient():
+            k.searches[searched] = None
+        elif accepting is not None:
+            k.searches[searched] = product.shortest_lasso(accepting)
+        else:
+            component = product.accepting_component()
+            k.searches[searched] = None if component is None else product.lasso(component)
     witness = k.searches[searched]
     warnings = ("undeclared propositions resolved to false: " + ", ".join(substituted),)
     warnings = warnings if substituted else ()
@@ -817,8 +908,8 @@ class _Product:
     structure's index.  An edge out of (s, b) reads the label of s: the
     covers of each automaton state are decided once per distinct label,
     and ``table[label id][b]`` holds the (target, marks) pairs of the covers
-    of b that admit it, and their distinct targets; ``columns``, when
-    given, is that table.  The searches start in (s0, 0) for each initial
+    of b that admit it, their distinct targets, and the pairs that stay in
+    b's automaton component; ``columns``, when given, is that table.  The searches start in (s0, 0) for each initial
     s0, and take the pairs of a row in order, each to every successor of s.
 
     The product with the label quotient numbers its states the same way,
@@ -830,7 +921,10 @@ class _Product:
                  columns=None):
         self.index, self.names, self.ceiling = k.index, k.states, ceiling
         self.width = len(auto.states)
-        self.table = columns or [_column(auto, v) for v in self.index.labels]
+        if columns is None:
+            component = _classify(auto)[0]
+            columns = [_column(auto, v, component) for v in self.index.labels]
+        self.table = columns
         self.start = [s * self.width for s in self.index.initial]
         self.mark_count, self.full = auto.mark_count, (1 << auto.mark_count) - 1
 
@@ -900,16 +994,51 @@ class _Product:
                     del live[at:]
         return None
 
+    def shortest_lasso(self, accepting: tuple[int | None, ...]) -> Lasso | None:
+        """For a weak automaton (see ``_classify``), the shortest
+        lasso, or None: the least, over reachable product states e in an
+        accepting component, of e's breadth-first depth plus the length of
+        the shortest cycle through e, which is accepting as every cycle
+        there is; ties go to the state discovered first.  One breadth-first
+        pass, layer by layer, asks each such state for a cycle shorter than
+        the best lasso so far would leave, and stops at the depth where no
+        state can improve on it."""
+        width, table, ceiling = self.width, self.table, self.ceiling
+        successors, label_of = self.index.successors, self.index.label_of
+        parent = dict.fromkeys(self.start)
+        layer, depth, best, found = list(parent), 0, float("inf"), None
+        while layer:
+            for p in layer:
+                if depth + 1 >= best:
+                    break
+                if accepting[p % width] is not None and (
+                        loop := self.cycle(p, best - depth - 1)):
+                    best, found = depth + len(loop), (p, loop)
+            depth += 1
+            if depth + 1 >= best:
+                break
+            deeper = []
+            for p in layer:
+                s, b = divmod(p, width)
+                for b2 in table[label_of[s]][b][1]:
+                    for t in successors[s]:
+                        q = t * width + b2
+                        if q not in parent:
+                            parent[q] = p
+                            deeper.append(q)
+                if len(parent) > ceiling:
+                    raise CeilingError(f"product state ceiling exceeded ({ceiling})")
+            layer = deeper
+        return None if found is None else self._lasso(_path(parent, found[0]), found[1])
+
     def lasso(self, component: list[int]) -> Lasso:
-        """Shortest stem into the component; from its entry, the shortest
-        cycle back to the entry whose edges carry every mark, found by one
-        breadth-first search over (product state, marks covered so far)
-        pairs, each packed into the integer ``state << mark_count | marks``.
-        The cycle may leave the component found by the search, which is
-        only the part of a strongly connected component explored so far: a
-        cycle through the entry stays inside the entry's whole component.
-        Both searches test nodes as they are discovered, which is the order
-        they would leave the queue in."""
+        """Shortest stem into the component, and from its entry the
+        shortest cycle back to the entry whose edges carry every mark.  The
+        cycle may leave the component found by the search, which is only
+        the part of a strongly connected component explored so far: a cycle
+        through the entry stays inside the entry's whole component.  The
+        search tests nodes as they are discovered, which is the order they
+        would leave the queue in."""
         width, table, ceiling = self.width, self.table, self.ceiling
         successors, label_of = self.index.successors, self.index.label_of
         inside = set(component)
@@ -932,34 +1061,53 @@ class _Product:
                     break
             if len(parent) > ceiling:
                 raise CeilingError(f"product state ceiling exceeded ({ceiling})")
-        stem = _path(parent, entry)
+        loop = self.cycle(entry)
+        if loop is None:
+            raise AssertionError(f"no accepting cycle through product state {entry}")
+        return self._lasso(_path(parent, entry), loop)
+
+    def cycle(self, entry: int, limit: float = float("inf")) -> list[int] | None:
+        """The shortest cycle from product state ``entry`` back to it whose
+        edges carry every mark, as the product states it visits from entry
+        on, or None if none is at most ``limit`` edges long.  One
+        breadth-first search, layer by layer, over (product state, marks
+        covered so far) pairs, each packed into the integer ``state <<
+        mark_count | marks``.  It takes only the edges that stay in the
+        automaton component they leave: no other edge leads back."""
+        width, table, ceiling = self.width, self.table, self.ceiling
+        successors, label_of = self.index.successors, self.index.label_of
         shift, full = self.mark_count, self.full
         goal = entry << shift | full
         s, b = divmod(entry, width)
         parent = dict.fromkeys((t * width + b2) << shift | m
-                               for b2, m in table[label_of[s]][b][0] for t in successors[s])
-        found = goal if goal in parent else None
-        queue = deque(parent)
-        while found is None:
-            node = queue.popleft()
-            s, b = divmod(node >> shift, width)
-            for b2, m in table[label_of[s]][b][0]:
-                marks = node & full | m
-                for t in successors[s]:
-                    q = (t * width + b2) << shift | marks
-                    if q not in parent:
-                        parent[q] = node
-                        if q == goal:
-                            found = q
-                            break
-                        queue.append(q)
-                if found is not None:
+                               for b2, m in table[label_of[s]][b][2] for t in successors[s])
+        layer, depth = list(parent), 1
+        while goal not in parent:
+            if depth >= limit or not layer:
+                return None
+            deeper = []
+            for node in layer:
+                s, b = divmod(node >> shift, width)
+                for b2, m in table[label_of[s]][b][2]:
+                    marks = node & full | m
+                    for t in successors[s]:
+                        q = (t * width + b2) << shift | marks
+                        if q not in parent:
+                            parent[q] = node
+                            deeper.append(q)
+                if len(parent) > ceiling:
+                    raise CeilingError(f"product state ceiling exceeded ({ceiling})")
+                if goal in parent:
                     break
-            if len(parent) > ceiling:
-                raise CeilingError(f"product state ceiling exceeded ({ceiling})")
-        loop = [entry << shift] + _path(parent, found)[:-1]
+            layer, depth = deeper, depth + 1
+        return [entry] + [node >> shift for node in _path(parent, goal)[:-1]]
+
+    def _lasso(self, stem: list[int], loop: list[int]) -> Lasso:
+        """The lasso over Kripke state names of a breadth-first path to the
+        loop's entry (which the path ends in) and the loop."""
+        width = self.width
         return Lasso(tuple(self.names[p // width] for p in stem[:-1]),
-                     tuple(self.names[(node >> shift) // width] for node in loop))
+                     tuple(self.names[p // width] for p in loop))
 
 
 def _edges(row, successors, width):
@@ -1028,12 +1176,14 @@ def emit_property_file(formulas: dict[str, Formula],
 # walk without recursion, but the repr and pickling that dataclasses generate
 # recurse once per level
 MAX_FORMULA_DEPTH = 200
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def parse_property_file(text: str) -> dict[str, Formula]:
     """Lines of ``name: formula``; ``#`` starts a comment.  A formula may
     nest at most ``MAX_FORMULA_DEPTH`` operators."""
     out: dict[str, Formula] = {}
+    props: dict[str, Prop] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -1042,13 +1192,12 @@ def parse_property_file(text: str) -> dict[str, Formula]:
             raise LtlError(f"line {lineno}: expected 'name: formula'")
         name, formula_text = line.split(":", 1)
         name = name.strip()
-        if not name or not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
+        if not _NAME_RE.fullmatch(name):
             raise LtlError(f"line {lineno}: invalid property name {name!r}")
         if name in out:
             raise LtlError(f"line {lineno}: duplicate property {name!r}")
         try:
-            out[name] = parse_ltl(formula_text)
-            depth = max(d for _, d in _nodes(out[name]))
+            out[name], depth = _parse(formula_text, props)
             if depth > MAX_FORMULA_DEPTH:
                 raise LtlError(f"formula nests {depth} operators deep, "
                                f"more than {MAX_FORMULA_DEPTH}")
@@ -1125,7 +1274,7 @@ def _implication_shape(f: Formula):
 
 def _is_propositional(f: Formula) -> bool:
     return not any(isinstance(g, (Always, Eventually, Next, Until, Release))
-                   for g, _ in _nodes(f))
+                   for g in _nodes(f))
 
 
 def vacuity(k: KripkeStructure, f: Formula) -> VacuityInfo | None:

@@ -293,6 +293,34 @@ def test_an_edge_from_an_unquoted_keyword_is_refused(tmp_path, capsys):
     assert read_dot('digraph g { node [label="a -> b"]; edge [x="->"] }').edges == []
 
 
+@pytest.mark.parametrize("source", ["Node", "node", "EDGE", "digraph"])
+def test_a_keyword_edge_is_refused_with_or_without_blanks(source):
+    """'->' ends a keyword as a blank does, so a keyword edge written
+    without blanks is refused too; a '-' that starts no '->' continues
+    the name."""
+    for arrow in ("->", " -> "):
+        statement = f'{source}{arrow}q [label="a / b"]'
+        with pytest.raises(MachineError) as caught:
+            read_dot(f"digraph g {{\n__start -> q;\n{statement};\n}}\n")
+        assert str(caught.value) == f"line 3: cannot parse statement {statement!r}"
+    graph = read_dot(f'digraph g {{\n__start -> q;\n{source}-1->q [label="a / b"];\n}}\n')
+    assert graph.edges == [(f"{source}-1", "q", "a / b", 3)]
+
+
+@pytest.mark.parametrize("statement", [
+    'rankdir = LR -> q [label="a / b"]', "rankdir = LR TB", "rankdir =", "rankdir = LR x=1"])
+def test_only_a_rankdir_setting_of_one_value_is_skipped(statement):
+    """A statement that starts as a rankdir setting and goes on is refused,
+    not dropped; one value, plain or quoted, in any case and with or
+    without blanks, is skipped."""
+    with pytest.raises(MachineError) as caught:
+        read_dot(f'digraph g {{\n__start -> q;\n{statement};\nq -> q [label="a / b"];\n}}\n')
+    assert str(caught.value) == f"line 3: cannot parse statement {statement!r}"
+    graph = read_dot('digraph g {\n__start -> q;\nrankdir=LR; RankDir = "TB"\n'
+                     'rankdir = lr ;q -> q [label="a / b"];\n}\n')
+    assert graph.edges == [("q", "q", "a / b", 4)]
+
+
 INTO_START = ('digraph g {\n__start -> q0;\nq0;\nq0 -> q0 [label="b / b"];\n'
               'q0 -> __start [label="a / b"];\n}\n')
 

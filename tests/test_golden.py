@@ -179,7 +179,7 @@ GOLDEN = {
         "lts.dot":
             "048e002859c363f92698d1a1f4b88282ee4c8a6d097f60cdb6f501e73174fe34",
         "manifest.json":
-            "34f0faa80f4a8dc96ef4fcec2370b8468be5c414ba8da6c1d8f0407710b3dca1",
+            "f586e0c2328124b1c5830ff9c1aeee98e08ca10b8434d1c72bb2dee644f07c63",
         "model.dot":
             "5001667a32dfbe07da7fd188e74a4eeb70aaf3c27f3b958372ccf5bdd81ad50f",
         "model.property":
@@ -187,11 +187,11 @@ GOLDEN = {
         "model.rebeca":
             "a9978621246d01edcf0b368236fb9fd2cd24e4885fb606ffd3032234a0145a52",
         "replay.json":
-            "64bb266a8e1f21dd5cbb86433cad66c29fe09d6e628f9f5cf385c7a7d66b136a",
+            "01ef0a80c8d593b6d513348ab4afcd9cdb5cd8e081443d05c62d03b43e5e9f04",
         "report.json":
-            "15282afcd335fb9aee301db5ba3d10e32de28b71ea8211e1a968f74b7aaad3cb",
+            "adde21849b898f55920e3efb2bd8a4ea3868f8345706ca0e38534d59476c2d68",
         "tests.jsonl":
-            "8f246aabd9a80b8524c1b3032dae3f98cd530e1c00dd5ecbf9cf32b72ed520d3",
+            "7a5c818f965ea690c07081d2aafccf7c44b1c9d60c53931789a26295db202d9a",
     },
     "uds-exact-mutated": {
         "annotated.dot":
@@ -203,7 +203,7 @@ GOLDEN = {
         "lts.dot":
             "6aa20d2adca2b276af5be608d3a7f79172446a5338258749141cbcc86862e091",
         "manifest.json":
-            "608298ff8b1a9d435918cb9d7721b823f0030b2dc96c93ba723a9276742ed116",
+            "7e6aa4b3187c04ee6a98a6bf17fadbf5dca48683c27013d0f44345c685048d94",
         "model.dot":
             "5001667a32dfbe07da7fd188e74a4eeb70aaf3c27f3b958372ccf5bdd81ad50f",
         "model.property":
@@ -211,11 +211,11 @@ GOLDEN = {
         "model.rebeca":
             "96e4706c8dc833f58824bd46242a67f287d251f073e204e0bd239715f10ee424",
         "replay.json":
-            "64bb266a8e1f21dd5cbb86433cad66c29fe09d6e628f9f5cf385c7a7d66b136a",
+            "01ef0a80c8d593b6d513348ab4afcd9cdb5cd8e081443d05c62d03b43e5e9f04",
         "report.json":
-            "15282afcd335fb9aee301db5ba3d10e32de28b71ea8211e1a968f74b7aaad3cb",
+            "adde21849b898f55920e3efb2bd8a4ea3868f8345706ca0e38534d59476c2d68",
         "tests.jsonl":
-            "8f246aabd9a80b8524c1b3032dae3f98cd530e1c00dd5ecbf9cf32b72ed520d3",
+            "7a5c818f965ea690c07081d2aafccf7c44b1c9d60c53931789a26295db202d9a",
     },
     "uds-random-walk": {
         "annotated.dot":
@@ -227,7 +227,7 @@ GOLDEN = {
         "lts.dot":
             "048e002859c363f92698d1a1f4b88282ee4c8a6d097f60cdb6f501e73174fe34",
         "manifest.json":
-            "bb4c7262afecb1e18110097f26ff8a1485b695ec42fc627b9b61e0c39942495c",
+            "5623c906abc2600e01e5256256c01642e29892d4bba8c5cde3cfd7b3f29cb31c",
         "model.dot":
             "5001667a32dfbe07da7fd188e74a4eeb70aaf3c27f3b958372ccf5bdd81ad50f",
         "model.property":
@@ -235,11 +235,11 @@ GOLDEN = {
         "model.rebeca":
             "a9978621246d01edcf0b368236fb9fd2cd24e4885fb606ffd3032234a0145a52",
         "replay.json":
-            "64bb266a8e1f21dd5cbb86433cad66c29fe09d6e628f9f5cf385c7a7d66b136a",
+            "01ef0a80c8d593b6d513348ab4afcd9cdb5cd8e081443d05c62d03b43e5e9f04",
         "report.json":
-            "15282afcd335fb9aee301db5ba3d10e32de28b71ea8211e1a968f74b7aaad3cb",
+            "adde21849b898f55920e3efb2bd8a4ea3868f8345706ca0e38534d59476c2d68",
         "tests.jsonl":
-            "8f246aabd9a80b8524c1b3032dae3f98cd530e1c00dd5ecbf9cf32b72ed520d3",
+            "7a5c818f965ea690c07081d2aafccf7c44b1c9d60c53931789a26295db202d9a",
     },
     "uds-stages": {
         "annotated.dot":
@@ -259,13 +259,13 @@ GOLDEN = {
         "model.rebeca":
             "a9978621246d01edcf0b368236fb9fd2cd24e4885fb606ffd3032234a0145a52",
         "replay.json":
-            "c5e6ac20beb4c60b2809af873158f6451a9f610355e0687b3f28ef6e01a79c4d",
+            "42a7fe207353dd9af5c84eb1806ba92ab86e12243d735cad39810120366c0fac",
         "report.json":
-            "15282afcd335fb9aee301db5ba3d10e32de28b71ea8211e1a968f74b7aaad3cb",
+            "adde21849b898f55920e3efb2bd8a4ea3868f8345706ca0e38534d59476c2d68",
         "report.jsonl":
-            "36b20f2dd26e8f39316ccca11356cb09afdd995c93c521d206ac0b8943aa9be8",
+            "661288ce8238f1b5d52a17e82b77e0911466d84b2bee4da4d7c317afd7b48f0c",
         "tests.jsonl":
-            "8f246aabd9a80b8524c1b3032dae3f98cd530e1c00dd5ecbf9cf32b72ed520d3",
+            "7a5c818f965ea690c07081d2aafccf7c44b1c9d60c53931789a26295db202d9a",
     },
 }
 

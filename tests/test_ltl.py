@@ -477,7 +477,7 @@ def test_memo_automaton_renamed_back_is_the_instance_automaton():
     for f in formulas:
         check(k, f)
         key, names, _ = _shape(f, k.atomic_props)
-        automaton, first, _ = k.shapes[CEILING, key]
+        automaton, first, *_ = k.shapes[CEILING, key]
         back = dict(zip(first, names))
         expected = ltl_to_buchi(to_nnf(Not(instantiate(f, k.atomic_props)[0])))
         assert tuple(tuple(_rename(g, back) for g in state)

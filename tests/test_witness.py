@@ -10,18 +10,20 @@ import importlib.util
 import random
 import re
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
 
 from protocheck import annotate, build_uds_machine, expand_tau, parse_cpm, parse_dot
 from protocheck.ltl import (HOLDS, PROPERTY_TEMPLATES, VIOLATED, CeilingError,
-                            KripkeStructure, Not, _Product, check, kripke_from_annotated,
-                            ltl_to_buchi, parse_ltl, property_library, to_nnf)
+                            KripkeStructure, Not, _classify, _Product, check, instantiate,
+                            kripke_from_annotated, ltl_to_buchi, parse_ltl, property_library,
+                            to_nnf)
 from helpers import BOUNDED_HOLDS, bounded_oracle, random_formula
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
-WITNESS_DIGEST = "bca9a147869ca5ac5fa4c3d0f87b47fc6c129e6c79551cf17358fb3367c59dc5"
+WITNESS_DIGEST = "6d2a5ea3ec2bfa1642a348f5865c6a90fe305201d101b29ed4ab3ad978ac004d"
 
 
 def _ring(n: int, labels=None) -> KripkeStructure:
@@ -131,32 +133,46 @@ def _few_labels(rng: random.Random) -> KripkeStructure:
         atomic_props=frozenset("ab"))
 
 
-def _over_two(text: str, rng: random.Random) -> str:
-    """The formula with each of its propositions renamed to a or b."""
+def _over_two(text: str, rng: random.Random, two: str = "ab") -> str:
+    """The formula with each of its propositions renamed to one of ``two``."""
     names = {}
-    return re.sub(r"[A-Z][A-Z0-9_]+", lambda m: names.setdefault(m[0], rng.choice("ab")),
+    return re.sub(r"[A-Z][A-Z0-9_]+", lambda m: names.setdefault(m[0], rng.choice(two)),
                   text)
+
+
+def _patterns() -> list[str]:
+    """The library templates and the benchmark's six temporal patterns, six
+    times each, over the benchmark's propositions."""
+    gen = _benchmark_generators()
+    return list(PROPERTY_TEMPLATES.values()) + [
+        line.split(":", 1)[1] for line in
+        gen.property_file(random.Random(5), 36, 0, 0).text.splitlines()[1:]]
 
 
 def test_quotient_changes_no_verdict_and_no_witness():
     """Library and benchmark patterns on structures with few labels, where
     the quotient often shows a counterexample the structure does not have.
-    ``check`` gives the verdict and lasso of the structure's own product
-    searched alone, and agrees with the bounded oracle; both branches run."""
-    gen = _benchmark_generators()
+    ``check`` gives the verdict of the structure's own product searched
+    alone by Couvreur's search, and agrees with the bounded oracle; both
+    branches run.  For a strong automaton the lasso is the one built from
+    that search's component; for a weak one it is no longer."""
     rng = random.Random(1313)
-    patterns = list(PROPERTY_TEMPLATES.values())
-    patterns += gen.property_file(random.Random(5), 36, 0, 0).text.splitlines()[1:]
+    patterns = _patterns()
     proved = refuted = 0
     for _ in range(30):
         k = _few_labels(rng)
         for text in patterns:
-            f = parse_ltl(_over_two(text.split(":", 1)[-1], rng))
+            f = parse_ltl(_over_two(text, rng))
             result = check(k, f)
-            product = _Product(k, ltl_to_buchi(to_nnf(Not(f))), 10 ** 6)
+            automaton = ltl_to_buchi(to_nnf(Not(f)))
+            product = _Product(k, automaton, 10 ** 6)
             component = product.accepting_component()
-            assert result.lasso == (None if component is None else product.lasso(component))
             assert result.verdict == (HOLDS if component is None else VIOLATED)
+            expected = None if component is None else product.lasso(component)
+            if _classify(automaton)[1] is None or expected is None:
+                assert result.lasso == expected
+            else:
+                assert len(result.lasso.states()) <= len(expected.states())
             if product.holds_on_quotient():
                 proved += 1
             elif component is None:
@@ -212,3 +228,87 @@ def test_witness_layer_digest():
             digest.update(repr(shared).encode() + b"\n")
     assert violated > 200, violated
     assert digest.hexdigest() == WITNESS_DIGEST
+
+
+def _shortest_lasso_length(k: KripkeStructure, f) -> int | None:
+    """By brute force over every product state of ``k`` with the negation
+    automaton of ``f``: the least, over reachable product states e, of e's
+    breadth-first distance from a start state plus the length of the
+    shortest cycle through e whose edges carry every mark; None if no
+    reachable state lies on such a cycle."""
+    automaton = ltl_to_buchi(to_nnf(Not(instantiate(f, k.atomic_props)[0])))
+    full = (1 << automaton.mark_count) - 1
+
+    def edges(state):
+        s, b = state
+        letter = k.reads(k.label(s))
+        return [((t, c.target), c.marks) for c in automaton.covers[b]
+                if c.required <= letter and not c.forbidden & letter
+                for t in k.successors[s]]
+
+    distance = {(s, 0): 0 for s in k.initial}
+    queue = deque(distance)
+    while queue:
+        p = queue.popleft()
+        for q, _ in edges(p):
+            if q not in distance:
+                distance[q] = distance[p] + 1
+                queue.append(q)
+    lengths = []
+    for e, d in distance.items():
+        layer, seen, length = set(edges(e)), set(), 1
+        while layer and (e, full) not in layer:
+            seen |= layer
+            layer = {(r, m | m2) for q, m in layer for r, m2 in edges(q)} - seen
+            length += 1
+        if layer:
+            lengths.append(d + length)
+    return min(lengths, default=None)
+
+
+def test_weak_witnesses_are_shortest_lassos():
+    """On 40 seeded structures, under the library and benchmark patterns,
+    every witness of a weak automaton is as long (stem plus loop) as the
+    shortest lasso that brute force finds over every product state, and
+    every other witness is no shorter than it."""
+    rng = random.Random(2718)
+    patterns = _patterns()
+    weak = strong = 0
+    for _ in range(40):
+        k = _tangled(rng)
+        for text in patterns:
+            f = parse_ltl(_over_two(text, rng, "pq"))
+            result = check(k, f)
+            shortest = _shortest_lasso_length(k, f)
+            assert result.holds == (shortest is None), (text, f)
+            if result.holds:
+                continue
+            length = len(result.lasso.states())
+            if _classify(ltl_to_buchi(to_nnf(Not(f))))[1] is not None:
+                assert length == shortest, (f, result.lasso, shortest)
+                weak += 1
+            else:
+                assert length >= shortest, (f, result.lasso, shortest)
+                strong += 1
+    assert weak > 500 and strong > 20, (weak, strong)
+
+
+def test_invariants_and_safety_patterns_are_weak_and_a_fairness_implication_is_strong():
+    """The library templates, the benchmark's invariant conjunctions and all
+    its temporal patterns but ``G(F a) -> G(F b)`` translate to weak
+    negation automata; G F p -> G F q, whose negation needs two marks on one
+    component, to a strong one.  G p negates to F !p: the start state
+    loops on every letter without the mark, and the state owing nothing,
+    entered on !p, is the one accepting component."""
+    gen = _benchmark_generators()
+    weak = list(PROPERTY_TEMPLATES.values()) + ["G(p -> X !q)"]
+    weak += [line.split(":", 1)[1] for line in
+             gen.property_file(random.Random(5), 0, 4, 12).text.splitlines()[1:]]
+    weak += _patterns()[len(PROPERTY_TEMPLATES):][:5]
+    for text in weak:
+        assert _classify(ltl_to_buchi(to_nnf(Not(parse_ltl(text)))))[1] is not None, text
+    for text in ("G F p -> G F q", _patterns()[len(PROPERTY_TEMPLATES) + 5]):
+        assert _classify(ltl_to_buchi(to_nnf(Not(parse_ltl(text)))))[1] is None, text
+    automaton = ltl_to_buchi(to_nnf(Not(parse_ltl("G p"))))
+    assert [c.target for c in automaton.covers[0]] == [0, 1]
+    assert _classify(automaton) == ((0, 1), (None, 1))
