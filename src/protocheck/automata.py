@@ -152,6 +152,8 @@ def bisimilar(a: MealyMachine, b: MealyMachine) -> EquivalenceResult:
     For deterministic input-complete Mealy machines bisimilarity coincides
     with trace equivalence, so a breadth-first product search suffices; it
     returns a shortest distinguishing input word when the machines differ.
+    Each pair keeps the pair and input it was reached by, and the word is
+    read back from them once, when the outputs differ.
     """
     if set(a.inputs) != set(b.inputs):
         only_a = sorted(set(a.inputs) - set(b.inputs))
@@ -159,20 +161,24 @@ def bisimilar(a: MealyMachine, b: MealyMachine) -> EquivalenceResult:
         raise MachineError(
             f"input alphabets differ (left-only: {only_a}, right-only: {only_b})")
     start = (a.initial, b.initial)
-    seen = {start}
-    frontier = deque([(start, ())])
+    parent = {start: None}
+    frontier = deque([start])
     while frontier:
-        (qa, qb), prefix = frontier.popleft()
+        qa, qb = here = frontier.popleft()
         for sym in a.inputs:
             na, oa = a.transitions[(qa, sym)]
             nb, ob = b.transitions[(qb, sym)]
-            word = prefix + (sym,)
             if oa != ob:
+                word = [sym]
+                while parent[here] is not None:
+                    here, step = parent[here]
+                    word.append(step)
+                word = tuple(reversed(word))
                 return EquivalenceResult(False, word, a.run(word), b.run(word))
             pair = (na, nb)
-            if pair not in seen:
-                seen.add(pair)
-                frontier.append((pair, word))
+            if pair not in parent:
+                parent[pair] = (here, sym)
+                frontier.append(pair)
     return EquivalenceResult(True)
 
 

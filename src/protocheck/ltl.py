@@ -5,11 +5,13 @@ translate it to a transition-based generalized Buchi automaton whose states
 are sets of owed formulas and whose edges carry the acceptance marks, and
 search the product with the Kripke structure for an accepting cycle.  Each
 automaton is classified once.  In a weak one every cycle within an
-accepting component is accepting, so one breadth-first pass finds the
-shortest lasso.  In a strong one Couvreur's algorithm searches for a
-strongly connected component whose edges carry every mark, and the witness
-is built from breadth-first shortest paths: a stem into that component and
-the shortest cycle through its entry that carries every mark.  Properties
+accepting component is accepting, so one loop over the lasso length finds
+the shortest lasso: it runs the breadth-first stem search beside a cycle
+search from each state where the stem enters such a component.  In a
+strong one Couvreur's algorithm searches for a strongly connected
+component whose edges carry every mark, and the witness is built from
+breadth-first shortest paths: a stem into that component and the shortest
+cycle through its entry that carries every mark.  Properties
 instantiated from one template share a shape: each shape is translated and
 classified once per structure.
 """
@@ -20,6 +22,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import count
 from typing import NamedTuple
 
 from .cpm import AnnotatedMachine, Cpm
@@ -656,6 +659,21 @@ class KripkeStructure:
         shape key, the letter each label id reads), the witness or None."""
         return {}
 
+    @cached_property
+    def loop_bounds(self) -> tuple[int, ...]:
+        """By state number, a bound no cycle of any product through the
+        state undercuts, shared by every property: the length of the
+        shortest closed walk through the state if it is at most 3, else 4.
+        A product cycle's states project onto such a walk."""
+        successors = self.index.successors
+        into: list[set[int]] = [set() for _ in successors]
+        for s, out in enumerate(successors):
+            for t in out:
+                into[t].add(s)
+        return tuple(1 if s in out else 2 if not into[s].isdisjoint(out) else
+                     3 if any(not into[s].isdisjoint(successors[t]) for t in out) else 4
+                     for s, out in enumerate(successors))
+
 
 def kripke_from_annotated(a: AnnotatedMachine,
                           declared: frozenset[str] | None = None) -> KripkeStructure:
@@ -845,10 +863,12 @@ def check(k: KripkeStructure, f: Formula,
     returned.  The search runs first on the product with the structure's
     label quotient, and only if that finds a component on the structure's
     own product, which alone gives witnesses: for a weak automaton one
-    breadth-first pass gives the shortest lasso, for a strong one
-    Couvreur's search finds a component and breadth-first searches give
-    the stem into it and the loop.  ``max_product_states``
-    bounds the automaton's expansion as well as each search.  Formulas of
+    loop over the lasso length gives the shortest lasso (see
+    ``_Product.shortest_lasso``), for a strong one Couvreur's search finds
+    a component and breadth-first searches give the stem into it and the
+    loop.  ``max_product_states`` bounds the automaton's expansion as well
+    as each search: the states one search has found, the stem search's and
+    each cycle search's on their own.  Formulas of
     one shape (see ``_shape``) share one translation per structure: it is
     the automaton of each, up to a one-to-one renaming of propositions.
     Their product is fixed by the letter each label reads, so formulas of
@@ -874,7 +894,7 @@ def check(k: KripkeStructure, f: Formula,
         if product.holds_on_quotient():
             k.searches[searched] = None
         elif accepting is not None:
-            k.searches[searched] = product.shortest_lasso(accepting)
+            k.searches[searched] = product.shortest_lasso(accepting, k.loop_bounds)
         else:
             component = product.accepting_component()
             k.searches[searched] = None if component is None else product.lasso(component)
@@ -911,6 +931,10 @@ class _Product:
     of b that admit it, their distinct targets, and the pairs that stay in
     b's automaton component; ``columns``, when given, is that table.  The searches start in (s0, 0) for each initial
     s0, and take the pairs of a row in order, each to every successor of s.
+    A weak automaton's witness comes from one loop over the lasso length
+    that runs the stem search beside resumable cycle searches; a strong
+    one's from Couvreur's search, a stem into its component and one cycle
+    search run to its end.
 
     The product with the label quotient numbers its states the same way,
     with s a label id, so the same table serves it: each node carries its
@@ -994,29 +1018,58 @@ class _Product:
                     del live[at:]
         return None
 
-    def shortest_lasso(self, accepting: tuple[int | None, ...]) -> Lasso | None:
+    def shortest_lasso(self, accepting: tuple[int | None, ...],
+                       bound: tuple[int, ...]) -> Lasso | None:
         """For a weak automaton (see ``_classify``), the shortest
         lasso, or None: the least, over reachable product states e in an
-        accepting component, of e's breadth-first depth plus the length of
+        accepting component, of e's breadth-first depth d plus the length of
         the shortest cycle through e, which is accepting as every cycle
-        there is; ties go to the state discovered first.  One breadth-first
-        pass, layer by layer, asks each such state for a cycle shorter than
-        the best lasso so far would leave, and stops at the depth where no
-        state can improve on it."""
+        there is; ties go to the state discovered first.
+
+        One loop over the lasso length T = 1, 2, ... runs the stem search
+        and the entries' cycle searches side by side.  No cycle through
+        e = (s, b) is shorter than ``bound[s]`` (see
+        ``KripkeStructure.loop_bounds``), so e's search starts at
+        T = d + bound[s] and is taken to radius T - d at each later T.  The
+        first T at which a search closes is the least total, and the first
+        entry in discovery order that closes at it wins.  At each T the
+        searches of the layers found so far go first; only when none closes
+        does the stem search reveal layer T - 1, whose entries can close at
+        T through a self-loop alone."""
+        width = self.width
+        parent = dict.fromkeys(self.start)
+        layers, running, waiting = self._layers(parent), [], {}
+        for total in count(1):
+            running = sorted(running + self._start(waiting.pop(total, ()), total))
+            found = _advance(running)
+            if found is None:
+                layer = next(layers, ())
+                for i, p in enumerate(layer):
+                    if accepting[p % width] is not None:
+                        waiting.setdefault(total - 1 + bound[p // width], []).append(
+                            (total - 1, i, p))
+                fresh = self._start(waiting.pop(total, ()), total)
+                found = _advance(fresh)
+                running += fresh
+            if found is not None:
+                return self._lasso(_path(parent, found[0]), found[1])
+            if not (layer or running or waiting):
+                return None
+
+    def _start(self, entries, total: int) -> list:
+        """The cycle searches of ``entries``, each (depth, position in its
+        layer, product state), started at lasso length ``total``."""
+        return [(d, i, p, self.cycle(p, total - d)) for d, i, p in entries]
+
+    def _layers(self, parent: dict):
+        """The breadth-first layers of the product, each a list in discovery
+        order, from the start states, which ``parent`` holds; it maps each
+        state found to the one it was found from."""
         width, table, ceiling = self.width, self.table, self.ceiling
         successors, label_of = self.index.successors, self.index.label_of
-        parent = dict.fromkeys(self.start)
-        layer, depth, best, found = list(parent), 0, float("inf"), None
+        layer = list(parent)
         while layer:
-            for p in layer:
-                if depth + 1 >= best:
-                    break
-                if accepting[p % width] is not None and (
-                        loop := self.cycle(p, best - depth - 1)):
-                    best, found = depth + len(loop), (p, loop)
-            depth += 1
-            if depth + 1 >= best:
-                break
+            yield layer
             deeper = []
             for p in layer:
                 s, b = divmod(p, width)
@@ -1029,7 +1082,6 @@ class _Product:
                 if len(parent) > ceiling:
                     raise CeilingError(f"product state ceiling exceeded ({ceiling})")
             layer = deeper
-        return None if found is None else self._lasso(_path(parent, found[0]), found[1])
 
     def lasso(self, component: list[int]) -> Lasso:
         """Shortest stem into the component, and from its entry the
@@ -1061,19 +1113,21 @@ class _Product:
                     break
             if len(parent) > ceiling:
                 raise CeilingError(f"product state ceiling exceeded ({ceiling})")
-        loop = self.cycle(entry)
+        loop = next(filter(None, self.cycle(entry)), None)
         if loop is None:
             raise AssertionError(f"no accepting cycle through product state {entry}")
         return self._lasso(_path(parent, entry), loop)
 
-    def cycle(self, entry: int, limit: float = float("inf")) -> list[int] | None:
-        """The shortest cycle from product state ``entry`` back to it whose
-        edges carry every mark, as the product states it visits from entry
-        on, or None if none is at most ``limit`` edges long.  One
-        breadth-first search, layer by layer, over (product state, marks
-        covered so far) pairs, each packed into the integer ``state <<
-        mark_count | marks``.  It takes only the edges that stay in the
-        automaton component they leave: no other edge leads back."""
+    def cycle(self, entry: int, radius: int = 1):
+        """The search for the shortest cycle from product state ``entry``
+        back to it whose edges carry every mark, resumable: from ``radius``
+        on it yields once per radius, None while no cycle that long closes,
+        then the cycle, as the product states it visits from entry on; it
+        ends when no cycle is left.  One breadth-first search, layer by
+        layer, over (product state, marks covered so far) pairs, each
+        packed into the integer ``state << mark_count | marks``.  It takes
+        only the edges that stay in the automaton component they leave: no
+        other edge leads back."""
         width, table, ceiling = self.width, self.table, self.ceiling
         successors, label_of = self.index.successors, self.index.label_of
         shift, full = self.mark_count, self.full
@@ -1083,8 +1137,10 @@ class _Product:
                                for b2, m in table[label_of[s]][b][2] for t in successors[s])
         layer, depth = list(parent), 1
         while goal not in parent:
-            if depth >= limit or not layer:
-                return None
+            if not layer:
+                return
+            if depth >= radius:
+                yield None
             deeper = []
             for node in layer:
                 s, b = divmod(node >> shift, width)
@@ -1100,7 +1156,7 @@ class _Product:
                 if goal in parent:
                     break
             layer, depth = deeper, depth + 1
-        return [entry] + [node >> shift for node in _path(parent, goal)[:-1]]
+        yield [entry] + [node >> shift for node in _path(parent, goal)[:-1]]
 
     def _lasso(self, stem: list[int], loop: list[int]) -> Lasso:
         """The lasso over Kripke state names of a breadth-first path to the
@@ -1116,6 +1172,19 @@ def _edges(row, successors, width):
     for b, marks in row:
         for t in successors:
             yield t * width + b, marks
+
+
+def _advance(searches: list) -> tuple[int, list[int]] | None:
+    """Takes each search (see ``_Product._start``), in order, one radius
+    further: the entry and cycle of the first that closes, or None.
+    Searches that end are dropped."""
+    for search in searches[:]:
+        loop = next(search[3], False)
+        if loop:
+            return search[2], loop
+        if loop is False:
+            searches.remove(search)
+    return None
 
 
 def _path(parent: dict, node) -> list:

@@ -2,10 +2,11 @@
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
-from protocheck import (MachineError, MealyMachine, bisimilar, complete,
+from protocheck import (EquivalenceResult, MachineError, MealyMachine, bisimilar, complete,
                         emit_dot, parse_dot, reachable)
 from helpers import random_machine
 
@@ -248,6 +249,46 @@ def test_bisimilar_transitive_on_random_triples():
         c = _random_machine_over(rng, inputs)
         assert bisimilar(a, b).equivalent
         assert bisimilar(b, c).equivalent == bisimilar(a, c).equivalent
+
+
+def _bisimilar_by_prefix(a, b):
+    """The equivalence search as it was before parent pointers: each queued
+    pair carries its whole input word."""
+    start = (a.initial, b.initial)
+    seen = {start}
+    frontier = deque([(start, ())])
+    while frontier:
+        (qa, qb), prefix = frontier.popleft()
+        for sym in a.inputs:
+            na, oa = a.transitions[(qa, sym)]
+            nb, ob = b.transitions[(qb, sym)]
+            word = prefix + (sym,)
+            if oa != ob:
+                return EquivalenceResult(False, word, a.run(word), b.run(word))
+            if (na, nb) not in seen:
+                seen.add((na, nb))
+                frontier.append(((na, nb), word))
+    return EquivalenceResult(True)
+
+
+def test_bisimilar_matches_the_search_that_carries_whole_words():
+    """On seeded pairs, differing and equivalent, of up to 12 states over
+    up to four inputs, and on each machine against itself with one output
+    flipped, ``bisimilar`` returns the very result of the search that
+    queues each pair with its word: the same witness and outputs."""
+    rng = random.Random(4242)
+    differ = 0
+    for _ in range(300):
+        inputs = tuple("wxyz"[:rng.randint(1, 4)])
+        a = _random_machine_over(rng, inputs, 12)
+        q, sym = rng.choice(sorted(a.transitions))
+        pairs = [(a, _random_machine_over(rng, inputs, 12)), (a, _renamed(a, "r")),
+                 (a, flip_output(a, q, sym, "o2"))]
+        for left, right in pairs:
+            result = bisimilar(left, right)
+            assert result == _bisimilar_by_prefix(left, right)
+            differ += not result.equivalent
+    assert differ > 400, differ
 
 
 def test_alphabet_mismatch_reported():

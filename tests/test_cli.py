@@ -728,6 +728,24 @@ def test_a_reached_ceiling_exits_4_with_one_line(workdir, command, message):
     assert not (workdir / "lts.dot").exists() and not (workdir / "report.json").exists()
 
 
+def test_a_weak_stem_search_past_the_ceiling_exits_4_with_one_line(workdir):
+    """G F p on a ten-state ring where p never holds: the label quotient
+    shows a component within the ceiling, and the full product's stem search
+    needs 19 states before the ten-state loop closes (see
+    ``test_witness.py``), so 18 stops it and 19 gives the verdict."""
+    ring = "".join(f"  r{i} [label=\"r{i} {{}}\"];\n  r{i} -> r{(i + 1) % 10} [label=\"a / o\"];\n"
+                   for i in range(10))
+    (workdir / "ring.dot").write_text(f"digraph annotated {{\n  __start -> r0;\n{ring}}}\n")
+    (workdir / "ring.cpm").write_text("[GAINS]\np | a | x\n")
+    (workdir / "ring.ltl").write_text("fair: G F p\n")
+    argv = ["check", "--expanded", "ring.dot", "--cpm", "ring.cpm", "--properties",
+            "ring.ltl", "--report", "report.json", "--max-nodes"]
+    assert cli_process(workdir, *argv, "18") == (
+        4, "", "protocheck: error: product state ceiling exceeded (18)\n")
+    assert not (workdir / "report.json").exists()
+    assert cli_process(workdir, *argv, "19") == (2, "fair: VIOLATED\n", "")
+
+
 # ---------------------------------------------------------------------------
 # The failure contract: one exit code per meaning, one line, no traceback
 # ---------------------------------------------------------------------------

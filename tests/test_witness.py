@@ -10,16 +10,16 @@ import importlib.util
 import random
 import re
 import sys
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
 
 from protocheck import annotate, build_uds_machine, expand_tau, parse_cpm, parse_dot
 from protocheck.ltl import (HOLDS, PROPERTY_TEMPLATES, VIOLATED, CeilingError,
-                            KripkeStructure, Not, _classify, _Product, check, instantiate,
-                            kripke_from_annotated, ltl_to_buchi, parse_ltl, property_library,
-                            to_nnf)
+                            KripkeStructure, Lasso, Not, _classify, _path, _Product, check,
+                            instantiate, kripke_from_annotated, ltl_to_buchi, parse_ltl,
+                            property_library, to_nnf)
 from helpers import BOUNDED_HOLDS, bounded_oracle, random_formula
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
@@ -230,14 +230,11 @@ def test_witness_layer_digest():
     assert digest.hexdigest() == WITNESS_DIGEST
 
 
-def _shortest_lasso_length(k: KripkeStructure, f) -> int | None:
-    """By brute force over every product state of ``k`` with the negation
-    automaton of ``f``: the least, over reachable product states e, of e's
-    breadth-first distance from a start state plus the length of the
-    shortest cycle through e whose edges carry every mark; None if no
-    reachable state lies on such a cycle."""
+def _brute_product(k: KripkeStructure, f):
+    """The product of ``k`` with the negation automaton of ``f``, by brute
+    force: the automaton, the edges ((state, automaton state), marks) out of
+    a product state, and the marks every accepting cycle carries."""
     automaton = ltl_to_buchi(to_nnf(Not(instantiate(f, k.atomic_props)[0])))
-    full = (1 << automaton.mark_count) - 1
 
     def edges(state):
         s, b = state
@@ -246,6 +243,27 @@ def _shortest_lasso_length(k: KripkeStructure, f) -> int | None:
                 if c.required <= letter and not c.forbidden & letter
                 for t in k.successors[s]]
 
+    return automaton, edges, (1 << automaton.mark_count) - 1
+
+
+def _brute_cycle(edges, e, full) -> int | None:
+    """The length of the shortest cycle through product state e whose edges
+    carry every mark, or None if there is none."""
+    layer, seen, length = set(edges(e)), set(), 1
+    while layer and (e, full) not in layer:
+        seen |= layer
+        layer = {(r, m | m2) for q, m in layer for r, m2 in edges(q)} - seen
+        length += 1
+    return length if layer else None
+
+
+def _shortest_lasso_length(k: KripkeStructure, f) -> int | None:
+    """By brute force over every product state of ``k`` with the negation
+    automaton of ``f``: the least, over reachable product states e, of e's
+    breadth-first distance from a start state plus the length of the
+    shortest cycle through e whose edges carry every mark; None if no
+    reachable state lies on such a cycle."""
+    _, edges, full = _brute_product(k, f)
     distance = {(s, 0): 0 for s in k.initial}
     queue = deque(distance)
     while queue:
@@ -254,15 +272,8 @@ def _shortest_lasso_length(k: KripkeStructure, f) -> int | None:
             if q not in distance:
                 distance[q] = distance[p] + 1
                 queue.append(q)
-    lengths = []
-    for e, d in distance.items():
-        layer, seen, length = set(edges(e)), set(), 1
-        while layer and (e, full) not in layer:
-            seen |= layer
-            layer = {(r, m | m2) for q, m in layer for r, m2 in edges(q)} - seen
-            length += 1
-        if layer:
-            lengths.append(d + length)
+    lengths = [d + length for e, d in distance.items()
+               if (length := _brute_cycle(edges, e, full)) is not None]
     return min(lengths, default=None)
 
 
@@ -312,3 +323,172 @@ def test_invariants_and_safety_patterns_are_weak_and_a_fairness_implication_is_s
     automaton = ltl_to_buchi(to_nnf(Not(parse_ltl("G p"))))
     assert [c.target for c in automaton.covers[0]] == [0, 1]
     assert _classify(automaton) == ((0, 1), (None, 1))
+
+
+def _sequential_shortest_lasso(product: _Product, accepting) -> Lasso | None:
+    """The weak pass as it was before the cycle searches ran beside the stem
+    search, kept as the reference: one breadth-first pass, layer by layer,
+    asks each accepting-component state for a cycle shorter than the best
+    lasso so far leaves room for, each time with a fresh bounded search,
+    and stops at the depth where no state can improve on it."""
+    width, table = product.width, product.table
+    successors, label_of = product.index.successors, product.index.label_of
+    parent = dict.fromkeys(product.start)
+    layer, depth, best, found = list(parent), 0, float("inf"), None
+    while layer:
+        for p in layer:
+            if depth + 1 >= best:
+                break
+            if accepting[p % width] is not None and (
+                    loop := _bounded_cycle(product, p, best - depth - 1)):
+                best, found = depth + len(loop), (p, loop)
+        depth += 1
+        if depth + 1 >= best:
+            break
+        deeper = []
+        for p in layer:
+            s, b = divmod(p, width)
+            for b2 in table[label_of[s]][b][1]:
+                for t in successors[s]:
+                    q = t * width + b2
+                    if q not in parent:
+                        parent[q] = p
+                        deeper.append(q)
+        layer = deeper
+    return None if found is None else product._lasso(_path(parent, found[0]), found[1])
+
+
+def _bounded_cycle(product: _Product, entry: int, limit: float) -> list[int] | None:
+    """The reference pass's cycle search: the shortest cycle through
+    ``entry`` whose edges carry every mark, or None if none is at most
+    ``limit`` long."""
+    width, table = product.width, product.table
+    successors, label_of = product.index.successors, product.index.label_of
+    shift, full = product.mark_count, product.full
+    goal = entry << shift | full
+    s, b = divmod(entry, width)
+    parent = dict.fromkeys((t * width + b2) << shift | m
+                           for b2, m in table[label_of[s]][b][2] for t in successors[s])
+    layer, depth = list(parent), 1
+    while goal not in parent:
+        if depth >= limit or not layer:
+            return None
+        deeper = []
+        for node in layer:
+            s, b = divmod(node >> shift, width)
+            for b2, m in table[label_of[s]][b][2]:
+                marks = node & full | m
+                for t in successors[s]:
+                    q = (t * width + b2) << shift | marks
+                    if q not in parent:
+                        parent[q] = node
+                        deeper.append(q)
+            if goal in parent:
+                break
+        layer, depth = deeper, depth + 1
+    return [entry] + [node >> shift for node in _path(parent, goal)[:-1]]
+
+
+def test_weak_pass_returns_the_lasso_of_the_sequential_pass():
+    """On 40 seeded structures, under the library and benchmark patterns,
+    the weak pass returns the very lasso of the sequential reference pass,
+    not only one as long, and so does ``check`` where the property fails."""
+    rng = random.Random(1618)
+    patterns = _patterns()
+    compared = none = 0
+    for _ in range(40):
+        k = _tangled(rng)
+        for text in patterns:
+            f = parse_ltl(_over_two(text, rng, "pq"))
+            automaton = ltl_to_buchi(to_nnf(Not(f)))
+            accepting = _classify(automaton)[1]
+            if accepting is None:
+                continue
+            product = _Product(k, automaton, 10 ** 6)
+            expected = _sequential_shortest_lasso(product, accepting)
+            assert product.shortest_lasso(accepting, k.loop_bounds) == expected, f
+            assert check(k, f).lasso == expected, f
+            compared += 1
+            none += expected is None
+    assert compared > 1500 and 500 < none < compared - 500, (compared, none)
+
+
+def test_the_entry_found_first_wins_a_tie():
+    """The negation of G F (p && X p) stays in a component that reads p at
+    most once in a row.  From i, s1 and then s2 enter it at depth 1, and
+    each lies on a product cycle of length 2: s1 -> u -> s1 over !p, and
+    s2 -> t -> s2 (s2's p self-loop cannot be taken twice), so both lassos
+    are 3 long.  s2's self-loop gives it bound 1 and starts its search a
+    step before s1's, whose bound is 2; s1, found first, still wins."""
+    k = KripkeStructure(
+        states=("i", "s1", "s2", "u", "t"), initial=("i",),
+        successors={"i": ("s1", "s2"), "s1": ("u",), "u": ("s1",), "s2": ("s2", "t"),
+                    "t": ("s2",)},
+        labels={"s2": frozenset({"p"})}, atomic_props=frozenset({"p"}))
+    f = parse_ltl("G F (p && X p)")
+    assert k.loop_bounds == (4, 2, 1, 2, 2)
+    assert _shortest_lasso_length(k, f) == 3
+    result = check(k, f)
+    assert result.lasso == Lasso(stem=("i",), loop=("s1", "u"))
+    swapped = KripkeStructure(k.states, k.initial, {**k.successors, "i": ("s2", "s1")},
+                              k.labels, k.atomic_props)
+    assert check(swapped, f).lasso == Lasso(stem=("i",), loop=("s2", "t"))
+
+
+def _closed_walk(k: KripkeStructure, state: str) -> int | None:
+    """The length of the shortest closed walk through ``state``, or None
+    if it lies on no cycle."""
+    layer, seen, length = set(k.successors[state]), set(), 1
+    while layer and state not in layer:
+        seen |= layer
+        layer = {t for q in layer for t in k.successors[q]} - seen
+        length += 1
+    return length if layer else None
+
+
+def test_loop_bounds_never_exceed_a_product_cycle():
+    """On 30 seeded structures each state's bound is the length of its
+    shortest closed walk, or 4 if there is none as short, and under the
+    library and benchmark patterns with weak negations no product cycle
+    through an accepting-component state over it is shorter.  The states
+    include ones with self-loops, ones whose shortest closed walk is 2 or 3
+    long, and ones on no cycle."""
+    rng = random.Random(5772)
+    patterns = _patterns()
+    walks = Counter()
+    cycles = 0
+    for _ in range(30):
+        k = _tangled(rng)
+        bounds = k.loop_bounds
+        assert len(bounds) == len(k.states)
+        for q, bound in zip(k.states, bounds):
+            walk = _closed_walk(k, q)
+            assert bound == min(walk or 4, 4), (q, walk, bound)
+            walks[walk if walk is None or walk < 4 else 4] += 1
+        for text in patterns:
+            f = parse_ltl(_over_two(text, rng, "pq"))
+            automaton, edges, full = _brute_product(k, f)
+            accepting = _classify(automaton)[1]
+            if accepting is None:
+                continue
+            for q, bound in zip(k.states, bounds):
+                for b in range(len(automaton.states)):
+                    if accepting[b] is not None:
+                        length = _brute_cycle(edges, (q, b), full)
+                        assert length is None or length >= bound, (f, q, b)
+                        cycles += length is not None
+    assert min(walks[1], walks[2], walks[3], walks[None]) > 40 and cycles > 5000, (walks, cycles)
+
+
+def test_a_weak_stem_search_past_the_ceiling_raises():
+    """G F p on the unlabelled ten-state ring: the quotient is one node
+    with a self-loop and shows a component within two product states.  The
+    shortest lasso enters the accepting component at r1 and loops through
+    all ten states, so the stem search finds the 19 product states of the
+    first ten layers before the cycle search closes: a ceiling of 19 lets it
+    through, one of 18 stops the stem search."""
+    k = _ring(10)
+    result = check(k, parse_ltl("G F p"), max_product_states=19)
+    assert result.lasso == Lasso(stem=("r0",), loop=tuple(f"r{(i + 1) % 10}" for i in range(10)))
+    with pytest.raises(CeilingError, match=r"^product state ceiling exceeded \(18\)$"):
+        check(_ring(10), parse_ltl("G F p"), max_product_states=18)
