@@ -4,22 +4,20 @@ The checker follows the automata-theoretic recipe: negate the formula,
 translate it to a transition-based generalized Buchi automaton whose states
 are sets of owed formulas and whose edges carry the acceptance marks, and
 search the product with the Kripke structure for an accepting cycle.  Each
-automaton is classified once.  In a weak one every cycle within an
-accepting component is accepting, so one loop over the lasso length finds
-the shortest lasso: it runs the breadth-first stem search beside a cycle
-search from each state where the stem enters such a component.  In a
-strong one Couvreur's algorithm searches for a strongly connected
-component whose edges carry every mark, and the witness is built from
-breadth-first shortest paths: a stem into that component and the shortest
-cycle through its entry that carries every mark.  Properties
-instantiated from one template share a shape: each shape is translated and
-classified once per structure.
+automaton's states are given once their candidate component: one whose
+inner edges together carry every mark, where alone an accepting cycle can
+lie.  Couvreur's algorithm first searches the product with the
+structure's label quotient, which proves most holding properties; else one
+loop over the lasso length finds the shortest lasso, running the
+breadth-first stem search beside a search from each state where the stem
+enters a candidate component for the shortest cycle through it that
+carries every mark.  Properties instantiated from one template share a
+shape: each shape is translated and classified once per structure.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import count
@@ -513,13 +511,11 @@ def ltl_to_buchi(f: Formula, ceiling: int = CEILING) -> BuchiAutomaton:
 
 def _classify(auto: BuchiAutomaton):
     """Each state's strongly connected component, numbered by its first
-    state, and the automaton's class (Bloem, Ravi & Somenzi, CAV 1999).  A
-    component whose inner edges all carry every mark is accepting: every
-    cycle in it is.  One whose inner edges together miss a mark, or that
-    has none, holds no accepting cycle.  When every component is one of the
-    two the automaton is weak, and the class gives each state its accepting
-    component, or None outside every accepting one.  Otherwise it is
-    strong, and the class is None.
+    state, and each state's candidate component: its own component if the
+    inner edges of that one together carry every mark, else None.  Every
+    accepting cycle lies in a candidate component, and in one whose inner
+    edges each carry every mark (as in a weak automaton: Bloem, Ravi &
+    Somenzi, CAV 1999) every cycle is accepting.
 
     The components come from Tarjan's search from state 0, from which every
     state was discovered, on an explicit stack."""
@@ -546,16 +542,12 @@ def _classify(auto: BuchiAutomaton):
                 for t in live[at:]:
                     component[t] = b
                 del live[at:]
-    every: dict[int, bool] = {}     # per component with inner edges: all carry every mark
-    union: dict[int, int] = {}
+    union: dict[int, int] = {}      # per component with inner edges: the marks they carry
     for b, row in enumerate(covers):
         for c in row:
             if component[c.target] == component[b]:
-                every[component[b]] = every.get(component[b], True) and c.marks == full
                 union[component[b]] = union.get(component[b], 0) | c.marks
-    strong = any(not every[c] and union[c] == full for c in every)
-    return tuple(component), None if strong else tuple(
-        c if every.get(c) else None for c in component)
+    return tuple(component), tuple(c if union.get(c) == full else None for c in component)
 
 
 def _bits(mask: int):
@@ -647,9 +639,8 @@ class KripkeStructure:
         """``check``'s translations, freed with the structure: by (ceiling,
         shape key), the negation automaton of the shape's first formula, that
         formula's propositions in order of first occurrence, the product
-        table column of each label projection onto them seen so far, each
-        automaton state's component, and the automaton's class: each state's
-        accepting component if it is weak, None if it is strong (see
+        table column of each label projection onto them seen so far, and
+        each automaton state's component and candidate component (see
         ``_classify``)."""
         return {}
 
@@ -856,19 +847,14 @@ def check(k: KripkeStructure, f: Formula,
     """HOLDS, or VIOLATED with a lasso witness over Kripke states.
 
     Propositions absent from the structure's declared set are resolved to
-    constant false with a warning.  Emptiness of the product with the
-    negation automaton is decided by a strongly connected component
-    search, the witness is built from breadth-first shortest paths, and
-    every witness is replayed through direct semantics before being
-    returned.  The search runs first on the product with the structure's
-    label quotient, and only if that finds a component on the structure's
-    own product, which alone gives witnesses: for a weak automaton one
-    loop over the lasso length gives the shortest lasso (see
-    ``_Product.shortest_lasso``), for a strong one Couvreur's search finds
-    a component and breadth-first searches give the stem into it and the
-    loop.  ``max_product_states`` bounds the automaton's expansion as well
-    as each search: the states one search has found, the stem search's and
-    each cycle search's on their own.  Formulas of
+    constant false with a warning.  Couvreur's search of the product of
+    the negation automaton with the structure's label quotient proves the
+    property if it finds no accepting component.  Else the shortest lasso
+    of the structure's own product (see ``_Product.shortest_lasso``) is the
+    witness, or there is none, and every witness is replayed through direct
+    semantics before being returned.  ``max_product_states`` bounds the
+    automaton's expansion as well as each search: the states one search has
+    found, the stem search's and each cycle search's on their own.  Formulas of
     one shape (see ``_shape``) share one translation per structure: it is
     the automaton of each, up to a one-to-one renaming of propositions.
     Their product is fixed by the letter each label reads, so formulas of
@@ -881,7 +867,7 @@ def check(k: KripkeStructure, f: Formula,
         automaton = ltl_to_buchi(to_nnf(Not(resolved)), max_product_states)
         shape = k.shapes[max_product_states, key] = (
             automaton, names, {}, *_classify(automaton))
-    automaton, first, columns, component, accepting = shape
+    automaton, first, columns, component, candidate = shape
     letters = tuple(sum(1 << i for i, p in enumerate(names) if p in v)  # bit i: names[i]
                     for v in k.index.labels)
     searched = (max_product_states, key, letters)
@@ -891,13 +877,8 @@ def check(k: KripkeStructure, f: Formula,
                 columns[letter] = _column(automaton, frozenset(first[i] for i in _bits(letter)),
                                           component)
         product = _Product(k, automaton, max_product_states, [columns[v] for v in letters])
-        if product.holds_on_quotient():
-            k.searches[searched] = None
-        elif accepting is not None:
-            k.searches[searched] = product.shortest_lasso(accepting, k.loop_bounds)
-        else:
-            component = product.accepting_component()
-            k.searches[searched] = None if component is None else product.lasso(component)
+        k.searches[searched] = None if product.holds_on_quotient() else \
+            product.shortest_lasso(candidate, k.loop_bounds)
     witness = k.searches[searched]
     warnings = ("undeclared propositions resolved to false: " + ", ".join(substituted),)
     warnings = warnings if substituted else ()
@@ -929,16 +910,15 @@ class _Product:
     covers of each automaton state are decided once per distinct label,
     and ``table[label id][b]`` holds the (target, marks) pairs of the covers
     of b that admit it, their distinct targets, and the pairs that stay in
-    b's automaton component; ``columns``, when given, is that table.  The searches start in (s0, 0) for each initial
-    s0, and take the pairs of a row in order, each to every successor of s.
-    A weak automaton's witness comes from one loop over the lasso length
-    that runs the stem search beside resumable cycle searches; a strong
-    one's from Couvreur's search, a stem into its component and one cycle
-    search run to its end.
+    b's automaton component; ``columns``, when given, is that table.  The
+    searches start in (s0, 0) for each initial s0, and take the pairs of a
+    row in order, each to every successor of s.  The witness comes from one
+    loop over the lasso length that runs the stem search beside resumable
+    cycle searches.
 
-    The product with the label quotient numbers its states the same way,
-    with s a label id, so the same table serves it: each node carries its
-    own label.
+    The product with the label quotient, which only Couvreur's search
+    visits, numbers its states the same way, with s a label id, so the same
+    table serves it: each node carries its own label.
     """
 
     def __init__(self, k: KripkeStructure, auto: BuchiAutomaton, ceiling: int,
@@ -953,20 +933,11 @@ class _Product:
         self.mark_count, self.full = auto.mark_count, (1 << auto.mark_count) - 1
 
     def holds_on_quotient(self) -> bool:
-        """True when the product with the label quotient has no accepting
-        component.  A search that reaches the ceiling proves nothing: the
+        """True when Couvreur's search over the product with the label
+        quotient finds no strongly connected set whose inner edges carry
+        every mark.  A search that reaches the ceiling proves nothing: the
         structure's own product, though never smaller, may still show a
-        witness within it."""
-        try:
-            return self.accepting_component(quotient=True) is None
-        except CeilingError:
-            return False
-
-    def accepting_component(self, quotient: bool = False) -> list[int] | None:
-        """Couvreur's search over the structure's product, or with
-        ``quotient`` over the product with the label quotient: the states of
-        the first strongly connected set found whose inner edges carry every
-        mark, or None.
+        witness within it.
 
         ``live`` holds the visited states not yet in a finished component,
         in visiting order; ``position`` maps them to their index there and
@@ -978,27 +949,23 @@ class _Product:
         marks.  The bottom frame of ``stack`` holds the start states, entered
         with no marks."""
         index, width, table, full = self.index, self.width, self.table, self.full
-        successors, label_of, start = (
-            (index.quotient, range(len(index.labels)),
-             [index.label_of[s] * width for s in index.initial])
-            if quotient else (index.successors, index.label_of, self.start))
         position: dict[int, int] = {}
         live, roots, inner, entered = [], [], [], []
-        stack: list = [(None, iter([(p, 0) for p in start]))]
+        stack: list = [(None, iter([(index.label_of[s] * width, 0) for s in index.initial]))]
         while stack:
             p, edges = stack[-1]
             for q, marks in edges:
                 at = position.get(q)
                 if at is None:
                     if len(position) >= self.ceiling:
-                        raise CeilingError(f"product state ceiling exceeded ({self.ceiling})")
+                        return False
                     position[q] = len(live)
                     roots.append(len(live))
                     inner.append(0)
                     entered.append(marks)
                     live.append(q)
                     s, b = divmod(q, width)
-                    stack.append((q, _edges(table[label_of[s]][b][0], successors[s], width)))
+                    stack.append((q, _edges(table[s][b][0], index.quotient[s], width)))
                     break
                 if at >= 0:
                     while roots[-1] > at:
@@ -1006,7 +973,7 @@ class _Product:
                         marks |= inner.pop() | entered.pop()
                     inner[-1] |= marks
                     if inner[-1] == full:
-                        return live[roots[-1]:]
+                        return False
             else:
                 stack.pop()
                 if stack and roots[-1] == position[p]:
@@ -1016,15 +983,15 @@ class _Product:
                     for q in live[at:]:
                         position[q] = -1
                     del live[at:]
-        return None
+        return True
 
-    def shortest_lasso(self, accepting: tuple[int | None, ...],
+    def shortest_lasso(self, candidate: tuple[int | None, ...],
                        bound: tuple[int, ...]) -> Lasso | None:
-        """For a weak automaton (see ``_classify``), the shortest
-        lasso, or None: the least, over reachable product states e in an
-        accepting component, of e's breadth-first depth d plus the length of
-        the shortest cycle through e, which is accepting as every cycle
-        there is; ties go to the state discovered first.
+        """The shortest lasso, or None: the least, over reachable product
+        states e whose automaton state has a ``candidate`` component (see
+        ``_classify``), of e's breadth-first depth d plus the length of the
+        shortest cycle through e whose edges carry every mark; ties go to the
+        state discovered first.
 
         One loop over the lasso length T = 1, 2, ... runs the stem search
         and the entries' cycle searches side by side.  No cycle through
@@ -1045,7 +1012,7 @@ class _Product:
             if found is None:
                 layer = next(layers, ())
                 for i, p in enumerate(layer):
-                    if accepting[p % width] is not None:
+                    if candidate[p % width] is not None:
                         waiting.setdefault(total - 1 + bound[p // width], []).append(
                             (total - 1, i, p))
                 fresh = self._start(waiting.pop(total, ()), total)
@@ -1082,41 +1049,6 @@ class _Product:
                 if len(parent) > ceiling:
                     raise CeilingError(f"product state ceiling exceeded ({ceiling})")
             layer = deeper
-
-    def lasso(self, component: list[int]) -> Lasso:
-        """Shortest stem into the component, and from its entry the
-        shortest cycle back to the entry whose edges carry every mark.  The
-        cycle may leave the component found by the search, which is only
-        the part of a strongly connected component explored so far: a cycle
-        through the entry stays inside the entry's whole component.  The
-        search tests nodes as they are discovered, which is the order they
-        would leave the queue in."""
-        width, table, ceiling = self.width, self.table, self.ceiling
-        successors, label_of = self.index.successors, self.index.label_of
-        inside = set(component)
-        parent = dict.fromkeys(self.start)
-        entry = next((p for p in parent if p in inside), None)
-        queue = deque(parent)
-        while entry is None:
-            p = queue.popleft()
-            s, b = divmod(p, width)
-            for b2 in table[label_of[s]][b][1]:
-                for t in successors[s]:
-                    q = t * width + b2
-                    if q not in parent:
-                        parent[q] = p
-                        if q in inside:
-                            entry = q
-                            break
-                        queue.append(q)
-                if entry is not None:
-                    break
-            if len(parent) > ceiling:
-                raise CeilingError(f"product state ceiling exceeded ({ceiling})")
-        loop = next(filter(None, self.cycle(entry)), None)
-        if loop is None:
-            raise AssertionError(f"no accepting cycle through product state {entry}")
-        return self._lasso(_path(parent, entry), loop)
 
     def cycle(self, entry: int, radius: int = 1):
         """The search for the shortest cycle from product state ``entry``

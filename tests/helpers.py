@@ -1,17 +1,19 @@
 """Seeded random generators shared by the property and acceptance tests,
-and the bounded oracle that cross-checks the checker."""
+the bounded oracle that cross-checks the checker, and the brute-force
+shortest lasso its witnesses are measured against."""
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from collections import deque
 
 from protocheck import (Mapper, MappedSul, MachineSul, MealyMachine, SulInterface,
                         build_uds_machine, reachable)
 from protocheck.cpm import Condition, Cpm
 from protocheck.ltl import (VIOLATED, And, CheckResult, Eventually, Always, Formula,
                             Implies, KripkeStructure, Lasso, Next, Not, Or, Prop, Until,
-                            evaluate_on_lasso, instantiate)
+                            evaluate_on_lasso, instantiate, ltl_to_buchi, to_nnf)
 
 PROPS = ("p", "q", "r")
 
@@ -304,3 +306,54 @@ def bounded_oracle(k: KripkeStructure, f: Formula, stem_max: int, loop_max: int,
         if witness is not None:
             return CheckResult(VIOLATED, witness, substituted)
     return CheckResult(BOUNDED_HOLDS, None, substituted)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force shortest lasso over every product state
+# ---------------------------------------------------------------------------
+
+def brute_product(k: KripkeStructure, f: Formula):
+    """The product of ``k`` with the negation automaton of ``f``, by brute
+    force: the automaton, the edges ((state, automaton state), marks) out of
+    a product state, and the marks every accepting cycle carries."""
+    automaton = ltl_to_buchi(to_nnf(Not(instantiate(f, k.atomic_props)[0])))
+
+    def edges(state):
+        s, b = state
+        letter = k.reads(k.label(s))
+        return [((t, c.target), c.marks) for c in automaton.covers[b]
+                if c.required <= letter and not c.forbidden & letter
+                for t in k.successors[s]]
+
+    return automaton, edges, (1 << automaton.mark_count) - 1
+
+
+def brute_cycle(edges, e, full) -> int | None:
+    """The length of the shortest cycle through product state e whose edges
+    carry every mark, or None if there is none."""
+    layer, seen, length = set(edges(e)), set(), 1
+    while layer and (e, full) not in layer:
+        seen |= layer
+        layer = {(r, m | m2) for q, m in layer for r, m2 in edges(q)} - seen
+        length += 1
+    return length if layer else None
+
+
+def shortest_lasso_length(k: KripkeStructure, f: Formula) -> int | None:
+    """By brute force over every product state of ``k`` with the negation
+    automaton of ``f``: the least, over reachable product states e, of e's
+    breadth-first distance from a start state plus the length of the
+    shortest cycle through e whose edges carry every mark; None if no
+    reachable state lies on such a cycle."""
+    _, edges, full = brute_product(k, f)
+    distance = {(s, 0): 0 for s in k.initial}
+    queue = deque(distance)
+    while queue:
+        p = queue.popleft()
+        for q, _ in edges(p):
+            if q not in distance:
+                distance[q] = distance[p] + 1
+                queue.append(q)
+    lengths = [d + length for e, d in distance.items()
+               if (length := brute_cycle(edges, e, full)) is not None]
+    return min(lengths, default=None)

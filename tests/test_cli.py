@@ -18,7 +18,8 @@ from protocheck import (ActorGenError, CeilingError, CpmError, LearnError, LtlEr
                         parse_cpm, parse_dot)
 from protocheck.cli import main
 from protocheck.fixtures import fixture_text
-from helpers import OracleBudgetError, with_transition
+from protocheck.ltl import kripke_from_annotated, parse_ltl
+from helpers import OracleBudgetError, shortest_lasso_length, with_transition
 
 
 @pytest.fixture()
@@ -82,6 +83,31 @@ def test_check_uds_exit_code_and_report(workdir, tmp_path):
     assert run("emit-test", "--report", report, "--out", tests_path) == 0
     assert run("replay", "--tests", tests_path, "--sul", "uds") == 0
     assert run("replay", "--tests", tests_path, "--sul", "uds-patched") == 3
+
+
+def test_a_fairness_implication_gets_a_shortest_witness_that_replays(workdir, capsys):
+    """The negation of G(F AUTH) -> G(F PROT) has a candidate component
+    whose inner edges carry its two marks only together.  On the uds model
+    ``check`` gives a lasso of the brute-force shortest length, and the
+    test made from it confirms on the system."""
+    cpm = parse_cpm(fixture_text("uds.cpm"))
+    expanded = expand_tau(annotate(build_uds_machine()[0], cpm), cpm)
+    (workdir / "expanded.dot").write_text(emit_annotated_dot(expanded))
+    (workdir / "fair.ltl").write_text("fair: G(F AUTH) -> G(F PROT)\n")
+    report = str(workdir / "report.json")
+    assert run("check", "--expanded", str(workdir / "expanded.dot"), "--cpm",
+               str(workdir / "uds.cpm"), "--properties", str(workdir / "fair.ltl"),
+               "--report", report) == 2
+    (entry,) = json.loads((workdir / "report.json").read_text())["properties"]
+    assert entry["verdict"] == "VIOLATED"
+    k = kripke_from_annotated(expanded, declared=cpm.declared_props)
+    shortest = shortest_lasso_length(k, parse_ltl("G(F AUTH) -> G(F PROT)"))
+    assert len(entry["lasso"]["stem"]) + len(entry["lasso"]["loop"]) == shortest
+    tests_path = str(workdir / "tests.jsonl")
+    assert run("emit-test", "--report", report, "--out", tests_path) == 0
+    capsys.readouterr()
+    assert run("replay", "--tests", tests_path, "--sul", "uds") == 0
+    assert capsys.readouterr().out == "fair: CONFIRMED\n"
 
 
 def test_check_of_a_violation_ending_in_a_dead_end_writes_a_one_input_test(tmp_path, capsys):

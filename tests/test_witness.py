@@ -10,7 +10,7 @@ import importlib.util
 import random
 import re
 import sys
-from collections import Counter, deque
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,12 +18,13 @@ import pytest
 from protocheck import annotate, build_uds_machine, expand_tau, parse_cpm, parse_dot
 from protocheck.ltl import (HOLDS, PROPERTY_TEMPLATES, VIOLATED, CeilingError,
                             KripkeStructure, Lasso, Not, _classify, _path, _Product, check,
-                            instantiate, kripke_from_annotated, ltl_to_buchi, parse_ltl,
-                            property_library, to_nnf)
-from helpers import BOUNDED_HOLDS, bounded_oracle, random_formula
+                            kripke_from_annotated, ltl_to_buchi, parse_ltl, property_library,
+                            to_nnf)
+from helpers import (BOUNDED_HOLDS, bounded_oracle, brute_cycle, brute_product, random_formula,
+                     shortest_lasso_length)
 
 GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
-WITNESS_DIGEST = "6d2a5ea3ec2bfa1642a348f5865c6a90fe305201d101b29ed4ab3ad978ac004d"
+WITNESS_DIGEST = "1a34a72765bfb631304d4d2f73a265a6654318cbbb61b0a7b7b0d6d9921d6aef"
 
 
 def _ring(n: int, labels=None) -> KripkeStructure:
@@ -34,16 +35,19 @@ def _ring(n: int, labels=None) -> KripkeStructure:
         labels=labels or {}, atomic_props=frozenset({"p"}))
 
 
-@pytest.mark.parametrize("text", ["G F p", "G !p"])
-def test_product_ceiling_raises(text):
+@pytest.mark.parametrize("text,ceiling", [
+    pytest.param("G F p", 5, id="G F p"), pytest.param("G !p", 5, id="G !p"),
+    pytest.param("!(G F !p && G F (!p && X !p))", 15, id="two marks")])
+def test_product_ceiling_raises(text, ceiling):
     """Ten ring states with pairwise distinct labels, so the label quotient
-    is the ring itself: each search needs more than five product states,
-    whether or not the property holds."""
+    is the ring itself: each search needs more product states than the
+    ceiling, whether or not the property holds.  The last negation carries
+    two acceptance marks, and its translation alone opens 15 branches."""
     k = _ring(10, {f"r{i}": frozenset({f"r{i}"}) for i in range(10)})
     expected = check(k, parse_ltl(text))
-    assert expected.verdict == (VIOLATED if text == "G F p" else HOLDS)
-    with pytest.raises(CeilingError, match=r"^product state ceiling exceeded \(5\)$"):
-        check(k, parse_ltl(text), max_product_states=5)
+    assert expected.verdict == (HOLDS if text == "G !p" else VIOLATED)
+    with pytest.raises(CeilingError, match=rf"^product state ceiling exceeded \({ceiling}\)$"):
+        check(k, parse_ltl(text), max_product_states=ceiling)
 
 
 def test_quotient_proves_within_the_ceiling_the_product_exceeds():
@@ -152,10 +156,10 @@ def _patterns() -> list[str]:
 def test_quotient_changes_no_verdict_and_no_witness():
     """Library and benchmark patterns on structures with few labels, where
     the quotient often shows a counterexample the structure does not have.
-    ``check`` gives the verdict of the structure's own product searched
-    alone by Couvreur's search, and agrees with the bounded oracle; both
-    branches run.  For a strong automaton the lasso is the one built from
-    that search's component; for a weak one it is no longer."""
+    ``check`` gives the verdict brute force finds on the structure's own
+    product and agrees with the bounded oracle, and its witness is the
+    shortest lasso of that product searched without the quotient pass;
+    both branches run."""
     rng = random.Random(1313)
     patterns = _patterns()
     proved = refuted = 0
@@ -164,20 +168,16 @@ def test_quotient_changes_no_verdict_and_no_witness():
         for text in patterns:
             f = parse_ltl(_over_two(text, rng))
             result = check(k, f)
+            shortest = shortest_lasso_length(k, f)
+            assert result.holds == (shortest is None), (text, f)
             automaton = ltl_to_buchi(to_nnf(Not(f)))
             product = _Product(k, automaton, 10 ** 6)
-            component = product.accepting_component()
-            assert result.verdict == (HOLDS if component is None else VIOLATED)
-            expected = None if component is None else product.lasso(component)
-            if _classify(automaton)[1] is None or expected is None:
-                assert result.lasso == expected
-            else:
-                assert len(result.lasso.states()) <= len(expected.states())
+            assert result.lasso == product.shortest_lasso(_classify(automaton)[1], k.loop_bounds)
             if product.holds_on_quotient():
                 proved += 1
-            elif component is None:
+            elif shortest is None:
                 refuted += 1
-            bounds = (4, 4) if component is None else (
+            bounds = (4, 4) if shortest is None else (
                 max(4, len(result.lasso.stem)), max(4, len(result.lasso.loop)))
             oracle = bounded_oracle(k, f, *bounds)
             assert (oracle.verdict == BOUNDED_HOLDS) == result.holds, (text, f)
@@ -230,105 +230,78 @@ def test_witness_layer_digest():
     assert digest.hexdigest() == WITNESS_DIGEST
 
 
-def _brute_product(k: KripkeStructure, f):
-    """The product of ``k`` with the negation automaton of ``f``, by brute
-    force: the automaton, the edges ((state, automaton state), marks) out of
-    a product state, and the marks every accepting cycle carries."""
-    automaton = ltl_to_buchi(to_nnf(Not(instantiate(f, k.atomic_props)[0])))
-
-    def edges(state):
-        s, b = state
-        letter = k.reads(k.label(s))
-        return [((t, c.target), c.marks) for c in automaton.covers[b]
-                if c.required <= letter and not c.forbidden & letter
-                for t in k.successors[s]]
-
-    return automaton, edges, (1 << automaton.mark_count) - 1
+def _inner_marks(automaton) -> dict[int, set[int]]:
+    """By component of ``automaton`` (see ``_classify``), the marks of each
+    edge inside it."""
+    component = _classify(automaton)[0]
+    inner: dict[int, set[int]] = {}
+    for b, covers in enumerate(automaton.covers):
+        for c in covers:
+            if component[c.target] == component[b]:
+                inner.setdefault(component[b], set()).add(c.marks)
+    return inner
 
 
-def _brute_cycle(edges, e, full) -> int | None:
-    """The length of the shortest cycle through product state e whose edges
-    carry every mark, or None if there is none."""
-    layer, seen, length = set(edges(e)), set(), 1
-    while layer and (e, full) not in layer:
-        seen |= layer
-        layer = {(r, m | m2) for q, m in layer for r, m2 in edges(q)} - seen
-        length += 1
-    return length if layer else None
+def _misses_a_mark_in_a_candidate(automaton) -> bool:
+    """Whether an edge inside a candidate component of ``automaton`` misses
+    a mark: a cycle through it alone is not accepting."""
+    full = (1 << automaton.mark_count) - 1
+    inner = _inner_marks(automaton)
+    return any(inner[c] != {full} for c in set(_classify(automaton)[1]) - {None})
 
 
-def _shortest_lasso_length(k: KripkeStructure, f) -> int | None:
-    """By brute force over every product state of ``k`` with the negation
-    automaton of ``f``: the least, over reachable product states e, of e's
-    breadth-first distance from a start state plus the length of the
-    shortest cycle through e whose edges carry every mark; None if no
-    reachable state lies on such a cycle."""
-    _, edges, full = _brute_product(k, f)
-    distance = {(s, 0): 0 for s in k.initial}
-    queue = deque(distance)
-    while queue:
-        p = queue.popleft()
-        for q, _ in edges(p):
-            if q not in distance:
-                distance[q] = distance[p] + 1
-                queue.append(q)
-    lengths = [d + length for e, d in distance.items()
-               if (length := _brute_cycle(edges, e, full)) is not None]
-    return min(lengths, default=None)
-
-
-def test_weak_witnesses_are_shortest_lassos():
+def test_every_witness_is_a_shortest_lasso():
     """On 40 seeded structures, under the library and benchmark patterns,
-    every witness of a weak automaton is as long (stem plus loop) as the
-    shortest lasso that brute force finds over every product state, and
-    every other witness is no shorter than it."""
+    every witness is as long (stem plus loop) as the shortest lasso that
+    brute force finds over every product state, also where a candidate
+    component holds cycles that miss a mark."""
     rng = random.Random(2718)
     patterns = _patterns()
-    weak = strong = 0
+    partial = 0
     for _ in range(40):
         k = _tangled(rng)
         for text in patterns:
             f = parse_ltl(_over_two(text, rng, "pq"))
             result = check(k, f)
-            shortest = _shortest_lasso_length(k, f)
+            shortest = shortest_lasso_length(k, f)
             assert result.holds == (shortest is None), (text, f)
-            if result.holds:
-                continue
-            length = len(result.lasso.states())
-            if _classify(ltl_to_buchi(to_nnf(Not(f))))[1] is not None:
-                assert length == shortest, (f, result.lasso, shortest)
-                weak += 1
-            else:
-                assert length >= shortest, (f, result.lasso, shortest)
-                strong += 1
-    assert weak > 500 and strong > 20, (weak, strong)
+            if not result.holds:
+                assert len(result.lasso.states()) == shortest, (f, result.lasso, shortest)
+                partial += _misses_a_mark_in_a_candidate(ltl_to_buchi(to_nnf(Not(f))))
+    assert partial > 70, partial
 
 
-def test_invariants_and_safety_patterns_are_weak_and_a_fairness_implication_is_strong():
-    """The library templates, the benchmark's invariant conjunctions and all
-    its temporal patterns but ``G(F a) -> G(F b)`` translate to weak
-    negation automata; G F p -> G F q, whose negation needs two marks on one
-    component, to a strong one.  G p negates to F !p: the start state
-    loops on every letter without the mark, and the state owing nothing,
-    entered on !p, is the one accepting component."""
-    gen = _benchmark_generators()
-    weak = list(PROPERTY_TEMPLATES.values()) + ["G(p -> X !q)"]
-    weak += [line.split(":", 1)[1] for line in
-             gen.property_file(random.Random(5), 0, 4, 12).text.splitlines()[1:]]
-    weak += _patterns()[len(PROPERTY_TEMPLATES):][:5]
-    for text in weak:
-        assert _classify(ltl_to_buchi(to_nnf(Not(parse_ltl(text)))))[1] is not None, text
-    for text in ("G F p -> G F q", _patterns()[len(PROPERTY_TEMPLATES) + 5]):
-        assert _classify(ltl_to_buchi(to_nnf(Not(parse_ltl(text)))))[1] is None, text
+def test_a_candidate_component_is_one_whose_inner_edges_carry_every_mark():
+    """G p negates to F !p: the start state loops on every letter without
+    the mark, and the state owing nothing, entered on !p, is the one
+    candidate component.  The negation of G F p -> G F q owes G F p and
+    G !q in its last component, whose inner edges together carry both
+    marks, though the one that reads !p carries one.  For the library
+    templates, the benchmark's invariant conjunctions and its other
+    temporal patterns every inner edge of a candidate component carries
+    every mark, so each of their cycles there is accepting."""
     automaton = ltl_to_buchi(to_nnf(Not(parse_ltl("G p"))))
     assert [c.target for c in automaton.covers[0]] == [0, 1]
     assert _classify(automaton) == ((0, 1), (None, 1))
+    fairness = ltl_to_buchi(to_nnf(Not(parse_ltl("G F p -> G F q"))))
+    assert _classify(fairness)[1] == (None, None, 2)
+    assert _misses_a_mark_in_a_candidate(fairness)
+    gen = _benchmark_generators()
+    texts = list(PROPERTY_TEMPLATES.values()) + ["G(p -> X !q)"]
+    texts += [line.split(":", 1)[1] for line in
+              gen.property_file(random.Random(5), 0, 4, 12).text.splitlines()[1:]]
+    texts += _patterns()[len(PROPERTY_TEMPLATES):][:5]
+    for text in texts:
+        automaton = ltl_to_buchi(to_nnf(Not(parse_ltl(text))))
+        component, candidate = _classify(automaton)
+        full, inner = (1 << automaton.mark_count) - 1, _inner_marks(automaton)
+        assert candidate == tuple(c if inner.get(c) == {full} else None for c in component), text
 
 
-def _sequential_shortest_lasso(product: _Product, accepting) -> Lasso | None:
-    """The weak pass as it was before the cycle searches ran beside the stem
+def _sequential_shortest_lasso(product: _Product, candidate) -> Lasso | None:
+    """The pass as it was before the cycle searches ran beside the stem
     search, kept as the reference: one breadth-first pass, layer by layer,
-    asks each accepting-component state for a cycle shorter than the best
+    asks each candidate-component state for a cycle shorter than the best
     lasso so far leaves room for, each time with a fresh bounded search,
     and stops at the depth where no state can improve on it."""
     width, table = product.width, product.table
@@ -339,7 +312,7 @@ def _sequential_shortest_lasso(product: _Product, accepting) -> Lasso | None:
         for p in layer:
             if depth + 1 >= best:
                 break
-            if accepting[p % width] is not None and (
+            if candidate[p % width] is not None and (
                     loop := _bounded_cycle(product, p, best - depth - 1)):
                 best, found = depth + len(loop), (p, loop)
         depth += 1
@@ -391,8 +364,8 @@ def _bounded_cycle(product: _Product, entry: int, limit: float) -> list[int] | N
 
 def test_weak_pass_returns_the_lasso_of_the_sequential_pass():
     """On 40 seeded structures, under the library and benchmark patterns,
-    the weak pass returns the very lasso of the sequential reference pass,
-    not only one as long, and so does ``check`` where the property fails."""
+    the pass returns the very lasso of the sequential reference pass, not
+    only one as long, and so does ``check`` where the property fails."""
     rng = random.Random(1618)
     patterns = _patterns()
     compared = none = 0
@@ -401,12 +374,10 @@ def test_weak_pass_returns_the_lasso_of_the_sequential_pass():
         for text in patterns:
             f = parse_ltl(_over_two(text, rng, "pq"))
             automaton = ltl_to_buchi(to_nnf(Not(f)))
-            accepting = _classify(automaton)[1]
-            if accepting is None:
-                continue
+            candidate = _classify(automaton)[1]
             product = _Product(k, automaton, 10 ** 6)
-            expected = _sequential_shortest_lasso(product, accepting)
-            assert product.shortest_lasso(accepting, k.loop_bounds) == expected, f
+            expected = _sequential_shortest_lasso(product, candidate)
+            assert product.shortest_lasso(candidate, k.loop_bounds) == expected, f
             assert check(k, f).lasso == expected, f
             compared += 1
             none += expected is None
@@ -427,7 +398,7 @@ def test_the_entry_found_first_wins_a_tie():
         labels={"s2": frozenset({"p"})}, atomic_props=frozenset({"p"}))
     f = parse_ltl("G F (p && X p)")
     assert k.loop_bounds == (4, 2, 1, 2, 2)
-    assert _shortest_lasso_length(k, f) == 3
+    assert shortest_lasso_length(k, f) == 3
     result = check(k, f)
     assert result.lasso == Lasso(stem=("i",), loop=("s1", "u"))
     swapped = KripkeStructure(k.states, k.initial, {**k.successors, "i": ("s2", "s1")},
@@ -449,8 +420,8 @@ def _closed_walk(k: KripkeStructure, state: str) -> int | None:
 def test_loop_bounds_never_exceed_a_product_cycle():
     """On 30 seeded structures each state's bound is the length of its
     shortest closed walk, or 4 if there is none as short, and under the
-    library and benchmark patterns with weak negations no product cycle
-    through an accepting-component state over it is shorter.  The states
+    library and benchmark patterns no product cycle through a
+    candidate-component state over it that carries every mark is shorter.  The states
     include ones with self-loops, ones whose shortest closed walk is 2 or 3
     long, and ones on no cycle."""
     rng = random.Random(5772)
@@ -467,20 +438,18 @@ def test_loop_bounds_never_exceed_a_product_cycle():
             walks[walk if walk is None or walk < 4 else 4] += 1
         for text in patterns:
             f = parse_ltl(_over_two(text, rng, "pq"))
-            automaton, edges, full = _brute_product(k, f)
-            accepting = _classify(automaton)[1]
-            if accepting is None:
-                continue
+            automaton, edges, full = brute_product(k, f)
+            candidate = _classify(automaton)[1]
             for q, bound in zip(k.states, bounds):
                 for b in range(len(automaton.states)):
-                    if accepting[b] is not None:
-                        length = _brute_cycle(edges, (q, b), full)
+                    if candidate[b] is not None:
+                        length = brute_cycle(edges, (q, b), full)
                         assert length is None or length >= bound, (f, q, b)
                         cycles += length is not None
     assert min(walks[1], walks[2], walks[3], walks[None]) > 40 and cycles > 5000, (walks, cycles)
 
 
-def test_a_weak_stem_search_past_the_ceiling_raises():
+def test_a_stem_search_past_the_ceiling_raises():
     """G F p on the unlabelled ten-state ring: the quotient is one node
     with a self-loop and shows a component within two product states.  The
     shortest lasso enters the accepting component at r1 and loops through
