@@ -23,8 +23,7 @@ from .ltl import (Formula, LtlError, CeilingError, parse_ltl, to_nnf,
                   Lasso, check, evaluate_on_lasso,
                   property_library, parse_property_file, vacuity,
                   CheckResult, HOLDS, VIOLATED,
-                  PROPERTY_TEMPLATES, verdict_text, verdict_jsonl,
-                  emit_property_file)
+                  PROPERTY_TEMPLATES, emit_property_file)
 from .learning import (SulInterface, MachineSul,
                        ObservationTree, LearnResult, lstar_learn,
                        exact_oracle, random_walk_oracle,

@@ -21,7 +21,7 @@ import importlib
 import itertools
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 
@@ -34,7 +34,7 @@ from .statespace import (explore, collapse, verify_roundtrip, compare_roundtrip,
                          emit_lts_dot, parse_lts_dot, emit_collapsed_dot, StateSpaceError)
 from .ltl import (CEILING, CeilingError, check, kripke_from_annotated, property_library,
                   PropertyInstance, parse_property_file, vacuity, instantiate,
-                  format_formula, emit_property_file, verdict_jsonl, HOLDS)
+                  format_formula, emit_property_file, HOLDS)
 from .learning import (FIXTURE_SULS, LearnError, SulInterface, lstar_learn,
                        exact_oracle, random_walk_oracle)
 from .testkit import (TestKitError, concretize, replay, read_tests, tests_jsonl,
@@ -221,26 +221,22 @@ def _load_properties(path: str | None, cpm, text) -> dict[str, PropertyInstance]
 def _check(expanded, cpm, path: str | None, max_nodes: int, unroll: int):
     """Check every property of ``path`` (see ``_load_properties``) on the
     expanded model, printing one verdict line each.  Returns the report
-    entries and the results by property name, whose substitutions include
-    those made at instantiation.  Each formula object is printed once."""
+    entries, the one record of each check: its substitutions are those made
+    at instantiation, then the checker's.  Each formula object is printed once."""
     kripke = kripke_from_annotated(expanded, declared=cpm.declared_props)
     text = cache(format_formula)
     properties = _load_properties(path, cpm, text)
     entries = []
-    results = {}
     for name in sorted(properties):
         inst = properties[name]
         result = check(kripke, inst.formula, max_nodes)
-        result = replace(
-            result, substituted_false=inst.substituted_false + result.substituted_false)
-        results[name] = result
         vac = vacuity(kripke, inst.formula)
         entry = {
             "name": name,
             "formula": text(inst.formula),
             "source": inst.source,
             "verdict": result.verdict,
-            "substituted_false": list(result.substituted_false),
+            "substituted_false": [*inst.substituted_false, *result.substituted_false],
             "warnings": list(result.warnings),
             "vacuity": None if vac is None else asdict(vac),
             "lasso": None,
@@ -255,7 +251,7 @@ def _check(expanded, cpm, path: str | None, max_nodes: int, unroll: int):
         if vac is not None and not vac.risk_reachable:
             line += f"  [{vac.note}]"
         print(line)
-    return entries, results
+    return entries
 
 
 def _report(expanded_path: str, cpm_path: str, entries) -> dict:
@@ -371,13 +367,15 @@ def cmd_verify_roundtrip(args) -> int:
 def cmd_check(args) -> int:
     expanded = parse_annotated_dot(_read(args.expanded))
     cpm = parse_cpm(_read(args.cpm))
-    entries, results = _check(expanded, cpm, args.properties, args.max_nodes, args.unroll)
+    entries = _check(expanded, cpm, args.properties, args.max_nodes, args.unroll)
     report = _report(args.expanded, args.cpm, entries)
     if args.report:
         _write(args.report, _json_text(report))
     if args.jsonl:
-        # an empty property set still writes one (empty) line
-        _write(args.jsonl, verdict_jsonl(results) or "\n")
+        # each entry's verdict record; an empty property set still writes one (empty) line
+        _write(args.jsonl, "".join(json.dumps(
+            {key: entry[key] for key in ("name", "verdict", "lasso", "substituted_false")},
+            sort_keys=True) + "\n" for entry in entries) or "\n")
     return EXIT_OK if report["violations"] == 0 else EXIT_VIOLATED
 
 
@@ -447,7 +445,7 @@ def cmd_pipeline(args) -> int:
     stages["verify-roundtrip"] = {"passed": roundtrip.passed, "message": roundtrip.message}
     if roundtrip.passed:
         # violations are a result, not a pipeline failure
-        entries, _ = _check(expanded, cpm, config["properties"], ceiling, config["unroll"])
+        entries = _check(expanded, cpm, config["properties"], ceiling, config["unroll"])
         report = _report(str(out_dir / "expanded.dot"), config["cpm"], entries)
         files["report.json"] = _json_text(report)
         violations = report["violations"]

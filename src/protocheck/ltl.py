@@ -847,23 +847,24 @@ def check(k: KripkeStructure, f: Formula,
     """HOLDS, or VIOLATED with a lasso witness over Kripke states.
 
     Propositions absent from the structure's declared set are resolved to
-    constant false with a warning.  Couvreur's search of the product of
-    the negation automaton with the structure's label quotient proves the
-    property if it finds no accepting component.  Else the shortest lasso
-    of the structure's own product (see ``_Product.shortest_lasso``) is the
-    witness, or there is none, and every witness is replayed through direct
-    semantics before being returned.  ``max_product_states`` bounds the
-    automaton's expansion as well as each search: the states one search has
-    found, the stem search's and each cycle search's on their own.  Formulas of
-    one shape (see ``_shape``) share one translation per structure: it is
-    the automaton of each, up to a one-to-one renaming of propositions.
-    Their product is fixed by the letter each label reads, so formulas of
-    one shape whose letters agree on every label share one search.
+    constant false by ``instantiate``, with a warning.  Couvreur's search of
+    the product of the negation automaton with the structure's label
+    quotient proves the property if it finds no accepting component.  Else
+    the shortest lasso of the structure's own product (see
+    ``_Product.shortest_lasso``) is the witness, or there is none, and every
+    witness is replayed through direct semantics before being returned.
+    ``max_product_states`` bounds the automaton's expansion as well as each
+    search: the states one search has found, the stem search's and each
+    cycle search's on their own.  Formulas of one shape (see ``_shape``)
+    share one translation per structure: it is the automaton of each, up to
+    a one-to-one renaming of propositions.  Their product is fixed by the
+    letter each label reads, so formulas of one shape whose letters agree on
+    every label share one search.
     """
     key, names, substituted = _shape(f, k.atomic_props)
     shape = k.shapes.get((max_product_states, key))
     if shape is None:
-        resolved = substitute(f, dict.fromkeys(substituted, False)) if substituted else f
+        resolved = instantiate(f, k.atomic_props)[0]
         automaton = ltl_to_buchi(to_nnf(Not(resolved)), max_product_states)
         shape = k.shapes[max_product_states, key] = (
             automaton, names, {}, *_classify(automaton))
@@ -1205,41 +1206,6 @@ def parse_property_file(text: str) -> dict[str, Formula]:
         except LtlError as exc:
             raise LtlError(f"line {lineno}: {exc}") from exc
     return out
-
-
-# ---------------------------------------------------------------------------
-# Verdict reports
-# ---------------------------------------------------------------------------
-
-def verdict_text(name: str, result: CheckResult) -> str:
-    """One human-readable line per checked property."""
-    line = f"{name}: {result.verdict}"
-    if result.substituted_false:
-        line += f" (assumed false: {', '.join(result.substituted_false)})"
-    if result.lasso is not None:
-        loop = " -> ".join(result.lasso.loop)
-        stem = " -> ".join(result.lasso.stem) or "(start)"
-        line += f"; witness stem {stem}, loop {loop}"
-    return line
-
-
-def verdict_jsonl(results: dict[str, CheckResult]) -> str:
-    """Machine-readable report: one JSON object per property and line."""
-    import json
-
-    lines = []
-    for name in sorted(results):
-        result = results[name]
-        lines.append(json.dumps({
-            "name": name,
-            "verdict": result.verdict,
-            "lasso": None if result.lasso is None else {
-                "stem": list(result.lasso.stem),
-                "loop": list(result.lasso.loop),
-            },
-            "substituted_false": list(result.substituted_false),
-        }, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,14 @@ class CollapsedModel:
     def is_deterministic(self) -> bool:
         return all(len(v) == 1 for v in self.transitions.values())
 
+    def outcomes(self):
+        """Every outcome as (state, input, target, output, temporaries), in
+        states x inputs order, then each pair's outcomes in order."""
+        for q in self.states:
+            for sym in self.inputs:
+                for outcome in self.transitions.get((q, sym), ()):
+                    yield (q, sym, *outcome)
+
     def missing(self) -> tuple[str, str] | None:
         """The first (state, input) pair without an outcome, if any."""
         return next(((q, sym) for q in self.states for sym in self.inputs
@@ -136,8 +144,7 @@ class CollapsedModel:
         if not self.is_deterministic():
             raise StateSpaceError("model is nondeterministic; no single machine view")
         _require_total(self)
-        outcomes = [(q, sym, *self.transitions[(q, sym)][0])
-                    for q in self.states for sym in self.inputs]
+        outcomes = list(self.outcomes())
         outputs = tuple(dict.fromkeys(out for _, _, _, out, _ in outcomes))
         labels = {q: self.labels.get(q, frozenset()) for q in self.states}
         return split_machine(self.states, self.inputs, outputs, self.initial, labels,
@@ -232,15 +239,13 @@ def kripke_from_collapsed(cm: CollapsedModel,
 
     Outcomes that raised temporaries become internal states labeled with the
     source state's propositions plus those temporaries, mirroring the
-    expanded-machine view.
+    expanded-machine view.  They are named in :meth:`CollapsedModel.outcomes`
+    order, as in :meth:`~CollapsedModel.to_annotated`.
     """
     states = list(cm.states)
     labels: dict[str, frozenset[str]] = {q: cm.labels.get(q, frozenset()) for q in cm.states}
-    outcomes = ((q, sym, *outcome)
-                for (q, sym), choices in sorted(cm.transitions.items())
-                for outcome in choices)
     steps = []
-    for q, _, target, _, temps, internal in split_tau(states, outcomes):
+    for q, _, target, _, temps, internal in split_tau(states, cm.outcomes()):
         if internal is None:
             steps.append((q, target))
         else:

@@ -110,6 +110,32 @@ def test_a_fairness_implication_gets_a_shortest_witness_that_replays(workdir, ca
     assert capsys.readouterr().out == "fair: CONFIRMED\n"
 
 
+def test_check_jsonl_writes_one_verdict_record_per_report_entry(workdir):
+    """Each ``--jsonl`` line is its report entry's name, verdict, lasso and
+    substitutions, in entry order; an empty property set writes one newline."""
+    cpm = parse_cpm(fixture_text("uds.cpm"))
+    expanded = expand_tau(annotate(build_uds_machine()[0], cpm), cpm)
+    (workdir / "expanded.dot").write_text(emit_annotated_dot(expanded))
+    common = ("check", "--expanded", str(workdir / "expanded.dot"),
+              "--cpm", str(workdir / "uds.cpm"))
+    assert run(*common, "--report", str(workdir / "r.json"),
+               "--jsonl", str(workdir / "r.jsonl")) == 2
+    entries = json.loads((workdir / "r.json").read_text())["properties"]
+    lines = (workdir / "r.jsonl").read_text().splitlines()
+    assert lines == [json.dumps({key: entry[key] for key in
+                                 ("name", "verdict", "lasso", "substituted_false")},
+                                sort_keys=True) for entry in entries]
+    by_name = {entry["name"]: entry for entry in map(json.loads, lines)}
+    assert by_name["no_invalid_key"]["lasso"]["loop"]
+    assert by_name["auth_before_access"]["lasso"] is None
+    assert by_name["plain_read_only_outside_protected"]["substituted_false"] == ["DF", "EF"]
+
+    (workdir / "none.ltl").write_text("")
+    assert run(*common, "--properties", str(workdir / "none.ltl"),
+               "--jsonl", str(workdir / "none.jsonl")) == 0
+    assert (workdir / "none.jsonl").read_text() == "\n"
+
+
 def test_check_of_a_violation_ending_in_a_dead_end_writes_a_one_input_test(tmp_path, capsys):
     """The witness loops on ``b``, which has no transition: staying there
     takes no input, so the test is the one step into ``b``."""

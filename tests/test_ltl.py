@@ -762,32 +762,6 @@ def test_dual_route_verdicts_agree(emrtd_cpm, uds_cpm):
             assert check(k1, inst.formula).verdict == check(k2, inst.formula).verdict, name
 
 
-# ---------------------------------------------------------------------------
-# verdict rendering
-# ---------------------------------------------------------------------------
-
-def test_verdict_report_text_and_jsonl(uds_cpm):
-    import json as jsonlib
-    from protocheck.ltl import verdict_text, verdict_jsonl
-
-    machine, _ = build_uds_machine()
-    expanded = expand_tau(annotate(machine, uds_cpm), uds_cpm)
-    k = kripke_from_annotated(expanded, declared=uds_cpm.declared_props)
-    results = {name: check(k, inst.formula)
-               for name, inst in property_library(uds_cpm).items()}
-    text = verdict_text("no_invalid_key", results["no_invalid_key"])
-    assert text.startswith("no_invalid_key: VIOLATED")
-    assert "witness" in text
-    lines = verdict_jsonl(results).splitlines()
-    assert len(lines) == len(results)
-    decoded = [jsonlib.loads(line) for line in lines]
-    by_name = {d["name"]: d for d in decoded}
-    assert by_name["no_invalid_key"]["verdict"] == "VIOLATED"
-    assert by_name["no_invalid_key"]["lasso"]["loop"]
-    assert by_name["auth_before_access"]["verdict"] == "HOLDS"
-    assert by_name["auth_before_access"]["lasso"] is None
-
-
 def test_property_file_emit_parse_round_trip(emrtd_cpm):
     from protocheck.ltl import emit_property_file
 

@@ -145,6 +145,37 @@ def test_kripke_from_collapsed_matches_expanded_view(two_state_annotated, two_st
         sorted(map(sorted, k_direct.labels.values()))
 
 
+def collapsed_view_cases():
+    from protocheck import parse_cpm
+    from protocheck.fixtures import fixture_text
+
+    cases = [pytest.param(build()[0], parse_cpm(fixture_text(f"{name}.cpm")), id=name)
+             for build, name in ((build_uds_machine, "uds"), (build_emrtd_machine, "emrtd"))]
+    seed = 5200
+    while len(cases) < 32:
+        rng = random.Random(seed)
+        machine = random_machine(rng, max_states=6, max_inputs=4)
+        cpm = random_cpm(rng, machine)
+        if cpm.taus:
+            cases.append(pytest.param(machine, cpm, id=f"seed-{seed}"))
+        seed += 1
+    return cases
+
+
+@pytest.mark.parametrize("machine,cpm", collapsed_view_cases())
+def test_the_collapsed_view_names_internal_states_as_collapsed_dot_does(machine, cpm):
+    """The Kripke view of a collapsed model is the view of the annotated
+    machine that ``collapsed.dot`` is written from: the same internal-state
+    names, successors, labels and propositions."""
+    from protocheck import kripke_from_annotated
+    model = collapse(explore(build_ir(annotate(machine, cpm), cpm)))
+    declared = cpm.declared_props
+    k = kripke_from_collapsed(model, declared)
+    k_dot = kripke_from_annotated(model.to_annotated(), declared)
+    assert (k.states, k.initial, k.successors, k.labels, k.atomic_props) == \
+        (k_dot.states, k_dot.initial, k_dot.successors, k_dot.labels, k_dot.atomic_props)
+
+
 # ---------------------------------------------------------------------------
 # round trip
 # ---------------------------------------------------------------------------
