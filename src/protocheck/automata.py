@@ -359,6 +359,12 @@ def prop_list(props) -> str:
     return ",".join(sorted(props))
 
 
+def prop_names(cell: str) -> frozenset[str]:
+    """A comma-separated proposition list as the readers take it: each
+    name stripped of blanks, empty ones dropped."""
+    return frozenset(p.strip() for p in cell.split(",") if p.strip())
+
+
 def transition_edges(m: MealyMachine, quote) -> list[str]:
     """One edge per transition: states in order, each state's inputs in
     alphabet order, then the empty input that leaves an internal state.

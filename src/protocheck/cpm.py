@@ -16,7 +16,7 @@ from functools import cache, lru_cache
 from typing import NamedTuple
 
 from .automata import (EPSILON, TAU, MealyMachine, _escape, _quote, dot_document,
-                       prop_list, read_dot, transition_edges, transition_table)
+                       prop_list, prop_names, read_dot, transition_edges, transition_table)
 
 _PROP_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -339,16 +339,12 @@ def emit_annotated_dot(a: AnnotatedMachine) -> str:
 _NODE_LABEL_RE = re.compile(r"^(?P<id>.*?)\s*\{(?P<props>[^|{}]*)(?:\|(?P<temps>[^{}]*)|)\}$")
 
 
-def _names(cell: str) -> frozenset[str]:
-    return frozenset(p.strip() for p in cell.split(",") if p.strip())
-
-
 def parse_annotated_dot(text: str) -> AnnotatedMachine:
     """Parse an annotated machine; its states are the node statements."""
     graph = read_dot(text)
     labels: dict[str, frozenset[str]] = {}
     temp_labels: dict[str, frozenset[str]] = {}
-    names = cache(_names)
+    names = cache(prop_names)
     for name, label, _ in graph.nodes:
         lm = _NODE_LABEL_RE.match(label)
         if lm:

@@ -79,9 +79,10 @@ class ObservationTree:
         self.parents: list[tuple[int, str]] = [(0, "")]
         self.queries = 0
 
-    def access(self, node: int) -> Word:
+    def access(self, node: int, root: int = 0) -> Word:
+        """The word from ``root``, an ancestor of ``node``, down to it."""
         word = []
-        while node:
+        while node != root:
             node, symbol = self.parents[node]
             word.append(symbol)
         return tuple(reversed(word))
@@ -118,15 +119,16 @@ class ObservationTree:
         return answer[len(prefix):]
 
     def apart(self, p: int, q: int) -> Word | None:
-        """The shortest word both nodes know whose last outputs differ."""
-        pairs = [(p, q, ())]
-        for p, q, word in pairs:  # grows while it is walked: breadth first
+        """The shortest word both nodes know whose last outputs differ: the
+        path from ``p`` down to the first child that differs."""
+        pairs, root = [(p, q)], p
+        for p, q in pairs:  # grows while it is walked: breadth first
             known = self.edges[q]
             for symbol, (child, output) in self.edges[p].items():
                 if (step := known.get(symbol)) is not None:
                     if step[1] != output:
-                        return word + (symbol,)
-                    pairs.append((child, step[0], word + (symbol,)))
+                        return self.access(child, root)
+                    pairs.append((child, step[0]))
         return None
 
 

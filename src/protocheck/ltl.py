@@ -6,13 +6,14 @@ are sets of owed formulas and whose edges carry the acceptance marks, and
 search the product with the Kripke structure for an accepting cycle.  Each
 automaton's states are given once their candidate component: one whose
 inner edges together carry every mark, where alone an accepting cycle can
-lie.  Couvreur's algorithm first searches the product with the
-structure's label quotient, which proves most holding properties; else one
-loop over the lasso length finds the shortest lasso, running the
-breadth-first stem search beside a search from each state where the stem
-enters a candidate component for the shortest cycle through it that
-carries every mark.  Properties instantiated from one template share a
-shape: each shape is translated and classified once per structure.
+lie.  One search answers both questions the checker asks: a loop over the
+lasso length finds the shortest lasso, running the breadth-first stem
+search beside a search from each state where the stem enters a candidate
+component for the shortest cycle through it that carries every mark.  It
+runs first on the product with the structure's label quotient, where
+finding none proves most holding properties, then on the structure's own
+product for the witness.  Properties instantiated from one template share
+a shape: each shape is translated and classified once per structure.
 """
 
 from __future__ import annotations
@@ -652,18 +653,45 @@ class KripkeStructure:
 
     @cached_property
     def loop_bounds(self) -> tuple[int, ...]:
-        """By state number, a bound no cycle of any product through the
-        state undercuts, shared by every property: the length of the
-        shortest closed walk through the state if it is at most 3, else 4.
-        A product cycle's states project onto such a walk."""
-        successors = self.index.successors
-        into: list[set[int]] = [set() for _ in successors]
-        for s, out in enumerate(successors):
-            for t in out:
-                into[t].add(s)
-        return tuple(1 if s in out else 2 if not into[s].isdisjoint(out) else
-                     3 if any(not into[s].isdisjoint(successors[t]) for t in out) else 4
-                     for s, out in enumerate(successors))
+        """By state number, the girth bounds of the structure (see
+        ``_girth_bounds``), shared by every property."""
+        return _girth_bounds(self.index.successors)
+
+    @cached_property
+    def graphs(self) -> tuple[_Graph, _Graph]:
+        """The label quotient and the structure as ``check`` searches
+        their products, in that order: each quotient node is its own label
+        id, and its start nodes are the initial states' label ids."""
+        index = self.index
+        quotient = _Graph(index.quotient, tuple(range(len(index.labels))),
+                          tuple(index.label_of[s] for s in index.initial),
+                          _girth_bounds(index.quotient))
+        return quotient, _Graph(index.successors, index.label_of, index.initial,
+                                self.loop_bounds)
+
+
+class _Graph(NamedTuple):
+    """A graph whose product ``_Product.shortest_lasso`` searches: by node,
+    its successors and its label id; the start nodes; and by node, a bound
+    no cycle of any product through the node undercuts."""
+
+    successors: tuple[tuple[int, ...], ...]
+    label_of: tuple[int, ...]
+    start: tuple[int, ...]
+    bounds: tuple[int, ...]
+
+
+def _girth_bounds(successors) -> tuple[int, ...]:
+    """By node, the length of the shortest closed walk through it if that
+    is at most 3, else 4.  A product cycle's states project onto such a
+    walk, so none through the node is shorter."""
+    into: list[set[int]] = [set() for _ in successors]
+    for s, out in enumerate(successors):
+        for t in out:
+            into[t].add(s)
+    return tuple(1 if s in out else 2 if not into[s].isdisjoint(out) else
+                 3 if any(not into[s].isdisjoint(successors[t]) for t in out) else 4
+                 for s, out in enumerate(successors))
 
 
 def kripke_from_annotated(a: AnnotatedMachine,
@@ -847,12 +875,14 @@ def check(k: KripkeStructure, f: Formula,
     """HOLDS, or VIOLATED with a lasso witness over Kripke states.
 
     Propositions absent from the structure's declared set are resolved to
-    constant false by ``instantiate``, with a warning.  Couvreur's search of
-    the product of the negation automaton with the structure's label
-    quotient proves the property if it finds no accepting component.  Else
-    the shortest lasso of the structure's own product (see
-    ``_Product.shortest_lasso``) is the witness, or there is none, and every
-    witness is replayed through direct semantics before being returned.
+    constant false by ``instantiate``, with a warning.  One product of the
+    negation automaton is searched on two graphs (see
+    ``KripkeStructure.graphs``): a pass over its product with the label
+    quotient that finds no lasso proves the property, and one that reaches
+    the ceiling proves nothing.  Else the shortest lasso of the structure's
+    own product (see ``_Product.shortest_lasso``) is the witness, or there
+    is none, and every witness is replayed through direct semantics before
+    being returned.
     ``max_product_states`` bounds the automaton's expansion as well as each
     search: the states one search has found, the stem search's and each
     cycle search's on their own.  Formulas of one shape (see ``_shape``)
@@ -877,9 +907,15 @@ def check(k: KripkeStructure, f: Formula,
             if letter not in columns:
                 columns[letter] = _column(automaton, frozenset(first[i] for i in _bits(letter)),
                                           component)
-        product = _Product(k, automaton, max_product_states, [columns[v] for v in letters])
-        k.searches[searched] = None if product.holds_on_quotient() else \
-            product.shortest_lasso(candidate, k.loop_bounds)
+        product = _Product(automaton, max_product_states, [columns[v] for v in letters])
+        quotient, structure = k.graphs
+        try:
+            refuted = product.shortest_lasso(quotient, candidate) is not None
+        except CeilingError:    # proves nothing: the structure's product may be within it
+            refuted = True
+        found = product.shortest_lasso(structure, candidate) if refuted else None
+        k.searches[searched] = found and Lasso(*(tuple(k.states[s] for s in path)
+                                                 for path in found))
     witness = k.searches[searched]
     warnings = ("undeclared propositions resolved to false: " + ", ".join(substituted),)
     warnings = warnings if substituted else ()
@@ -903,138 +939,75 @@ def _validate_lasso(k: KripkeStructure, lasso: Lasso):
 
 
 class _Product:
-    """Product of a Kripke structure and a transition-based generalized
-    Buchi automaton.
+    """Product of a transition-based generalized Buchi automaton with a
+    graph whose nodes carry label ids (see ``_Graph``): the label quotient
+    or the Kripke structure, searched by the same pass.
 
-    The product state (s, b) is the integer ``s * width + b`` over the
-    structure's index.  An edge out of (s, b) reads the label of s: the
-    covers of each automaton state are decided once per distinct label,
-    and ``table[label id][b]`` holds the (target, marks) pairs of the covers
-    of b that admit it, their distinct targets, and the pairs that stay in
-    b's automaton component; ``columns``, when given, is that table.  The
-    searches start in (s0, 0) for each initial s0, and take the pairs of a
-    row in order, each to every successor of s.  The witness comes from one
-    loop over the lasso length that runs the stem search beside resumable
-    cycle searches.
-
-    The product with the label quotient, which only Couvreur's search
-    visits, numbers its states the same way, with s a label id, so the same
-    table serves it: each node carries its own label.
+    The product state (s, b) is the integer ``s * width + b``, s a graph
+    node.  An edge out of (s, b) reads the label of s: the covers of each
+    automaton state are decided once per distinct label, and
+    ``table[label id][b]`` holds the (target, marks) pairs of the covers of
+    b that admit it, their distinct targets, and the pairs that stay in b's
+    automaton component.  The searches start in (s0, 0) for each start node
+    s0, and take the pairs of a row in order, each to every successor of s.
     """
 
-    def __init__(self, k: KripkeStructure, auto: BuchiAutomaton, ceiling: int,
-                 columns=None):
-        self.index, self.names, self.ceiling = k.index, k.states, ceiling
-        self.width = len(auto.states)
-        if columns is None:
-            component = _classify(auto)[0]
-            columns = [_column(auto, v, component) for v in self.index.labels]
-        self.table = columns
-        self.start = [s * self.width for s in self.index.initial]
+    def __init__(self, auto: BuchiAutomaton, ceiling: int, table: list):
+        self.width, self.ceiling, self.table = len(auto.states), ceiling, table
         self.mark_count, self.full = auto.mark_count, (1 << auto.mark_count) - 1
 
-    def holds_on_quotient(self) -> bool:
-        """True when Couvreur's search over the product with the label
-        quotient finds no strongly connected set whose inner edges carry
-        every mark.  A search that reaches the ceiling proves nothing: the
-        structure's own product, though never smaller, may still show a
-        witness within it.
-
-        ``live`` holds the visited states not yet in a finished component,
-        in visiting order; ``position`` maps them to their index there and
-        finished states to -1.  Each root opens a component on ``live`` and
-        carries two values: the OR of the marks on the edges inside its
-        component, and the marks of the edge that entered it.  An edge back
-        into ``live`` merges every root above the target into one
-        component, ORing both values of each popped root and the edge's own
-        marks.  The bottom frame of ``stack`` holds the start states, entered
-        with no marks."""
-        index, width, table, full = self.index, self.width, self.table, self.full
-        position: dict[int, int] = {}
-        live, roots, inner, entered = [], [], [], []
-        stack: list = [(None, iter([(index.label_of[s] * width, 0) for s in index.initial]))]
-        while stack:
-            p, edges = stack[-1]
-            for q, marks in edges:
-                at = position.get(q)
-                if at is None:
-                    if len(position) >= self.ceiling:
-                        return False
-                    position[q] = len(live)
-                    roots.append(len(live))
-                    inner.append(0)
-                    entered.append(marks)
-                    live.append(q)
-                    s, b = divmod(q, width)
-                    stack.append((q, _edges(table[s][b][0], index.quotient[s], width)))
-                    break
-                if at >= 0:
-                    while roots[-1] > at:
-                        roots.pop()
-                        marks |= inner.pop() | entered.pop()
-                    inner[-1] |= marks
-                    if inner[-1] == full:
-                        return False
-            else:
-                stack.pop()
-                if stack and roots[-1] == position[p]:
-                    at = roots.pop()
-                    inner.pop()
-                    entered.pop()
-                    for q in live[at:]:
-                        position[q] = -1
-                    del live[at:]
-        return True
-
-    def shortest_lasso(self, candidate: tuple[int | None, ...],
-                       bound: tuple[int, ...]) -> Lasso | None:
-        """The shortest lasso, or None: the least, over reachable product
-        states e whose automaton state has a ``candidate`` component (see
-        ``_classify``), of e's breadth-first depth d plus the length of the
-        shortest cycle through e whose edges carry every mark; ties go to the
-        state discovered first.
+    def shortest_lasso(self, graph: _Graph, candidate: tuple[int | None, ...]):
+        """The shortest lasso of the product with ``graph``, as the graph
+        nodes of its stem and of its loop, or None: the least, over
+        reachable product states e whose automaton state has a
+        ``candidate`` component (see ``_classify``), of e's breadth-first
+        depth d plus the length of the shortest cycle through e whose edges
+        carry every mark; ties go to the state discovered first.
 
         One loop over the lasso length T = 1, 2, ... runs the stem search
         and the entries' cycle searches side by side.  No cycle through
-        e = (s, b) is shorter than ``bound[s]`` (see
-        ``KripkeStructure.loop_bounds``), so e's search starts at
-        T = d + bound[s] and is taken to radius T - d at each later T.  The
-        first T at which a search closes is the least total, and the first
-        entry in discovery order that closes at it wins.  At each T the
-        searches of the layers found so far go first; only when none closes
-        does the stem search reveal layer T - 1, whose entries can close at
-        T through a self-loop alone."""
-        width = self.width
-        parent = dict.fromkeys(self.start)
-        layers, running, waiting = self._layers(parent), [], {}
+        e = (s, b) is shorter than ``graph.bounds[s]``, so e's search starts
+        at T = d + bounds[s] and is taken to radius T - d at each later T.
+        The first T at which a search closes is the least total, and the
+        first entry in discovery order that closes at it wins.  At each T
+        the searches of the layers found so far go first; only when none
+        closes does the stem search reveal layer T - 1, whose entries can
+        close at T through a self-loop alone.  Those entries are the deepest
+        found so far, so they join the running searches at the end."""
+        width, bounds = self.width, graph.bounds
+        parent = dict.fromkeys(s * width for s in graph.start)
+        layers, running, waiting = self._layers(graph, parent), [], {}
         for total in count(1):
-            running = sorted(running + self._start(waiting.pop(total, ()), total))
+            if total in waiting:
+                running = sorted(running + self._start(graph, waiting.pop(total), total))
             found = _advance(running)
             if found is None:
                 layer = next(layers, ())
                 for i, p in enumerate(layer):
                     if candidate[p % width] is not None:
-                        waiting.setdefault(total - 1 + bound[p // width], []).append(
+                        waiting.setdefault(total - 1 + bounds[p // width], []).append(
                             (total - 1, i, p))
-                fresh = self._start(waiting.pop(total, ()), total)
-                found = _advance(fresh)
-                running += fresh
+                if total in waiting:
+                    fresh = self._start(graph, waiting.pop(total), total)
+                    found = _advance(fresh)
+                    running += fresh
             if found is not None:
-                return self._lasso(_path(parent, found[0]), found[1])
+                return ([p // width for p in _path(parent, found[0])[:-1]],
+                        [p // width for p in found[1]])
             if not (layer or running or waiting):
                 return None
 
-    def _start(self, entries, total: int) -> list:
+    def _start(self, graph: _Graph, entries, total: int) -> list:
         """The cycle searches of ``entries``, each (depth, position in its
         layer, product state), started at lasso length ``total``."""
-        return [(d, i, p, self.cycle(p, total - d)) for d, i, p in entries]
+        return [(d, i, p, self.cycle(graph, p, total - d)) for d, i, p in entries]
 
-    def _layers(self, parent: dict):
+    def _layers(self, graph: _Graph, parent: dict):
         """The breadth-first layers of the product, each a list in discovery
         order, from the start states, which ``parent`` holds; it maps each
         state found to the one it was found from."""
         width, table, ceiling = self.width, self.table, self.ceiling
-        successors, label_of = self.index.successors, self.index.label_of
+        successors, label_of = graph.successors, graph.label_of
         layer = list(parent)
         while layer:
             yield layer
@@ -1051,7 +1024,7 @@ class _Product:
                     raise CeilingError(f"product state ceiling exceeded ({ceiling})")
             layer = deeper
 
-    def cycle(self, entry: int, radius: int = 1):
+    def cycle(self, graph: _Graph, entry: int, radius: int = 1):
         """The search for the shortest cycle from product state ``entry``
         back to it whose edges carry every mark, resumable: from ``radius``
         on it yields once per radius, None while no cycle that long closes,
@@ -1062,7 +1035,7 @@ class _Product:
         only the edges that stay in the automaton component they leave: no
         other edge leads back."""
         width, table, ceiling = self.width, self.table, self.ceiling
-        successors, label_of = self.index.successors, self.index.label_of
+        successors, label_of = graph.successors, graph.label_of
         shift, full = self.mark_count, self.full
         goal = entry << shift | full
         s, b = divmod(entry, width)
@@ -1090,21 +1063,6 @@ class _Product:
                     break
             layer, depth = deeper, depth + 1
         yield [entry] + [node >> shift for node in _path(parent, goal)[:-1]]
-
-    def _lasso(self, stem: list[int], loop: list[int]) -> Lasso:
-        """The lasso over Kripke state names of a breadth-first path to the
-        loop's entry (which the path ends in) and the loop."""
-        width = self.width
-        return Lasso(tuple(self.names[p // width] for p in stem[:-1]),
-                     tuple(self.names[p // width] for p in loop))
-
-
-def _edges(row, successors, width):
-    """The edges (state, marks) of one product row, made as the search
-    takes them: it often returns before the last."""
-    for b, marks in row:
-        for t in successors:
-            yield t * width + b, marks
 
 
 def _advance(searches: list) -> tuple[int, list[int]] | None:

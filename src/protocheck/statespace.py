@@ -15,8 +15,8 @@ from functools import cache
 from typing import NamedTuple
 
 from .automata import (NO_INITIAL_STATE, MachineError, _escape, _quote, _split_fields,
-                       _unescape, dot_document, dot_edge, io_label, prop_list, read_dot,
-                       unlabeled_edge)
+                       _unescape, dot_document, dot_edge, io_label, prop_list, prop_names,
+                       read_dot, unlabeled_edge)
 from .cpm import AnnotatedMachine, Cpm, split_machine, split_tau
 from .actorgen import REQ_LABEL, TIMEOUT_LABEL, TIMEOUT_PROP, ActorModelIR, build_ir
 from .ltl import CEILING, CeilingError, KripkeStructure, kripke_view
@@ -299,22 +299,31 @@ def compare_roundtrip(a: AnnotatedMachine, cpm: Cpm, lts: Lts,
         return fail("labels differ after input word []")
     # breadth-first, so the first mismatch is found on a shortest word
     start = (m.initial, collapsed.initial)
-    seen = {start}
-    frontier = [(start, ())]
-    for (qa, qc), prefix in frontier:
+    parent = {start: None}      # each pair seen: the pair and input it was first reached by
+    frontier = [start]
+
+    def word(pair, sym: str) -> list[str]:
+        """The input word of the walk to ``pair``, then ``sym``."""
+        path = [sym]
+        while parent[pair] is not None:
+            pair, sym = parent[pair]
+            path.append(sym)
+        return path[::-1]
+
+    for pair in frontier:
+        qa, qc = pair
         for sym in m.inputs:
             na, out = m.transitions[(qa, sym)]
             nc, got, temps = nominal[(qc, sym)]
-            word = prefix + (sym,)
             if got != out:
-                return fail(f"behavior differs on input word {list(word)}")
+                return fail(f"behavior differs on input word {word(pair, sym)}")
             if a.label(na) != collapsed.labels.get(nc, frozenset()):
-                return fail(f"labels differ after input word {list(word)}")
+                return fail(f"labels differ after input word {word(pair, sym)}")
             if temps != cpm.raised_temps(sym, out):
-                return fail(f"temporaries differ on input word {list(word)}")
-            if (na, nc) not in seen:
-                seen.add((na, nc))
-                frontier.append(((na, nc), word))
+                return fail(f"temporaries differ on input word {word(pair, sym)}")
+            if (na, nc) not in parent:
+                parent[na, nc] = pair, sym
+                frontier.append((na, nc))
     return RoundtripReport(True, "PASS", len(lts.nodes))
 
 
@@ -352,7 +361,7 @@ def parse_lts_dot(text: str) -> Lts:
     external tool using the same conventions; phases are re-derived from the
     message shape when the result is collapsed."""
     graph = read_dot(text)
-    names = cache(lambda text: frozenset(p for p in text.split(",") if p))
+    names = cache(prop_names)
 
     @cache
     def fields(label: str) -> tuple[str | None, frozenset[str], frozenset[str]]:

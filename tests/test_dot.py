@@ -212,6 +212,20 @@ def test_lts_state_names_keep_semicolons_and_backslashes():
     assert (node.q, node.props, node.temps) == ("a\\b", frozenset({"P"}), frozenset({"T"}))
 
 
+def test_lts_proposition_lists_are_read_without_blanks():
+    """A list written with a blank after each comma reads as the annotated
+    reader reads it: the names themselves, as the collapsed view then
+    writes them."""
+    text = ('digraph g { __start -> n0; n0 [label="q=s0; props=A, B; temps=T, U"]; '
+            'n1 [label="q=s0; props=A, B; temps=T, U"]; n2 [label="q=s0; props=; temps="]; '
+            'n0 -> n1 [label="req"]; n1 -> n2 [label="x"]; n2 -> n0 [label="o"]; }')
+    lts = parse_lts_dot(text)
+    assert {(n.props, n.temps) for n in lts.nodes[:2]} == {(frozenset("AB"), frozenset("TU"))}
+    assert emit_collapsed_dot(collapse(lts)) == (
+        'digraph collapsed {\n  __start [shape=none, label=""];\n  __start -> s0;\n'
+        '  s0 [label="s0 {A,B}"];\n  s0 -> s0 [label="x / o [T,U]"];\n}\n')
+
+
 def test_mealy_dot_round_trip_with_newline_in_a_symbol():
     m = MealyMachine(("a", "b"), ("x\ny", "z"), ("o\np", "ok"), "a",
                      {("a", "x\ny"): ("b", "o\np"), ("a", "z"): ("a", "ok"),

@@ -1,5 +1,6 @@
 """Checker witnesses: the product ceiling, generalized acceptance, length,
-and the label quotient that proves holding properties before the search.
+and the label quotient whose pass proves holding properties before the
+structure's own.
 
 Every witness is a lasso over Kripke states that ``check`` has already
 replayed through direct semantics; these tests pin what it looks like.
@@ -17,9 +18,9 @@ import pytest
 
 from protocheck import annotate, build_uds_machine, expand_tau, parse_cpm, parse_dot
 from protocheck.ltl import (HOLDS, PROPERTY_TEMPLATES, VIOLATED, CeilingError,
-                            KripkeStructure, Lasso, Not, _classify, _path, _Product, check,
-                            kripke_from_annotated, ltl_to_buchi, parse_ltl, property_library,
-                            to_nnf)
+                            KripkeStructure, Lasso, Not, _classify, _column, _path, _Product,
+                            check, kripke_from_annotated, ltl_to_buchi, parse_ltl,
+                            property_library, to_nnf)
 from helpers import (BOUNDED_HOLDS, bounded_oracle, brute_cycle, brute_product, random_formula,
                      shortest_lasso_length)
 
@@ -58,6 +59,27 @@ def test_quotient_proves_within_the_ceiling_the_product_exceeds():
     assert check(k, parse_ltl("G !p"), max_product_states=5).verdict == HOLDS
     with pytest.raises(CeilingError, match=r"^product state ceiling exceeded \(5\)$"):
         check(k, parse_ltl("G F p"), max_product_states=5)
+
+
+def test_a_quotient_pass_past_the_ceiling_falls_through_to_the_structure():
+    """r0 leads to w, labelled p with a self-loop, and down an unlabelled
+    chain x0 ... x5 to ten states l0 ... l9, each with its own proposition
+    and a self-loop.  On the quotient the unlabelled node reaches all
+    eleven labelled ones at once, so its pass for G !p reaches a ceiling of
+    5 and proves nothing; the structure's own pass finds the lasso through
+    w within five product states, and a ceiling of 4 stops it."""
+    chain = tuple(f"x{i}" for i in range(6))
+    leaves = tuple(f"l{i}" for i in range(10))
+    successors = {"r0": ("w", "x0"), "w": ("w",), chain[-1]: leaves,
+                  **{x: (y,) for x, y in zip(chain, chain[1:])}, **{q: (q,) for q in leaves}}
+    labels = {"w": frozenset({"p"}), **{q: frozenset({f"q{i}"}) for i, q in enumerate(leaves)}}
+    k = KripkeStructure(("r0", "w") + chain + leaves, ("r0",), successors, labels,
+                        frozenset({"p"} | {f"q{i}" for i in range(10)}))
+    result = check(k, parse_ltl("G !p"), max_product_states=5)
+    assert result.verdict == VIOLATED
+    assert result.lasso == Lasso(stem=("r0", "w"), loop=("w",))
+    with pytest.raises(CeilingError, match=r"^product state ceiling exceeded \(4\)$"):
+        check(k, parse_ltl("G !p"), max_product_states=4)
 
 
 def test_automaton_ceiling_raises_one_line(uds_cpm):
@@ -171,9 +193,11 @@ def test_quotient_changes_no_verdict_and_no_witness():
             shortest = shortest_lasso_length(k, f)
             assert result.holds == (shortest is None), (text, f)
             automaton = ltl_to_buchi(to_nnf(Not(f)))
-            product = _Product(k, automaton, 10 ** 6)
-            assert result.lasso == product.shortest_lasso(_classify(automaton)[1], k.loop_bounds)
-            if product.holds_on_quotient():
+            candidate = _classify(automaton)[1]
+            product = _product(k, automaton)
+            quotient, structure = k.graphs
+            assert result.lasso == _named(k, product.shortest_lasso(structure, candidate))
+            if product.shortest_lasso(quotient, candidate) is None:
                 proved += 1
             elif shortest is None:
                 refuted += 1
@@ -298,22 +322,35 @@ def test_a_candidate_component_is_one_whose_inner_edges_carry_every_mark():
         assert candidate == tuple(c if inner.get(c) == {full} else None for c in component), text
 
 
-def _sequential_shortest_lasso(product: _Product, candidate) -> Lasso | None:
+def _product(k: KripkeStructure, automaton) -> _Product:
+    """The product ``check`` searches for ``automaton`` on ``k``, its table
+    built from the labels themselves rather than their letters."""
+    component = _classify(automaton)[0]
+    return _Product(automaton, 10 ** 6, [_column(automaton, v, component)
+                                         for v in k.index.labels])
+
+
+def _named(k: KripkeStructure, found) -> Lasso | None:
+    """The lasso over state names of a pass's stem and loop nodes."""
+    return found and Lasso(*(tuple(k.states[s] for s in path) for path in found))
+
+
+def _sequential_shortest_lasso(product: _Product, graph, candidate):
     """The pass as it was before the cycle searches ran beside the stem
     search, kept as the reference: one breadth-first pass, layer by layer,
     asks each candidate-component state for a cycle shorter than the best
     lasso so far leaves room for, each time with a fresh bounded search,
     and stops at the depth where no state can improve on it."""
     width, table = product.width, product.table
-    successors, label_of = product.index.successors, product.index.label_of
-    parent = dict.fromkeys(product.start)
+    successors, label_of = graph.successors, graph.label_of
+    parent = dict.fromkeys(s * width for s in graph.start)
     layer, depth, best, found = list(parent), 0, float("inf"), None
     while layer:
         for p in layer:
             if depth + 1 >= best:
                 break
             if candidate[p % width] is not None and (
-                    loop := _bounded_cycle(product, p, best - depth - 1)):
+                    loop := _bounded_cycle(product, graph, p, best - depth - 1)):
                 best, found = depth + len(loop), (p, loop)
         depth += 1
         if depth + 1 >= best:
@@ -328,15 +365,16 @@ def _sequential_shortest_lasso(product: _Product, candidate) -> Lasso | None:
                         parent[q] = p
                         deeper.append(q)
         layer = deeper
-    return None if found is None else product._lasso(_path(parent, found[0]), found[1])
+    return None if found is None else ([p // width for p in _path(parent, found[0])[:-1]],
+                                       [p // width for p in found[1]])
 
 
-def _bounded_cycle(product: _Product, entry: int, limit: float) -> list[int] | None:
+def _bounded_cycle(product: _Product, graph, entry: int, limit: float) -> list[int] | None:
     """The reference pass's cycle search: the shortest cycle through
     ``entry`` whose edges carry every mark, or None if none is at most
     ``limit`` long."""
     width, table = product.width, product.table
-    successors, label_of = product.index.successors, product.index.label_of
+    successors, label_of = graph.successors, graph.label_of
     shift, full = product.mark_count, product.full
     goal = entry << shift | full
     s, b = divmod(entry, width)
@@ -375,10 +413,13 @@ def test_weak_pass_returns_the_lasso_of_the_sequential_pass():
             f = parse_ltl(_over_two(text, rng, "pq"))
             automaton = ltl_to_buchi(to_nnf(Not(f)))
             candidate = _classify(automaton)[1]
-            product = _Product(k, automaton, 10 ** 6)
-            expected = _sequential_shortest_lasso(product, candidate)
-            assert product.shortest_lasso(candidate, k.loop_bounds) == expected, f
-            assert check(k, f).lasso == expected, f
+            product = _product(k, automaton)
+            quotient, structure = k.graphs
+            expected = _sequential_shortest_lasso(product, structure, candidate)
+            assert product.shortest_lasso(structure, candidate) == expected, f
+            assert check(k, f).lasso == _named(k, expected), f
+            assert product.shortest_lasso(quotient, candidate) == \
+                _sequential_shortest_lasso(product, quotient, candidate), f
             compared += 1
             none += expected is None
     assert compared > 1500 and 500 < none < compared - 500, (compared, none)
