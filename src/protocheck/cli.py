@@ -11,16 +11,26 @@ value, caught before anything is written; an unreadable or malformed input
 file or record), 70 internal error (a bug; please report it).  Past argument
 parsing, every failure prints one line.  All outputs are deterministic given
 the same inputs and seeds; reports embed seeds for reproducibility.
+
+``main`` runs each subcommand with the cyclic garbage collector paused and
+puts it back as its caller had it on every exit.  Reference counting frees
+everything the stages build (the only cycles they leave are the standard
+JSON encoder's, a fixed few per document, and tests/test_cli.py checks
+that), so the collector's passes over their live data find nothing.  The
+system's code runs with the collector as the caller had it: its factory,
+learning with its queries, and replay.  Library calls leave it alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import importlib
 import itertools
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from functools import cache
 from pathlib import Path
@@ -80,6 +90,18 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")  # no usage block
+
+
+@contextmanager
+def _collector(on: bool):
+    """Run the block with the cyclic garbage collector on or off, then put
+    back the state it had."""
+    was = gc.isenabled()
+    (gc.enable if on else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def _read(path: str) -> str:
@@ -297,8 +319,9 @@ def _replay(sul, tests) -> tuple[int, str]:
 
 def cmd_learn(args) -> int:
     _check_walk_lengths(args.min_len, args.max_len, "--min-len", "--max-len")
-    machine, stats = _learn(args.sul, args.oracle, args.min_len, args.max_len,
-                            args.num_tests, args.seed)
+    with _collector(args.caller_collects):
+        machine, stats = _learn(args.sul, args.oracle, args.min_len, args.max_len,
+                                args.num_tests, args.seed)
     _write(args.out, emit_dot(machine))
     stats.update(states=len(machine.states), inputs=len(machine.inputs),
                  algorithm=args.algorithm, oracle=args.oracle, seed=args.seed)
@@ -392,8 +415,9 @@ def cmd_emit_test(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    sul, _ = _resolve_sul(args.sul)
-    diverged, text = _replay(sul, read_tests(args.tests))
+    with _collector(args.caller_collects):
+        sul, _ = _resolve_sul(args.sul)
+        diverged, text = _replay(sul, read_tests(args.tests))
     if args.report:
         _write(args.report, text)
     return EXIT_OK if diverged == 0 else EXIT_DIVERGED
@@ -414,9 +438,10 @@ def cmd_pipeline(args) -> int:
     # every artifact's text by file name, written once no stage is left to fail
     files, stages = {}, {}
     if config["sul"] is not None:
-        machine, stages["learn"] = _learn(
-            config["sul"], config["learner.oracle"], config["learner.min_len"],
-            config["learner.max_len"], config["learner.num_tests"], seed)
+        with _collector(args.caller_collects):
+            machine, stages["learn"] = _learn(
+                config["sul"], config["learner.oracle"], config["learner.min_len"],
+                config["learner.max_len"], config["learner.num_tests"], seed)
     else:
         machine = parse_dot(_read(config["model"]))
         stages["learn"] = {"skipped": True}
@@ -455,8 +480,9 @@ def cmd_pipeline(args) -> int:
         stages["emit-test"] = {"tests": violations}
 
         if config["sul"] is not None and violations:
-            sul = _Counted(_resolve_sul(config["sul"])[0])
-            diverged, files["replay.json"] = _replay(sul, tests)
+            with _collector(args.caller_collects):
+                sul = _Counted(_resolve_sul(config["sul"])[0])
+                diverged, files["replay.json"] = _replay(sul, tests)
             stages["replay"] = {"diverged": diverged > 0, "cost": sul.cost()}
         else:
             stages["replay"] = {"skipped": True}
@@ -618,7 +644,11 @@ def main(argv=None) -> int:
         for dest, value in vars(args).items():
             if dest in _COUNT_FLAGS and value < 1:
                 raise ValueError(f"--{dest.replace('_', '-')} must be at least 1")
-        return command(args)
+        # the system's factory, learning and replay run with the collector
+        # as the caller had it: plug-in code may build reference cycles
+        args.caller_collects = gc.isenabled()
+        with _collector(False):
+            return command(args)
     except Exception as exc:  # noqa: BLE001 - every failure ends here, in one line
         code = next(filter(None, map(_EXIT_CODES.get, type(exc).__mro__)), EXIT_INTERNAL)
         kind = "error" if code != EXIT_INTERNAL else f"internal error: {type(exc).__name__}"

@@ -5,6 +5,7 @@ shortest lasso its witnesses are measured against."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 from collections import deque
 
@@ -111,6 +112,29 @@ def blackbox_uds_sul():
     sul = MachineSul(machine)
     sul.inputs = machine.inputs
     return sul
+
+
+# gc.isenabled() at each call of ``collector_recording_sul`` and at each
+# reset and step of the systems it built
+COLLECTOR_STATES: list[bool] = []
+
+
+class _CollectorRecordingMachine(MachineSul):
+    def reset(self):
+        COLLECTOR_STATES.append(gc.isenabled())
+        super().reset()
+
+    def step(self, symbol: str) -> str:
+        COLLECTOR_STATES.append(gc.isenabled())
+        return super().step(symbol)
+
+
+def collector_recording_sul():
+    """``module:factory`` form of the diagnostic unit that records whether
+    the cyclic collector runs while its code does."""
+    COLLECTOR_STATES.append(gc.isenabled())
+    machine, _ = build_uds_machine()
+    return _CollectorRecordingMachine(machine), machine
 
 
 class _LinkDownSul(SulInterface):

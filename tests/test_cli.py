@@ -1,8 +1,10 @@
 """Command-line stages: file handoffs, exit codes, determinism."""
 
+import gc
 import inspect
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -1006,7 +1008,7 @@ def test_a_witness_the_direct_semantics_accept_is_an_internal_error(exit_dir, mo
     assert not (exit_dir / "r.json").exists()
 
 
-@pytest.mark.parametrize("error,code", [
+ERROR_CLASSES = [
     (CeilingError("c"), 4), (LearnError("l"), 5), (SulNondeterminismError("s"), 5),
     (LtlError("l"), 64), (MachineError("m"), 64), (CpmError("c"), 64),
     (ActorGenError("a"), 64), (json.JSONDecodeError("j", "", 0), 64),
@@ -1014,7 +1016,14 @@ def test_a_witness_the_direct_semantics_accept_is_an_internal_error(exit_dir, mo
     (TestKitError("t"), 64), (OracleBudgetError("o"), 70), (RuntimeError("r"), 70),
     (KeyError("k"), 70), (TypeError("t"), 70), (AttributeError("a"), 70),
     (RecursionError("r"), 70), (AssertionError("a"), 70),
-], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value))
+]
+
+
+def error_class_id(value) -> str:
+    return type(value).__name__ if isinstance(value, Exception) else str(value)
+
+
+@pytest.mark.parametrize("error,code", ERROR_CLASSES, ids=error_class_id)
 def test_each_error_class_exits_with_its_one_code(monkeypatch, capsys, error, code):
     def failing(args):
         raise error
@@ -1038,3 +1047,142 @@ def test_exit_1_is_reached_only_through_a_failed_round_trip():
                     "return EXIT_OK if report.passed else EXIT_ROUNDTRIP",
                     "return EXIT_ROUNDTRIP"]
     assert "return 1" not in inspect.getsource(cli)
+
+
+# ---------------------------------------------------------------------------
+# The cyclic collector: paused while the program's stages run, as the caller
+# had it while the system's code runs and after every exit
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=[True, False], ids=["caller-collects", "caller-paused"])
+def caller_collects(request):
+    """Whether the caller of ``main`` has the cyclic collector on."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_a_program_stage_runs_with_the_collector_paused(caller_collects, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_collapse", lambda args: seen.append(gc.isenabled()) or 0)
+    assert run("collapse", "--lts", "lts.dot", "--out", "c.dot") == 0
+    assert seen == [False]
+    assert gc.isenabled() is caller_collects
+
+
+@pytest.mark.parametrize("argv", [
+    ["learn", "--sul", "helpers:collector_recording_sul", "--oracle", "random-walk",
+     "--out", "m.dot"],
+    ["pipeline", "--config", "recording.json"],
+    ["replay", "--tests", "tests.jsonl", "--sul", "helpers:collector_recording_sul"],
+], ids=["learn", "pipeline", "replay"])
+def test_the_systems_code_runs_with_the_collector_as_the_caller_had_it(
+        exit_dir, monkeypatch, caller_collects, argv):
+    """A plug-in's factory, reset and step run with the collector on when
+    the caller had it on: plug-in code may build reference cycles."""
+    import helpers
+
+    (exit_dir / "recording.json").write_text(json.dumps(
+        {"sul": "helpers:collector_recording_sul", "cpm": "uds.cpm", "out_dir": "out"}))
+    monkeypatch.chdir(exit_dir)
+    helpers.COLLECTOR_STATES.clear()
+    assert run(*argv) == 0
+    assert len(helpers.COLLECTOR_STATES) > 2
+    assert set(helpers.COLLECTOR_STATES) == {caller_collects}
+    assert gc.isenabled() is caller_collects
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["explore", "--annotated", "annotated.dot", "--cpm", "uds.cpm", "--out", "lts.dot"], 0),
+    (["check", "--expanded", "expanded.dot", "--cpm", "uds.cpm"], 2),
+    (["--help"], 0), (["collapse", "--lts"], 64),
+], ids=["exit-0", "exit-2", "help", "usage-error"])
+def test_the_collector_is_as_the_caller_had_it_after_a_run(exit_dir, monkeypatch,
+                                                           caller_collects, argv, code):
+    """Also after argument parsing exits, which come before the pause."""
+    monkeypatch.chdir(exit_dir)
+    assert run(*argv) == code
+    assert gc.isenabled() is caller_collects
+
+
+@pytest.mark.parametrize("error,code", ERROR_CLASSES, ids=error_class_id)
+def test_the_collector_is_put_back_after_each_error_class(monkeypatch, caller_collects,
+                                                         error, code):
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_collapse", failing)
+    assert run("collapse", "--lts", "lts.dot", "--out", "c.dot") == code
+    assert gc.isenabled() is caller_collects
+
+
+def seeded_model(states: int) -> str:
+    """A seeded machine of ``states`` states, all reachable along input a."""
+    rng = random.Random(states)
+    names = [f"q{i}" for i in range(states)]
+    transitions = {}
+    for i, q in enumerate(names):
+        transitions[(q, "a")] = (names[(i + 1) % states], rng.choice(("ok", "err")))
+        for a in ("b", "c"):
+            transitions[(q, a)] = (rng.choice(names), rng.choice(("ok", "err")))
+    return emit_dot(MealyMachine(tuple(names), ("a", "b", "c"), ("ok", "err"), names[0],
+                                 transitions))
+
+
+SEEDED_MAP = """[GAINS]
+AUTH | a | ok
+PROT | b | ok
+[LOSES]
+AUTH | b | err
+PROT | a | err
+[TAUS]
+ACCESSOK | c | ok
+INVKEYOK | c | err
+"""
+
+
+def garbage_of(*argv) -> list:
+    """The objects one run of ``main`` leaves that only the cyclic collector
+    frees, found with the collector off throughout."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run(*argv)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return gc.garbage[:]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        (gc.enable if was else gc.disable)()
+
+
+def test_the_stages_leave_no_reference_cycles_that_grow_with_the_model(tmp_path):
+    """The pause is safe because reference counting frees what the stages
+    build: a run leaves the same few cycles whatever the model's size, none
+    of them a protocheck object, and the state-space stages and the check
+    leave none."""
+    (tmp_path / "map.cpm").write_text(SEEDED_MAP)
+    for states in (8, 200):
+        (tmp_path / f"m{states}.dot").write_text(seeded_model(states))
+        (tmp_path / f"c{states}.json").write_text(json.dumps({
+            "model": str(tmp_path / f"m{states}.dot"), "cpm": str(tmp_path / "map.cpm"),
+            "out_dir": str(tmp_path / f"out{states}")}))
+    # the first call builds the cached parser, whose cycles are left once
+    run("pipeline", "--config", str(tmp_path / "c8.json"))
+    small, large = (garbage_of("pipeline", "--config", str(tmp_path / f"c{states}.json"))
+                    for states in (8, 200))
+    assert len(small) == len(large)
+    assert not [obj for obj in small + large
+                if type(obj).__module__.startswith("protocheck")]
+    out = tmp_path / "out200"
+    for argv in (
+            ["explore", "--annotated", out / "annotated.dot", "--cpm", tmp_path / "map.cpm",
+             "--out", tmp_path / "lts.dot"],
+            ["collapse", "--lts", out / "lts.dot", "--out", tmp_path / "collapsed.dot"],
+            ["check", "--expanded", out / "expanded.dot", "--cpm", tmp_path / "map.cpm"],
+            ["verify-roundtrip", "--model", tmp_path / "m200.dot",
+             "--cpm", tmp_path / "map.cpm"]):
+        assert garbage_of(*map(str, argv)) == [], argv[0]
